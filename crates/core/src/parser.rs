@@ -17,6 +17,9 @@
 //! value := "(" ")" | "true" | "false" | NUM
 //!        | "(" value "," value ")" | "{" [value ("," value)*] "}"
 //! ```
+//!
+//! Nesting is capped at [`MAX_NESTING`] levels: deeper input is a
+//! [`ParseError`], never a stack overflow.
 
 use crate::expr::Expr;
 use crate::types::Type;
@@ -40,9 +43,21 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting the parser accepts, counted in nested
+/// expressions, values and types together: `id` is depth 1,
+/// `map(id)` depth 2, `{{1}}` depth 3. The standard queries nest at
+/// most 29 deep (`tc_naive`). The cap keeps a hostile input from
+/// exhausting the stack of the thread that parses it, and of every
+/// layer that later recurses over the parsed term (typechecking,
+/// interning, evaluation) — within a default 2 MiB thread stack even
+/// in an unoptimised build, which spends about 8 KB per parser level.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Current nesting depth, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -50,7 +65,23 @@ impl<'a> Parser<'a> {
         Parser {
             input: input.as_bytes(),
             pos: 0,
+            depth: 0,
         }
+    }
+
+    /// Run one nesting level of the grammar, refusing to go deeper
+    /// than [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        level: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return self.error(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let out = level(self);
+        self.depth -= 1;
+        out
     }
 
     fn error<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
@@ -123,6 +154,10 @@ impl<'a> Parser<'a> {
     // -- types ------------------------------------------------------------
 
     fn ty(&mut self) -> Result<Type, ParseError> {
+        self.nested(Self::ty_level)
+    }
+
+    fn ty_level(&mut self) -> Result<Type, ParseError> {
         let first = self.ty_prim()?;
         if self.try_eat(b'*') {
             let rest = self.ty()?;
@@ -158,6 +193,10 @@ impl<'a> Parser<'a> {
     // -- values -----------------------------------------------------------
 
     fn value(&mut self) -> Result<Value, ParseError> {
+        self.nested(Self::value_level)
+    }
+
+    fn value_level(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
             Some(b'(') => {
                 self.eat(b'(')?;
@@ -196,6 +235,10 @@ impl<'a> Parser<'a> {
     // -- expressions --------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::expr_level)
+    }
+
+    fn expr_level(&mut self) -> Result<Expr, ParseError> {
         let name = self.ident()?;
         match name {
             "id" => Ok(Expr::Id),
@@ -358,6 +401,34 @@ mod tests {
         assert!(err.position > 0);
         assert!(parse_expr("frobnicate").is_err());
         assert!(parse_expr("id id").is_err(), "trailing input rejected");
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let maps =
+            |depth: usize| format!("{}id{}", "map(".repeat(depth - 1), ")".repeat(depth - 1));
+        assert!(parse_expr(&maps(MAX_NESTING)).is_ok());
+        let err = parse_expr(&maps(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // far past the cap: an error, not a stack overflow
+        assert!(parse_expr(&maps(100_000)).is_err());
+        let sets = |depth: usize| format!("{}1{}", "{".repeat(depth - 1), "}".repeat(depth - 1));
+        assert!(parse_value(&sets(MAX_NESTING)).is_ok());
+        assert!(parse_value(&sets(MAX_NESTING + 1)).is_err());
+        let prods = |depth: usize| vec!["nat"; depth].join(" * ");
+        assert!(parse_type(&prods(MAX_NESTING)).is_ok());
+        assert!(parse_type(&prods(MAX_NESTING + 1)).is_err());
+        // the cap counts expressions, values and types together
+        let konst = format!(
+            "{}const(1 : nat){}",
+            "map(".repeat(MAX_NESTING - 1),
+            ")".repeat(MAX_NESTING - 1)
+        );
+        assert!(parse_expr(&konst).is_err());
+        // every standard query fits with a wide margin
+        for q in [crate::queries::tc_naive(), crate::queries::tc_paths()] {
+            assert_eq!(parse_expr(&q.to_string()).unwrap(), q);
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@
 //! line and [`parse`] reads the rendering back — the `--disasm` debug
 //! path, round-tripped in a unit test.
 
-use crate::eager::{select_pred, Caches};
+use crate::eager::{is_join, select_pred, Caches};
 use crate::error::EvalConfig;
 use nra_core::expr::intern::{EId, ENode};
 use nra_core::expr::Expr;
@@ -92,6 +92,9 @@ pub enum FusedKind {
     Member,
     /// `nest(s,t) = map(⟨π₁, image⟩) ∘ ρ₁ ∘ ⟨map(π₁), id⟩`.
     Nest,
+    /// The self-join `σ_p ∘ (cartprod ∘ ⟨id, id⟩)` over projection
+    /// equalities, run as a hash join.
+    Join,
 }
 
 /// One bytecode instruction. Program counters (`entry`, `els`, `to`,
@@ -375,10 +378,11 @@ fn fused_kind(eid: EId, nodes: &[ENode], caches: &mut Caches) -> Option<FusedKin
     match &nodes[eid.index()] {
         ENode::Compose(g, _) => match &nodes[g.index()] {
             ENode::Leaf(l) if **l == Expr::Flatten => {
-                select_pred(eid, &nodes[eid.index()], nodes, caches).map(FusedKind::Select)
+                select_pred(eid, nodes, caches).map(FusedKind::Select)
             }
             ENode::Leaf(l) if **l == Expr::EqNat => Some(FusedKind::ProjEq),
             ENode::Leaf(l) if **l == Expr::IsEmpty => Some(FusedKind::Subset),
+            ENode::Compose(..) if is_join(eid, nodes, caches) => Some(FusedKind::Join),
             ENode::Compose(..) => Some(FusedKind::Member),
             ENode::Map(_) => Some(FusedKind::Nest),
             _ => None,
@@ -777,6 +781,7 @@ impl std::fmt::Display for FusedKind {
             FusedKind::Subset => write!(f, "subset"),
             FusedKind::Member => write!(f, "member"),
             FusedKind::Nest => write!(f, "nest"),
+            FusedKind::Join => write!(f, "join"),
         }
     }
 }
@@ -988,6 +993,7 @@ fn parse_inst(line: &str) -> Result<Inst, String> {
                 "subset" => FusedKind::Subset,
                 "member" => FusedKind::Member,
                 "nest" => FusedKind::Nest,
+                "join" => FusedKind::Join,
                 other => match other.strip_prefix("select:e") {
                     Some(p) => FusedKind::Select(EId::from_index(num::<usize>(p)?)),
                     None => return Err(format!("unknown fused kind `{other}`")),
@@ -1115,7 +1121,7 @@ mod tests {
     #[test]
     fn disassembly_round_trips_every_opcode() {
         let zoo: Vec<Expr> = vec![
-            queries::tc_while(), // while, compose, tuple, fused cartprod/projeq/select
+            queries::tc_while(), // while, compose, tuple, fused join/cartprod/projeq/select
             queries::tc_paths(), // powerset route: leaves, map, cond
             derived::unnest(),   // fused unnest
             derived::member(&Type::Nat), // fused member
@@ -1129,6 +1135,7 @@ mod tests {
             builder::compose(builder::fst(), builder::snd()), // peephole leaf pair
         ];
         let mut seen = std::collections::HashSet::new();
+        let mut kinds = std::collections::HashSet::new();
         for config in [EvalConfig::optimised(), EvalConfig::default()] {
             for expr in &zoo {
                 let program = compile_expr(expr, &config);
@@ -1137,11 +1144,15 @@ mod tests {
                 assert_eq!(back, program, "round trip drifted\n{text}");
                 for inst in &program.insts {
                     seen.insert(std::mem::discriminant(inst));
+                    if let Inst::Fused { kind, .. } = inst {
+                        kinds.insert(std::mem::discriminant(kind));
+                    }
                 }
             }
         }
-        // all 17 opcodes exercised
+        // all 17 opcodes and all 9 fused kinds exercised
         assert_eq!(seen.len(), 17, "instruction zoo lost coverage");
+        assert_eq!(kinds.len(), 9, "fused-kind zoo lost coverage");
     }
 
     /// A parse error names the offending token instead of panicking.

@@ -32,9 +32,10 @@
 
 use super::{FusedKind, Inst, Program};
 use crate::eager::{
-    delta_probe, eval_cartprod_fused, eval_flatten_delta, eval_leaf_rule, eval_member_fused,
-    eval_nest_fused, eval_projeq_fused, eval_projpair_fused, eval_select_fused, eval_subset_fused,
-    eval_unnest_fused, record_frontier, stuck, Caches, Ctx, DeltaEntry, MemoCache,
+    delta_probe, eval_cartprod_fused, eval_flatten_delta, eval_join_fused, eval_leaf_rule,
+    eval_member_fused, eval_nest_fused, eval_projeq_fused, eval_projpair_fused, eval_select_fused,
+    eval_subset_fused, eval_unnest_fused, record_frontier, stuck, Caches, Ctx, DeltaEntry,
+    MemoCache,
 };
 use crate::error::EvalError;
 use nra_core::expr::intern::ENode;
@@ -334,6 +335,7 @@ pub(crate) fn run(
                     FusedKind::Subset => eval_subset_fused(eid, input, ctx, nodes, caches, va)?,
                     FusedKind::Member => eval_member_fused(eid, input, ctx, nodes, caches, va)?,
                     FusedKind::Nest => eval_nest_fused(eid, input, ctx, nodes, caches, va)?,
+                    FusedKind::Join => eval_join_fused(eid, input, ctx, nodes, caches, va)?,
                 };
                 match fused {
                     // a fused success returns with the *call-time* cost

@@ -42,7 +42,7 @@
 //!   the default mode remains the exact §3 measure.
 
 use crate::error::{EvalConfig, EvalError};
-use crate::shapes::ShapeCaches;
+use crate::shapes::{apply_proj, proj_path, JoinShape, ProjPath, ShapeCaches};
 use crate::stats::EvalStats;
 use nra_core::expr::intern::{self as expr_intern, EId, ENode, ExprArena};
 use nra_core::expr::Expr;
@@ -448,22 +448,22 @@ type SharedSlot = (u64, u32, VId, u64);
 /// `begin_query` anywhere gets a distinct stamp and cross-query *and*
 /// cross-worker hits both classify as warm.
 pub(crate) struct SharedMemoTable {
-    stripes: Box<[Mutex<Box<[SharedSlot]>>]>,
+    /// Each stripe's slots are allocated by its first store (a probe of
+    /// an unallocated stripe misses): filling all 1.5 MiB up front cost
+    /// about a millisecond of page faults, paid by every session that
+    /// migrates onto the shared store and by every eviction — more than
+    /// a small batch's whole evaluation.
+    stripes: Box<[Stripe]>,
     next_query: AtomicU32,
 }
 
+/// One lock stripe of a [`SharedMemoTable`]; `None` until first stored.
+type Stripe = Mutex<Option<Box<[SharedSlot]>>>;
+
 impl SharedMemoTable {
     fn new() -> Self {
-        let stripes = (0..SHARED_MEMO_STRIPES)
-            .map(|_| {
-                Mutex::new(
-                    vec![(MEMO_EMPTY_KEY, 0, VId::from_index(0), 0); SHARED_MEMO_STRIPE_SLOTS]
-                        .into_boxed_slice(),
-                )
-            })
-            .collect();
         SharedMemoTable {
-            stripes,
+            stripes: (0..SHARED_MEMO_STRIPES).map(|_| Mutex::new(None)).collect(),
             next_query: AtomicU32::new(0),
         }
     }
@@ -477,7 +477,7 @@ impl SharedMemoTable {
 
     /// The stripe holding `slot`, and the slot's index within it.
     #[inline]
-    fn stripe(&self, slot: usize) -> (&Mutex<Box<[SharedSlot]>>, usize) {
+    fn stripe(&self, slot: usize) -> (&Stripe, usize) {
         (
             &self.stripes[slot / SHARED_MEMO_STRIPE_SLOTS],
             slot % SHARED_MEMO_STRIPE_SLOTS,
@@ -644,7 +644,7 @@ impl MemoCache {
                 let slot = memo_slot(key, (1u64 << SHARED_MEMO_BITS) - 1);
                 let (stripe, within) = m.table.stripe(slot);
                 let guard = stripe.lock().unwrap_or_else(PoisonError::into_inner);
-                let (k, q, v, cost) = guard[within];
+                let (k, q, v, cost) = guard.as_ref()?[within];
                 (k == key).then_some((v, cost, q != m.query))
             }
         }
@@ -657,7 +657,11 @@ impl MemoCache {
                 let slot = memo_slot(key, (1u64 << SHARED_MEMO_BITS) - 1);
                 let (stripe, within) = m.table.stripe(slot);
                 let mut guard = stripe.lock().unwrap_or_else(PoisonError::into_inner);
-                guard[within] = (key, m.query, out, cost);
+                let slots = guard.get_or_insert_with(|| {
+                    vec![(MEMO_EMPTY_KEY, 0, VId::from_index(0), 0); SHARED_MEMO_STRIPE_SLOTS]
+                        .into_boxed_slice()
+                });
+                slots[within] = (key, m.query, out, cost);
             }
         }
     }
@@ -796,92 +800,13 @@ pub(crate) struct Caches {
     projpairs: HashMap<EId, Option<(ProjPath, ProjPath)>, FxBuildHasher>,
 }
 
-/// A chain of pair projections, innermost step first: `false` = `π₁`
-/// (`fst`), `true` = `π₂` (`snd`). `compose(snd, fst)` is `[false,
-/// true]` — apply `fst`, then `snd`.
-type ProjPath = Vec<bool>;
-
-/// Walk a candidate projection chain (`fst`/`snd`/`id` leaves glued by
-/// `compose`) into its [`ProjPath`], or `None` if any other head
-/// occurs.
-fn proj_path(eid: EId, nodes: &[ENode], out: &mut ProjPath) -> Option<()> {
-    match &nodes[eid.index()] {
-        ENode::Leaf(leaf) => match **leaf {
-            Expr::Fst => {
-                out.push(false);
-                Some(())
-            }
-            Expr::Snd => {
-                out.push(true);
-                Some(())
-            }
-            Expr::Id => Some(()),
-            _ => None,
-        },
-        // g ∘ f applies f first
-        ENode::Compose(g, f) => {
-            proj_path(*f, nodes, out)?;
-            proj_path(*g, nodes, out)
-        }
-        _ => None,
-    }
-}
-
-/// Apply a [`ProjPath`] to a value by direct arena reads. `None` when a
-/// non-pair shows up mid-chain (the caller falls back to the ordinary
-/// derivation, which reports the proper stuck state).
-fn apply_proj(a: &intern::ValueArena, mut v: VId, path: &[bool]) -> Option<VId> {
-    for &snd in path {
-        let (x, y) = a.as_pair(v)?;
-        v = if snd { y } else { x };
-    }
-    Some(v)
-}
-
-/// Recognise the Prop 2.1 selection shape at `eid` (already known to be
-/// a `Compose` whose left child is the `μ` leaf) and return its
+/// Recognise the Prop 2.1 selection shape at `eid` and return its
 /// predicate, caching the verdict.
-pub(crate) fn select_pred(
-    eid: EId,
-    node: &ENode,
-    nodes: &[ENode],
-    caches: &mut Caches,
-) -> Option<EId> {
-    if let Some(&cached) = caches.selects.get(&eid) {
-        return cached;
-    }
-    let pred = (|| {
-        let ENode::Compose(_, f) = *node else {
-            return None;
-        };
-        let ENode::Map(b) = nodes[f.index()] else {
-            return None;
-        };
-        let ENode::Cond(p, t, e) = nodes[b.index()] else {
-            return None;
-        };
-        let ENode::Leaf(ref tl) = nodes[t.index()] else {
-            return None;
-        };
-        if **tl != Expr::Sng {
-            return None;
-        }
-        let ENode::Compose(es, bg) = nodes[e.index()] else {
-            return None;
-        };
-        let ENode::Leaf(ref el) = nodes[es.index()] else {
-            return None;
-        };
-        if !matches!(**el, Expr::EmptySet(_)) {
-            return None;
-        }
-        let ENode::Leaf(ref bl) = nodes[bg.index()] else {
-            return None;
-        };
-        (**bl == Expr::Bang).then_some(p)
-    })();
-    caches.selects.insert(eid, pred);
-    pred
+pub(crate) fn select_pred(eid: EId, nodes: &[ENode], caches: &mut Caches) -> Option<EId> {
+    *caches
+        .selects
+        .entry(eid)
+        .or_insert_with(|| crate::shapes::select_shape(nodes, eid))
 }
 
 /// Probe the delta cache for an incremental application: `Some((prev
@@ -1170,20 +1095,22 @@ pub(crate) fn eval_eid(
             // one-read pre-filters before the (cached) full shape
             // recognitions: σ_p starts `μ ∘ …`, projection equality
             // starts `=_N ∘ …`, inclusion starts `empty ∘ …`,
-            // membership starts `(¬ ∘ empty) ∘ …`, nest starts
-            // `map(⟨π₁, …⟩) ∘ …`
+            // membership starts `(¬ ∘ empty) ∘ …`, the self-join
+            // `(μ ∘ …) ∘ …`, nest starts `map(⟨π₁, …⟩) ∘ …`
             match &nodes[g.index()] {
-                ENode::Leaf(l) if **l == Expr::Flatten => {
-                    match select_pred(eid, &nodes[eid.index()], nodes, caches) {
-                        Some(pred) => eval_select_fused(eid, pred, input, ctx, nodes, caches, va)?,
-                        None => None,
-                    }
-                }
+                ENode::Leaf(l) if **l == Expr::Flatten => match select_pred(eid, nodes, caches) {
+                    Some(pred) => eval_select_fused(eid, pred, input, ctx, nodes, caches, va)?,
+                    None => None,
+                },
                 ENode::Leaf(l) if **l == Expr::EqNat => {
                     eval_projeq_fused(eid, input, ctx, nodes, caches, va)?
                 }
                 ENode::Leaf(l) if **l == Expr::IsEmpty => {
                     eval_subset_fused(eid, input, ctx, nodes, caches, va)?
+                }
+                // membership and the self-join share this head
+                ENode::Compose(..) if is_join(eid, nodes, caches) => {
+                    eval_join_fused(eid, input, ctx, nodes, caches, va)?
                 }
                 ENode::Compose(..) => eval_member_fused(eid, input, ctx, nodes, caches, va)?,
                 ENode::Map(_) => eval_nest_fused(eid, input, ctx, nodes, caches, va)?,
@@ -1867,6 +1794,147 @@ pub(crate) fn eval_nest_fused(
     let output = va.set_from_vec(out);
     ctx.observe_vid(va, output)?;
     Ok(Some(output))
+}
+
+/// Is `eid` the Prop 2.1 self-join [`eval_join_fused`] runs? A cached
+/// structural verdict — shared by the walker's dispatch and the
+/// compiler's [`crate::compile`] shape resolution.
+pub(crate) fn is_join(eid: EId, nodes: &[ENode], caches: &mut Caches) -> bool {
+    crate::shapes::join_shape(eid, caches.cartprod, nodes, &mut caches.shapes).is_some()
+}
+
+/// The fused hash self-join for the Prop 2.1 shape
+/// `σ_p ∘ (cartprod ∘ ⟨id, id⟩)` — the join inside relational
+/// composition, `tc_step`, `tc_while`'s body and the siblings queries
+/// (recognised structurally — see [`crate::shapes::join_shape`]).
+/// Instead of materialising `R × R` and deriving `p` per pair, `R` is
+/// hashed on the right element's key coordinate, every left element
+/// probes that index, the remaining conjuncts are checked by direct
+/// arena reads, and only the matching `(x, y)` pairs are interned —
+/// work proportional to `|R|` plus the key matches, not `|R|²`. When
+/// the node last ran on `Rₚ ⊆ R` (the steady state inside `while`),
+/// only the delta joins are built and folded into the previous output:
+///
+/// ```text
+/// σ_p(R × R)  =  σ_p(Rₚ × Rₚ)  ∪  δ ⋈ R  ∪  Rₚ ⋈ δ      (δ = R ∖ Rₚ)
+/// ```
+///
+/// The output is the canonical selected set, bit-for-bit the derived
+/// one. The §3 observations are the judgment's own boundary objects, so
+/// under semi-naive a join's `max_object_size` is its input or output,
+/// never the product. **Totality gate:** `R × R` pairs every element
+/// of `R` with every other on both sides, so the derived predicate is
+/// total iff every coordinate it reads is a `Nat` on every element of
+/// `R` — an `O(|R|)` check made before any work (only the frontier's
+/// elements on a delta step: the node's previous input passed the gate
+/// when this rule recorded it). Otherwise — or when the input is not a
+/// set — `Ok(None)`: the ordinary derivation runs and gets stuck
+/// exactly as it does without fusion.
+pub(crate) fn eval_join_fused(
+    eid: EId,
+    input: VId,
+    ctx: &mut Ctx,
+    nodes: &[ENode],
+    caches: &mut Caches,
+    va: &mut ValueArena,
+) -> Result<Option<VId>, EvalError> {
+    let Some(shape) = crate::shapes::join_shape(eid, caches.cartprod, nodes, &mut caches.shapes)
+    else {
+        return Ok(None);
+    };
+    let Some(items) = va.as_set(input) else {
+        return Ok(None);
+    };
+    // the previous application, when its input is a subset of this one
+    let prev = caches
+        .delta
+        .get(&eid)
+        .copied()
+        .filter(|e| va.is_subset(e.input, input) == Some(true));
+    let (old, fresh) = match prev {
+        Some(e) => {
+            let fresh = va
+                .set_difference(input, e.input)
+                .expect("both inputs are sets");
+            (
+                va.as_set(e.input).expect("previous input was a set"),
+                va.as_set(fresh).expect("frontier is a set"),
+            )
+        }
+        None => (Arc::from(Vec::new()), Arc::clone(&items)),
+    };
+    let total = fresh.iter().all(|&e| {
+        shape
+            .reads
+            .iter()
+            .all(|path| apply_proj(va, e, path).is_some_and(|c| va.as_nat(c).is_some()))
+    });
+    if !total {
+        return Ok(None);
+    }
+    ctx.node(ENode::Compose(eid, eid).head_index())?;
+    ctx.observe_vid(va, input)?;
+    let mut pairs = Vec::new();
+    hash_join(&shape, &fresh, &items, va, &mut pairs);
+    let output = match prev {
+        Some(e) => {
+            hash_join(&shape, &old, &fresh, va, &mut pairs);
+            ctx.stats.delta_hits += 1;
+            ctx.stats.delta_skipped += va.cardinality(e.output).unwrap_or(0) as u64;
+            let fresh_pairs = va.set_from_vec(pairs);
+            va.set_merge_frontier(e.output, &[fresh_pairs])
+                .expect("join outputs are sets")
+        }
+        None => va.set_from_vec(pairs),
+    };
+    ctx.observe_vid(va, output)?;
+    caches.delta.insert(
+        eid,
+        DeltaEntry {
+            input,
+            output,
+            cost: 0,
+        },
+    );
+    Ok(Some(output))
+}
+
+/// `σ_p(lefts × rights)` for a gated [`JoinShape`], appended to `out`:
+/// hash `rights` on the right key, probe with each left element's key,
+/// keep the pairs passing the residual conjuncts. Nat handles are
+/// hash-consed, so handle equality is `=_N`.
+fn hash_join(
+    shape: &JoinShape,
+    lefts: &[VId],
+    rights: &[VId],
+    va: &mut ValueArena,
+    out: &mut Vec<VId>,
+) {
+    if lefts.is_empty() || rights.is_empty() {
+        return;
+    }
+    let gated = "join coordinates passed the totality gate";
+    let mut index: HashMap<VId, Vec<VId>, FxBuildHasher> = HashMap::default();
+    for &y in rights {
+        let key = apply_proj(va, y, &shape.right_key).expect(gated);
+        index.entry(key).or_default().push(y);
+    }
+    for &x in lefts {
+        let key = apply_proj(va, x, &shape.left_key).expect(gated);
+        let Some(ys) = index.get(&key) else {
+            continue;
+        };
+        for &y in ys {
+            let keep = shape.residual.iter().all(|t| {
+                let a = t.lhs.read(va, x, y).expect(gated);
+                let b = t.rhs.read(va, x, y).expect(gated);
+                (a == b) != t.negated
+            });
+            if keep {
+                out.push(va.pair(x, y));
+            }
+        }
+    }
 }
 
 /// Apply a non-recursive primitive on the interned path (every rule

@@ -12,7 +12,12 @@
 //!   componentwise at products; antisymmetric inclusion at sets);
 //! * `member(t) = ¬empty ∘ σ_{=ₜ} ∘ ρ₂`;
 //! * `subset(t) = empty ∘ σ_{¬∈} ∘ ρ₁`;
-//! * `nest(s,t) = map(⟨π₁, image⟩) ∘ ρ₁ ∘ ⟨map(π₁), id⟩`.
+//! * `nest(s,t) = map(⟨π₁, image⟩) ∘ ρ₁ ∘ ⟨map(π₁), id⟩`;
+//! * the self-join `σ_p ∘ (cartprod ∘ ⟨id, id⟩)`, with `p` a `pand`
+//!   conjunction of projection equalities `=_N ∘ ⟨π-chain, π-chain⟩`
+//!   (each possibly under `¬`), at least one of which equates a
+//!   coordinate of the left element with one of the right — see
+//!   [`join_shape`].
 //!
 //! A match is exact — every leaf of the skeleton is verified — and the
 //! matchers return the **type the skeleton witnesses** (`eq_at`'s
@@ -33,6 +38,7 @@ use nra_core::expr::Expr;
 use nra_core::types::Type;
 use nra_core::value::intern::{FxBuildHasher, VId, ValueArena};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Memoised recognition verdicts (`EId` → the witnessed type, `None`
 /// for a non-match) plus per-`(shape, value)` conformance verdicts.
@@ -43,6 +49,7 @@ pub(crate) struct ShapeCaches {
     members: HashMap<EId, Option<Type>, FxBuildHasher>,
     subsets: HashMap<EId, Option<Type>, FxBuildHasher>,
     nests: HashMap<EId, Option<Type>, FxBuildHasher>,
+    joins: HashMap<EId, Option<Arc<JoinShape>>, FxBuildHasher>,
     /// Conformance verdicts for the fused rules' runtime gate, keyed
     /// `(shape EId, value VId)` — the type is fixed per shape, and
     /// hash-consing makes the per-element checks of a growing set
@@ -57,6 +64,7 @@ impl ShapeCaches {
         self.members.clear();
         self.subsets.clear();
         self.nests.clear();
+        self.joins.clear();
         self.conforms.clear();
     }
 }
@@ -167,7 +175,7 @@ fn is_rho1(nodes: &[ENode], eid: EId) -> bool {
 }
 
 /// `σ_p = μ ∘ map(if p then η else ∅ˢ ∘ !)` — returns the predicate.
-fn select_shape(nodes: &[ENode], eid: EId) -> Option<EId> {
+pub(crate) fn select_shape(nodes: &[ENode], eid: EId) -> Option<EId> {
     let ENode::Compose(g, f) = nodes[eid.index()] else {
         return None;
     };
@@ -190,6 +198,193 @@ fn select_shape(nodes: &[ENode], eid: EId) -> Option<EId> {
         return None;
     };
     (matches!(**el, Expr::EmptySet(_)) && leaf_is(nodes, bg, &Expr::Bang)).then_some(p)
+}
+
+/// A chain of pair projections, innermost step first: `false` = `π₁`
+/// (`fst`), `true` = `π₂` (`snd`). `compose(snd, fst)` is `[false,
+/// true]` — apply `fst`, then `snd`.
+pub(crate) type ProjPath = Vec<bool>;
+
+/// Walk a candidate projection chain (`fst`/`snd`/`id` leaves glued by
+/// `compose`) into its [`ProjPath`], or `None` if any other head
+/// occurs.
+pub(crate) fn proj_path(eid: EId, nodes: &[ENode], out: &mut ProjPath) -> Option<()> {
+    match &nodes[eid.index()] {
+        ENode::Leaf(leaf) => match **leaf {
+            Expr::Fst => {
+                out.push(false);
+                Some(())
+            }
+            Expr::Snd => {
+                out.push(true);
+                Some(())
+            }
+            Expr::Id => Some(()),
+            _ => None,
+        },
+        // g ∘ f applies f first
+        ENode::Compose(g, f) => {
+            proj_path(*f, nodes, out)?;
+            proj_path(*g, nodes, out)
+        }
+        _ => None,
+    }
+}
+
+/// Apply a [`ProjPath`] to a value by direct arena reads. `None` when a
+/// non-pair shows up mid-chain (the caller falls back to the ordinary
+/// derivation, which reports the proper stuck state).
+pub(crate) fn apply_proj(a: &ValueArena, mut v: VId, path: &[bool]) -> Option<VId> {
+    for &snd in path {
+        let (x, y) = a.as_pair(v)?;
+        v = if snd { y } else { x };
+    }
+    Some(v)
+}
+
+/// One coordinate a join predicate reads off a product element
+/// `(x, y)`: the element (`right = false` for `x`) and the projection
+/// path inside it.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Coord {
+    pub(crate) right: bool,
+    pub(crate) path: ProjPath,
+}
+
+impl Coord {
+    /// Read the coordinate off the pair `(x, y)`.
+    pub(crate) fn read(&self, va: &ValueArena, x: VId, y: VId) -> Option<VId> {
+        apply_proj(va, if self.right { y } else { x }, &self.path)
+    }
+}
+
+/// One conjunct of a join predicate: `=_N ∘ ⟨lhs, rhs⟩`, or its
+/// negation.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct JoinTest {
+    pub(crate) lhs: Coord,
+    pub(crate) rhs: Coord,
+    pub(crate) negated: bool,
+}
+
+/// A recognised Prop 2.1 self-join `σ_p ∘ (cartprod ∘ ⟨id, id⟩)`: the
+/// hash key — the first un-negated conjunct equating a coordinate of
+/// the left element with one of the right — the remaining conjuncts,
+/// and every in-element path the predicate reads.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct JoinShape {
+    /// Path of the key coordinate inside the left element `x`.
+    pub(crate) left_key: ProjPath,
+    /// Path of the key coordinate inside the right element `y`.
+    pub(crate) right_key: ProjPath,
+    /// The other conjuncts, checked per key match.
+    pub(crate) residual: Vec<JoinTest>,
+    /// Every distinct path any conjunct reads inside an element. Each
+    /// element of `R` meets every other on both sides of `R × R`, so
+    /// the derived predicate is total on `R × R` iff each of these
+    /// reaches a `Nat` on every element of `R`.
+    pub(crate) reads: Vec<ProjPath>,
+}
+
+/// Flatten a `pand` tree of projection equalities, each possibly under
+/// `¬`, into `out`; `None` if any leaf has another shape.
+fn conjuncts(p: EId, nodes: &[ENode], out: &mut Vec<JoinTest>) -> Option<()> {
+    let ENode::Compose(g, f) = nodes[p.index()] else {
+        return None;
+    };
+    // pand(a, b) = ∧ ∘ ⟨a, b⟩
+    if is_and2(nodes, g) {
+        let ENode::Tuple(a, b) = nodes[f.index()] else {
+            return None;
+        };
+        conjuncts(a, nodes, out)?;
+        return conjuncts(b, nodes, out);
+    }
+    let (negated, eq) = if is_not(nodes, g) {
+        (true, f)
+    } else {
+        (false, p)
+    };
+    let ENode::Compose(eq_nat, args) = nodes[eq.index()] else {
+        return None;
+    };
+    let ENode::Tuple(a, b) = nodes[args.index()] else {
+        return None;
+    };
+    if !leaf_is(nodes, eq_nat, &Expr::EqNat) {
+        return None;
+    }
+    let coord = |eid| {
+        let mut path = ProjPath::new();
+        proj_path(eid, nodes, &mut path)?;
+        let (&right, inner) = path.split_first()?;
+        Some(Coord {
+            right,
+            path: inner.to_vec(),
+        })
+    };
+    out.push(JoinTest {
+        lhs: coord(a)?,
+        rhs: coord(b)?,
+        negated,
+    });
+    Some(())
+}
+
+/// Is `eid` the Prop 2.1 self-join `σ_p ∘ (cartprod ∘ ⟨id, id⟩)` —
+/// `cartprod` being the interned handle of the derived product — with
+/// a predicate [`JoinShape`] can evaluate? This is the join inside
+/// relational composition, `tc_step`, `tc_while`'s body and the
+/// siblings queries.
+pub(crate) fn join_shape(
+    eid: EId,
+    cartprod: EId,
+    nodes: &[ENode],
+    caches: &mut ShapeCaches,
+) -> Option<Arc<JoinShape>> {
+    if let Some(verdict) = caches.joins.get(&eid) {
+        return verdict.clone();
+    }
+    let verdict = (|| {
+        let ENode::Compose(sel, product) = nodes[eid.index()] else {
+            return None;
+        };
+        let ENode::Compose(cp, dup) = nodes[product.index()] else {
+            return None;
+        };
+        let ENode::Tuple(l, r) = nodes[dup.index()] else {
+            return None;
+        };
+        if cp != cartprod || !leaf_is(nodes, l, &Expr::Id) || !leaf_is(nodes, r, &Expr::Id) {
+            return None;
+        }
+        let mut residual = Vec::new();
+        conjuncts(select_shape(nodes, sel)?, nodes, &mut residual)?;
+        let key = residual
+            .iter()
+            .position(|t| !t.negated && t.lhs.right != t.rhs.right)?;
+        let key = residual.remove(key);
+        let (left, right) = if key.lhs.right {
+            (key.rhs, key.lhs)
+        } else {
+            (key.lhs, key.rhs)
+        };
+        let mut reads = vec![left.path.clone(), right.path.clone()];
+        for t in &residual {
+            reads.push(t.lhs.path.clone());
+            reads.push(t.rhs.path.clone());
+        }
+        reads.sort();
+        reads.dedup();
+        Some(Arc::new(JoinShape {
+            left_key: left.path,
+            right_key: right.path,
+            residual,
+            reads,
+        }))
+    })();
+    caches.joins.insert(eid, verdict.clone());
+    verdict
 }
 
 /// `⟨πₒ ∘ π₁, πₒ ∘ π₂⟩` with `πₒ = π₁` (`second = false`, the left
@@ -493,6 +688,65 @@ mod tests {
         }
         let (eid, nodes, mut caches) = recognise(&derived::unnest());
         assert_eq!(nest_key_type(eid, &nodes, &mut caches), None);
+    }
+
+    #[test]
+    fn join_matches_self_joins_over_projection_equalities() {
+        let edge = Type::prod(Type::Nat, Type::Nat);
+        let pair_ty = Type::prod(edge.clone(), edge);
+        // coordinates of an edge pair ((a,b),(c,d))
+        let a = || compose(fst(), fst());
+        let b = || compose(snd(), fst());
+        let c = || compose(fst(), snd());
+        let d = || compose(snd(), snd());
+        let eq = |x: Expr, y: Expr| compose(eq_nat(), tuple(x, y));
+        let join = |p: Expr| compose(derived::select(p, pair_ty.clone()), derived::self_product());
+        let shape = |e: &Expr| {
+            let mut arena = ExprArena::new();
+            let cartprod = arena.intern(&derived::cartprod());
+            let eid = arena.intern(e);
+            join_shape(
+                eid,
+                cartprod,
+                &arena.snapshot(),
+                &mut ShapeCaches::default(),
+            )
+        };
+        // composition: b = c, written either way round
+        for p in [eq(b(), c()), eq(c(), b())] {
+            let s = shape(&join(p)).expect("composition join");
+            assert_eq!(
+                (s.left_key.as_slice(), s.right_key.as_slice()),
+                (&[true][..], &[false][..])
+            );
+            assert!(s.residual.is_empty());
+            assert_eq!(s.reads, vec![vec![false], vec![true]]);
+        }
+        // siblings: b = d ∧ a ≠ c — the negated conjunct is residual
+        let s = shape(&join(derived::pand(
+            eq(b(), d()),
+            derived::pnot(eq(a(), c())),
+        )))
+        .expect("siblings join");
+        assert_eq!(
+            (s.left_key.as_slice(), s.right_key.as_slice()),
+            (&[true][..], &[true][..])
+        );
+        assert_eq!(s.residual.len(), 1);
+        assert!(s.residual[0].negated);
+        // near-misses: no cross-element key, a negated key only, a
+        // non-equality predicate, a product that is not a self-product
+        for e in [
+            join(eq(a(), b())),
+            join(derived::pnot(eq(b(), c()))),
+            join(always_true()),
+            compose(
+                derived::select(eq(b(), c()), pair_ty.clone()),
+                compose(derived::cartprod(), tuple(id(), fst())),
+            ),
+        ] {
+            assert_eq!(shape(&e), None, "{e}");
+        }
     }
 
     #[test]

@@ -26,9 +26,10 @@ fn edge_ty() -> Type {
 
 /// Queries exercising the fused derived shapes — `nest`/`unnest`,
 /// membership and inclusion predicates (via `∩`, `∖`, `⊆`, `=` at set
-/// types) — each of type `{N × N} → t` so the family graphs feed them
-/// directly, and each wrapping a growing `tc_step` so the semi-naive
-/// walker sees the shapes re-fire on grown inputs.
+/// types), the self-join `σ_p(R × R)` — each of type `{N × N} → t` so
+/// the family graphs feed them directly, and most wrapping a growing
+/// `tc_step` so the semi-naive walker sees the shapes re-fire on grown
+/// inputs.
 fn fused_shape_queries() -> Vec<(&'static str, nra_core::Expr)> {
     let rel = Type::set(edge_ty());
     vec![
@@ -77,6 +78,10 @@ fn fused_shape_queries() -> Vec<(&'static str, nra_core::Expr)> {
                 tuple(queries::tc_step(), queries::tc_while()),
             ),
         ),
+        // the self-join σ_p(R × R), keyed on b = c
+        ("compose_rel", queries::compose_rel()),
+        // the self-join keyed on b = d, with a residual a ≠ c
+        ("siblings_direct", queries::siblings_direct()),
     ]
 }
 
@@ -340,9 +345,9 @@ fn seminaive_agrees_with_naive_on_all_families() {
 /// results and the **entire** `EvalStats` — §3 node and rule counters,
 /// complexities, fixpoint trajectory and frontier trace, cache
 /// activity — are bit-for-bit the compiled-off ones, across all seven
-/// graph families, both tc routes, and (under the semi-naive modes,
-/// where the fused superinstructions are emitted) the fused-shape
-/// query zoo.
+/// graph families, both tc routes, the served joins, and (under the
+/// semi-naive modes, where the fused superinstructions are emitted) the
+/// fused-shape query zoo.
 #[test]
 fn compiled_agrees_with_interpreted_on_all_families() {
     // Each side runs in a fresh session: the direct-mapped apply cache
@@ -365,7 +370,12 @@ fn compiled_agrees_with_interpreted_on_all_families() {
                     ("semi-naive", EvalConfig::semi_naive()),
                     ("memo+semi-naive", EvalConfig::optimised()),
                 ];
-                for q in [queries::tc_paths(), queries::tc_while()] {
+                for q in [
+                    queries::tc_paths(),
+                    queries::tc_while(),
+                    queries::compose_rel(),
+                    queries::siblings_direct(),
+                ] {
                     for (mode, base) in &modes {
                         let compiled_cfg = EvalConfig {
                             compiled: true,
@@ -715,6 +725,7 @@ fn fused_predicates_preserve_ill_typed_semantics() {
         EvalConfig::default(),
         EvalConfig::semi_naive(),
         EvalConfig::optimised(),
+        EvalConfig::compiled(),
     ];
     // member(N) on (true, {1, 2}): eq_nat gets stuck comparing a boolean
     let q = derived::member(&Type::Nat);
@@ -764,5 +775,22 @@ fn fused_predicates_preserve_ill_typed_semantics() {
             "nest(N, N) on an ill-typed key must stay stuck: {:?}",
             ev.result
         );
+    }
+    // the self-joins over a relation with a boolean coordinate: the
+    // join's totality gate fails, and the derivation's eq_nat gets stuck
+    let input = Value::set([Value::edge(1, 2), Value::pair(Value::TRUE, Value::nat(3))]);
+    for (name, q) in [
+        ("compose_rel", queries::compose_rel()),
+        ("tc_step", queries::tc_step()),
+        ("siblings_direct", queries::siblings_direct()),
+    ] {
+        for cfg in &configs {
+            let ev = evaluate(&q, &input, cfg);
+            assert!(
+                matches!(ev.result, Err(EvalError::Stuck { .. })),
+                "{name} on an ill-typed relation must stay stuck: {:?}",
+                ev.result
+            );
+        }
     }
 }

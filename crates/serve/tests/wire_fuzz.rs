@@ -179,3 +179,57 @@ fn framing_survives_random_chunk_boundaries() {
         assert_eq!(decoded, requests, "seed {seed}");
     });
 }
+
+/// Hostile nesting depth: a frame nested deeper than
+/// [`nra_core::parser::MAX_NESTING`] is answered `failed` on the wire
+/// instead of overflowing the serving thread's stack (10,000 nested
+/// `map(` used to abort the whole process), a frame exactly at the
+/// limit is still served end to end, and the server answers the next
+/// ordinary frame.
+#[test]
+fn nesting_limit_fails_hostile_frames_and_keeps_serving() {
+    use nra_core::parser::MAX_NESTING;
+    use nra_serve::{spawn, ServeConfig};
+    // `depth` levels each: `map(…map(id)…)` and `{…{1}…}`
+    let query = |depth: usize| format!("{}id{}", "map(".repeat(depth - 1), ")".repeat(depth - 1));
+    let input = |depth: usize| format!("{}1{}", "{".repeat(depth - 1), "}".repeat(depth - 1));
+    let (mut client, handle) = spawn(ServeConfig::default());
+    let mut ask = |id: u64, query: &str, input: &str| {
+        client
+            .tx
+            .send_line(&format!("acme;{id};{query};{input}"))
+            .unwrap();
+        let response = client.recv().expect("server alive").unwrap();
+        assert_eq!(response.id, id);
+        response.outcome
+    };
+    // at the limit, expression and value both: served, identity result
+    let deep = input(MAX_NESTING);
+    match ask(1, &query(MAX_NESTING), &deep) {
+        Outcome::Ok { value, .. } => assert_eq!(value, parse_value(&deep).unwrap()),
+        other => panic!("a frame at the nesting limit must be served: {other:?}"),
+    }
+    // one level deeper, in the expression or in the value; and the
+    // 10,000-level frame that used to overflow the stack
+    for (id, q, v) in [
+        (2, query(MAX_NESTING + 1), input(1)),
+        (3, query(1), input(MAX_NESTING + 1)),
+        (4, query(10_000), input(1)),
+    ] {
+        match ask(id, &q, &v) {
+            Outcome::Failed { detail } => {
+                assert!(detail.starts_with("wire:"), "{detail}");
+                assert!(detail.contains("nesting"), "{detail}");
+            }
+            other => panic!("frame {id} nests past the limit: {other:?}"),
+        }
+    }
+    // the server is still serving
+    match ask(5, "id", "{(0, 1)}") {
+        Outcome::Ok { value, .. } => assert_eq!(value, Value::chain(1)),
+        other => panic!("ordinary frame after hostile ones: {other:?}"),
+    }
+    client.shutdown().unwrap();
+    let report = handle.join().expect("server thread must not die");
+    assert_eq!(report.decode_errors, 3);
+}
