@@ -40,14 +40,13 @@ fn main() {
         nra_bench::BATCH_WORKERS
     );
     println!(
-        "{:<20} {:>4} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "{:<20} {:>4} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "workload",
         "n",
         "tree",
         "interned",
         "memoised",
         "seminaive",
-        "compiled",
         "optimised",
         "warm",
         "batch",
@@ -55,7 +54,6 @@ fn main() {
         "intern×",
         "memo×",
         "semi×",
-        "comp×",
         "opt×",
         "warm×",
         "batch×",
@@ -63,14 +61,13 @@ fn main() {
     );
     for c in &comparisons {
         println!(
-            "{:<20} {:>4} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7.2}x {:>7.2}x {:>7.2}x {:>7.2}x {:>7.2}x {:>7.2}x {:>7.2}x {:>7.2}x",
+            "{:<20} {:>4} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7.2}x {:>7.2}x {:>7.2}x {:>7.2}x {:>7.2}x {:>7.2}x {:>7.2}x",
             c.workload,
             c.n,
             fmt_duration(c.tree),
             fmt_duration(c.interned),
             fmt_duration(c.memoised),
             fmt_duration(c.seminaive),
-            fmt_duration(c.compiled),
             fmt_duration(c.optimised),
             fmt_duration(c.warm),
             fmt_duration(c.batch),
@@ -78,7 +75,6 @@ fn main() {
             c.speedup(),
             c.memo_speedup(),
             c.seminaive_speedup(),
-            c.compiled_speedup(),
             c.optimised_speedup(),
             c.warm_speedup(),
             c.batch_speedup(),
@@ -96,10 +92,6 @@ fn main() {
     let min_semi = comparisons
         .iter()
         .map(EvalComparison::seminaive_speedup)
-        .fold(f64::INFINITY, f64::min);
-    let min_compiled = comparisons
-        .iter()
-        .map(EvalComparison::compiled_speedup)
         .fold(f64::INFINITY, f64::min);
     let min_optimised = comparisons
         .iter()
@@ -120,7 +112,6 @@ fn main() {
     println!("minimum interned speedup across workloads:   {min:.2}x");
     println!("minimum memo speedup across workloads:       {min_memo:.2}x");
     println!("minimum semi-naive speedup across workloads: {min_semi:.2}x");
-    println!("minimum compiled speedup across workloads:   {min_compiled:.2}x");
     println!("minimum optimised speedup across workloads:  {min_optimised:.2}x");
     println!("minimum warm-start speedup across workloads: {min_warm:.2}x");
     println!("minimum batch speedup across workloads:      {min_batch:.2}x");

@@ -24,10 +24,6 @@ use nra_symbolic::{
 use std::time::Instant;
 
 fn main() {
-    if std::env::args().any(|a| a == "--disasm") {
-        disasm();
-        return;
-    }
     header();
     e1_powerset_tc();
     e2_naive_tc();
@@ -45,24 +41,6 @@ fn main() {
     e14_optimiser();
     footer();
     bench_eval_json();
-}
-
-/// Debug aid (`--disasm`): instead of regenerating EXPERIMENTS.md, print
-/// the bytecode the compiled backend emits for the standard queries —
-/// the same text `nra_eval::compile::parse` round-trips, so the dump is
-/// also a machine-readable program description.
-fn disasm() {
-    let mut session = nra_eval::EvalSession::new(EvalConfig::compiled());
-    for (name, q) in [
-        ("tc_step", queries::tc_step()),
-        ("tc_while", queries::tc_while()),
-        ("tc_paths", queries::tc_paths()),
-    ] {
-        let eid = session.intern_expr(&q);
-        let program = session.compiled_program(eid);
-        println!("# {name}");
-        println!("{}", nra_eval::disassemble(&program));
-    }
 }
 
 /// Refresh `BENCH_eval.json` at the repo root, from the same workload set
@@ -147,20 +125,20 @@ fn e13_delta_frontiers() {
 }
 
 fn e14_optimiser() {
-    println!("## E14 — the rewrite optimiser: optimised vs raw on the compiled rung");
+    println!("## E14 — the rewrite optimiser: optimised vs raw on the semi-naive rung");
     println!();
     println!("`nra-opt` rewrites the hash-consed expression DAG before evaluation:");
     println!("identity/fusion/pushdown rules from `RULES.json` (every entry");
     println!("differentially verified), plus the headline *rescue* — structural");
     println!("recognition of the powerset-route TC idiom and rewrite to the while");
     println!("route, turning Theorem 4.1's separation into an optimisation. Both");
-    println!("columns run under `EvalConfig::compiled`, so the delta is the rewrite");
+    println!("columns run under `EvalConfig::optimised`, so the delta is the rewrite");
     println!("alone:");
     println!();
     println!("| workload | n | raw | optimised | speedup | rewritten |");
     println!("|--|--:|--:|--:|--:|--:|");
     let samples = nra_bench::bench_samples();
-    let cfg = EvalConfig::compiled();
+    let cfg = EvalConfig::optimised();
     let spine = (1..8).fold(queries::tc_step(), |acc, _| {
         builder::compose(queries::tc_step(), acc)
     });
@@ -206,7 +184,7 @@ fn e14_optimiser() {
     // is exactly the difference between refused and answered
     let strict = EvalConfig {
         max_object_size: Some(1 << 19),
-        ..EvalConfig::compiled()
+        ..EvalConfig::optimised()
     };
     let input = Value::chain(20);
     let raw = evaluate(&queries::tc_paths(), &input, &strict);

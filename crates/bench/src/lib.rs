@@ -122,16 +122,14 @@ pub fn bench_samples() -> usize {
     tinybench::default_samples()
 }
 
-/// One timed comparison of the five eager evaluation paths — the
+/// One timed comparison of the four eager evaluation paths — the
 /// tree-walking baseline, the interned (hash-consed) path, the
-/// memoised path (interned + the `(EId, VId) → VId` apply cache), the
-/// semi-naive path (apply cache + delta-driven `while` iteration,
-/// [`nra_eval::EvalConfig::optimised`]), and the compiled path (the
-/// optimised switches run by the bytecode register VM,
-/// [`nra_eval::EvalConfig::compiled`]) — on the same query and input,
-/// plus the compiled path re-run on the **rewrite-optimised** query
+/// memoised path (interned + the `(EId, VId) → VId` apply cache), and
+/// the semi-naive path (apply cache + delta-driven `while` iteration,
+/// [`nra_eval::EvalConfig::optimised`]) — on the same query and input,
+/// plus the semi-naive path re-run on the **rewrite-optimised** query
 /// ([`nra_opt::optimise_expr`]), isolating the `nra-opt` pass's win
-/// over the compiled rung.
+/// over the semi-naive rung.
 #[derive(Debug, Clone)]
 pub struct EvalComparison {
     /// Workload label, e.g. `"chain/tc_while"`.
@@ -149,19 +147,13 @@ pub struct EvalComparison {
     /// [`nra_eval::EvalConfig::optimised`] (apply cache + semi-naive
     /// delta-driven iteration).
     pub seminaive: Duration,
-    /// Median wall-clock of [`nra_eval::evaluate`] under
-    /// [`nra_eval::EvalConfig::compiled`] (the optimised switches
-    /// executed by the bytecode register VM instead of the tree-walking
-    /// interpreter; the compiled program is cached per root, so this is
-    /// the steady-state dispatch cost).
-    pub compiled: Duration,
     /// Median wall-clock of the **rewrite-optimised** query
-    /// ([`nra_opt::optimise_expr`]) under the same compiled
-    /// configuration — the steady-state cost after the `nra-opt` pass
-    /// has run once (sessions cache the rewrite per root, exactly as
-    /// the program cache amortises compilation). On workloads the rules
-    /// leave unchanged this column times the identical program as
-    /// [`EvalComparison::compiled`]; on the powerset-route rows the
+    /// ([`nra_opt::optimise_expr`]) under the same
+    /// [`nra_eval::EvalConfig::optimised`] configuration — the
+    /// steady-state cost after the `nra-opt` pass has run once
+    /// (sessions cache the rewrite per root). On workloads the rules
+    /// leave unchanged this column times the identical query as
+    /// [`EvalComparison::seminaive`]; on the powerset-route rows the
     /// rescue rewrite moves the query into the polynomial class.
     pub optimised: Duration,
     /// Median wall-clock of a **warm** re-evaluation: the same query on
@@ -208,21 +200,8 @@ impl EvalComparison {
         self.memoised.as_secs_f64() / self.seminaive.as_secs_f64().max(1e-12)
     }
 
-    /// How many times faster the full compiled stack (apply cache +
-    /// semi-naive delta rules + bytecode VM, `EvalConfig::compiled`)
-    /// runs than **memoised interpretation** (memoised / compiled) —
-    /// the headline metric of the compiled backend, measured against
-    /// the same rung the semi-naive column is measured against, so the
-    /// dispatch-only ratio is `compiled_speedup / seminaive_speedup`.
-    /// Recorded per workload and as `geomean_compiled_speedup` in
-    /// `BENCH_eval.json`; the CI gate fails if any workload drops
-    /// below 1.
-    pub fn compiled_speedup(&self) -> f64 {
-        self.memoised.as_secs_f64() / self.compiled.as_secs_f64().max(1e-12)
-    }
-
     /// How many times faster the rewrite-optimised query runs than the
-    /// raw query on the **same compiled rung** (compiled / optimised)
+    /// raw query on the **semi-naive rung** (seminaive / optimised)
     /// — the win of the `nra-opt` pass in isolation, with every other
     /// switch held fixed. ≈ 1 on workloads the rules leave unchanged;
     /// large on the powerset-route rows the TC rescue rewrites into
@@ -230,7 +209,7 @@ impl EvalComparison {
     /// `geomean_optimised_speedup` in `BENCH_eval.json`; the CI gate
     /// fails if the geomean drops below 1.
     pub fn optimised_speedup(&self) -> f64 {
-        self.compiled.as_secs_f64() / self.optimised.as_secs_f64().max(1e-12)
+        self.seminaive.as_secs_f64() / self.optimised.as_secs_f64().max(1e-12)
     }
 
     /// How many times faster a warm session re-evaluation is than the
@@ -409,10 +388,10 @@ fn interleaved_medians<const K: usize>(
     })
 }
 
-/// Time the tree-walking, interned, memoised, semi-naive and compiled
-/// eager evaluators — plus the compiled evaluator on the
-/// rewrite-optimised query — on one workload (asserting along the way
-/// that all six produce the same result) and return the comparison.
+/// Time the tree-walking, interned, memoised and semi-naive eager
+/// evaluators — plus the semi-naive evaluator on the rewrite-optimised
+/// query — on one workload (asserting along the way that all five
+/// produce the same result) and return the comparison.
 pub fn compare_eval(
     workload: &str,
     n: u64,
@@ -423,7 +402,6 @@ pub fn compare_eval(
     let cfg = EvalConfig::default();
     let memo_cfg = EvalConfig::memoised();
     let semi_cfg = EvalConfig::optimised();
-    let compiled_cfg = EvalConfig::compiled();
     let tree_out = evaluate_tree(query, input, &cfg).result.expect("tree eval");
     let interned_out = evaluate(query, input, &cfg).result.expect("interned eval");
     assert_eq!(tree_out, interned_out, "paths disagree on {workload} n={n}");
@@ -441,26 +419,18 @@ pub fn compare_eval(
         interned_out, semi_out,
         "semi-naive path disagrees on {workload} n={n}"
     );
-    let compiled_out = evaluate(query, input, &compiled_cfg)
-        .result
-        .expect("compiled eval");
-    assert_eq!(
-        interned_out, compiled_out,
-        "compiled path disagrees on {workload} n={n}"
-    );
     // the rewrite runs once up front — sessions cache the pass per
-    // root, so steady state times the optimised program, not the
-    // rewrite itself (the same amortisation the program cache gives
-    // compilation)
+    // root, so steady state times the optimised query, not the
+    // rewrite itself
     let opt_query = nra_opt::optimise_expr(query);
-    let optimised_out = evaluate(&opt_query, input, &compiled_cfg)
+    let optimised_out = evaluate(&opt_query, input, &semi_cfg)
         .result
         .expect("optimised eval");
     assert_eq!(
         interned_out, optimised_out,
         "rewrite-optimised query disagrees on {workload} n={n}"
     );
-    let [tree, interned, memoised, seminaive, compiled, optimised] = interleaved_medians(
+    let [tree, interned, memoised, seminaive, optimised] = interleaved_medians(
         samples,
         &mut [
             &mut || {
@@ -476,10 +446,7 @@ pub fn compare_eval(
                 std::hint::black_box(evaluate(query, input, &semi_cfg));
             },
             &mut || {
-                std::hint::black_box(evaluate(query, input, &compiled_cfg));
-            },
-            &mut || {
-                std::hint::black_box(evaluate(&opt_query, input, &compiled_cfg));
+                std::hint::black_box(evaluate(&opt_query, input, &semi_cfg));
             },
         ],
     );
@@ -538,7 +505,6 @@ pub fn compare_eval(
         interned,
         memoised,
         seminaive,
-        compiled,
         optimised,
         warm,
         batch,
@@ -552,7 +518,7 @@ pub fn compare_eval(
 /// suite through the `while` route, the powerset route on a small chain,
 /// the grid/clique/random-sparse families added with the apply cache,
 /// and the deep-dispatch workloads (chain n=16, a depth-24 compose
-/// spine) added with the bytecode backend. Shared by
+/// spine). Shared by
 /// `benches/interning.rs` and the `report` binary so the two entry
 /// points can never drift apart.
 pub fn standard_eval_comparisons(samples: usize) -> Vec<EvalComparison> {
@@ -611,7 +577,7 @@ pub fn standard_eval_comparisons(samples: usize) -> Vec<EvalComparison> {
         &nra_graph::graph_to_value(&sparse),
         samples,
     ));
-    // deep-dispatch workloads, added with the bytecode backend: a longer
+    // deep-dispatch workloads: a longer
     // chain through the while route (more fixpoint iterates, so the
     // per-iterate dispatch overhead compounds), and a depth-24 spine of
     // composed `tc_step`s — a tall DAG of small rule applications where
@@ -675,14 +641,13 @@ pub fn write_bench_eval_json_to(
     out.push_str("  \"unit\": \"ns\",\n  \"workloads\": [\n");
     for (i, c) in comparisons.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"n\": {}, \"tree_ns\": {}, \"interned_ns\": {}, \"memo_ns\": {}, \"seminaive_ns\": {}, \"compiled_ns\": {}, \"optimised_ns\": {}, \"warm_ns\": {}, \"batch_ns\": {}, \"batch_seq_ns\": {}, \"shared_warm_ns\": {}, \"speedup\": {:.3}, \"memo_speedup\": {:.3}, \"seminaive_speedup\": {:.3}, \"compiled_speedup\": {:.3}, \"optimised_speedup\": {:.3}, \"warm_speedup\": {:.3}, \"batch_speedup\": {:.3}, \"shared_warm_speedup\": {:.3}}}{}\n",
+            "    {{\"workload\": \"{}\", \"n\": {}, \"tree_ns\": {}, \"interned_ns\": {}, \"memo_ns\": {}, \"seminaive_ns\": {}, \"optimised_ns\": {}, \"warm_ns\": {}, \"batch_ns\": {}, \"batch_seq_ns\": {}, \"shared_warm_ns\": {}, \"speedup\": {:.3}, \"memo_speedup\": {:.3}, \"seminaive_speedup\": {:.3}, \"optimised_speedup\": {:.3}, \"warm_speedup\": {:.3}, \"batch_speedup\": {:.3}, \"shared_warm_speedup\": {:.3}}}{}\n",
             c.workload,
             c.n,
             c.tree.as_nanos(),
             c.interned.as_nanos(),
             c.memoised.as_nanos(),
             c.seminaive.as_nanos(),
-            c.compiled.as_nanos(),
             c.optimised.as_nanos(),
             c.warm.as_nanos(),
             c.batch.as_nanos(),
@@ -691,7 +656,6 @@ pub fn write_bench_eval_json_to(
             c.speedup(),
             c.memo_speedup(),
             c.seminaive_speedup(),
-            c.compiled_speedup(),
             c.optimised_speedup(),
             c.warm_speedup(),
             c.batch_speedup(),
@@ -719,12 +683,6 @@ pub fn write_bench_eval_json_to(
     let geomean_seminaive = (comparisons
         .iter()
         .map(|c| c.seminaive_speedup().ln())
-        .sum::<f64>()
-        / comparisons.len().max(1) as f64)
-        .exp();
-    let geomean_compiled = (comparisons
-        .iter()
-        .map(|c| c.compiled_speedup().ln())
         .sum::<f64>()
         / comparisons.len().max(1) as f64)
         .exp();
@@ -789,10 +747,6 @@ pub fn write_bench_eval_json_to(
     out.push_str(&format!(
         "  \"geomean_seminaive_speedup\": {:.3},\n",
         geomean_seminaive
-    ));
-    out.push_str(&format!(
-        "  \"geomean_compiled_speedup\": {:.3},\n",
-        geomean_compiled
     ));
     out.push_str(&format!(
         "  \"geomean_optimised_speedup\": {:.3},\n",
@@ -882,7 +836,6 @@ mod tests {
         assert!(c.interned > Duration::ZERO);
         assert!(c.memoised > Duration::ZERO);
         assert!(c.seminaive > Duration::ZERO);
-        assert!(c.compiled > Duration::ZERO);
         assert!(c.optimised > Duration::ZERO);
         assert!(c.warm > Duration::ZERO);
         assert!(c.batch > Duration::ZERO);
@@ -891,7 +844,6 @@ mod tests {
         assert!(c.speedup() > 0.0);
         assert!(c.memo_speedup() > 0.0);
         assert!(c.seminaive_speedup() > 0.0);
-        assert!(c.compiled_speedup() > 0.0);
         assert!(c.optimised_speedup() > 0.0);
         assert!(c.warm_speedup() > 0.0);
         assert!(c.batch_speedup() > 0.0);
@@ -908,7 +860,6 @@ mod tests {
                 interned: Duration::from_micros(100),
                 memoised: Duration::from_micros(50),
                 seminaive: Duration::from_micros(25),
-                compiled: Duration::from_micros(10),
                 optimised: Duration::from_micros(8),
                 warm: Duration::from_micros(5),
                 batch: Duration::from_micros(100),
@@ -922,7 +873,6 @@ mod tests {
                 interned: Duration::from_micros(150),
                 memoised: Duration::from_micros(75),
                 seminaive: Duration::from_micros(25),
-                compiled: Duration::from_micros(20),
                 optimised: Duration::from_micros(10),
                 warm: Duration::from_micros(5),
                 batch: Duration::from_micros(100),
@@ -965,14 +915,10 @@ mod tests {
         assert!(text.contains("\"seminaive_ns\": 25000"));
         assert!(text.contains("\"seminaive_speedup\": 2.000"));
         assert!(text.contains("\"seminaive_speedup\": 3.000"));
-        assert!(text.contains("\"compiled_ns\": 10000"));
-        assert!(text.contains("\"compiled_speedup\": 5.000"));
-        assert!(text.contains("\"compiled_ns\": 20000"));
-        assert!(text.contains("\"compiled_speedup\": 3.750"));
         assert!(text.contains("\"optimised_ns\": 8000"));
-        assert!(text.contains("\"optimised_speedup\": 1.250"));
+        assert!(text.contains("\"optimised_speedup\": 3.125"));
         assert!(text.contains("\"optimised_ns\": 10000"));
-        assert!(text.contains("\"optimised_speedup\": 2.000"));
+        assert!(text.contains("\"optimised_speedup\": 2.500"));
         assert!(text.contains("\"warm_ns\": 5000"));
         assert!(text.contains("\"warm_speedup\": 5.000"));
         assert!(text.contains("\"batch_ns\": 100000"));
@@ -995,8 +941,7 @@ mod tests {
         assert!(text.contains("\"min_speedup\": 2.000"));
         assert!(text.contains("\"geomean_memo_speedup\": 2.000"));
         assert!(text.contains("\"geomean_seminaive_speedup\": 2.449"));
-        assert!(text.contains("\"geomean_compiled_speedup\": 4.330"));
-        assert!(text.contains("\"geomean_optimised_speedup\": 1.581"));
+        assert!(text.contains("\"geomean_optimised_speedup\": 2.795"));
         assert!(text.contains("\"geomean_warm_speedup\": 5.000"));
         assert!(text.contains("\"geomean_shared_warm_speedup\": 2.828"));
         assert!(text.contains("\"geomean_batch_speedup\": 2.000"));

@@ -141,7 +141,7 @@ impl<'a> Ctx<'a> {
     }
 
     /// Observe a tree-represented object — `O(size)` traversal.
-    pub(crate) fn observe(&mut self, value: &Value) -> Result<(), EvalError> {
+    fn observe(&mut self, value: &Value) -> Result<(), EvalError> {
         let size = value.size();
         self.stats.observe_object(size, value.cardinality());
         self.check_size(size)
@@ -156,7 +156,7 @@ impl<'a> Ctx<'a> {
         self.check_size(size)
     }
 
-    pub(crate) fn check_size(&mut self, size: u64) -> Result<(), EvalError> {
+    fn check_size(&mut self, size: u64) -> Result<(), EvalError> {
         self.stats.max_object_size = self.stats.max_object_size.max(size);
         match self.config.max_object_size {
             Some(budget) if size > budget => Err(EvalError::SpaceBudgetExceeded {
@@ -174,7 +174,7 @@ impl<'a> Ctx<'a> {
     }
 }
 
-pub(crate) fn stuck(rule: &'static str, detail: impl Into<String>) -> EvalError {
+fn stuck(rule: &'static str, detail: impl Into<String>) -> EvalError {
     EvalError::Stuck {
         rule,
         detail: detail.into(),
@@ -230,7 +230,7 @@ pub fn evaluate_vid(expr: &Expr, input: VId, config: &EvalConfig) -> VidEvaluati
     // cumulative per-arena counters: the delta across the call is what
     // this evaluation spent on the word-parallel dense path
     let (dense_ops0, dense_promotions0) = intern::with_arena(|va| va.dense_counters());
-    let result = if config.memo || config.semi_naive || config.compiled {
+    let result = if config.memo || config.semi_naive {
         // the cached routes walk the interned expression, so the
         // (EId, VId) pair is available as the apply-cache key — and the
         // EId as the delta-cache key — at every recursion step. The
@@ -239,21 +239,10 @@ pub fn evaluate_vid(expr: &Expr, input: VId, config: &EvalConfig) -> VidEvaluati
         expr_intern::with_arena(|ea| {
             let eid = ea.intern(expr);
             let mut state = MemoState::acquire_pooled(ea);
-            let result = if config.compiled {
-                // the pooled state keeps its program cache across
-                // facade calls (handles are generation-stable), so
-                // repeat evaluations skip straight to the VM
-                let program = state.program(eid, config);
-                intern::with_arena(|va| {
-                    let MemoState { nodes, caches, .. } = &mut state;
-                    crate::compile::vm::run(&program, input, &mut ctx, nodes, caches, va)
-                })
-            } else {
-                intern::with_arena(|va| {
-                    let MemoState { nodes, caches, .. } = &mut state;
-                    eval_eid(eid, input, &mut ctx, nodes, caches, va)
-                })
-            };
+            let result = intern::with_arena(|va| {
+                let MemoState { nodes, caches, .. } = &mut state;
+                eval_eid(eid, input, &mut ctx, nodes, caches, va)
+            });
             state.release_pooled();
             result
         })
@@ -364,7 +353,7 @@ pub(crate) fn eval_vid(
 /// One full leaf rule — both §3 observations plus the primitive itself —
 /// shared by [`eval_vid`] and the memoised [`eval_eid`]. The caller has
 /// already counted the derivation node.
-pub(crate) fn eval_leaf_rule(
+fn eval_leaf_rule(
     expr: &Expr,
     input: VId,
     ctx: &mut Ctx,
@@ -493,7 +482,7 @@ impl SharedMemoTable {
 /// result, only a hit counter). The table quadruples while its load
 /// would exceed ~¼, up to a fixed ceiling, and its storage is handed
 /// back to a thread-local pool between evaluations.
-pub(crate) struct LocalMemo {
+struct LocalMemo {
     /// Direct-mapped slots; a slot is live iff its epoch matches.
     slots: Vec<MemoSlot>,
     /// Index mask (`slots.len() − 1`; the length is a power of two).
@@ -570,7 +559,7 @@ impl LocalMemo {
 
 /// A session's view of a [`SharedMemoTable`]: the Arc plus this view's
 /// current query stamp (stamps live per view, entries per table).
-pub(crate) struct SharedMemo {
+struct SharedMemo {
     table: Arc<SharedMemoTable>,
     query: u32,
 }
@@ -590,7 +579,7 @@ pub(crate) struct SharedMemo {
 /// probe. The expression-node snapshot lives *outside* this type (see
 /// [`eval_eid`]) so the walker can read structure through a shared
 /// borrow while mutating the cache.
-pub(crate) enum MemoCache {
+enum MemoCache {
     /// Single-owner table.
     Local(LocalMemo),
     /// View of a table shared between sessions.
@@ -629,7 +618,7 @@ impl MemoCache {
         }
     }
 
-    pub(crate) fn key(eid: EId, input: VId) -> u64 {
+    fn key(eid: EId, input: VId) -> u64 {
         ((eid.index() as u64) << 32) | input.index() as u64
     }
 
@@ -637,7 +626,7 @@ impl MemoCache {
     /// shared table this locks exactly one stripe; an entry written by
     /// any *other* query stamp (other query of this session, or any
     /// query of another session on the same table) classifies as warm.
-    pub(crate) fn probe(&self, key: u64) -> Option<(VId, u64, bool)> {
+    fn probe(&self, key: u64) -> Option<(VId, u64, bool)> {
         match self {
             MemoCache::Local(m) => m.probe(key),
             MemoCache::Shared(m) => {
@@ -650,7 +639,7 @@ impl MemoCache {
         }
     }
 
-    pub(crate) fn store(&mut self, key: u64, out: VId, cost: u64) {
+    fn store(&mut self, key: u64, out: VId, cost: u64) {
         match self {
             MemoCache::Local(m) => m.store(key, out, cost),
             MemoCache::Shared(m) => {
@@ -743,20 +732,20 @@ impl MemoCache {
 /// merge. `map` and `μ` distribute over union element-by-element, so
 /// the incremental result is bit-for-bit the recomputed one.
 #[derive(Clone, Copy)]
-pub(crate) struct DeltaEntry {
+struct DeltaEntry {
     /// The input set of the previous application.
-    pub(crate) input: VId,
+    input: VId,
     /// Its output.
-    pub(crate) output: VId,
+    output: VId,
     /// As-if-uncached cost of the per-element sub-derivations (0 for
     /// `μ`, which has none); charged on a skip so node budgets stay
     /// strategy-independent.
-    pub(crate) cost: u64,
+    cost: u64,
 }
 
 /// The delta cache: one [`DeltaEntry`] per `map`/`μ` expression node,
 /// keyed by [`EId`]. Cleared per evaluation.
-pub(crate) type DeltaMap = HashMap<EId, DeltaEntry, FxBuildHasher>;
+type DeltaMap = HashMap<EId, DeltaEntry, FxBuildHasher>;
 
 /// The mutable cache state one cached evaluation threads through
 /// [`eval_eid`]: the apply cache (active under [`EvalConfig::memo`])
@@ -764,25 +753,25 @@ pub(crate) type DeltaMap = HashMap<EId, DeltaEntry, FxBuildHasher>;
 /// Split from the expression-node snapshot so the walker can read
 /// structure through a shared borrow while mutating the caches.
 pub(crate) struct Caches {
-    pub(crate) memo: MemoCache,
-    pub(crate) delta: DeltaMap,
+    memo: MemoCache,
+    delta: DeltaMap,
     /// The interned handle of the Prop 2.1 derived term
     /// [`nra_core::derived::cartprod`] — hash-consing makes every
     /// occurrence of the derived product share this `EId`, so the
     /// semi-naive walker can recognise it and apply the fused
     /// delta-join rule `A×B = Aₚ×Bₚ ∪ δA×B ∪ Aₚ×δB` (see
     /// [`eval_cartprod_fused`]).
-    pub(crate) cartprod: EId,
+    cartprod: EId,
     /// The interned handle of the Prop 2.1 `unnest = μ ∘ map(ρ₂)` term
     /// — like `cartprod`, monomorphic and hence recognisable by handle
     /// equality. See [`eval_unnest_fused`].
-    pub(crate) unnest: EId,
+    unnest: EId,
     /// Recognition caches for the type-parameterised Prop 2.1 shapes —
     /// equality at a type, membership, inclusion, and `nest` — which
     /// cannot be recognised by a single handle (each type instantiation
     /// interns differently) and are matched structurally instead. See
     /// [`crate::shapes`].
-    pub(crate) shapes: ShapeCaches,
+    shapes: ShapeCaches,
     /// Recognition cache for the Prop 2.1 selection shape
     /// `σ_p = μ ∘ map(if p then η else ∅ˢ ∘ !)`: maps a `Compose` node
     /// to `Some(predicate)` when it is a selection, `None` when it is
@@ -802,7 +791,7 @@ pub(crate) struct Caches {
 
 /// Recognise the Prop 2.1 selection shape at `eid` and return its
 /// predicate, caching the verdict.
-pub(crate) fn select_pred(eid: EId, nodes: &[ENode], caches: &mut Caches) -> Option<EId> {
+fn select_pred(eid: EId, nodes: &[ENode], caches: &mut Caches) -> Option<EId> {
     *caches
         .selects
         .entry(eid)
@@ -816,7 +805,7 @@ pub(crate) fn select_pred(eid: EId, nodes: &[ENode], caches: &mut Caches) -> Opt
 /// `new`).
 ///
 /// [`set_merge_delta`]: nra_core::value::intern::ValueArena::set_merge_delta
-pub(crate) fn delta_probe(
+fn delta_probe(
     eid: EId,
     input: VId,
     delta: &DeltaMap,
@@ -854,13 +843,6 @@ pub(crate) struct MemoState {
     /// The expression-arena generation `nodes` was synced against.
     generation: u64,
     pub(crate) caches: Caches,
-    /// Compiled bytecode programs ([`crate::compile`]), keyed by root
-    /// `EId` plus the `memo`/`semi_naive` switches they were
-    /// specialised for — compile once, execute on every warm re-eval
-    /// and every batch job. `EId`s are append-only stable within an
-    /// arena generation, so cached programs stay valid as the arena
-    /// grows; a generation bump (and eviction) drops them.
-    programs: HashMap<(EId, bool, bool), Arc<crate::compile::Program>>,
 }
 
 impl MemoState {
@@ -895,7 +877,6 @@ impl MemoState {
                 projeqs: HashMap::default(),
                 projpairs: HashMap::default(),
             },
-            programs: HashMap::default(),
         };
         state.begin_query(ea, opens_warm);
         state
@@ -956,36 +937,9 @@ impl MemoState {
         if changed {
             self.nodes.clear();
             self.generation = ea.generation();
-            // compiled programs embed EIds and entry pcs resolved
-            // against the old snapshot
-            self.programs.clear();
         }
         ea.extend_snapshot(&mut self.nodes);
         changed
-    }
-
-    /// Fetch — or compile and cache — the bytecode program for `root`
-    /// under `config`'s `memo`/`semi_naive` switches (the compiled
-    /// backend's entry point). Callers must have brought the node
-    /// snapshot up to date first ([`MemoState::begin_query`] or
-    /// [`MemoState::resync`]), so the DAG under `root` is covered.
-    pub(crate) fn program(
-        &mut self,
-        root: EId,
-        config: &EvalConfig,
-    ) -> Arc<crate::compile::Program> {
-        let key = (root, config.memo, config.semi_naive);
-        if let Some(program) = self.programs.get(&key) {
-            return Arc::clone(program);
-        }
-        let program = Arc::new(crate::compile::compile(
-            root,
-            &self.nodes,
-            &mut self.caches,
-            config,
-        ));
-        self.programs.insert(key, Arc::clone(&program));
-        program
     }
 
     /// Drop everything this state retains — apply-cache entries (the
@@ -1000,20 +954,13 @@ impl MemoState {
         self.caches.selects = HashMap::default();
         self.caches.projeqs = HashMap::default();
         self.caches.projpairs = HashMap::default();
-        self.programs = HashMap::default();
     }
 
     /// Approximate resident bytes of the retained cache state — the
-    /// apply-cache slots, the node snapshot, and the compiled-program
-    /// cache (the recognition caches are negligible next to any).
+    /// apply-cache slots plus the node snapshot (the recognition caches
+    /// are negligible next to either).
     pub(crate) fn approx_resident_bytes(&self) -> usize {
-        self.caches.memo.approx_resident_bytes()
-            + self.nodes.len() * std::mem::size_of::<ENode>()
-            + self
-                .programs
-                .values()
-                .map(|p| p.approx_resident_bytes())
-                .sum::<usize>()
+        self.caches.memo.approx_resident_bytes() + self.nodes.len() * std::mem::size_of::<ENode>()
     }
 
     /// Take the pooled per-thread state (or allocate one) and open a
@@ -1109,7 +1056,15 @@ pub(crate) fn eval_eid(
                     eval_subset_fused(eid, input, ctx, nodes, caches, va)?
                 }
                 // membership and the self-join share this head
-                ENode::Compose(..) if is_join(eid, nodes, caches) => {
+                ENode::Compose(..)
+                    if crate::shapes::join_shape(
+                        eid,
+                        caches.cartprod,
+                        nodes,
+                        &mut caches.shapes,
+                    )
+                    .is_some() =>
+                {
                     eval_join_fused(eid, input, ctx, nodes, caches, va)?
                 }
                 ENode::Compose(..) => eval_member_fused(eid, input, ctx, nodes, caches, va)?,
@@ -1288,7 +1243,7 @@ fn eval_map_eid(
 /// `Ok(None)` when the input is not a pair of sets (the caller falls
 /// back to the ordinary derivation, which reports the proper stuck
 /// state).
-pub(crate) fn eval_cartprod_fused(
+fn eval_cartprod_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
@@ -1399,7 +1354,7 @@ pub(crate) fn eval_cartprod_fused(
 /// spread, with the same boolean. Returns `Ok(None)` when the shape
 /// does not match or the input does not fit it (fall back to the
 /// ordinary derivation and its stuck reporting).
-pub(crate) fn eval_projeq_fused(
+fn eval_projeq_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
@@ -1445,7 +1400,7 @@ pub(crate) fn eval_projeq_fused(
 /// One derivation node and one arena borrow instead of the
 /// compose/projection spread; the pair is bit-identical. `Ok(None)`
 /// falls back as in [`eval_projeq_fused`].
-pub(crate) fn eval_projpair_fused(
+fn eval_projpair_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
@@ -1492,7 +1447,7 @@ pub(crate) fn eval_projpair_fused(
 /// with the §3 counters only ever shrinking. Returns `Ok(None)` when
 /// the input is not a set (the caller falls back to the ordinary
 /// derivation and its stuck reporting).
-pub(crate) fn eval_select_fused(
+fn eval_select_fused(
     eid: EId,
     pred: EId,
     input: VId,
@@ -1556,7 +1511,7 @@ pub(crate) fn eval_select_fused(
 /// output — the n-ary frontier merge, never a re-sort. Falls back to
 /// the one-shot [`eval_leaf_rule`] when the node has no usable
 /// previous application.
-pub(crate) fn eval_flatten_delta(
+fn eval_flatten_delta(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
@@ -1601,7 +1556,7 @@ pub(crate) fn eval_flatten_delta(
 /// observations (the judgment's own boundary objects) are a subset of
 /// the spread's. Returns `Ok(None)` when the input does not fit the
 /// shape (the ordinary derivation then reports the proper stuck state).
-pub(crate) fn eval_unnest_fused(
+fn eval_unnest_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
@@ -1663,7 +1618,7 @@ pub(crate) fn eval_unnest_fused(
 /// conforming values (it gets stuck on shape mismatches, and `=_unit`
 /// is constantly true on anything), so ill-typed inputs fall back to
 /// the ordinary derivation and keep its exact behaviour.
-pub(crate) fn eval_member_fused(
+fn eval_member_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
@@ -1702,7 +1657,7 @@ pub(crate) fn eval_member_fused(
 /// `Ok(None)` on shape mismatch or when either set's elements do not
 /// conform to the witnessed type (same soundness gate as
 /// [`eval_member_fused`]).
-pub(crate) fn eval_subset_fused(
+fn eval_subset_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
@@ -1749,7 +1704,7 @@ pub(crate) fn eval_subset_fused(
 /// or when a key does not conform to the witnessed key type `s` (the
 /// derived `=ₛ` comparing keys is only structural on conforming values
 /// — same soundness gate as [`eval_member_fused`]).
-pub(crate) fn eval_nest_fused(
+fn eval_nest_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
@@ -1796,13 +1751,6 @@ pub(crate) fn eval_nest_fused(
     Ok(Some(output))
 }
 
-/// Is `eid` the Prop 2.1 self-join [`eval_join_fused`] runs? A cached
-/// structural verdict — shared by the walker's dispatch and the
-/// compiler's [`crate::compile`] shape resolution.
-pub(crate) fn is_join(eid: EId, nodes: &[ENode], caches: &mut Caches) -> bool {
-    crate::shapes::join_shape(eid, caches.cartprod, nodes, &mut caches.shapes).is_some()
-}
-
 /// The fused hash self-join for the Prop 2.1 shape
 /// `σ_p ∘ (cartprod ∘ ⟨id, id⟩)` — the join inside relational
 /// composition, `tc_step`, `tc_while`'s body and the siblings queries
@@ -1830,7 +1778,7 @@ pub(crate) fn is_join(eid: EId, nodes: &[ENode], caches: &mut Caches) -> bool {
 /// when this rule recorded it). Otherwise — or when the input is not a
 /// set — `Ok(None)`: the ordinary derivation runs and gets stuck
 /// exactly as it does without fusion.
-pub(crate) fn eval_join_fused(
+fn eval_join_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,

@@ -51,29 +51,14 @@ pub struct EvalConfig {
     /// instead of inflating the §3 counters, while still charging its
     /// recorded cost against [`EvalConfig::max_nodes`].
     pub semi_naive: bool,
-    /// Execute through the **compiled bytecode backend**
-    /// ([`crate::compile`]): the hash-consed expression DAG is flattened
-    /// once into a register-VM program (one routine per unique `EId`,
-    /// structured blocks for `while`/`if`, fused superinstructions for
-    /// the recognised Prop 2.1 shapes) and every evaluation runs the
-    /// program instead of walking the tree interpretively. Results,
-    /// [`EvalStats`](crate::stats::EvalStats), §3 rule counters and
-    /// `while_iterations` are **bit-for-bit identical** to the
-    /// interpreted strategies under the same `memo`/`semi_naive`
-    /// switches (both differential harnesses enforce this); only the
-    /// dispatch overhead changes. Compiled frames stamp the same
-    /// `(EId, VId)` apply-cache keys, so warm starts and cross-worker
-    /// sharing keep working.
-    pub compiled: bool,
     /// Route every session query through the **rewrite pass** installed
     /// with [`EvalSession::set_rewriter`](crate::EvalSession::set_rewriter)
     /// before evaluation. The evaluator itself carries no rules — the
     /// pass is an injected [`RewritePass`](crate::RewritePass) closure
     /// (the `nra-opt` crate provides the real one), so the dependency
     /// arrow stays `opt → eval`. With the flag on but no pass installed
-    /// the hook is the identity. Rewritten roots key the program cache
-    /// and the apply cache on the *optimised* `EId`, so the compiled
-    /// backend compiles the rewritten DAG.
+    /// the hook is the identity. Rewritten roots key the apply cache on
+    /// the *optimised* `EId`.
     pub optimise: bool,
 }
 
@@ -85,7 +70,6 @@ impl Default for EvalConfig {
             max_while_iters: 100_000,
             memo: false,
             semi_naive: false,
-            compiled: false,
             optimise: false,
         }
     }
@@ -149,39 +133,16 @@ impl EvalConfig {
         }
     }
 
-    /// [`EvalConfig::optimised`] routed through the compiled bytecode
-    /// backend — the apply cache, semi-naive iteration, *and* flat
-    /// register-VM execution ([`EvalConfig::compiled`]). Results and
-    /// statistics are bit-for-bit the [`EvalConfig::optimised`] ones;
-    /// interpretive dispatch is retired from the hot path.
-    ///
-    /// ```
-    /// use nra_core::{queries, Value};
-    /// use nra_eval::{evaluate, EvalConfig};
-    ///
-    /// let input = Value::chain(6);
-    /// let walked = evaluate(&queries::tc_while(), &input, &EvalConfig::optimised());
-    /// let compiled = evaluate(&queries::tc_while(), &input, &EvalConfig::compiled());
-    /// assert_eq!(walked.result.unwrap(), compiled.result.unwrap());
-    /// assert_eq!(walked.stats, compiled.stats);
-    /// ```
-    pub fn compiled() -> Self {
-        EvalConfig {
-            compiled: true,
-            ..EvalConfig::optimised()
-        }
-    }
-
-    /// [`EvalConfig::compiled`] with the pre-evaluation **rewrite pass**
+    /// [`EvalConfig::optimised`] with the pre-evaluation **rewrite pass**
     /// switched on ([`EvalConfig::optimise`]) — the full stack: rule
-    /// rewriting, apply cache, semi-naive iteration, bytecode execution.
+    /// rewriting, apply cache, semi-naive iteration.
     /// The pass only runs once a
     /// [`RewritePass`](crate::RewritePass) has been installed on the
     /// session (`nra_opt::install` does both).
     pub fn rewritten() -> Self {
         EvalConfig {
             optimise: true,
-            ..EvalConfig::compiled()
+            ..EvalConfig::optimised()
         }
     }
 }

@@ -61,26 +61,17 @@
 //! (delta-driven) iteration**: `while` threads a `(total, delta)` pair
 //! through its iterates, the pointwise set rules (`map`, `μ`) evaluate
 //! only on the frontier their input gained since they last fired, and
-//! recognisable Prop 2.1 derived shapes (cartesian product, selection,
-//! projection chains) run fused delta rules instead of re-deriving
-//! their combinator spreads. Results and the fixpoint trajectory are
+//! recognisable Prop 2.1 derived shapes (cartesian product, unnest,
+//! selection, projection chains, inclusion, membership, `nest` and the
+//! self-join) run fused rules instead of re-deriving their combinator
+//! spreads. Results and the fixpoint trajectory are
 //! bit-for-bit the naive ones; the §3 counters only ever shrink, with
 //! skipped work reported in [`EvalStats::delta_hits`]/`delta_skipped`
 //! and the per-iterate frontier trace in
 //! [`EvalStats::while_frontiers`]. [`EvalConfig::optimised`] combines
-//! both switches — the configuration the benchmarks call "seminaive".
-//!
-//! Finally, [`EvalConfig::compiled`] retires interpretive dispatch from
-//! the hot path: [`compile`] flattens the hash-consed `EId` DAG into a
-//! flat register program (one routine per unique sub-expression, fused
-//! superinstructions for the recognised shapes, a structured loop
-//! header for `while` that preserves the semi-naive `(total, delta)`
-//! threading) and a bytecode VM executes it against the value arena,
-//! hitting the same apply cache with the same key stamping. Results,
-//! `EvalStats` and the fixpoint trajectory are bit-for-bit the
-//! interpreter's; programs are cached per session root and invalidated
-//! on arena generation bumps. [`disassemble`] renders a program as
-//! text and `compile::parse` reads it back.
+//! both switches — the configuration the benchmarks call "seminaive" —
+//! and [`EvalConfig::rewritten`] adds the pre-evaluation rewrite pass on
+//! top, the serving default.
 //!
 //! Budgets ([`error::EvalConfig`]) turn the theorems' "needs ≥ S space"
 //! into clean errors carrying the exact requirement — for `powerset` the
@@ -90,7 +81,6 @@
 #![deny(missing_docs)]
 
 pub mod batch;
-pub mod compile;
 pub mod eager;
 pub mod error;
 pub mod lazy;
@@ -102,7 +92,6 @@ pub mod trace;
 pub use batch::{
     effective_workers, estimated_batch_cost, eval_batch, eval_batch_assigned, BatchJob,
 };
-pub use compile::{disassemble, Program};
 pub use eager::{eval, evaluate, evaluate_tree, evaluate_vid, Evaluation, VidEvaluation};
 pub use error::{EvalConfig, EvalError};
 pub use lazy::{evaluate_lazy, evaluate_lazy_vid, LazyEvaluation, LazyStats, LazyVidEvaluation};

@@ -215,8 +215,8 @@ impl EvalSession {
     /// when [`EvalConfig::optimise`] is on and a pass is installed, `eid`
     /// itself otherwise. Memoised per root within a generation, so the
     /// rules run once per distinct query — warm re-evaluations pay one
-    /// hash lookup. The returned handle is what the program cache and
-    /// the apply cache are keyed on.
+    /// hash lookup. The returned handle is what the apply cache is keyed
+    /// on.
     pub fn optimise_eid(&mut self, eid: EId) -> EId {
         if !self.config.optimise {
             return eid;
@@ -332,40 +332,19 @@ impl EvalSession {
             self.generation,
         );
         // rewrite before the query opens: the (possibly new) root is what
-        // the program cache compiles and the apply cache keys on
+        // the apply cache keys on
         let eid = self.optimise_eid(eid);
         self.memo.begin_query(&mut self.exprs, true);
         let mut ctx = Ctx::new(&self.config);
         let (dense_ops0, dense_promotions0) = self.values.dense_counters();
-        let result = if self.config.compiled {
-            // compile once per (root, switches) within a generation,
-            // execute the flat program on this and every warm re-eval
-            let program = self.memo.program(eid, &self.config);
-            let MemoState { nodes, caches, .. } = &mut self.memo;
-            crate::compile::vm::run(&program, input, &mut ctx, nodes, caches, &mut self.values)
-        } else {
-            let MemoState { nodes, caches, .. } = &mut self.memo;
-            eager::eval_eid(eid, input, &mut ctx, nodes, caches, &mut self.values)
-        };
+        let MemoState { nodes, caches, .. } = &mut self.memo;
+        let result = eager::eval_eid(eid, input, &mut ctx, nodes, caches, &mut self.values);
         let mut stats = ctx.finish();
         let (dense_ops1, dense_promotions1) = self.values.dense_counters();
         stats.dense_ops = dense_ops1 - dense_ops0;
         stats.dense_promotions = dense_promotions1 - dense_promotions0;
         self.absorb(&stats);
         VidEvaluation { result, stats }
-    }
-
-    /// The compiled bytecode program this session executes for `eid`
-    /// under its current configuration — compiled (and cached) on first
-    /// request, shared with every subsequent
-    /// [`EvalSession::eval_vid`] on the same root. This is the
-    /// inspection entry point behind the `--disasm` tooling and
-    /// `examples/bytecode_compile.rs`; render it with
-    /// [`crate::compile::disassemble`].
-    pub fn compiled_program(&mut self, eid: EId) -> std::sync::Arc<crate::compile::Program> {
-        let eid = self.optimise_eid(eid);
-        self.memo.begin_query(&mut self.exprs, true);
-        self.memo.program(eid, &self.config)
     }
 
     /// [`EvalSession::eval_vid`] under a per-call space budget: the

@@ -22,7 +22,9 @@ use nra_testkit::{check, Rng};
 
 /// Evaluate in a fresh session whose arena has the dense path toggled.
 /// Fresh tables each run keep the stats deterministic per
-/// (query, input, cfg) — see the compiled differential for why.
+/// (query, input, cfg): the direct-mapped apply cache grows as entries
+/// accumulate, so back-to-back runs through one table see different
+/// collision patterns and hence different `memo_hits`.
 fn eval_with_dense(
     q: &nra_core::Expr,
     input: &Value,
@@ -41,7 +43,6 @@ fn modes() -> Vec<(&'static str, EvalConfig)> {
         ("memo", EvalConfig::memoised()),
         ("semi-naive", EvalConfig::semi_naive()),
         ("memo+semi-naive", EvalConfig::optimised()),
-        ("compiled", EvalConfig::compiled()),
     ]
 }
 

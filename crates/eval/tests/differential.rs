@@ -13,7 +13,7 @@
 use nra_core::builder::*;
 use nra_core::types::Type;
 use nra_core::{derived, queries, Value};
-use nra_eval::{evaluate, evaluate_lazy, evaluate_traced, evaluate_tree, EvalConfig, EvalSession};
+use nra_eval::{evaluate, evaluate_lazy, evaluate_traced, evaluate_tree, EvalConfig};
 use nra_graph::{graph_to_value, graph_to_vid, tc, DiGraph};
 use nra_testkit::{check, Rng};
 
@@ -340,72 +340,6 @@ fn seminaive_agrees_with_naive_on_all_families() {
     );
 }
 
-/// The compiled bytecode backend is a dispatch change, not a semantics
-/// change: under every `memo`/`semi_naive` combination, compiled-on
-/// results and the **entire** `EvalStats` — §3 node and rule counters,
-/// complexities, fixpoint trajectory and frontier trace, cache
-/// activity — are bit-for-bit the compiled-off ones, across all seven
-/// graph families, both tc routes, the served joins, and (under the
-/// semi-naive modes, where the fused superinstructions are emitted) the
-/// fused-shape query zoo.
-#[test]
-fn compiled_agrees_with_interpreted_on_all_families() {
-    // Each side runs in a fresh session: the direct-mapped apply cache
-    // grows as entries accumulate, so two back-to-back runs through the
-    // pooled facade see different table sizes — and hence different
-    // collision patterns and memo_hits — even for the *same* backend.
-    // Fresh tables make the stats deterministic per (query, input, cfg).
-    fn eval_fresh(q: &nra_core::Expr, input: &Value, cfg: &EvalConfig) -> nra_eval::Evaluation {
-        EvalSession::new(cfg.clone()).eval(q, input)
-    }
-    check(
-        "compiled_agrees_with_interpreted_on_all_families",
-        CASES / 2,
-        |_, rng| {
-            for (family, g) in family_graphs(rng) {
-                let input = graph_to_value(&g);
-                let modes = [
-                    ("plain", EvalConfig::default()),
-                    ("memo", EvalConfig::memoised()),
-                    ("semi-naive", EvalConfig::semi_naive()),
-                    ("memo+semi-naive", EvalConfig::optimised()),
-                ];
-                for q in [
-                    queries::tc_paths(),
-                    queries::tc_while(),
-                    queries::compose_rel(),
-                    queries::siblings_direct(),
-                ] {
-                    for (mode, base) in &modes {
-                        let compiled_cfg = EvalConfig {
-                            compiled: true,
-                            ..base.clone()
-                        };
-                        let walked = eval_fresh(&q, &input, base);
-                        let compiled = eval_fresh(&q, &input, &compiled_cfg);
-                        assert_eq!(walked.result, compiled.result, "{family}: {mode} {q}");
-                        assert_eq!(walked.stats, compiled.stats, "{family}: {mode} {q}");
-                    }
-                }
-                // the fused superinstructions only exist under
-                // semi-naive — drive every recognised shape through them
-                for (name, q) in fused_shape_queries() {
-                    for (mode, base) in &modes[2..] {
-                        let compiled_cfg = EvalConfig {
-                            compiled: true,
-                            ..base.clone()
-                        };
-                        let walked = eval_fresh(&q, &input, base);
-                        let compiled = eval_fresh(&q, &input, &compiled_cfg);
-                        assert_eq!(walked.result, compiled.result, "{family}: {mode} {name}");
-                        assert_eq!(walked.stats, compiled.stats, "{family}: {mode} {name}");
-                    }
-                }
-            }
-        },
-    );
-}
-
 /// On set-valued inflationary fixpoints, the threaded `(total, delta)`
 /// pair is internally consistent: the frontier cardinalities sum to
 /// `|final| − |input|` and the last frontier is empty (the fixpoint
@@ -620,6 +554,81 @@ fn fused_derived_shapes_fire() {
     );
 }
 
+/// Every fused rule of the semi-naive walker, pinned by its exact §3
+/// node count on a fixed small input. A fused rule that stops firing
+/// leaves every result bit-for-bit unchanged — only the derivation
+/// grows back to the combinator spread — so these counts are what
+/// notices it. One entry per rule, each shape in its smallest form.
+#[test]
+fn every_fused_rule_is_pinned() {
+    let nat = Type::Nat;
+    let nats = |xs: &[u64]| Value::set(xs.iter().map(|&x| Value::nat(x)));
+    let entries: Vec<(&str, nra_core::Expr, Value, u64)> = vec![
+        (
+            "cartprod",
+            derived::cartprod(),
+            Value::pair(nats(&[1, 2, 3]), nats(&[4, 5])),
+            1,
+        ),
+        (
+            "unnest",
+            derived::unnest(),
+            Value::set([
+                Value::pair(Value::nat(1), nats(&[2, 3])),
+                Value::pair(Value::nat(4), nats(&[5])),
+            ]),
+            1,
+        ),
+        (
+            "select",
+            derived::select(derived::nonempty(), Type::set(nat.clone())),
+            Value::set([nats(&[]), nats(&[1]), nats(&[2, 3])]),
+            22,
+        ),
+        (
+            "projeq",
+            compose(eq_nat(), tuple(compose(fst(), fst()), snd())),
+            Value::pair(Value::edge(1, 2), Value::nat(1)),
+            1,
+        ),
+        (
+            "projpair",
+            tuple(snd(), compose(fst(), fst())),
+            Value::pair(Value::edge(1, 2), Value::nat(3)),
+            1,
+        ),
+        (
+            "subset",
+            derived::subset(&nat),
+            Value::pair(nats(&[1, 2]), nats(&[1, 2, 3])),
+            1,
+        ),
+        (
+            "member",
+            derived::member(&nat),
+            Value::pair(Value::nat(2), nats(&[1, 2, 3])),
+            1,
+        ),
+        (
+            "nest",
+            derived::nest(&nat, &nat),
+            Value::set([Value::edge(1, 2), Value::edge(1, 3), Value::edge(2, 4)]),
+            1,
+        ),
+        ("join", queries::compose_rel(), Value::chain(4), 6),
+    ];
+    for (rule, q, input, nodes) in entries {
+        let exact = evaluate(&q, &input, &EvalConfig::default());
+        let fused = evaluate(&q, &input, &EvalConfig::semi_naive());
+        assert_eq!(exact.result, fused.result, "{rule}");
+        assert_eq!(
+            fused.stats.nodes, nodes,
+            "{rule}: fused node count drifted (the exact derivation has {})",
+            exact.stats.nodes
+        );
+    }
+}
+
 /// Bounded-witness transitive closure: each iterate joins the ≤2-edge
 /// subsets of the current relation, so the body is `powersetₘ` applied
 /// to a *growing* base — the workload the semi-naive lazy context
@@ -725,7 +734,6 @@ fn fused_predicates_preserve_ill_typed_semantics() {
         EvalConfig::default(),
         EvalConfig::semi_naive(),
         EvalConfig::optimised(),
-        EvalConfig::compiled(),
     ];
     // member(N) on (true, {1, 2}): eq_nat gets stuck comparing a boolean
     let q = derived::member(&Type::Nat);

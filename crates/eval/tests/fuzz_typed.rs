@@ -3,8 +3,7 @@
 //!
 //! 1. results inhabit the statically computed output type (type
 //!    soundness of the §3 semantics);
-//! 2. the plain, traced, streaming, memoised and compiled (bytecode
-//!    VM) evaluators agree;
+//! 2. the plain, traced, streaming and memoised evaluators agree;
 //! 3. budget errors are the only failures (no `Stuck`, ever, on
 //!    well-typed terms).
 
@@ -126,32 +125,6 @@ fn fuzz_domain(dom: &Type, seeds: std::ops::Range<u64>, cfg_gen: &GenConfig) {
                                 .output,
                             v,
                             "seed {seed} (traced {mode})"
-                        );
-                    }
-                    // 6. the bytecode VM is a faithful image of the
-                    // interpreter: same value and same fixpoint
-                    // trajectory under every optimisation mix
-                    for (mode, memo, semi_naive) in [
-                        ("compiled", false, false),
-                        ("compiled+memo", true, false),
-                        ("compiled+semi-naive", false, true),
-                        ("compiled+optimised", true, true),
-                    ] {
-                        let vm_cfg = EvalConfig {
-                            compiled: true,
-                            memo,
-                            semi_naive,
-                            ..cfg.clone()
-                        };
-                        let vm = evaluate(&e, &input, &vm_cfg);
-                        assert_eq!(
-                            vm.result.as_ref().expect("compiled succeeds"),
-                            v,
-                            "seed {seed} ({mode})"
-                        );
-                        assert_eq!(
-                            vm.stats.while_iterations, plain.stats.while_iterations,
-                            "seed {seed} ({mode}): exact trajectory"
                         );
                     }
                 }

@@ -25,7 +25,7 @@
 //! The evaluator knows nothing about rules: `nra-eval` exposes a
 //! [`RewritePass`] hook on [`EvalSession`], and
 //! [`install`] plugs this crate's pass into it. [`EvalConfig::rewritten`]
-//! is the full stack — rewriting + apply cache + semi-naive + bytecode.
+//! is the full stack — rewriting + apply cache + semi-naive iteration.
 //!
 //! ```
 //! use nra_core::{queries, Value};
@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn session_pass_is_transparent_for_results() {
         let input = Value::chain(6);
-        let mut plain = EvalSession::new(EvalConfig::compiled());
+        let mut plain = EvalSession::new(EvalConfig::optimised());
         let mut optimising = optimising_session(EvalConfig::rewritten());
         for q in [queries::tc_while(), queries::tc_paths(), queries::tc_step()] {
             let raw = plain
@@ -143,7 +143,7 @@ mod tests {
         let budget = 1 << 16;
         let strict = EvalConfig {
             max_object_size: Some(budget),
-            ..EvalConfig::compiled()
+            ..EvalConfig::optimised()
         };
         let raw = EvalSession::new(strict.clone())
             .eval(&queries::tc_paths(), &input)

@@ -189,10 +189,6 @@ fn agrees_on(lhs: &Expr, rhs: &Expr, input: &Value) -> bool {
             max_object_size: Some(1 << 16),
             ..EvalConfig::optimised()
         },
-        EvalConfig {
-            max_object_size: Some(1 << 16),
-            ..EvalConfig::compiled()
-        },
     ];
     for config in &configs {
         let l = evaluate(lhs, input, config).result;

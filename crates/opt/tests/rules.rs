@@ -11,7 +11,7 @@
 //! whenever the left-hand (rewritten-away) instance evaluates
 //! successfully, the right-hand instance must produce the identical
 //! value — and, since no shipped rule is a rescue, the identical
-//! `while_iterations` — under interpreted, memo+semi-naive and compiled
+//! `while_iterations` — under interpreted and memo+semi-naive
 //! configurations alike.
 
 use nra_core::{builder, output_type, queries, Expr, Type, Value};
@@ -106,10 +106,6 @@ fn oracle_ok(rule: &str, lhs: &Expr, rhs: &Expr, dom: &Type) {
         EvalConfig {
             max_object_size: Some(1 << 16),
             ..EvalConfig::optimised()
-        },
-        EvalConfig {
-            max_object_size: Some(1 << 16),
-            ..EvalConfig::compiled()
         },
     ];
     for input in inputs_for(dom) {

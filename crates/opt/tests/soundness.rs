@@ -2,7 +2,7 @@
 //! every expression, **optimised and raw evaluation agree bit-for-bit
 //! on results whenever raw evaluation succeeds**, across all seven
 //! [`nra_testkit::graphs`] families and every
-//! `memo`/`semi_naive`/`compiled` configuration mix — and, whenever no
+//! `memo`/`semi_naive` configuration mix — and, whenever no
 //! rescue fired (the rewrite introduced no `while` the raw expression
 //! lacked), on `while_iterations` too. Rescues are *allowed* to change
 //! the iteration count: replacing a powerset tower with a loop is the
@@ -13,37 +13,27 @@ use nra_core::{queries, Expr, Type, Value};
 use nra_eval::{evaluate, EvalConfig};
 use nra_testkit::{graphs, Rng};
 
-/// Every `memo`/`semi_naive`/`compiled` combination, space-budgeted so
-/// the powerset-route queries fail fast instead of materialising
+/// Every `memo`/`semi_naive` combination, space-budgeted so the
+/// powerset-route queries fail fast instead of materialising
 /// exponential families on the larger graphs.
 fn config_mixes() -> Vec<(&'static str, EvalConfig)> {
-    let mut mixes = Vec::new();
-    for (memo, semi_naive, compiled) in [
-        (false, false, false),
-        (true, false, false),
-        (false, true, false),
-        (true, true, false),
-        (true, true, true),
-    ] {
-        let name: &'static str = match (memo, semi_naive, compiled) {
-            (false, false, false) => "plain",
-            (true, false, false) => "memo",
-            (false, true, false) => "semi-naive",
-            (true, true, false) => "memo+semi-naive",
-            _ => "compiled",
+    [
+        ("plain", false, false),
+        ("memo", true, false),
+        ("semi-naive", false, true),
+        ("memo+semi-naive", true, true),
+    ]
+    .into_iter()
+    .map(|(name, memo, semi_naive)| {
+        let config = EvalConfig {
+            memo,
+            semi_naive,
+            max_object_size: Some(1 << 16),
+            ..EvalConfig::default()
         };
-        mixes.push((
-            name,
-            EvalConfig {
-                memo,
-                semi_naive,
-                compiled,
-                max_object_size: Some(1 << 16),
-                ..EvalConfig::default()
-            },
-        ));
-    }
-    mixes
+        (name, config)
+    })
+    .collect()
 }
 
 /// The one-sided bit-for-bit check on one (expression, input) pair.
@@ -147,7 +137,7 @@ fn rescue_differential_holds_under_the_separating_budget() {
     let input = Value::chain(12);
     let strict = EvalConfig {
         max_object_size: Some(1 << 16),
-        ..EvalConfig::compiled()
+        ..EvalConfig::optimised()
     };
     let raw = evaluate(&queries::tc_paths(), &input, &strict);
     assert!(raw.result.is_err(), "powerset route must blow the budget");

@@ -50,5 +50,6 @@ pub use schedule::partition;
 pub use server::{spawn, Client, ServeConfig, ServeReport, Server, StagedJob, TenantStats};
 pub use wire::{
     decode_frame, decode_response, encode_request, encode_response, socketpair, Endpoint, Frame,
-    LineReceiver, LineSender, Outcome, Request, Response, WireError, SHUTDOWN_FRAME,
+    LineReceiver, LineSender, Outcome, Request, Response, WireError, MAX_FRAME_BYTES,
+    SHUTDOWN_FRAME,
 };

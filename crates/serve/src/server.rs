@@ -29,7 +29,7 @@ use crate::admission::{admit, AdmissionDecision, AdmissionPolicy};
 use crate::schedule::partition;
 use crate::wire::{
     decode_frame, encode_response, socketpair, Endpoint, Frame, Outcome, Request, Response,
-    WireError,
+    WireError, MAX_FRAME_BYTES,
 };
 use nra_core::expr::intern::EId;
 use nra_core::typecheck::output_type;
@@ -68,9 +68,8 @@ impl Default for ServeConfig {
             tenant_budget_bytes: u64::MAX,
             resident_budget_bytes: None,
             // the serving front runs the full stack: the rewrite
-            // optimiser in front of the compiled bytecode backend.
-            // Programs are compiled once per *optimised* root within a
-            // generation, bit-for-bit the interpreted results — and a
+            // optimiser in front of the memoised semi-naive walker,
+            // which caches judgments on the *optimised* root — and a
             // query admission would reject in its submitted form can be
             // rescued by a space-class-improving rewrite (the
             // powerset-route → while-route transitive closure headline)
@@ -395,30 +394,43 @@ impl Server {
 
     /// The serving loop: block for a frame, drain the window, process,
     /// respond; exit on [`SHUTDOWN_FRAME`](crate::wire::SHUTDOWN_FRAME)
-    /// or peer hangup. Returns the final report.
+    /// or peer hangup. Inbound lines are bounded at [`MAX_FRAME_BYTES`].
+    /// Returns the final report.
     pub fn run(mut self, mut transport: Endpoint) -> ServeReport {
+        transport.rx.set_max_line(Some(MAX_FRAME_BYTES));
         // exits when the peer hangs up or a shutdown frame arrives
         'serve: while let Some(first) = transport.rx.recv_line() {
             let mut lines = vec![first];
             while lines.len() < self.config.batch_window.max(1) {
                 match transport.rx.try_recv_line() {
-                    Ok(Some(line)) => lines.push(line),
+                    Ok(Some(line)) => lines.push(Ok(line)),
+                    Err(e @ WireError::FrameTooLong { .. }) => lines.push(Err(e)),
                     Ok(None) | Err(_) => break,
                 }
             }
             let mut requests = Vec::new();
             let mut shutdown = false;
-            for line in &lines {
-                match decode_frame(line) {
+            for line in lines {
+                let (text, frame) = match line {
+                    Ok(line) => {
+                        let frame = decode_frame(&line);
+                        (line, frame)
+                    }
+                    Err(e) => match &e {
+                        WireError::FrameTooLong { head, .. } => (head.clone(), Err(e)),
+                        _ => (String::new(), Err(e)),
+                    },
+                };
+                match frame {
                     Ok(Frame::Request(request)) => requests.push(request),
                     Ok(Frame::Shutdown) => shutdown = true,
                     Err(e) => {
                         self.report.decode_errors += 1;
                         // salvage the tenant prefix when present so the
                         // client can correlate the failure
-                        let tenant = line.split(';').next().unwrap_or("");
+                        let tenant = text.split(';').next().unwrap_or("");
                         if crate::wire::validate_tenant(tenant).is_ok() {
-                            let id = line
+                            let id = text
                                 .split(';')
                                 .nth(1)
                                 .and_then(|f| f.parse::<u64>().ok())
@@ -487,7 +499,7 @@ impl Client {
     pub fn recv(&mut self) -> Option<Result<Response, WireError>> {
         self.rx
             .recv_line()
-            .map(|line| crate::wire::decode_response(&line))
+            .map(|line| line.and_then(|line| crate::wire::decode_response(&line)))
     }
 
     /// Ask the server to drain and exit.
@@ -561,7 +573,7 @@ mod tests {
     #[test]
     fn optimise_off_front_rejects_what_the_default_front_rescues() {
         let mut server = Server::new(ServeConfig {
-            eval: EvalConfig::compiled(),
+            eval: EvalConfig::optimised(),
             ..ServeConfig::default()
         });
         let responses = server.process_batch(&[Request {

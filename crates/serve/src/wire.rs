@@ -26,7 +26,9 @@
 //! rule). Chunks are arbitrary byte slices; each receiver reassembles
 //! them into `\n`-terminated lines, so frames survive any chunking the
 //! sender (or a fuzzer) chooses — the framing layer is tested by
-//! splitting encoded frames at random byte boundaries.
+//! splitting encoded frames at random byte boundaries. Reassembly scans
+//! each byte once, however finely a line is chunked, and the server
+//! bounds its inbound lines at [`MAX_FRAME_BYTES`].
 
 use nra_core::parser::{parse_expr, parse_value, ParseError};
 use nra_core::{Expr, Value};
@@ -35,6 +37,15 @@ use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 
 /// The control frame that asks the server to drain and exit.
 pub const SHUTDOWN_FRAME: &str = "!shutdown";
+
+/// The longest inbound frame the server accepts, in bytes before the
+/// newline. A longer line is discarded through its newline and surfaces
+/// as [`WireError::FrameTooLong`]. Only the server's inbound direction
+/// is bounded, so answers of any size still reach their clients.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// How much of an over-long line is kept to salvage its tenant and id.
+const HEAD_BYTES: usize = 256;
 
 /// One parsed query submission.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,6 +116,15 @@ pub enum WireError {
     Malformed(String),
     /// A payload field failed to parse as an expression or value.
     Parse(ParseError),
+    /// An inbound line exceeded the receiver's cap and was discarded.
+    FrameTooLong {
+        /// The cap, in bytes.
+        limit: usize,
+        /// The line's leading `;`-fields that fit in its first few
+        /// hundred bytes, cut after a separator so every field kept is
+        /// whole — enough to name the tenant and id.
+        head: String,
+    },
     /// The peer hung up.
     Closed,
 }
@@ -115,6 +135,7 @@ impl fmt::Display for WireError {
             WireError::InvalidTenant(t) => write!(f, "invalid tenant name {t:?}"),
             WireError::Malformed(msg) => write!(f, "malformed frame: {msg}"),
             WireError::Parse(e) => write!(f, "payload parse error: {e}"),
+            WireError::FrameTooLong { limit, .. } => write!(f, "frame longer than {limit} bytes"),
             WireError::Closed => write!(f, "transport closed"),
         }
     }
@@ -290,24 +311,73 @@ impl LineSender {
 }
 
 /// The receiving half of one direction: reassembles byte chunks into
-/// `\n`-terminated lines.
+/// `\n`-terminated lines, optionally bounding their length.
 #[derive(Debug)]
 pub struct LineReceiver {
     rx: Receiver<Vec<u8>>,
     buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched for a newline.
+    scanned: usize,
+    /// The line cap, if any ([`LineReceiver::set_max_line`]).
+    max_line: Option<usize>,
+    /// The head of the over-long line being discarded, if any.
+    discarding: Option<String>,
 }
 
 impl LineReceiver {
-    fn pop_line(&mut self) -> Option<String> {
-        let nl = self.buf.iter().position(|&b| b == b'\n')?;
-        let line: Vec<u8> = self.buf.drain(..=nl).take(nl).collect();
-        Some(String::from_utf8_lossy(&line).into_owned())
+    fn new(rx: Receiver<Vec<u8>>) -> Self {
+        LineReceiver {
+            rx,
+            buf: Vec::new(),
+            scanned: 0,
+            max_line: None,
+            discarding: None,
+        }
+    }
+
+    /// Bound every line this receiver yields at `max` bytes before the
+    /// newline (`None`: unbounded, the default). A longer line is
+    /// dropped through its newline and yields
+    /// [`WireError::FrameTooLong`]; at most the cap plus one chunk of it
+    /// is ever buffered.
+    pub fn set_max_line(&mut self, max: Option<usize>) {
+        self.max_line = max;
+    }
+
+    /// The next complete line in the buffer, searching only the bytes
+    /// that arrived since the last search.
+    fn pop_line(&mut self) -> Option<Result<String, WireError>> {
+        let Some(at) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') else {
+            self.scanned = self.buf.len();
+            if self.discarding.is_none() && self.max_line.is_some_and(|max| self.buf.len() > max) {
+                self.discarding = Some(line_head(&self.buf));
+            }
+            if self.discarding.is_some() {
+                self.buf.clear();
+                self.scanned = 0;
+            }
+            return None;
+        };
+        let nl = self.scanned + at;
+        self.scanned = 0;
+        let mut line: Vec<u8> = self.buf.drain(..=nl).collect();
+        line.pop();
+        let head = match self.discarding.take() {
+            Some(head) => head,
+            None if self.max_line.is_some_and(|max| line.len() > max) => line_head(&line),
+            None => return Some(Ok(String::from_utf8_lossy(&line).into_owned())),
+        };
+        Some(Err(WireError::FrameTooLong {
+            limit: self.max_line.unwrap_or(usize::MAX),
+            head,
+        }))
     }
 
     /// Block until one complete line is available. `None` means the
     /// peer hung up (any trailing unterminated bytes are discarded —
-    /// an incomplete frame is not a frame).
-    pub fn recv_line(&mut self) -> Option<String> {
+    /// an incomplete frame is not a frame); `Some(Err(..))` is a line
+    /// over the cap.
+    pub fn recv_line(&mut self) -> Option<Result<String, WireError>> {
         loop {
             if let Some(line) = self.pop_line() {
                 return Some(line);
@@ -321,11 +391,12 @@ impl LineReceiver {
 
     /// Non-blocking poll for one complete line. `Ok(None)` means no
     /// complete line is buffered right now; `Err(WireError::Closed)`
-    /// means the peer hung up and nothing complete remains.
+    /// means the peer hung up and nothing complete remains;
+    /// `Err(WireError::FrameTooLong { .. })` is a line over the cap.
     pub fn try_recv_line(&mut self) -> Result<Option<String>, WireError> {
         loop {
             if let Some(line) = self.pop_line() {
-                return Ok(Some(line));
+                return line.map(Some);
             }
             match self.rx.try_recv() {
                 Ok(chunk) => self.buf.extend_from_slice(&chunk),
@@ -334,6 +405,13 @@ impl LineReceiver {
             }
         }
     }
+}
+
+/// The whole `;`-fields within the first [`HEAD_BYTES`] of a line.
+fn line_head(line: &[u8]) -> String {
+    let prefix = &line[..line.len().min(HEAD_BYTES)];
+    let end = prefix.iter().rposition(|&b| b == b';').map_or(0, |i| i + 1);
+    String::from_utf8_lossy(&prefix[..end]).into_owned()
 }
 
 /// One end of the duplex transport.
@@ -353,17 +431,11 @@ pub fn socketpair() -> (Endpoint, Endpoint) {
     (
         Endpoint {
             tx: LineSender { tx: a_tx },
-            rx: LineReceiver {
-                rx: a_rx,
-                buf: Vec::new(),
-            },
+            rx: LineReceiver::new(a_rx),
         },
         Endpoint {
             tx: LineSender { tx: b_tx },
-            rx: LineReceiver {
-                rx: b_rx,
-                buf: Vec::new(),
-            },
+            rx: LineReceiver::new(b_rx),
         },
     )
 }
@@ -426,9 +498,38 @@ mod tests {
             client.tx.send_bytes(vec![*byte]).unwrap();
         }
         client.tx.send_bytes(b"fst;(1, 2)\n".to_vec()).unwrap();
-        assert_eq!(server.rx.recv_line().unwrap(), "alpha;1;id;{(0, 1)}");
-        assert_eq!(server.rx.recv_line().unwrap(), "beta;2;fst;(1, 2)");
+        assert_eq!(
+            server.rx.recv_line(),
+            Some(Ok("alpha;1;id;{(0, 1)}".into()))
+        );
+        assert_eq!(server.rx.recv_line(), Some(Ok("beta;2;fst;(1, 2)".into())));
         drop(client);
         assert_eq!(server.rx.recv_line(), None, "hangup after the last frame");
+    }
+
+    #[test]
+    fn over_long_lines_are_dropped_through_their_newline() {
+        let (client, mut server) = socketpair();
+        server.rx.set_max_line(Some(8));
+        // at the cap, then over it within one chunk, then over it across
+        // chunks: only the bounded heads survive, the next line is intact
+        client
+            .tx
+            .send_bytes(b"a;1;2345\na;2;23456\nb;3;".to_vec())
+            .unwrap();
+        for chunk in ["4567", "89", "0\nc;4\n"] {
+            client.tx.send_bytes(chunk.as_bytes().to_vec()).unwrap();
+        }
+        assert_eq!(server.rx.recv_line(), Some(Ok("a;1;2345".into())));
+        for head in ["a;2;", "b;3;"] {
+            assert_eq!(
+                server.rx.recv_line(),
+                Some(Err(WireError::FrameTooLong {
+                    limit: 8,
+                    head: head.into()
+                }))
+            );
+        }
+        assert_eq!(server.rx.try_recv_line(), Ok(Some("c;4".into())));
     }
 }

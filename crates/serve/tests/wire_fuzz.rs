@@ -171,7 +171,7 @@ fn framing_survives_random_chunk_boundaries() {
         // the receiver must reassemble exactly the original sequence
         let mut decoded = Vec::new();
         while let Some(line) = server.rx.recv_line() {
-            match decode_frame(&line).expect("reassembled frames decode") {
+            match decode_frame(&line.unwrap()).expect("reassembled frames decode") {
                 Frame::Request(r) => decoded.push(r),
                 Frame::Shutdown => panic!("seed {seed}: phantom shutdown frame"),
             }
@@ -232,4 +232,87 @@ fn nesting_limit_fails_hostile_frames_and_keeps_serving() {
     client.shutdown().unwrap();
     let report = handle.join().expect("server thread must not die");
     assert_eq!(report.decode_errors, 3);
+}
+
+/// Frame reassembly is linear in the frame: a 256 KiB frame trickled in
+/// one byte per chunk is answered promptly (re-scanning the buffer from
+/// its start on every chunk took about 20 s for this frame in a release
+/// build, with the serving thread answering no one meanwhile), and the
+/// equally large answer reaches the client.
+#[test]
+fn a_large_frame_in_one_byte_chunks_is_answered_promptly() {
+    use nra_serve::{spawn, ServeConfig};
+    use std::time::{Duration, Instant};
+    let input = Value::chain(20_000);
+    let line = encode_request(&Request {
+        tenant: "acme".into(),
+        id: 1,
+        query: nra_core::builder::id(),
+        input: input.clone(),
+    })
+    .unwrap();
+    assert!(line.len() >= 256 << 10, "{} bytes", line.len());
+    let (mut client, handle) = spawn(ServeConfig::default());
+    let start = Instant::now();
+    for &byte in line.as_bytes().iter().chain(b"\n") {
+        client.tx.send_bytes(vec![byte]).unwrap();
+    }
+    let response = client.recv().expect("server alive").unwrap();
+    let elapsed = start.elapsed();
+    assert_eq!(response.id, 1);
+    match response.outcome {
+        Outcome::Ok { value, .. } => assert_eq!(value, input),
+        other => panic!("the large frame must be served: {other:?}"),
+    }
+    assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
+    client.shutdown().unwrap();
+    handle.join().expect("server thread must not die");
+}
+
+/// The inbound frame cap: a line of exactly [`MAX_FRAME_BYTES`] is read
+/// (and fails to parse), one byte more is discarded through its newline
+/// and answered `failed` under its salvaged tenant and id, and the next
+/// ordinary frame is served.
+#[test]
+fn a_frame_over_the_byte_cap_fails_and_the_next_is_served() {
+    use nra_serve::{spawn, ServeConfig, MAX_FRAME_BYTES};
+    let frame = |id: u64, len: usize| {
+        let head = format!("acme;{id};id;");
+        format!("{head}{}\n", "x".repeat(len - head.len()))
+    };
+    let (mut client, handle) = spawn(ServeConfig::default());
+    let mut ask = |id: u64, bytes: String| {
+        // three chunks, so the cap is crossed mid-line
+        let third = bytes.len() / 3;
+        for chunk in [
+            &bytes[..third],
+            &bytes[third..2 * third],
+            &bytes[2 * third..],
+        ] {
+            client.tx.send_bytes(chunk.as_bytes().to_vec()).unwrap();
+        }
+        let response = client.recv().expect("server alive").unwrap();
+        assert_eq!((response.tenant.as_str(), response.id), ("acme", id));
+        response.outcome
+    };
+    match ask(1, frame(1, MAX_FRAME_BYTES)) {
+        Outcome::Failed { detail } => assert!(detail.contains("parse error"), "{detail}"),
+        other => panic!("a frame at the cap is read and decoded: {other:?}"),
+    }
+    match ask(2, frame(2, MAX_FRAME_BYTES + 1)) {
+        Outcome::Failed { detail } => {
+            assert_eq!(
+                detail,
+                format!("wire: frame longer than {MAX_FRAME_BYTES} bytes")
+            )
+        }
+        other => panic!("a frame over the cap must fail: {other:?}"),
+    }
+    match ask(3, "acme;3;id;{(0, 1)}\n".into()) {
+        Outcome::Ok { value, .. } => assert_eq!(value, Value::chain(1)),
+        other => panic!("ordinary frame after an over-long one: {other:?}"),
+    }
+    client.shutdown().unwrap();
+    let report = handle.join().expect("server thread must not die");
+    assert_eq!(report.decode_errors, 2);
 }

@@ -148,7 +148,7 @@ pub const LARGE_SIZES: [u64; 3] = [512, 2048, 8192];
 /// 64×128 grids.
 ///
 /// **Not powerset-safe**: thousands of edges. Only run polynomial
-/// routes (while/semi-naive/compiled) on the large families.
+/// routes (while/semi-naive) on the large families.
 pub fn road_grid(rng: &mut Rng, n: u64) -> FamilyGraph {
     let mut rows = 1u64;
     while (rows * 2) * (rows * 2) <= n {

@@ -27,7 +27,7 @@ fn main() {
 
     // ── without the optimiser: rejected at the door ─────────────────
     let strict = ServeConfig {
-        eval: EvalConfig::compiled(),
+        eval: EvalConfig::optimised(),
         ..ServeConfig::default()
     };
     let (mut client, handle) = spawn(strict);

@@ -15,7 +15,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`core`] (`nra-core`) | the language: types, complex objects (tree + hash-consed arena, [`core::value::intern`], with merge-based set algebra), hash-consed expressions ([`core::expr::intern`]), the §2 primitives, the Prop 2.1 derived algebra, the TC queries, `powersetₘ` |
-//! | [`eval`] (`nra-eval`) | the §3 eager evaluator with the paper's complexity measure, budgets, derivation trees, a streaming (lazy) strategy, and an optional BDD-style apply cache (`EvalConfig::memoised`) — all running on interned handles |
+//! | [`eval`] (`nra-eval`) | the §3 eager evaluator with the paper's complexity measure, budgets, derivation trees, a streaming (lazy) strategy, an optional BDD-style apply cache (`EvalConfig::memoised`) and semi-naive iteration with fused Prop 2.1 rules (`EvalConfig::optimised`) — one interpreter, running on interned handles, owned per `EvalSession` |
 //! | [`graph`] (`nra-graph`) | input generators (chains, cycles, deterministic graphs) and classical polynomial TC baselines |
 //! | [`symbolic`] (`nra-symbolic`) | the §5 proof machinery: abstract expressions, the Lemma 5.1 evaluator, affine spaces, quantifier elimination, the Lemma 5.8 dichotomy, the Lemma 5.7 Ramsey bound, Corollary 5.3 |
 //! | [`circuits`] (`nra-circuits`) | Prop 4.3's `AC⁰`/`TC⁰` substrate: threshold circuits and a flat-algebra compiler |

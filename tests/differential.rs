@@ -1,9 +1,8 @@
 //! The differential test harness: every route to the transitive closure —
 //! the eager powerset query (`tc_paths`), the `while` query (`tc_while`),
-//! their memoised (apply-cache) and compiled (bytecode VM) evaluations,
-//! the streaming (lazy) evaluator, and the classical `nra-graph`
-//! baselines (Warshall,
-//! semi-naive, per-source BFS) — must agree on randomized graphs from
+//! their memoised (apply-cache) and semi-naive evaluations, the
+//! streaming (lazy) evaluator, and the classical `nra-graph` baselines
+//! (Warshall, semi-naive, per-source BFS) — must agree on randomized graphs from
 //! seven families (chains, cycles, DAGs, disconnected graphs, grids,
 //! cliques, sparse random graphs) with up to ~8 nodes.
 //!
@@ -64,14 +63,13 @@ fn assert_all_routes_agree(g: &DiGraph, label: &str) {
         .unwrap_or_else(|e| panic!("lazy tc_paths failed on {label}: {e}"));
     assert_eq!(lazy_paths, expect, "lazy tc_paths vs baselines on {label}");
 
-    // …the memoised (apply-cache), semi-naive (delta-driven),
-    // fully-optimised, and compiled (bytecode VM) evaluations of both
-    // routes, which must all be bit-for-bit the default results…
+    // …the memoised (apply-cache), semi-naive (delta-driven) and
+    // fully-optimised evaluations of both routes, which must all be
+    // bit-for-bit the default results…
     for (mode, cfg) in [
         ("memoised", EvalConfig::memoised()),
         ("semi-naive", EvalConfig::semi_naive()),
         ("optimised", EvalConfig::optimised()),
-        ("compiled", EvalConfig::compiled()),
     ] {
         for (route, q) in [
             ("tc_paths", queries::tc_paths()),
