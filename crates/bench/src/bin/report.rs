@@ -127,13 +127,17 @@ fn e13_delta_frontiers() {
 fn e14_optimiser() {
     println!("## E14 — the rewrite optimiser: optimised vs raw on the semi-naive rung");
     println!();
-    println!("`nra-opt` rewrites the hash-consed expression DAG before evaluation:");
-    println!("identity/fusion/pushdown rules from `RULES.json` (every entry");
-    println!("differentially verified), plus the headline *rescue* — structural");
-    println!("recognition of the powerset-route TC idiom and rewrite to the while");
-    println!("route, turning Theorem 4.1's separation into an optimisation. Both");
-    println!("columns run under `EvalConfig::optimised`, so the delta is the rewrite");
-    println!("alone:");
+    println!("`nra-opt` rewrites the hash-consed expression DAG before evaluation.");
+    println!("Its only rewrites are the *rescues*: structural recognition of a");
+    println!("powerset-route idiom and rewrite to its polynomial route, turning");
+    println!("Theorem 4.1's separation into an optimisation. The rescue table:");
+    println!();
+    for r in nra_opt::rescues() {
+        println!("- `{}`", r.name);
+    }
+    println!();
+    println!("Both columns run under `EvalConfig::optimised`, so the delta is the");
+    println!("rewrite alone:");
     println!();
     println!("| workload | n | raw | optimised | speedup | rewritten |");
     println!("|--|--:|--:|--:|--:|--:|");

@@ -151,8 +151,8 @@ pub struct EvalComparison {
     /// ([`nra_opt::optimise_expr`]) under the same
     /// [`nra_eval::EvalConfig::optimised`] configuration — the
     /// steady-state cost after the `nra-opt` pass has run once
-    /// (sessions cache the rewrite per root). On workloads the rules
-    /// leave unchanged this column times the identical query as
+    /// (sessions cache the rewrite per root). On workloads without a
+    /// powerset-route idiom this column times the identical query as
     /// [`EvalComparison::seminaive`]; on the powerset-route rows the
     /// rescue rewrite moves the query into the polynomial class.
     pub optimised: Duration,
@@ -203,7 +203,7 @@ impl EvalComparison {
     /// How many times faster the rewrite-optimised query runs than the
     /// raw query on the **semi-naive rung** (seminaive / optimised)
     /// — the win of the `nra-opt` pass in isolation, with every other
-    /// switch held fixed. ≈ 1 on workloads the rules leave unchanged;
+    /// switch held fixed. ≈ 1 on workloads the rescues leave unchanged;
     /// large on the powerset-route rows the TC rescue rewrites into
     /// the polynomial class. Recorded per workload and as
     /// `geomean_optimised_speedup` in `BENCH_eval.json`; the CI gate

@@ -1,28 +1,22 @@
 //! # nra-opt
 //!
-//! A pre-evaluation **rewrite optimiser** over the hash-consed
-//! expression DAG, turning the paper's separation theorem into an
-//! automatic optimisation: the *powerset route* to transitive closure
-//! (certified exponential by `nra-symbolic`, Theorem 4.1) is recognised
-//! structurally and rewritten to the *while route* (polynomial, Theorem
-//! 5.2) — a query the serving door would reject is **rescued** into the
-//! admissible class. Around that headline rule sits a conventional
-//! rewrite engine:
+//! A pre-evaluation **rescue pass** over the hash-consed expression
+//! DAG, turning the paper's separation theorem into an automatic
+//! optimisation: the *powerset routes* to transitive closure and to the
+//! siblings query (certified exponential by `nra-symbolic`, Theorem
+//! 4.1) are recognised structurally and rewritten to their polynomial
+//! *while/direct routes* — a query the serving door would reject is
+//! **rescued** into the admissible class.
 //!
-//! * [`pattern`] — patterns over the core concrete syntax with typed
-//!   metavariables (`?0:nra`, `?2:empty`);
-//! * [`rules`] — the rule format, `RULES.json` loader with load-time
-//!   validation, and the code-built rescue rules;
-//! * [`cost`] — the cost gate: a rewrite fires only when
-//!   [`nra_symbolic::classify_space`] proves the space class does not
-//!   worsen;
-//! * [`mod@rewrite`] — the bottom-up, memoised, fixpoint engine over
-//!   [`ExprArena`];
-//! * [`synth`] — the ruler-style enumerate → fingerprint → verify →
-//!   admit harness that produced the `synthesised` section of
-//!   `RULES.json`.
+//! * [`cost`] — the cost gate: a rescue enters the table only when
+//!   [`nra_symbolic::classify_space`] ranks its replacement strictly
+//!   below its idiom, and a rescued query is kept only when its own
+//!   rank does not worsen;
+//! * [`mod@rewrite`] — the rescue table (two code-built pairs, gated
+//!   once per process) and the one-pass bottom-up substitution over
+//!   [`ExprArena`].
 //!
-//! The evaluator knows nothing about rules: `nra-eval` exposes a
+//! The evaluator knows nothing about rescues: `nra-eval` exposes a
 //! [`RewritePass`] hook on [`EvalSession`], and
 //! [`install`] plugs this crate's pass into it. [`EvalConfig::rewritten`]
 //! is the full stack — rewriting + apply cache + semi-naive iteration.
@@ -46,41 +40,13 @@
 #![deny(missing_docs)]
 
 pub mod cost;
-pub mod json;
-pub mod pattern;
 pub mod rewrite;
-pub mod rules;
-pub mod synth;
 
-pub use cost::{rank, Gate, Rank};
-pub use pattern::{Guard, Pat, PatternError, VarUse, MAX_VARS};
-pub use rewrite::{rewrite, OptStats, MAX_PASSES, MAX_SPINS};
-pub use rules::{
-    rescue_rules, rules_to_json, validate_rule, Rule, RuleError, RuleKind, RuleSet, EMBEDDED_RULES,
-};
-pub use synth::{synthesise, SynthConfig};
+pub use cost::{rank, Rank};
+pub use rewrite::{optimise, rescues, Rescue};
 
 use nra_core::{EId, Expr, ExprArena};
 use nra_eval::{EvalConfig, EvalSession, RewritePass};
-use std::sync::OnceLock;
-
-/// The default rule set — rescues first, then the validated
-/// `RULES.json` rules — built once per process.
-pub fn default_rules() -> &'static RuleSet {
-    static RULES: OnceLock<RuleSet> = OnceLock::new();
-    RULES.get_or_init(RuleSet::builtin)
-}
-
-/// Rewrite the DAG rooted at `root` with the [`default_rules`],
-/// discarding statistics. The workhorse behind [`pass`].
-pub fn optimise(ea: &mut ExprArena, root: EId) -> EId {
-    rewrite(ea, root, default_rules()).0
-}
-
-/// [`optimise`] with the what-happened statistics.
-pub fn optimise_with_stats(ea: &mut ExprArena, root: EId) -> (EId, OptStats) {
-    rewrite(ea, root, default_rules())
-}
 
 /// Optimise a tree-form expression in a private arena — the convenience
 /// entry point for benches and one-shot callers.

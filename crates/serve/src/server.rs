@@ -32,12 +32,13 @@ use crate::wire::{
     WireError, MAX_FRAME_BYTES,
 };
 use nra_core::expr::intern::EId;
+use nra_core::parser::MAX_NESTING;
 use nra_core::typecheck::output_type;
 use nra_core::value::intern::VId;
-use nra_core::{Expr, Value};
+use nra_core::{Expr, Type, Value};
 use nra_eval::{eval_batch_assigned, BatchJob, EvalConfig, EvalSession, SessionStats};
 use nra_symbolic::SpaceVerdict;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::thread::JoinHandle;
 
 /// Serving configuration.
@@ -121,7 +122,7 @@ pub struct ServeReport {
     /// Rejections citing a certified-exponential verdict.
     pub rejected_exponential: u64,
     /// Other admission rejections (ceiling, unanalyzable, probe failure,
-    /// ill-typed).
+    /// ill-typed, answers nesting past the wire's cap).
     pub rejected_admission: u64,
     /// Rejections for an exhausted tenant byte budget.
     pub rejected_tenant_budget: u64,
@@ -136,6 +137,24 @@ pub struct ServeReport {
     pub session: SessionStats,
     /// The tenant ledger.
     pub tenants: BTreeMap<String, TenantStats>,
+}
+
+/// The deepest a value of type `t` can nest, counted as the parser
+/// counts values: a scalar is one level, and a pair or a set adds one
+/// to its deepest component. Typechecking shares subtypes, so the walk
+/// is memoised on node addresses to stay linear in the query.
+fn value_nesting(t: &Type, memo: &mut HashMap<*const Type, usize>) -> usize {
+    let key: *const Type = t;
+    if let Some(&depth) = memo.get(&key) {
+        return depth;
+    }
+    let depth = match t {
+        Type::Unit | Type::Bool | Type::Nat => 1,
+        Type::Prod(a, b) => 1 + value_nesting(a, memo).max(value_nesting(b, memo)),
+        Type::Set(elem) => 1 + value_nesting(elem, memo),
+    };
+    memo.insert(key, depth);
+    depth
 }
 
 /// An admitted job, staged for one batch: session handles plus its
@@ -227,9 +246,9 @@ impl Server {
         }
     }
 
-    /// Admit one request: byte-budget check, typecheck, symbolic +
-    /// concrete admission. Returns either a staged job or the rejection
-    /// response.
+    /// Admit one request: byte-budget check, typecheck and answer
+    /// depth, symbolic + concrete admission. Returns either a staged
+    /// job or the rejection response.
     fn stage(&mut self, request: &Request) -> Result<StagedJob, Response> {
         let reject = |reason: String| Response {
             tenant: request.tenant.clone(),
@@ -256,12 +275,25 @@ impl Server {
             )));
         }
 
-        // 2. typecheck against the input's inferred type
+        // 2. typecheck against the input's inferred type, and refuse an
+        // answer type whose values the client's decoder could not read
         if let Some(dom) = request.input.infer_type() {
-            if let Err(e) = output_type(&request.query, &dom) {
+            let refusal = match output_type(&request.query, &dom) {
+                Err(e) => Some(format!("ill-typed query for this input: {e}")),
+                Ok(cod) => {
+                    let depth = value_nesting(&cod, &mut HashMap::new());
+                    (depth > MAX_NESTING).then(|| {
+                        format!(
+                            "admission: answers to this query nest up to {depth} levels, \
+                             past the wire's nesting cap of {MAX_NESTING} levels"
+                        )
+                    })
+                }
+            };
+            if let Some(reason) = refusal {
                 self.tenant(&request.tenant).rejected += 1;
                 self.report.rejected_admission += 1;
-                return Err(reject(format!("ill-typed query for this input: {e}")));
+                return Err(reject(reason));
             }
         }
 

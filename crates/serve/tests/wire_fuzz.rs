@@ -184,14 +184,22 @@ fn framing_survives_random_chunk_boundaries() {
 /// [`nra_core::parser::MAX_NESTING`] is answered `failed` on the wire
 /// instead of overflowing the serving thread's stack (10,000 nested
 /// `map(` used to abort the whole process), a frame exactly at the
-/// limit is still served end to end, and the server answers the next
-/// ordinary frame.
+/// limit is still served end to end, a frame whose answer would nest
+/// past the limit is rejected before evaluation (the client could not
+/// decode the answer), and the server answers the next ordinary frame.
 #[test]
 fn nesting_limit_fails_hostile_frames_and_keeps_serving() {
     use nra_core::parser::MAX_NESTING;
     use nra_serve::{spawn, ServeConfig};
-    // `depth` levels each: `map(…map(id)…)` and `{…{1}…}`
-    let query = |depth: usize| format!("{}id{}", "map(".repeat(depth - 1), ")".repeat(depth - 1));
+    // `depth` levels each: `map(…map(leaf)…)` and `{…{1}…}`
+    let maps = |depth: usize, leaf: &str| {
+        format!(
+            "{}{leaf}{}",
+            "map(".repeat(depth - 1),
+            ")".repeat(depth - 1)
+        )
+    };
+    let query = |depth: usize| maps(depth, "id");
     let input = |depth: usize| format!("{}1{}", "{".repeat(depth - 1), "}".repeat(depth - 1));
     let (mut client, handle) = spawn(ServeConfig::default());
     let mut ask = |id: u64, query: &str, input: &str| {
@@ -209,12 +217,20 @@ fn nesting_limit_fails_hostile_frames_and_keeps_serving() {
         Outcome::Ok { value, .. } => assert_eq!(value, parse_value(&deep).unwrap()),
         other => panic!("a frame at the nesting limit must be served: {other:?}"),
     }
+    // the same frame wrapping each innermost set in a singleton: the
+    // answer would nest one level past what the client can decode
+    match ask(2, &maps(MAX_NESTING, "sng"), &deep) {
+        Outcome::Rejected { reason } => {
+            assert!(reason.contains("nesting cap of 128 levels"), "{reason}");
+        }
+        other => panic!("an answer past the nesting limit must be refused: {other:?}"),
+    }
     // one level deeper, in the expression or in the value; and the
     // 10,000-level frame that used to overflow the stack
     for (id, q, v) in [
-        (2, query(MAX_NESTING + 1), input(1)),
-        (3, query(1), input(MAX_NESTING + 1)),
-        (4, query(10_000), input(1)),
+        (3, query(MAX_NESTING + 1), input(1)),
+        (4, query(1), input(MAX_NESTING + 1)),
+        (5, query(10_000), input(1)),
     ] {
         match ask(id, &q, &v) {
             Outcome::Failed { detail } => {
@@ -225,13 +241,15 @@ fn nesting_limit_fails_hostile_frames_and_keeps_serving() {
         }
     }
     // the server is still serving
-    match ask(5, "id", "{(0, 1)}") {
+    match ask(6, "id", "{(0, 1)}") {
         Outcome::Ok { value, .. } => assert_eq!(value, Value::chain(1)),
         other => panic!("ordinary frame after hostile ones: {other:?}"),
     }
     client.shutdown().unwrap();
     let report = handle.join().expect("server thread must not die");
     assert_eq!(report.decode_errors, 3);
+    assert_eq!(report.rejected_admission, 1);
+    assert_eq!(report.completed, 2);
 }
 
 /// Frame reassembly is linear in the frame: a 256 KiB frame trickled in
