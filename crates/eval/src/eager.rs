@@ -1043,7 +1043,8 @@ pub(crate) fn eval_eid(
             // recognitions: σ_p starts `μ ∘ …`, projection equality
             // starts `=_N ∘ …`, inclusion starts `empty ∘ …`,
             // membership starts `(¬ ∘ empty) ∘ …`, the self-join
-            // `(μ ∘ …) ∘ …`, nest starts `map(⟨π₁, …⟩) ∘ …`
+            // `(μ ∘ …) ∘ …`, the projected self-join `map(⟨…⟩) ∘ …`,
+            // nest starts `map(⟨π₁, …⟩) ∘ …`
             match &nodes[g.index()] {
                 ENode::Leaf(l) if **l == Expr::Flatten => match select_pred(eid, nodes, caches) {
                     Some(pred) => eval_select_fused(eid, pred, input, ctx, nodes, caches, va)?,
@@ -1055,8 +1056,9 @@ pub(crate) fn eval_eid(
                 ENode::Leaf(l) if **l == Expr::IsEmpty => {
                     eval_subset_fused(eid, input, ctx, nodes, caches, va)?
                 }
-                // membership and the self-join share this head
-                ENode::Compose(..)
+                // membership and the self-join share this head, the
+                // projected self-join and nest share the next
+                ENode::Compose(..) | ENode::Map(_)
                     if crate::shapes::join_shape(
                         eid,
                         caches.cartprod,
@@ -1752,32 +1754,41 @@ fn eval_nest_fused(
 }
 
 /// The fused hash self-join for the Prop 2.1 shape
-/// `σ_p ∘ (cartprod ∘ ⟨id, id⟩)` — the join inside relational
-/// composition, `tc_step`, `tc_while`'s body and the siblings queries
-/// (recognised structurally — see [`crate::shapes::join_shape`]).
-/// Instead of materialising `R × R` and deriving `p` per pair, `R` is
-/// hashed on the right element's key coordinate, every left element
-/// probes that index, the remaining conjuncts are checked by direct
-/// arena reads, and only the matching `(x, y)` pairs are interned —
-/// work proportional to `|R|` plus the key matches, not `|R|²`. When
-/// the node last ran on `Rₚ ⊆ R` (the steady state inside `while`),
-/// only the delta joins are built and folded into the previous output:
+/// `σ_p ∘ (cartprod ∘ ⟨id, id⟩)`, bare or under a trailing projection
+/// `map(⟨c₁, c₂⟩)` — the join inside relational composition
+/// `map(⟨a, d⟩) ∘ σ_{b=c}(R × R)`, `tc_step`, `tc_while`'s body and the
+/// siblings queries (recognised structurally — see
+/// [`crate::shapes::join_shape`]). Instead of materialising `R × R`
+/// and deriving `p` per pair, `R` is hashed on the right element's key
+/// coordinate, every left element probes that index, the remaining
+/// conjuncts are checked by direct arena reads, and only each match
+/// `(x, y)` — or, projected, `(c₁(x, y), c₂(x, y))` — is interned: work
+/// proportional to `|R|` plus the key matches, not `|R|²`, and a
+/// projected join never builds the matched set the `map` would walk.
+/// When the node last ran on `Rₚ ⊆ R` (the steady state inside
+/// `while`), only the delta joins are built and folded into the
+/// previous output (`map` distributes over `∪`, so the projected form
+/// carries over unchanged):
 ///
 /// ```text
 /// σ_p(R × R)  =  σ_p(Rₚ × Rₚ)  ∪  δ ⋈ R  ∪  Rₚ ⋈ δ      (δ = R ∖ Rₚ)
 /// ```
 ///
-/// The output is the canonical selected set, bit-for-bit the derived
-/// one. The §3 observations are the judgment's own boundary objects, so
-/// under semi-naive a join's `max_object_size` is its input or output,
-/// never the product. **Totality gate:** `R × R` pairs every element
-/// of `R` with every other on both sides, so the derived predicate is
-/// total iff every coordinate it reads is a `Nat` on every element of
-/// `R` — an `O(|R|)` check made before any work (only the frontier's
-/// elements on a delta step: the node's previous input passed the gate
-/// when this rule recorded it). Otherwise — or when the input is not a
-/// set — `Ok(None)`: the ordinary derivation runs and gets stuck
-/// exactly as it does without fusion.
+/// The output is the canonical selected (or projected) set, bit-for-bit
+/// the derived one. The fused judgment is one derivation node observing
+/// its input and its output, so under semi-naive a join's
+/// `max_object_size` is its input or its answer, never the product nor
+/// (projected) the matched pairs. **Totality gate:** `R × R` pairs every
+/// element of `R` with every other on both sides, so the derived
+/// predicate is total iff every coordinate it reads is a `Nat` on every
+/// element of `R`, and the projection cannot get stuck if each of its
+/// paths resolves on every element of `R` — an `O(|R|)` check made
+/// before any work (only the frontier's elements on a delta step: the
+/// node's previous input passed the gate when this rule recorded it).
+/// Otherwise — or when the input is not a set — `Ok(None)`: the
+/// ordinary derivation runs (a projected shape's inner join is then
+/// still fused on its own gate) and gets stuck exactly as it does
+/// without fusion.
 fn eval_join_fused(
     eid: EId,
     input: VId,
@@ -1816,6 +1827,11 @@ fn eval_join_fused(
             .reads
             .iter()
             .all(|path| apply_proj(va, e, path).is_some_and(|c| va.as_nat(c).is_some()))
+            && shape
+                .project
+                .iter()
+                .flatten()
+                .all(|c| apply_proj(va, e, &c.path).is_some())
     });
     if !total {
         return Ok(None);
@@ -1847,9 +1863,10 @@ fn eval_join_fused(
     Ok(Some(output))
 }
 
-/// `σ_p(lefts × rights)` for a gated [`JoinShape`], appended to `out`:
-/// hash `rights` on the right key, probe with each left element's key,
-/// keep the pairs passing the residual conjuncts. Nat handles are
+/// `σ_p(lefts × rights)` for a gated [`JoinShape`], appended to `out`
+/// (each match projected when the shape carries a projection): hash
+/// `rights` on the right key, probe with each left element's key, keep
+/// the pairs passing the residual conjuncts. Nat handles are
 /// hash-consed, so handle equality is `=_N`.
 fn hash_join(
     shape: &JoinShape,
@@ -1879,7 +1896,14 @@ fn hash_join(
                 (a == b) != t.negated
             });
             if keep {
-                out.push(va.pair(x, y));
+                let (a, b) = match &shape.project {
+                    None => (x, y),
+                    Some([c1, c2]) => (
+                        c1.read(va, x, y).expect(gated),
+                        c2.read(va, x, y).expect(gated),
+                    ),
+                };
+                out.push(va.pair(a, b));
             }
         }
     }

@@ -16,7 +16,8 @@
 //! * the self-join `σ_p ∘ (cartprod ∘ ⟨id, id⟩)`, with `p` a `pand`
 //!   conjunction of projection equalities `=_N ∘ ⟨π-chain, π-chain⟩`
 //!   (each possibly under `¬`), at least one of which equates a
-//!   coordinate of the left element with one of the right — see
+//!   coordinate of the left element with one of the right, optionally
+//!   under a trailing projection `map(⟨π-chain, π-chain⟩)` — see
 //!   [`join_shape`].
 //!
 //! A match is exact — every leaf of the skeleton is verified — and the
@@ -242,10 +243,10 @@ pub(crate) fn apply_proj(a: &ValueArena, mut v: VId, path: &[bool]) -> Option<VI
     Some(v)
 }
 
-/// One coordinate a join predicate reads off a product element
-/// `(x, y)`: the element (`right = false` for `x`) and the projection
-/// path inside it.
-#[derive(Debug, PartialEq, Eq)]
+/// One coordinate a join predicate or projection reads off a product
+/// element `(x, y)`: the element (`right = false` for `x`) and the
+/// projection path inside it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Coord {
     pub(crate) right: bool,
     pub(crate) path: ProjPath,
@@ -256,22 +257,35 @@ impl Coord {
     pub(crate) fn read(&self, va: &ValueArena, x: VId, y: VId) -> Option<VId> {
         apply_proj(va, if self.right { y } else { x }, &self.path)
     }
+
+    /// Recognise a π-chain over a product element as a coordinate: its
+    /// first step picks the element, the rest is the path inside it.
+    fn of(eid: EId, nodes: &[ENode]) -> Option<Coord> {
+        let mut path = ProjPath::new();
+        proj_path(eid, nodes, &mut path)?;
+        let (&right, inner) = path.split_first()?;
+        Some(Coord {
+            right,
+            path: inner.to_vec(),
+        })
+    }
 }
 
 /// One conjunct of a join predicate: `=_N ∘ ⟨lhs, rhs⟩`, or its
 /// negation.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct JoinTest {
     pub(crate) lhs: Coord,
     pub(crate) rhs: Coord,
     pub(crate) negated: bool,
 }
 
-/// A recognised Prop 2.1 self-join `σ_p ∘ (cartprod ∘ ⟨id, id⟩)`: the
-/// hash key — the first un-negated conjunct equating a coordinate of
-/// the left element with one of the right — the remaining conjuncts,
-/// and every in-element path the predicate reads.
-#[derive(Debug, PartialEq, Eq)]
+/// A recognised Prop 2.1 self-join `σ_p ∘ (cartprod ∘ ⟨id, id⟩)`,
+/// possibly under a trailing projection `map(⟨c₁, c₂⟩)`: the hash key —
+/// the first un-negated conjunct equating a coordinate of the left
+/// element with one of the right — the remaining conjuncts, every
+/// in-element path the predicate reads, and the projection.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct JoinShape {
     /// Path of the key coordinate inside the left element `x`.
     pub(crate) left_key: ProjPath,
@@ -284,6 +298,10 @@ pub(crate) struct JoinShape {
     /// the derived predicate is total on `R × R` iff each of these
     /// reaches a `Nat` on every element of `R`.
     pub(crate) reads: Vec<ProjPath>,
+    /// The trailing projection `map(⟨c₁, c₂⟩)`: each match `(x, y)`
+    /// yields `(c₁(x, y), c₂(x, y))` instead of itself. `None` for a
+    /// bare join.
+    pub(crate) project: Option<[Coord; 2]>,
 }
 
 /// Flatten a `pand` tree of projection equalities, each possibly under
@@ -314,18 +332,9 @@ fn conjuncts(p: EId, nodes: &[ENode], out: &mut Vec<JoinTest>) -> Option<()> {
     if !leaf_is(nodes, eq_nat, &Expr::EqNat) {
         return None;
     }
-    let coord = |eid| {
-        let mut path = ProjPath::new();
-        proj_path(eid, nodes, &mut path)?;
-        let (&right, inner) = path.split_first()?;
-        Some(Coord {
-            right,
-            path: inner.to_vec(),
-        })
-    };
     out.push(JoinTest {
-        lhs: coord(a)?,
-        rhs: coord(b)?,
+        lhs: Coord::of(a, nodes)?,
+        rhs: Coord::of(b, nodes)?,
         negated,
     });
     Some(())
@@ -333,9 +342,11 @@ fn conjuncts(p: EId, nodes: &[ENode], out: &mut Vec<JoinTest>) -> Option<()> {
 
 /// Is `eid` the Prop 2.1 self-join `σ_p ∘ (cartprod ∘ ⟨id, id⟩)` —
 /// `cartprod` being the interned handle of the derived product — with
-/// a predicate [`JoinShape`] can evaluate? This is the join inside
-/// relational composition, `tc_step`, `tc_while`'s body and the
-/// siblings queries.
+/// a predicate [`JoinShape`] can evaluate, or such a join (itself
+/// unprojected) under a trailing projection `map(⟨c₁, c₂⟩)` with each
+/// `cᵢ` a π-chain into the left or the right element? This is the join
+/// inside relational composition `map(⟨a, d⟩) ∘ σ_{b=c}(R × R)`,
+/// `tc_step`, `tc_while`'s body and the siblings queries.
 pub(crate) fn join_shape(
     eid: EId,
     cartprod: EId,
@@ -349,6 +360,21 @@ pub(crate) fn join_shape(
         let ENode::Compose(sel, product) = nodes[eid.index()] else {
             return None;
         };
+        if let ENode::Map(body) = nodes[sel.index()] {
+            let ENode::Tuple(c1, c2) = nodes[body.index()] else {
+                return None;
+            };
+            let project = [Coord::of(c1, nodes)?, Coord::of(c2, nodes)?];
+            // the coordinates read the matched pair `(x, y)`, so the
+            // inner join must be bare: over a projected join they
+            // would read its projection, not the match
+            let bare = join_shape(product, cartprod, nodes, caches)
+                .filter(|inner| inner.project.is_none())?;
+            return Some(Arc::new(JoinShape {
+                project: Some(project),
+                ..JoinShape::clone(&bare)
+            }));
+        }
         let ENode::Compose(cp, dup) = nodes[product.index()] else {
             return None;
         };
@@ -381,6 +407,7 @@ pub(crate) fn join_shape(
             right_key: right.path,
             residual,
             reads,
+            project: None,
         }))
     })();
     caches.joins.insert(eid, verdict.clone());
@@ -734,8 +761,23 @@ mod tests {
         );
         assert_eq!(s.residual.len(), 1);
         assert!(s.residual[0].negated);
+        // composition's trailing projection map(⟨a, d⟩) rides along
+        let s = shape(&compose(map(tuple(a(), d())), join(eq(b(), c())))).expect("projected");
+        assert_eq!((s.left_key.as_slice(), s.residual.len()), (&[true][..], 0));
+        let coord = |right, path: &[bool]| Coord {
+            right,
+            path: path.to_vec(),
+        };
+        assert_eq!(
+            s.project,
+            Some([coord(false, &[false]), coord(true, &[true])])
+        );
         // near-misses: no cross-element key, a negated key only, a
-        // non-equality predicate, a product that is not a self-product
+        // non-equality predicate, a product that is not a self-product,
+        // a projection that is not a pair of π-chains into the elements,
+        // a projection over a join that is not recognised, a projection
+        // over a projected join (the converse of composition)
+        let swap = || map(tuple(snd(), fst()));
         for e in [
             join(eq(a(), b())),
             join(derived::pnot(eq(b(), c()))),
@@ -744,6 +786,10 @@ mod tests {
                 derived::select(eq(b(), c()), pair_ty.clone()),
                 compose(derived::cartprod(), tuple(id(), fst())),
             ),
+            compose(map(tuple(id(), d())), join(eq(b(), c()))),
+            compose(map(a()), join(eq(b(), c()))),
+            compose(map(tuple(a(), d())), join(eq(a(), b()))),
+            compose(swap(), compose(map(tuple(a(), d())), join(eq(b(), c())))),
         ] {
             assert_eq!(shape(&e), None, "{e}");
         }

@@ -82,6 +82,16 @@ fn fused_shape_queries() -> Vec<(&'static str, nra_core::Expr)> {
         ("compose_rel", queries::compose_rel()),
         // the self-join keyed on b = d, with a residual a ≠ c
         ("siblings_direct", queries::siblings_direct()),
+        // a map over the projected join reads its answer, not the
+        // match: the converse of R ∘ R, and its left endpoints
+        (
+            "map(⟨π₂, π₁⟩) ∘ compose_rel",
+            compose(map(tuple(snd(), fst())), queries::compose_rel()),
+        ),
+        (
+            "map(⟨π₁, π₁⟩) ∘ compose_rel",
+            compose(map(tuple(fst(), fst())), queries::compose_rel()),
+        ),
     ]
 }
 
@@ -615,7 +625,8 @@ fn every_fused_rule_is_pinned() {
             Value::set([Value::edge(1, 2), Value::edge(1, 3), Value::edge(2, 4)]),
             1,
         ),
-        ("join", queries::compose_rel(), Value::chain(4), 6),
+        ("join", bare_compose_join(), Value::chain(4), 1),
+        ("project-join", queries::compose_rel(), Value::chain(4), 1),
     ];
     for (rule, q, input, nodes) in entries {
         let exact = evaluate(&q, &input, &EvalConfig::default());
@@ -626,6 +637,51 @@ fn every_fused_rule_is_pinned() {
             "{rule}: fused node count drifted (the exact derivation has {})",
             exact.stats.nodes
         );
+    }
+}
+
+/// The self-join inside relational composition without its trailing
+/// projection: `σ_{b=c}(R × R)` over edge pairs `((a, b), (c, d))`.
+fn bare_compose_join() -> nra_core::Expr {
+    let pair_ty = Type::prod(edge_ty(), edge_ty());
+    let b_eq_c = compose(
+        eq_nat(),
+        tuple(compose(snd(), fst()), compose(fst(), snd())),
+    );
+    compose(derived::select(b_eq_c, pair_ty), derived::self_product())
+}
+
+/// The projected join's gate: a projection path that reads past a
+/// `Nat` (`π₁∘π₁∘π₁` on `((a, b), (c, d))` takes `π₁` of `a`) keeps the
+/// join from fusing its projection. The bare join and the ordinary
+/// `map` then run, so the query gets stuck exactly when some pair
+/// matches, and answers `{}` when none does — under every config.
+#[test]
+fn projected_join_falls_back_when_a_projection_path_gets_stuck() {
+    use nra_eval::EvalError;
+    let q = compose(
+        map(tuple(
+            compose(fst(), compose(fst(), fst())),
+            compose(snd(), snd()),
+        )),
+        bare_compose_join(),
+    );
+    let matched = Value::chain(2);
+    let unmatched = Value::relation([(0, 1), (2, 3)]);
+    for (input, stuck) in [(&matched, true), (&unmatched, false)] {
+        let exact = evaluate(&q, input, &EvalConfig::default());
+        if stuck {
+            assert!(
+                matches!(exact.result, Err(EvalError::Stuck { .. })),
+                "{:?}",
+                exact.result
+            );
+        } else {
+            assert_eq!(exact.result.as_ref().unwrap(), &Value::empty_set());
+        }
+        for cfg in [EvalConfig::semi_naive(), EvalConfig::optimised()] {
+            assert_eq!(evaluate(&q, input, &cfg).result, exact.result, "{input}");
+        }
     }
 }
 

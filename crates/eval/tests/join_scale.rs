@@ -8,11 +8,15 @@
 //! that the §3 peak `max_object_size` drops from the product to the
 //! join's own output, and — on the large families at the sizes the
 //! serving front sees — that the served configuration's answers equal
-//! a plain-Rust join over the edge list.
+//! a plain-Rust join over the edge list. The joins carry their trailing
+//! projection into the kernel, so `tc_while`'s §3 peak is bounded by its
+//! closure; the `tc_while` rungs check that bound against a plain-Rust
+//! closure.
 
 use nra_core::builder::map;
 use nra_core::{queries, Expr, Value};
 use nra_eval::{EvalConfig, EvalSession};
+use nra_graph::{graph_to_value, tc, DiGraph};
 use nra_testkit::graphs::{large_family_graphs, road_grid};
 use nra_testkit::Rng;
 use std::collections::BTreeSet;
@@ -39,6 +43,26 @@ fn siblings_ref(r: &Edges) -> Edges {
         }
     }
     out
+}
+
+/// `tc_while` under the served configuration answers the plain-Rust
+/// closure (`nra_graph::tc`, a search from every source), and its §3
+/// peak is at most `2·size(closure) + 1`: every iterate `r` and its
+/// square `r ∘ r` lie inside the closure, so no judgment observes more
+/// than the pair `(r, r ∘ r)`.
+fn check_tc_while(family: &str, edges: &Edges) {
+    let expect = graph_to_value(&tc(&DiGraph::from_edges(edges.iter().copied())));
+    let got = EvalSession::new(EvalConfig::optimised()).eval(
+        &queries::tc_while(),
+        &Value::relation(edges.iter().copied()),
+    );
+    assert_eq!(got.result.unwrap(), expect, "{family}: tc_while");
+    let bound = 2 * expect.size() + 1;
+    assert!(
+        got.stats.max_object_size <= bound,
+        "{family}: tc_while peak {} past 2·size(closure) + 1 = {bound}",
+        got.stats.max_object_size
+    );
 }
 
 /// A served join: its name, the query, and its plain-Rust reference.
@@ -144,5 +168,23 @@ fn fused_join_matches_reference_on_large_families_release() {
                 );
             }
         }
+    }
+}
+
+/// `tc_while` on a 64-node road grid: the plain-Rust closure, within
+/// the closure's peak bound.
+#[test]
+fn tc_while_peak_is_bounded_by_its_closure() {
+    let g = road_grid(&mut Rng::new(64), 64);
+    check_tc_while(g.family, &g.edges);
+}
+
+/// The release-sized `tc_while` rung: every large family at n = 512,
+/// answers and peak bound as in the debug rung.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-sized: run with --release")]
+fn tc_while_peak_is_bounded_on_large_families_release() {
+    for g in large_family_graphs(&mut Rng::new(512), 512) {
+        check_tc_while(g.family, &g.edges);
     }
 }

@@ -136,20 +136,16 @@ fn warm_start_on_chain_12_hits_the_cache() {
 }
 
 /// Warm starts also fire across *related* (not identical) queries: a
-/// closure over a grown input reuses the judgments shared with the
-/// smaller run.
+/// closure reuses the judgment it shares with an earlier query — its
+/// first iterate is exactly the `tc_step` judgment on the same input.
 #[test]
 fn warm_starts_cross_related_queries() {
     let mut session = EvalSession::new(EvalConfig::optimised());
-    session
-        .eval(&queries::tc_while(), &Value::chain(8))
-        .result
-        .unwrap();
-    // same query, different input: shared sub-judgments (per-element
-    // map bodies over the shared prefix) warm-start
-    let grown = session.eval(&queries::tc_while(), &Value::chain(9));
-    assert_eq!(grown.result.unwrap(), Value::chain_tc(9));
-    assert!(grown.stats.warm_hits > 0, "{:?}", grown.stats);
+    let input = Value::chain(8);
+    session.eval(&queries::tc_step(), &input).result.unwrap();
+    let closure = session.eval(&queries::tc_while(), &input);
+    assert_eq!(closure.result.unwrap(), Value::chain_tc(8));
+    assert!(closure.stats.warm_hits > 0, "{:?}", closure.stats);
 }
 
 /// A session's jobs, interned fresh: `tc_while` and `tc_step` over the

@@ -34,11 +34,12 @@ use crate::wire::{
 use nra_core::expr::intern::EId;
 use nra_core::parser::MAX_NESTING;
 use nra_core::typecheck::output_type;
-use nra_core::value::intern::VId;
+use nra_core::value::intern::{VId, ValueArena};
 use nra_core::{Expr, Type, Value};
 use nra_eval::{eval_batch_assigned, BatchJob, EvalConfig, EvalSession, SessionStats};
 use nra_symbolic::SpaceVerdict;
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::thread::JoinHandle;
 
 /// Serving configuration.
@@ -90,7 +91,8 @@ pub struct TenantStats {
     pub rejected: u64,
     /// Admitted requests that evaluated successfully.
     pub completed: u64,
-    /// Admitted requests that erred (budget overrun, panic, …).
+    /// Admitted requests that erred (budget overrun, panic, an answer
+    /// nesting past the wire's cap, …).
     pub errors: u64,
     /// Cross-query warm-cache hits earned by this tenant's jobs.
     pub warm_hits: u64,
@@ -117,7 +119,8 @@ pub struct ServeReport {
     pub admitted: u64,
     /// Admitted requests completing successfully.
     pub completed: u64,
-    /// Admitted requests erring during evaluation.
+    /// Admitted requests erring during evaluation, or answering a value
+    /// nested past the wire's cap.
     pub errors: u64,
     /// Rejections citing a certified-exponential verdict.
     pub rejected_exponential: u64,
@@ -155,6 +158,39 @@ fn value_nesting(t: &Type, memo: &mut HashMap<*const Type, usize>) -> usize {
     };
     memo.insert(key, depth);
     depth
+}
+
+/// Does the answer `v` nest deeper than [`MAX_NESTING`], counted as the
+/// parser counts values? The arena's cached depth counts an atom as 0
+/// and `{}` as 1, the parser each as one level, so the parser's count is
+/// the depth, or one more when some deepest branch ends in an atom. The
+/// cached depth decides in `O(1)` unless it sits exactly at the cap;
+/// only then are the deepest branches walked.
+fn nests_past_cap(va: &ValueArena, v: VId) -> bool {
+    match (va.depth(v) as usize).cmp(&MAX_NESTING) {
+        Ordering::Less => false,
+        Ordering::Greater => true,
+        Ordering::Equal => {
+            // every handle on the stack lies on a deepest branch
+            let mut stack = vec![v];
+            let mut seen = HashSet::new();
+            while let Some(v) = stack.pop() {
+                let depth = va.depth(v);
+                if depth == 0 {
+                    return true;
+                }
+                if !seen.insert(v) {
+                    continue;
+                }
+                let children = match va.as_pair(v) {
+                    Some((a, b)) => vec![a, b],
+                    None => va.as_set(v).map_or_else(Vec::new, |items| items.to_vec()),
+                };
+                stack.extend(children.into_iter().filter(|&c| va.depth(c) + 1 == depth));
+            }
+            false
+        }
+    }
 }
 
 /// An admitted job, staged for one batch: session handles plus its
@@ -371,6 +407,19 @@ impl Server {
                 let tenant = self.report.tenants.entry(job.tenant.clone()).or_default();
                 tenant.warm_hits += ev.stats.warm_hits;
                 let outcome = match ev.result {
+                    // typechecking bounds the answer's depth only for
+                    // inputs `Value::infer_type` types, so the answer
+                    // itself is measured before it goes on the wire
+                    Ok(out) if nests_past_cap(self.session.values(), out) => {
+                        tenant.errors += 1;
+                        self.report.errors += 1;
+                        Outcome::Failed {
+                            detail: format!(
+                                "the answer nests past the wire's nesting cap of \
+                                 {MAX_NESTING} levels, so the client could not decode it"
+                            ),
+                        }
+                    }
                     Ok(out) => {
                         let bytes = self.session.values().size(out).saturating_mul(8);
                         tenant.bytes_charged = tenant.bytes_charged.saturating_add(bytes);

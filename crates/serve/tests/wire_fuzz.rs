@@ -252,6 +252,48 @@ fn nesting_limit_fails_hostile_frames_and_keeps_serving() {
     assert_eq!(report.completed, 2);
 }
 
+/// An answer nested past the decoder's cap, on an input `infer_type`
+/// cannot type (it holds `{}`), so staging cannot bound the answer's
+/// depth: `sng` over a 128-level `{…{}…}` is answered `failed` instead
+/// of `ok` with a value the client cannot decode. `id` over the same
+/// value is served: its arena depth sits at the cap, and since its
+/// deepest branch ends in `{}` rather than an atom the parser counts the
+/// same 128 levels. So is the next ordinary frame.
+#[test]
+fn an_untyped_answer_past_the_nesting_cap_fails_and_the_next_is_served() {
+    use nra_core::parser::MAX_NESTING;
+    use nra_serve::{spawn, ServeConfig};
+    let deep = format!("{}{}", "{".repeat(MAX_NESTING), "}".repeat(MAX_NESTING));
+    assert!(parse_value(&deep).unwrap().infer_type().is_none());
+    let (mut client, handle) = spawn(ServeConfig::default());
+    let mut ask = |id: u64, query: &str, input: &str| {
+        client
+            .tx
+            .send_line(&format!("acme;{id};{query};{input}"))
+            .unwrap();
+        let response = client.recv().expect("server alive").unwrap();
+        assert_eq!(response.id, id);
+        response.outcome
+    };
+    match ask(1, "sng", &deep) {
+        Outcome::Failed { detail } => {
+            assert!(detail.contains("nesting cap of 128 levels"), "{detail}");
+        }
+        other => panic!("an answer past the nesting cap must fail: {other:?}"),
+    }
+    match ask(2, "id", &deep) {
+        Outcome::Ok { value, .. } => assert_eq!(value, parse_value(&deep).unwrap()),
+        other => panic!("an answer at the nesting cap must be served: {other:?}"),
+    }
+    match ask(3, "id", "{(0, 1)}") {
+        Outcome::Ok { value, .. } => assert_eq!(value, Value::chain(1)),
+        other => panic!("ordinary frame after an over-deep answer: {other:?}"),
+    }
+    client.shutdown().unwrap();
+    let report = handle.join().expect("server thread must not die");
+    assert_eq!((report.errors, report.completed), (1, 2));
+}
+
 /// Frame reassembly is linear in the frame: a 256 KiB frame trickled in
 /// one byte per chunk is answered promptly (re-scanning the buffer from
 /// its start on every chunk took about 20 s for this frame in a release
