@@ -1,11 +1,11 @@
-//! Regenerates every table of EXPERIMENTS.md:
+//! Prints every experiment table (E1–E16) as one markdown document:
 //!
 //! ```sh
-//! cargo run --release -p nra-bench --bin report > EXPERIMENTS.md
+//! cargo run --release -p nra-bench --bin report > report.md
 //! ```
 //!
 //! Each section reproduces one numbered claim of Suciu & Paredaens (1994);
-//! see DESIGN.md §4 for the experiment index.
+//! ARCHITECTURE.md's paper → crate map says which crate implements it.
 //!
 //! As a side effect the run refreshes `BENCH_eval.json` at the repository
 //! root (the tree-vs-interned-vs-memoised evaluator comparison, same
@@ -40,12 +40,13 @@ fn main() {
     e13_delta_frontiers();
     e14_optimiser();
     e15_while_at_scale();
+    e16_arena_writer();
     footer();
     bench_eval_json();
 }
 
 /// Refresh `BENCH_eval.json` at the repo root, from the same workload set
-/// as `benches/interning.rs`. Stdout is the EXPERIMENTS.md stream, so
+/// as `benches/interning.rs`. Stdout is the report's markdown, so
 /// progress goes to stderr.
 fn bench_eval_json() {
     let samples = nra_bench::bench_samples();
@@ -289,6 +290,84 @@ fn e15_while_at_scale() {
     println!();
 }
 
+fn e16_arena_writer() {
+    use nra_eval::EvalSession;
+    use nra_serve::{encode_response, Outcome, Response};
+    use nra_testkit::graphs::{power_law, road_grid, two_community, FamilyGraph};
+    use nra_testkit::Rng;
+    println!("## E16 — answers written from the arena");
+    println!();
+    let samples = nra_bench::bench_samples();
+    println!("The serving loop writes each `ok` frame straight from the answer's handle:");
+    println!("`ValueArena::write_text` emits every set's elements in `Value` order, sorting");
+    println!("each set once by its integer keys or by a comparator over arena nodes. The");
+    println!("tree path it replaces resolves the answer into a `Value`, formats the frame");
+    println!("with `encode_response`, and drops the tree. Each row evaluates one join on");
+    println!("`family(&mut Rng::new(7), 512)` in a fresh shared session of the served");
+    println!("configuration, times both paths to the whole frame (median of {samples} runs");
+    println!("each), and asserts the two frames are byte-identical:");
+    println!();
+    println!("| input | join | answer pairs | frame bytes | resolve + encode + drop | arena writer | ratio |");
+    println!("|--|--|--:|--:|--:|--:|--:|");
+    type Family = fn(&mut Rng, u64) -> FamilyGraph;
+    let families: [Family; 3] = [road_grid, power_law, two_community];
+    let joins = [
+        ("tc_step", queries::tc_step()),
+        ("compose_rel", queries::compose_rel()),
+        ("siblings_direct", queries::siblings_direct()),
+    ];
+    for family in families {
+        let g = family(&mut Rng::new(7), 512);
+        let input = Value::relation(g.edges.iter().copied());
+        for (name, query) in &joins {
+            let mut session = EvalSession::new(EvalConfig::optimised());
+            session.make_shared();
+            let (eid, iv) = (session.intern_expr(query), session.intern_value(&input));
+            let out = session
+                .eval_vid(eid, iv)
+                .result
+                .expect("the join completes");
+            let budget = session.values().size(out);
+            let tree_frame = || {
+                let response = Response {
+                    tenant: "e16".into(),
+                    id: 1,
+                    outcome: Outcome::Ok {
+                        declared_budget: budget,
+                        value: session.resolve(out),
+                    },
+                };
+                encode_response(&response).expect("the tenant is valid")
+            };
+            let arena_frame = || {
+                let mut line = format!("e16;1;ok;{budget};");
+                session.values().write_text(out, &mut line);
+                line
+            };
+            let frame = arena_frame();
+            assert_eq!(
+                frame,
+                tree_frame(),
+                "arena and tree frames differ on {} {name}",
+                g.family
+            );
+            let t_tree = median_time(samples, tree_frame);
+            let t_arena = median_time(samples, arena_frame);
+            println!(
+                "| {} | {} | {} | {} | {} | {} | {:.1}× |",
+                g.family,
+                name,
+                session.values().cardinality(out).unwrap_or(0),
+                frame.len(),
+                fmt_duration(t_tree),
+                fmt_duration(t_arena),
+                t_tree.as_secs_f64() / t_arena.as_secs_f64().max(1e-12),
+            );
+        }
+    }
+    println!();
+}
+
 fn header() {
     println!("# EXPERIMENTS — paper claims vs. measurements");
     println!();
@@ -296,8 +375,9 @@ fn header() {
     println!("Algebra with Powerset Needs Exponential Space to Compute Transitive");
     println!("Closure\"* (UPenn MS-CIS-94-04, 1994). The paper is a lower-bound result");
     println!("with no tables or figures of its own; every numbered claim is turned into");
-    println!("a measurable experiment (index in DESIGN.md §4). All tables below are");
-    println!("regenerated by `cargo run --release -p nra-bench --bin report`.");
+    println!("a measurable experiment (ARCHITECTURE.md maps each claim to its crate).");
+    println!("All tables below are regenerated by");
+    println!("`cargo run --release -p nra-bench --bin report > report.md`.");
     println!();
     println!("Complexity always means the paper's §3 measure: the size of the largest");
     println!("complex object occurring in the derivation tree of the eager evaluation.");

@@ -1,8 +1,9 @@
 //! # nra-bench
 //!
-//! Shared measurement helpers for the experiment suite (E1–E12 of
-//! DESIGN.md): complexity series over the chain inputs, slope fits for
-//! exponential/polynomial growth classification, wall-clock timing, and
+//! Shared measurement helpers for the experiment suite (E1–E16, printed
+//! by the `report` binary: `report > report.md`): complexity series
+//! over the chain inputs, slope fits for exponential/polynomial growth
+//! classification, wall-clock timing, and
 //! the tree-vs-interned-vs-memoised evaluator comparison
 //! ([`compare_eval`]) whose results accumulate in `BENCH_eval.json` at
 //! the repository root ([`write_bench_eval_json`]), plus the serving

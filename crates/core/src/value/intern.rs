@@ -75,6 +75,7 @@ use super::{dense, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -1420,6 +1421,21 @@ impl ValueArena {
         }
     }
 
+    /// Append the parser-readable text of `v` to `out`, byte for byte
+    /// `self.resolve(v).to_string()`, without building the tree.
+    ///
+    /// A set's elements are written in [`Value`] order, not in the
+    /// arena's handle order: each set met is sorted once per call with a
+    /// comparator over arena nodes, or by its integer keys when its
+    /// elements are all naturals or all pairs of naturals.
+    pub fn write_text(&self, v: VId, out: &mut String) {
+        TextWriter {
+            arena: self,
+            orders: HashMap::default(),
+        }
+        .write(v, out);
+    }
+
     /// The paper's §3 size measure, cached — `O(1)`, saturating at
     /// `u64::MAX`.
     pub fn size(&self, v: VId) -> u64 {
@@ -1908,6 +1924,151 @@ impl ValueArena {
         }
         out
     }
+}
+
+/// One [`ValueArena::write_text`] call: the element handles of every set
+/// node it has met, in [`Value`] order, so each set is sorted once.
+struct TextWriter<'a> {
+    arena: &'a ValueArena,
+    orders: HashMap<VId, Rc<[VId]>, FxBuildHasher>,
+}
+
+impl TextWriter<'_> {
+    fn write(&mut self, v: VId, out: &mut String) {
+        let arena = self.arena;
+        match arena.node_ref(v) {
+            Node::Unit => out.push_str("()"),
+            Node::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Node::Nat(n) => push_nat(out, *n),
+            Node::Pair(a, b) => {
+                out.push('(');
+                self.write(*a, out);
+                out.push_str(", ");
+                self.write(*b, out);
+                out.push(')');
+            }
+            Node::Set(items) => {
+                out.push('{');
+                for (i, &item) in self.order(v, items).iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    self.write(item, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// The elements of the set `set` (whose canonical spine is `items`)
+    /// in [`Value`] order. Every set nested in them is ordered first, so
+    /// [`TextWriter::cmp`] finds each in `orders`.
+    fn order(&mut self, set: VId, items: &[VId]) -> Rc<[VId]> {
+        if let Some(order) = self.orders.get(&set) {
+            return Rc::clone(order);
+        }
+        let order: Rc<[VId]> = match self.int_keys(items) {
+            Some(mut keyed) => {
+                keyed.sort_unstable_by_key(|&(key, _)| key);
+                keyed.into_iter().map(|(_, item)| item).collect()
+            }
+            None => {
+                for &item in items {
+                    self.order_nested(item);
+                }
+                let mut sorted = items.to_vec();
+                sorted.sort_unstable_by(|&a, &b| self.cmp(a, b));
+                sorted.into()
+            }
+        };
+        self.orders.insert(set, Rc::clone(&order));
+        order
+    }
+
+    /// Order every set reachable from `v` through pairs and sets.
+    fn order_nested(&mut self, v: VId) {
+        let arena = self.arena;
+        match arena.node_ref(v) {
+            Node::Pair(a, b) => {
+                self.order_nested(*a);
+                self.order_nested(*b);
+            }
+            Node::Set(items) => {
+                self.order(v, items);
+            }
+            Node::Unit | Node::Bool(_) | Node::Nat(_) => {}
+        }
+    }
+
+    /// Integer sort keys for `items` when they are all naturals or all
+    /// pairs of naturals: on those the [`Value`] order is the order of
+    /// the keys (a pair's is `a·2⁶⁴ + b`).
+    fn int_keys(&self, items: &[VId]) -> Option<Vec<(u128, VId)>> {
+        let key = |v: VId| match self.arena.node_ref(v) {
+            Node::Nat(n) => Some((false, *n as u128)),
+            Node::Pair(a, b) => {
+                let (a, b) = (self.arena.as_nat(*a)?, self.arena.as_nat(*b)?);
+                Some((true, (a as u128) << 64 | b as u128))
+            }
+            _ => None,
+        };
+        let pairs = key(*items.first()?)?.0;
+        items
+            .iter()
+            .map(|&item| match key(item)? {
+                (kind, key) if kind == pairs => Some((key, item)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The [`Value`] order on two handles whose nested sets are all in
+    /// `orders`. Equal handles denote equal objects.
+    fn cmp(&self, a: VId, b: VId) -> std::cmp::Ordering {
+        use std::cmp::Ordering;
+        if a == b {
+            return Ordering::Equal;
+        }
+        // the order of the constructors in `Value`'s derived `Ord`
+        let rank = |node: &Node| match node {
+            Node::Unit => 0,
+            Node::Bool(_) => 1,
+            Node::Nat(_) => 2,
+            Node::Pair(..) => 3,
+            Node::Set(_) => 4,
+        };
+        match (self.arena.node_ref(a), self.arena.node_ref(b)) {
+            (Node::Bool(x), Node::Bool(y)) => x.cmp(y),
+            (Node::Nat(x), Node::Nat(y)) => x.cmp(y),
+            (Node::Pair(a1, a2), Node::Pair(b1, b2)) => {
+                self.cmp(*a1, *b1).then_with(|| self.cmp(*a2, *b2))
+            }
+            (Node::Set(_), Node::Set(_)) => {
+                let (xs, ys) = (&self.orders[&a], &self.orders[&b]);
+                xs.iter()
+                    .zip(ys.iter())
+                    .map(|(&x, &y)| self.cmp(x, y))
+                    .find(|o| o.is_ne())
+                    .unwrap_or_else(|| xs.len().cmp(&ys.len()))
+            }
+            (x, y) => rank(x).cmp(&rank(y)),
+        }
+    }
+}
+
+/// Append the decimal digits of `n`.
+fn push_nat(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
 }
 
 /// Merge two strictly ascending handle vectors into one, deduplicating.

@@ -4,7 +4,7 @@
 //! trees), and the cached metadata must match the recursive paper
 //! measures.
 
-use nra_core::value::intern::{self, ValueArena};
+use nra_core::value::intern::{self, VId, ValueArena};
 use nra_core::Value;
 use nra_testkit::{check, Rng};
 
@@ -128,4 +128,69 @@ fn set_construction_from_handles_matches_tree_sets() {
         assert_eq!(built, intern::intern(&tree));
         assert_eq!(intern::resolve(built), tree);
     });
+}
+
+/// Intern `v` into `arena` visiting every set's elements in reverse
+/// `Value` order, so in a fresh arena a set's later elements get the
+/// smaller handles and its canonical handle order is not `Value` order.
+fn intern_reversed(arena: &mut ValueArena, v: &Value) -> VId {
+    match v {
+        Value::Pair(a, b) => {
+            let a = intern_reversed(arena, a);
+            let b = intern_reversed(arena, b);
+            arena.pair(a, b)
+        }
+        Value::Set(items) => {
+            let items: Vec<VId> = items
+                .iter()
+                .rev()
+                .map(|item| intern_reversed(arena, item))
+                .collect();
+            arena.set(items)
+        }
+        atom => arena.intern(atom),
+    }
+}
+
+/// `write_text` on a reverse-interned `v` is `resolve(v).to_string()`.
+fn assert_arena_text_is_tree_text(v: &Value) {
+    let mut arena = ValueArena::new();
+    let id = intern_reversed(&mut arena, v);
+    let mut text = String::new();
+    arena.write_text(id, &mut text);
+    assert_eq!(text, arena.resolve(id).to_string());
+    assert_eq!(text, v.to_string());
+}
+
+#[test]
+fn arena_text_is_the_resolved_tree_text() {
+    check("arena_text_is_the_resolved_tree_text", 300, |_, rng| {
+        assert_arena_text_is_tree_text(&random_value(rng, 4));
+    });
+}
+
+#[test]
+fn arena_text_pins_empty_mixed_prefixed_and_deep_sets() {
+    use nra_core::parser::{parse_value, MAX_NESTING};
+    let set = |text: &str| parse_value(text).unwrap();
+    // the empty set, and one element of every constructor
+    assert_arena_text_is_tree_text(&set("{}"));
+    assert_arena_text_is_tree_text(&set("{(), false, 3, (0, 1), {}}"));
+    // sets of sets equal up to a common prefix: by their integer keys,
+    // by the node comparator, and nested a level further
+    assert_arena_text_is_tree_text(&set("{{0, 1, 2, 5}, {0, 1, 2, 4}, {0, 1, 2}, {0, 1, 3}}"));
+    assert_arena_text_is_tree_text(&set("{{(0, 1), (1, 3)}, {(0, 1), (1, 2)}, {(0, 1)}}"));
+    assert_arena_text_is_tree_text(&set("{{true, {2}}, {true, {1, 2}}, {true}, {false, {1}}}"));
+    assert_arena_text_is_tree_text(&set("{({1}, {{3}, {2}}), ({1}, {{3}, {2, 4}}), ({0}, {})}"));
+    // 128 levels, the wire's nesting cap, alternating sets and pairs
+    let mut deep = Value::nat(0);
+    for level in 1..MAX_NESTING as u64 {
+        deep = if level % 2 == 1 {
+            Value::set([deep, Value::nat(level)])
+        } else {
+            Value::pair(Value::nat(level), deep)
+        };
+    }
+    assert_eq!(parse_value(&deep.to_string()).unwrap(), deep);
+    assert_arena_text_is_tree_text(&deep);
 }

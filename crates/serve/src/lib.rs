@@ -32,7 +32,12 @@
 //! * [`server`] — the loop: drain a window of frames, admit, partition,
 //!   evaluate on scoped threads over the shared concurrent store,
 //!   charge per-tenant byte budgets that reset with the engine's
-//!   eviction generations, answer every frame exactly once.
+//!   eviction generations, answer every frame exactly once. An `ok`
+//!   answer is written onto the wire straight from its handle in the
+//!   session arena
+//!   ([`ValueArena::write_text`](nra_core::value::intern::ValueArena::write_text)),
+//!   never as a tree; [`encode_response`] stays the public encoder and
+//!   the reference those frames are tested against byte for byte.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -11,7 +11,12 @@
 //! under its **declared budget** — and answers every frame exactly
 //! once. A worker panic is contained by the batch layer and surfaces
 //! as a `failed` response; the loop, the session, and the other jobs
-//! of the batch are unaffected.
+//! of the batch are unaffected. Once an answer has passed the wire's
+//! nesting-cap check and been charged to its tenant, the loop writes its
+//! `ok` frame straight from the result handle in the session arena
+//! ([`ValueArena::write_text`]) into the frame's one buffer: the byte
+//! form of [`encode_response`] on the resolved answer, with no tree
+//! built on the way out.
 //!
 //! **Per-tenant byte budgets** ride the engine's generational
 //! eviction: every completed job charges its tenant the approximate
@@ -23,13 +28,14 @@
 //!
 //! Embedders that want the loop without the wire (tests, benches, the
 //! in-process front) call [`Server::process_batch`] /
-//! [`Server::run_staged`] directly.
+//! [`Server::run_staged`] directly; those resolve each `ok` answer to a
+//! tree [`Value`] on return.
 
 use crate::admission::{admit, AdmissionDecision, AdmissionPolicy};
 use crate::schedule::partition;
 use crate::wire::{
-    decode_frame, encode_response, socketpair, Endpoint, Frame, Outcome, Request, Response,
-    WireError, MAX_FRAME_BYTES,
+    decode_frame, encode_response, socketpair, validate_tenant, Endpoint, Frame, Outcome, Request,
+    Response, WireError, MAX_FRAME_BYTES,
 };
 use nra_core::expr::intern::EId;
 use nra_core::parser::MAX_NESTING;
@@ -193,6 +199,17 @@ fn nests_past_cap(va: &ValueArena, v: VId) -> bool {
     }
 }
 
+/// One request's answer inside the server: an `ok` answer is still a
+/// handle into the session arena, resolved or written out only where it
+/// leaves the server.
+#[derive(Debug, Clone)]
+enum Answer {
+    /// Evaluated within its declared budget.
+    Ok { declared_budget: u64, value: VId },
+    /// Rejected at staging or failed in evaluation.
+    Done(Outcome),
+}
+
 /// An admitted job, staged for one batch: session handles plus its
 /// declared budget and provenance. Embedders can construct these
 /// directly (handles must come from the server's [`Server::session`]
@@ -284,13 +301,9 @@ impl Server {
 
     /// Admit one request: byte-budget check, typecheck and answer
     /// depth, symbolic + concrete admission. Returns either a staged
-    /// job or the rejection response.
-    fn stage(&mut self, request: &Request) -> Result<StagedJob, Response> {
-        let reject = |reason: String| Response {
-            tenant: request.tenant.clone(),
-            id: request.id,
-            outcome: Outcome::Rejected { reason },
-        };
+    /// job or the rejection.
+    fn stage(&mut self, request: &Request) -> Result<StagedJob, Outcome> {
+        let reject = |reason: String| Outcome::Rejected { reason };
         // an eviction since the last batch voids the old generation's
         // charges before they can block anyone
         self.roll_generation();
@@ -382,6 +395,18 @@ impl Server {
     /// fan-out under per-job budgets, tenant charging, generation roll.
     /// One response per job, in job order.
     pub fn run_staged(&mut self, staged: &[StagedJob]) -> Vec<Response> {
+        let answers = self.answer_staged(staged);
+        staged
+            .iter()
+            .zip(answers)
+            .map(|(job, answer)| self.respond(&job.tenant, job.id, answer))
+            .collect()
+    }
+
+    /// [`Server::run_staged`] with each `ok` answer left in the session
+    /// arena, where it stays valid until the next batch is evaluated
+    /// (only a batch's tail evicts).
+    fn answer_staged(&mut self, staged: &[StagedJob]) -> Vec<Answer> {
         if staged.is_empty() {
             return Vec::new();
         }
@@ -406,19 +431,19 @@ impl Server {
             .map(|(job, ev)| {
                 let tenant = self.report.tenants.entry(job.tenant.clone()).or_default();
                 tenant.warm_hits += ev.stats.warm_hits;
-                let outcome = match ev.result {
+                match ev.result {
                     // typechecking bounds the answer's depth only for
                     // inputs `Value::infer_type` types, so the answer
                     // itself is measured before it goes on the wire
                     Ok(out) if nests_past_cap(self.session.values(), out) => {
                         tenant.errors += 1;
                         self.report.errors += 1;
-                        Outcome::Failed {
+                        Answer::Done(Outcome::Failed {
                             detail: format!(
                                 "the answer nests past the wire's nesting cap of \
                                  {MAX_NESTING} levels, so the client could not decode it"
                             ),
-                        }
+                        })
                     }
                     Ok(out) => {
                         let bytes = self.session.values().size(out).saturating_mul(8);
@@ -426,32 +451,57 @@ impl Server {
                         tenant.total_bytes = tenant.total_bytes.saturating_add(bytes);
                         tenant.completed += 1;
                         self.report.completed += 1;
-                        Outcome::Ok {
+                        Answer::Ok {
                             declared_budget: job.budget,
-                            value: self.session.resolve(out),
+                            value: out,
                         }
                     }
                     Err(e) => {
                         tenant.errors += 1;
                         self.report.errors += 1;
-                        Outcome::Failed {
+                        Answer::Done(Outcome::Failed {
                             detail: e.to_string(),
-                        }
+                        })
                     }
-                };
-                Response {
-                    tenant: job.tenant.clone(),
-                    id: job.id,
-                    outcome,
                 }
             })
             .collect()
     }
 
+    /// The response to one answer, its `ok` value resolved to a tree.
+    fn respond(&self, tenant: &str, id: u64, answer: Answer) -> Response {
+        let outcome = match answer {
+            Answer::Ok {
+                declared_budget,
+                value,
+            } => Outcome::Ok {
+                declared_budget,
+                value: self.session.resolve(value),
+            },
+            Answer::Done(outcome) => outcome,
+        };
+        Response {
+            tenant: tenant.to_string(),
+            id,
+            outcome,
+        }
+    }
+
     /// Admit and evaluate one batch of parsed requests. One response
     /// per request, in request order.
     pub fn process_batch(&mut self, requests: &[Request]) -> Vec<Response> {
-        let mut slots: Vec<Option<Response>> = vec![None; requests.len()];
+        let answers = self.answer_batch(requests);
+        requests
+            .iter()
+            .zip(answers)
+            .map(|(request, answer)| self.respond(&request.tenant, request.id, answer))
+            .collect()
+    }
+
+    /// [`Server::process_batch`] with each `ok` answer left in the
+    /// session arena, as [`Server::answer_staged`] leaves it.
+    fn answer_batch(&mut self, requests: &[Request]) -> Vec<Answer> {
+        let mut slots: Vec<Option<Answer>> = vec![None; requests.len()];
         let mut staged = Vec::new();
         let mut staged_slots = Vec::new();
         for (i, request) in requests.iter().enumerate() {
@@ -461,15 +511,15 @@ impl Server {
                     staged.push(job);
                     staged_slots.push(i);
                 }
-                Err(response) => slots[i] = Some(response),
+                Err(rejection) => slots[i] = Some(Answer::Done(rejection)),
             }
         }
-        for (slot, response) in staged_slots.into_iter().zip(self.run_staged(&staged)) {
-            slots[slot] = Some(response);
+        for (slot, answer) in staged_slots.into_iter().zip(self.answer_staged(&staged)) {
+            slots[slot] = Some(answer);
         }
         slots
             .into_iter()
-            .map(|r| r.expect("every request answered exactly once"))
+            .map(|a| a.expect("every request answered exactly once"))
             .collect()
     }
 
@@ -510,28 +560,28 @@ impl Server {
                         // salvage the tenant prefix when present so the
                         // client can correlate the failure
                         let tenant = text.split(';').next().unwrap_or("");
-                        if crate::wire::validate_tenant(tenant).is_ok() {
+                        if validate_tenant(tenant).is_ok() {
                             let id = text
                                 .split(';')
                                 .nth(1)
                                 .and_then(|f| f.parse::<u64>().ok())
                                 .unwrap_or(0);
-                            let resp = Response {
-                                tenant: tenant.to_string(),
-                                id,
-                                outcome: Outcome::Failed {
-                                    detail: format!("wire: {e}"),
-                                },
-                            };
-                            if self.send(&transport, &resp).is_err() {
+                            let failed = Answer::Done(Outcome::Failed {
+                                detail: format!("wire: {e}"),
+                            });
+                            if self.send(&transport, tenant, id, failed).is_err() {
                                 break 'serve;
                             }
                         }
                     }
                 }
             }
-            for response in self.process_batch(&requests) {
-                if self.send(&transport, &response).is_err() {
+            let answers = self.answer_batch(&requests);
+            for (request, answer) in requests.iter().zip(answers) {
+                if self
+                    .send(&transport, &request.tenant, request.id, answer)
+                    .is_err()
+                {
                     break 'serve;
                 }
             }
@@ -542,8 +592,35 @@ impl Server {
         self.report()
     }
 
-    fn send(&self, transport: &Endpoint, response: &Response) -> Result<(), WireError> {
-        transport.tx.send_line(&encode_response(response)?)
+    /// Send one answer as one frame. An `ok` answer is written straight
+    /// from the session arena into the frame's only buffer, after the
+    /// tenant check [`encode_response`] makes, so its bytes are
+    /// `encode_response`'s on the resolved answer; any other answer goes
+    /// through `encode_response` itself.
+    fn send(
+        &self,
+        transport: &Endpoint,
+        tenant: &str,
+        id: u64,
+        answer: Answer,
+    ) -> Result<(), WireError> {
+        match answer {
+            Answer::Ok {
+                declared_budget,
+                value,
+            } => {
+                validate_tenant(tenant)?;
+                let mut line = format!("{tenant};{id};ok;{declared_budget};");
+                self.session.values().write_text(value, &mut line);
+                line.push('\n');
+                transport.tx.send_bytes(line.into_bytes())
+            }
+            Answer::Done(outcome) => transport.tx.send_line(&encode_response(&Response {
+                tenant: tenant.to_string(),
+                id,
+                outcome,
+            })?),
+        }
     }
 }
 

@@ -16,6 +16,11 @@
 //!    spanning frame ends, splitting UTF-8-safe ASCII frames anywhere),
 //!    must reassemble into exactly the original frame sequence on the
 //!    receiving [`LineReceiver`].
+//! 4. **Served frames** — the serving loop writes each `ok` frame
+//!    straight from the session arena, so the raw lines a spawned
+//!    server sends must equal [`encode_response`] of what
+//!    [`Server::process_batch`](nra_serve::Server::process_batch)
+//!    answers to the same frames, byte for byte.
 
 use nra_core::generate::{random_expr, GenConfig, Rng as GenRng};
 use nra_core::parser::{parse_expr, parse_value};
@@ -375,4 +380,152 @@ fn a_frame_over_the_byte_cap_fails_and_the_next_is_served() {
     client.shutdown().unwrap();
     let report = handle.join().expect("server thread must not die");
     assert_eq!(report.decode_errors, 2);
+}
+
+/// Send each group of `requests` to a spawned server as one transport
+/// chunk (one batch), and require every raw line it answers with to
+/// equal [`encode_response`] of the response a second server's
+/// `process_batch` gives the same group. The spawned loop writes `ok`
+/// answers from its arena; `process_batch` resolves them to trees.
+fn assert_served_frames_are_encoded_responses(groups: &[Vec<Request>]) {
+    use nra_serve::{spawn, ServeConfig, Server};
+    let (mut client, handle) = spawn(ServeConfig::default());
+    let mut reference = Server::new(ServeConfig::default());
+    for group in groups {
+        let mut chunk = Vec::new();
+        for request in group {
+            chunk.extend_from_slice(encode_request(request).unwrap().as_bytes());
+            chunk.push(b'\n');
+        }
+        client.tx.send_bytes(chunk).unwrap();
+        for response in reference.process_batch(group) {
+            let expect = encode_response(&response).unwrap();
+            let line = client.rx.recv_line().expect("server alive").unwrap();
+            if line != expect {
+                let at = line
+                    .bytes()
+                    .zip(expect.bytes())
+                    .position(|(a, b)| a != b)
+                    .unwrap_or(line.len().min(expect.len()));
+                let near = |text: &str| {
+                    let bytes = &text.as_bytes()[at.saturating_sub(40)..];
+                    String::from_utf8_lossy(&bytes[..bytes.len().min(80)]).into_owned()
+                };
+                panic!(
+                    "{} {}: the served frame ({} bytes) departs from encode_response \
+                     ({} bytes) at byte {at}:\n  served: …{}…\n  encoded: …{}…",
+                    response.tenant,
+                    response.id,
+                    line.len(),
+                    expect.len(),
+                    near(&line),
+                    near(&expect),
+                );
+            }
+        }
+    }
+    client.shutdown().unwrap();
+    handle.join().expect("server thread must not die");
+}
+
+/// One request per query over `input`, ids counted from 0.
+fn requests_over(tenant: &str, queries: &[nra_core::Expr], input: &Value) -> Vec<Request> {
+    queries
+        .iter()
+        .zip(0..)
+        .map(|(query, id)| Request {
+            tenant: tenant.into(),
+            id,
+            query: query.clone(),
+            input: input.clone(),
+        })
+        .collect()
+}
+
+/// The seven small families under the door's three queries, plus one of
+/// each other door outcome: a powerset-route `tc_paths` the optimiser
+/// rescues, a bare `powerset` rejected as exponential, an admitted
+/// `powerset` whose answer is a set of sets, and an untyped answer past
+/// the nesting cap (failed) next to one at the cap (ok).
+#[test]
+fn served_frames_are_encoded_responses_on_the_small_families() {
+    use nra_core::parser::MAX_NESTING;
+    use nra_core::{builder, queries};
+    use nra_testkit::graphs::family_graphs;
+    let door = [
+        queries::tc_while(),
+        queries::tc_step(),
+        queries::siblings_powerset(),
+    ];
+    let mut groups = Vec::new();
+    for seed in 0..3 {
+        for g in family_graphs(&mut Rng::new(seed)) {
+            let input = Value::relation(g.edges.iter().copied());
+            groups.push(requests_over(g.family, &door, &input));
+        }
+    }
+    let deep = parse_value(&format!(
+        "{}{}",
+        "{".repeat(MAX_NESTING),
+        "}".repeat(MAX_NESTING)
+    ))
+    .unwrap();
+    groups.push(
+        [
+            (queries::tc_paths(), Value::chain(15)),
+            (builder::powerset(), Value::chain(20)),
+            (builder::powerset(), Value::chain(4)),
+            (builder::sng(), deep.clone()),
+            (builder::id(), deep),
+        ]
+        .into_iter()
+        .zip(0..)
+        .map(|((query, input), id)| Request {
+            tenant: "door".into(),
+            id,
+            query,
+            input,
+        })
+        .collect(),
+    );
+    assert_served_frames_are_encoded_responses(&groups);
+}
+
+/// The payload fuzz's structurally random values, each served back by
+/// `id` (heterogeneous and untyped sets included).
+#[test]
+fn served_frames_are_encoded_responses_on_the_value_corpus() {
+    let mut rng = Rng::new(0x5e7f);
+    let groups: Vec<Vec<Request>> = (0..40)
+        .map(|group| {
+            (0..8)
+                .map(|id| Request {
+                    tenant: format!("t{group}"),
+                    id,
+                    query: nra_core::builder::id(),
+                    input: fuzz_value(&mut rng, 3),
+                })
+                .collect()
+        })
+        .collect();
+    assert_served_frames_are_encoded_responses(&groups);
+}
+
+/// The serving-scale joins: the three 512-node families under the three
+/// joins servebench's `join512` sends, answers of up to tens of
+/// thousands of pairs (under a second in a debug build).
+#[test]
+fn served_frames_are_encoded_responses_on_the_large_families() {
+    use nra_core::queries;
+    use nra_testkit::graphs::large_family_graphs;
+    let joins = [
+        queries::tc_step(),
+        queries::compose_rel(),
+        queries::siblings_direct(),
+    ];
+    let groups: Vec<Vec<Request>> = large_family_graphs(&mut Rng::new(7), 512)
+        .into_iter()
+        .map(|g| requests_over(g.family, &joins, &Value::relation(g.edges.iter().copied())))
+        .collect();
+    assert_served_frames_are_encoded_responses(&groups);
 }

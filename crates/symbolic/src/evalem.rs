@@ -134,7 +134,8 @@ pub enum SymbolicError {
         cap: usize,
     },
     /// The dichotomy analysis could not classify the set (conservative
-    /// fallback — see DESIGN.md on the Lemma 5.6 generality).
+    /// fallback — ARCHITECTURE.md's paper → crate map places Lemmas
+    /// 5.6–5.8 in `ramsey` and `dichotomy`).
     Inconclusive,
 }
 
