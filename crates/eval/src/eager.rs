@@ -98,7 +98,7 @@ pub(crate) struct Ctx<'a> {
     /// budget exhaustion is strategy-independent — a budget that cuts
     /// the naive derivation cuts the cached one at the same point in
     /// the judgment sequence.
-    pub(crate) charged_nodes: u64,
+    charged_nodes: u64,
     /// Per-rule application counts, indexed by [`Expr::head_index`] —
     /// a flat array on the hot path (one increment per derivation
     /// node); folded into the [`EvalStats::rule_counts`] map once, by
@@ -118,7 +118,7 @@ impl<'a> Ctx<'a> {
 
     /// Fold the flat per-rule counters into the statistics map and
     /// return the completed [`EvalStats`].
-    pub(crate) fn finish(mut self) -> EvalStats {
+    fn finish(mut self) -> EvalStats {
         for (i, &count) in self.rules.iter().enumerate() {
             if count > 0 {
                 self.stats.rule_counts.insert(Expr::HEAD_NAMES[i], count);
@@ -130,7 +130,7 @@ impl<'a> Ctx<'a> {
     /// Charge the recorded cost of a skipped (cached or delta-folded)
     /// sub-derivation against the node budget without touching the §3
     /// counters.
-    pub(crate) fn charge(&mut self, cost: u64) -> Result<(), EvalError> {
+    fn charge(&mut self, cost: u64) -> Result<(), EvalError> {
         self.charged_nodes = self.charged_nodes.saturating_add(cost);
         match self.config.max_nodes {
             Some(budget) if self.charged_nodes > budget => {
@@ -226,11 +226,7 @@ pub fn evaluate(expr: &Expr, input: &Value, config: &EvalConfig) -> Evaluation {
 /// assert_eq!(intern::to_edges(out).unwrap().len(), 10);
 /// ```
 pub fn evaluate_vid(expr: &Expr, input: VId, config: &EvalConfig) -> VidEvaluation {
-    let mut ctx = Ctx::new(config);
-    // cumulative per-arena counters: the delta across the call is what
-    // this evaluation spent on the word-parallel dense path
-    let (dense_ops0, dense_promotions0) = intern::with_arena(|va| va.dense_counters());
-    let result = if config.memo || config.semi_naive {
+    let (result, stats) = if config.memo || config.semi_naive {
         // the cached routes walk the interned expression, so the
         // (EId, VId) pair is available as the apply-cache key — and the
         // EId as the delta-cache key — at every recursion step. The
@@ -238,22 +234,47 @@ pub fn evaluate_vid(expr: &Expr, input: VId, config: &EvalConfig) -> VidEvaluati
         // evaluation: the walker itself never touches a thread-local.
         expr_intern::with_arena(|ea| {
             let eid = ea.intern(expr);
-            let mut state = MemoState::acquire_pooled(ea);
-            let result = intern::with_arena(|va| {
+            // the thread's pooled state opens a cold query
+            let mut state = match MEMO_POOL.take() {
+                Some(mut state) => {
+                    state.begin_query(ea, false);
+                    state
+                }
+                None => MemoState::new(ea),
+            };
+            let ev = intern::with_arena(|va| {
                 let MemoState { nodes, caches, .. } = &mut state;
-                eval_eid(eid, input, &mut ctx, nodes, caches, va)
+                run(config, va, |ctx, va| {
+                    eval_eid(eid, input, ctx, nodes, caches, va)
+                })
             });
-            state.release_pooled();
-            result
+            MEMO_POOL.set(Some(state));
+            ev
         })
     } else {
-        intern::with_arena(|va| eval_vid(expr, input, &mut ctx, va))
+        intern::with_arena(|va| run(config, va, |ctx, va| eval_vid(expr, input, ctx, va)))
     };
-    let (dense_ops1, dense_promotions1) = intern::with_arena(|va| va.dense_counters());
+    VidEvaluation { result, stats }
+}
+
+/// Run one walk under a fresh [`Ctx`] against `va` and complete its
+/// statistics: the per-rule counters are folded in, and the arena's
+/// cumulative dense counters are read on both sides, so the delta is
+/// what this walk spent on the word-parallel dense path. Every
+/// evaluation entry point with [`EvalStats`] goes through here.
+pub(crate) fn run<T>(
+    config: &EvalConfig,
+    va: &mut ValueArena,
+    walk: impl FnOnce(&mut Ctx, &mut ValueArena) -> Result<T, EvalError>,
+) -> (Result<T, EvalError>, EvalStats) {
+    let mut ctx = Ctx::new(config);
+    let (dense_ops0, dense_promotions0) = va.dense_counters();
+    let result = walk(&mut ctx, va);
+    let (dense_ops1, dense_promotions1) = va.dense_counters();
     let mut stats = ctx.finish();
     stats.dense_ops = dense_ops1 - dense_ops0;
     stats.dense_promotions = dense_promotions1 - dense_promotions0;
-    VidEvaluation { result, stats }
+    (result, stats)
 }
 
 /// Evaluate with the default (unbudgeted) configuration, discarding stats.
@@ -280,11 +301,11 @@ pub fn evaluate_tree(expr: &Expr, input: &Value, config: &EvalConfig) -> Evaluat
     }
 }
 
-/// The interned §3 rule set: one call = one derivation node. Shared with
-/// [`crate::trace`] (which materialises the tree) and [`crate::lazy`]
-/// (which re-uses it for per-subset sub-evaluations). The arena is an
-/// explicit parameter — a session threads its own, the facade threads the
-/// thread-local one.
+/// The interned §3 rule set: one call = one derivation node — the exact
+/// walker, whatever the memo and semi-naive switches say. Shared with
+/// [`crate::lazy`] (which re-uses it for per-subset sub-evaluations); the
+/// traced builder in [`crate::trace`] mirrors it rule for rule. The
+/// arena is an explicit parameter.
 pub(crate) fn eval_vid(
     expr: &Expr,
     input: VId,
@@ -389,8 +410,8 @@ type MemoSlot = (u64, u32, u32, VId, u64);
 
 thread_local! {
     /// The pooled [`MemoState`], so consecutive memoised evaluations
-    /// through the free-function facade reuse its storage — see
-    /// [`MemoState::acquire_pooled`]. Sessions own their state instead.
+    /// through [`evaluate_vid`] reuse its storage. Sessions own their
+    /// state instead.
     static MEMO_POOL: std::cell::Cell<Option<MemoState>> = const { std::cell::Cell::new(None) };
 }
 
@@ -848,7 +869,8 @@ pub(crate) struct MemoState {
 impl MemoState {
     /// A fresh state against the given expression arena (interns the
     /// monomorphic recognisable derived terms). Sessions own one of
-    /// these for their whole lifetime; the facade pools one per thread.
+    /// these for their whole lifetime; [`evaluate_vid`] pools one per
+    /// thread.
     pub(crate) fn new(ea: &mut ExprArena) -> Self {
         Self::new_with_cache(ea, MemoCache::new_local())
     }
@@ -895,9 +917,9 @@ impl MemoState {
 
     /// Open the next query against this state.
     ///
-    /// * `warm = false` (the facade's per-call semantics): a fresh cache
-    ///   epoch — every previous apply-cache entry goes stale in `O(1)` —
-    ///   and cleared recognition caches.
+    /// * `warm = false` ([`evaluate_vid`]'s per-call semantics): a fresh
+    ///   cache epoch — every previous apply-cache entry goes stale in
+    ///   `O(1)` — and cleared recognition caches.
     /// * `warm = true` (the session semantics): the epoch is kept, so
     ///   apply-cache entries **survive across queries** and later hits
     ///   on them are counted as warm; only the query stamp advances.
@@ -908,11 +930,15 @@ impl MemoState {
     /// The delta cache is cleared either way: its entries carry
     /// per-evaluation cost accounting.
     pub(crate) fn begin_query(&mut self, ea: &mut ExprArena, warm: bool) {
-        // interning is canonical, so re-interning after an arena clear
-        // (or on a pooled state) keeps the recognised handles current
-        self.caches.cartprod = ea.intern(&nra_core::derived::cartprod());
-        self.caches.unnest = ea.intern(&nra_core::derived::unnest());
         let generation_changed = self.resync(ea);
+        if generation_changed {
+            // interning is canonical, so the recognised handles only
+            // move when the arena was cleared; re-intern them then, and
+            // take their nodes into the snapshot
+            self.caches.cartprod = ea.intern(&nra_core::derived::cartprod());
+            self.caches.unnest = ea.intern(&nra_core::derived::unnest());
+            ea.extend_snapshot(&mut self.nodes);
+        }
         if !self.caches.memo.begin_query(warm, generation_changed) {
             // the shape-recognition caches key on EIds, which a cold
             // start treats as untrusted (the arena may have been reset)
@@ -927,12 +953,9 @@ impl MemoState {
     }
 
     /// Bring the node snapshot up to date with the given expression
-    /// arena — needed again mid-evaluation whenever new expressions were
-    /// interned after [`MemoState::begin_query`] (the lazy strategy does
-    /// this before delegating sub-evaluations). Returns whether the
-    /// arena was cleared since the last sync (all snapshot prefixes and
-    /// cached `EId`s were stale).
-    pub(crate) fn resync(&mut self, ea: &ExprArena) -> bool {
+    /// arena. Returns whether the arena was cleared since the last sync
+    /// (all snapshot prefixes and cached `EId`s were stale).
+    fn resync(&mut self, ea: &ExprArena) -> bool {
         let changed = ea.generation() != self.generation;
         if changed {
             self.nodes.clear();
@@ -961,24 +984,6 @@ impl MemoState {
     /// are negligible next to either).
     pub(crate) fn approx_resident_bytes(&self) -> usize {
         self.caches.memo.approx_resident_bytes() + self.nodes.len() * std::mem::size_of::<ENode>()
-    }
-
-    /// Take the pooled per-thread state (or allocate one) and open a
-    /// cold query against the thread-local expression arena — the
-    /// facade's entry point.
-    pub(crate) fn acquire_pooled(ea: &mut ExprArena) -> Self {
-        match MEMO_POOL.take() {
-            Some(mut state) => {
-                state.begin_query(ea, false);
-                state
-            }
-            None => MemoState::new(ea),
-        }
-    }
-
-    /// Hand the state back to the thread-local pool.
-    pub(crate) fn release_pooled(self) {
-        MEMO_POOL.set(Some(self));
     }
 }
 
@@ -1150,9 +1155,8 @@ pub(crate) fn eval_eid(
 /// Thread the `(total, delta)` pair of one semi-naive `while` iterate:
 /// record the frontier cardinality `|next ∖ current|` in
 /// [`EvalStats::while_frontiers`] — a count-only merge scan, nothing is
-/// interned. No-op in the default mode and on non-set iterates. Shared
-/// with the traced builder.
-pub(crate) fn record_frontier(ctx: &mut Ctx, va: &ValueArena, current: VId, next: VId) {
+/// interned. No-op in the default mode and on non-set iterates.
+fn record_frontier(ctx: &mut Ctx, va: &ValueArena, current: VId, next: VId) {
     if ctx.config.semi_naive {
         if let Some(card) = va.set_delta_cardinality(current, next) {
             ctx.stats.while_frontiers.push(card);

@@ -17,39 +17,27 @@
 //! `2^{Θ(n)}`). Experiment E11 tabulates both.
 //!
 //! Like [`crate::eager`], the recursion runs on interned handles against
-//! an **explicitly threaded** [`ValueArena`]/[`ExprArena`] pair — a
-//! session passes its own, the free-function facade passes the
-//! thread-locals — so the §3 resident-size accounting reads cached arena
-//! metadata and the hot path touches no thread-local state. In the
-//! default mode the streamed subsets themselves are built as transient
-//! tree values and evaluated on the tree path — interning 2ᵏ throwaway
-//! subsets would retain them all in the arena and quietly void the
-//! polynomial-resident-space property this strategy exists to
+//! an explicitly threaded [`ValueArena`] (the facade passes the
+//! thread-local one), so the §3 resident-size accounting reads cached
+//! arena metadata. The streamed subsets themselves are built as
+//! transient tree values and evaluated on the tree path — interning 2ᵏ
+//! throwaway subsets would retain them all in the arena and quietly void
+//! the polynomial-resident-space property this strategy exists to
 //! demonstrate. Only the base set and the (live) images touch the arena.
 //!
-//! Two opt-in switches trade that minimality for speed, without ever
-//! changing a result: [`EvalConfig::memo`] extends the eager/traced
-//! **apply cache** to the per-subset evaluations (subsets are then
-//! interned and keyed `(EId, VId)` against one cache shared across the
-//! stream, so subtrees recurring across subsets are derived once — hits
-//! in [`LazyStats::memo_hits`]), and [`EvalConfig::semi_naive`] runs
-//! `while` fixpoints over powerset-free bodies on the delta-driven
-//! interned walker — and, for `powersetₘ` (or `powerset`) **chains inside
-//! a fixpoint**, resumes the subset stream incrementally: when the same
-//! `map` body re-fires over the subsets of a *grown* base (the steady
-//! state of a bounded-witness TC loop), only the subsets containing at
-//! least one fresh element are streamed and the previous images are
-//! folded in ([`LazyStats::frontier_streams`] /
-//! [`LazyStats::frontier_subsets_skipped`]).
+//! Every sub-evaluation is the exact §3 derivation: [`EvalConfig::memo`]
+//! and [`EvalConfig::semi_naive`] are ignored here (the apply and delta
+//! caches live in the eager walker alone), so the result and the
+//! statistics do not depend on them. The budgets of [`EvalConfig`] apply
+//! as usual.
 
-use crate::eager::{self, binomial, Ctx, MemoState};
+use crate::eager::{self, Ctx};
 use crate::error::{EvalConfig, EvalError};
 use crate::stats::EvalStats;
-use nra_core::expr::intern::{self as expr_intern, EId, ExprArena};
 use nra_core::expr::Expr;
-use nra_core::value::intern::{self, FxBuildHasher, VId, ValueArena};
+use nra_core::value::intern::{self, VId, ValueArena};
 use nra_core::value::Value;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Statistics of a streaming evaluation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -66,50 +54,6 @@ pub struct LazyStats {
     pub nodes: u64,
     /// `while` iterations.
     pub while_iterations: u64,
-    /// Apply-cache hits across the per-subset sub-evaluations (only
-    /// nonzero under
-    /// [`EvalConfig::memo`](crate::error::EvalConfig::memo), which
-    /// extends the eager/traced `(EId, VId)` apply cache to the
-    /// streaming strategy): a streamed `map`-over-`powerset` whose
-    /// subsets share sub-structure stops re-deriving the shared
-    /// subtrees. The trade-off is documented on [`evaluate_lazy_vid`]:
-    /// cached subsets are interned, so the arena retains them.
-    pub memo_hits: u64,
-    /// Apply-cache misses across the per-subset sub-evaluations (only
-    /// nonzero under `EvalConfig::memo`).
-    pub memo_misses: u64,
-    /// The subset of `memo_hits` served by entries written by an
-    /// earlier query of the same session (cross-query warm starts) —
-    /// always 0 through the free-function facade, exactly as
-    /// [`EvalStats::warm_hits`](crate::stats::EvalStats::warm_hits).
-    pub warm_hits: u64,
-    /// `map`-over-subsets applications served **incrementally** (only
-    /// nonzero under
-    /// [`EvalConfig::semi_naive`](crate::error::EvalConfig::semi_naive)):
-    /// the same body re-fired over the subsets of a grown base — the
-    /// steady state of a `powersetₘ` chain inside a `while` — so only
-    /// subsets touching the frontier were streamed and the previous
-    /// images were folded in.
-    pub frontier_streams: u64,
-    /// Subsets *not* re-enumerated by those incremental applications
-    /// (every subset of the previous base: its image is already in the
-    /// folded-in accumulator). Like `delta_skipped` on the eager side,
-    /// reported separately — the result is bit-for-bit the full
-    /// re-stream's.
-    pub frontier_subsets_skipped: u64,
-}
-
-impl LazyStats {
-    /// Apply-cache hit rate `hits / (hits + misses)`, or 0 when the
-    /// cache never ran (memo off).
-    pub fn memo_hit_rate(&self) -> f64 {
-        let total = self.memo_hits + self.memo_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.memo_hits as f64 / total as f64
-        }
-    }
 }
 
 /// Result and statistics of a streaming evaluation.
@@ -144,32 +88,12 @@ enum Lv {
     },
 }
 
-/// The frontier-resumption cache of the semi-naive streaming route: per
-/// `map` body, the last base (and bound) its subset stream ran over and
-/// the interned output, so a re-fire over a grown base streams only the
-/// subsets touching the fresh elements.
-struct SubsetDeltaEntry {
-    base: VId,
-    bound: Option<u64>,
-    output: VId,
-}
-
 struct LazyCtx<'a> {
     config: &'a EvalConfig,
     stats: LazyStats,
-    /// The value arena every rule runs against — a session's own, or the
-    /// thread-local one borrowed for the whole evaluation by the facade.
+    /// The value arena every rule runs against — the thread-local one,
+    /// borrowed for the whole evaluation.
     va: &'a mut ValueArena,
-    /// The expression arena (the cached routes intern bodies mid-stream).
-    ea: &'a mut ExprArena,
-    /// The shared interned-walker state (expression-node snapshot +
-    /// apply/delta caches), present when [`EvalConfig::memo`] or
-    /// [`EvalConfig::semi_naive`] is on: per-subset sub-evaluations and
-    /// delegated `while` fixpoints all run through [`eager::eval_eid`]
-    /// against the same caches.
-    state: Option<&'a mut MemoState>,
-    /// Frontier-resumption entries, keyed by the streamed `map` body.
-    subset_delta: HashMap<EId, SubsetDeltaEntry, FxBuildHasher>,
 }
 
 impl<'a> LazyCtx<'a> {
@@ -220,41 +144,9 @@ impl<'a> LazyCtx<'a> {
         out
     }
 
-    /// Run a sub-evaluation through the shared interned walker
-    /// ([`eager::eval_eid`]) — the apply cache persists across *all*
-    /// sub-evaluations of this streaming evaluation, which is what lets
-    /// streamed subsets share their sub-derivations. The expression is
-    /// assumed already interned with the snapshot resynced
-    /// ([`LazyCtx::intern_expr`]).
-    fn eager_sub_eid(&mut self, eid: EId, input: VId, extra_live: u64) -> Result<VId, EvalError> {
-        let mut sub = Ctx::new(self.config);
-        let state = self.state.as_deref_mut().expect("cached mode");
-        let out = {
-            let MemoState { nodes, caches, .. } = state;
-            eager::eval_eid(eid, input, &mut sub, nodes, caches, self.va)
-        };
-        self.merge_sub(&sub.stats, extra_live)?;
-        out
-    }
-
-    /// Intern an expression and bring the shared walker's node snapshot
-    /// up to date — required before the first [`LazyCtx::eager_sub_eid`]
-    /// on it.
-    fn intern_expr(&mut self, expr: &Expr) -> EId {
-        let eid = self.ea.intern(expr);
-        self.state
-            .as_deref_mut()
-            .expect("cached mode")
-            .resync(self.ea);
-        eid
-    }
-
     fn merge_sub(&mut self, sub: &EvalStats, extra_live: u64) -> Result<(), EvalError> {
         self.stats.nodes += sub.nodes;
         self.stats.while_iterations += sub.while_iterations;
-        self.stats.memo_hits += sub.memo_hits;
-        self.stats.memo_misses += sub.memo_misses;
-        self.stats.warm_hits += sub.warm_hits;
         self.resident(sub.max_object_size.saturating_add(extra_live))
     }
 }
@@ -270,63 +162,21 @@ pub fn evaluate_lazy(expr: &Expr, input: &Value, config: &EvalConfig) -> LazyEva
 }
 
 /// Evaluate under the streaming strategy, entirely on interned handles
-/// (the calling thread's arenas — the compatibility facade over the
-/// engine-layer `lazy_eval_with` entry point sessions use).
-///
-/// Under [`EvalConfig::memo`] the eager/traced **apply cache** extends
-/// to this strategy: per-subset sub-evaluations run on the interned
-/// walker, keyed `(EId, VId)` against one cache shared across the whole
-/// evaluation, so streamed `map`-over-`powerset` stops re-deriving the
-/// subtrees its subsets share (hits in [`LazyStats::memo_hits`]). The
-/// price is that streamed subsets are then *interned* — the arena
-/// retains one set node per distinct subset — trading the strategy's
-/// minimal-retention property for speed; keep memo off (the default)
-/// when measuring the §3 space story. Under [`EvalConfig::semi_naive`],
-/// `while` fixpoints over powerset-free bodies additionally run
-/// delta-driven, exactly as in [`eager::evaluate_vid`], and subset
-/// streams inside powerset-carrying fixpoints resume incrementally from
-/// their previous base (the same retention trade-off applies).
+/// in the calling thread's arena.
 pub fn evaluate_lazy_vid(expr: &Expr, input: VId, config: &EvalConfig) -> LazyVidEvaluation {
     intern::with_arena(|va| {
-        expr_intern::with_arena(|ea| {
-            let mut state =
-                (config.memo || config.semi_naive).then(|| MemoState::acquire_pooled(ea));
-            let ev = lazy_eval_with(expr, input, config, va, ea, state.as_mut());
-            if let Some(state) = state {
-                state.release_pooled();
-            }
-            ev
-        })
+        let mut ctx = LazyCtx {
+            config,
+            stats: LazyStats::default(),
+            va,
+        };
+        let result =
+            lazy_in(expr, Lv::Concrete(input), &mut ctx).and_then(|lv| force(lv, &mut ctx));
+        LazyVidEvaluation {
+            result,
+            stats: ctx.stats,
+        }
     })
-}
-
-/// Run one streaming evaluation against explicitly supplied arenas and
-/// (for the cached routes) walker state — the engine-layer entry point
-/// sessions call; [`evaluate_lazy_vid`] is its thread-local facade.
-pub(crate) fn lazy_eval_with(
-    expr: &Expr,
-    input: VId,
-    config: &EvalConfig,
-    va: &mut ValueArena,
-    ea: &mut ExprArena,
-    state: Option<&mut MemoState>,
-) -> LazyVidEvaluation {
-    let mut ctx = LazyCtx {
-        config,
-        stats: LazyStats::default(),
-        va,
-        ea,
-        state,
-        subset_delta: HashMap::default(),
-    };
-    let result = match lazy_in(expr, Lv::Concrete(input), &mut ctx) {
-        Ok(lv) => force(lv, &mut ctx),
-        Err(e) => Err(e),
-    };
-    LazyVidEvaluation {
-        result,
-        stats: ctx.stats,
-    }
 }
 
 /// Materialise a symbolic value (falls back to the eager powerset rules).
@@ -341,10 +191,7 @@ fn force(lv: Lv, ctx: &mut LazyCtx) -> Result<VId, EvalError> {
                 None => Expr::Powerset,
                 Some(m) => Expr::PowersetM(m),
             };
-            let mut sub = Ctx::new(ctx.config);
-            let out = eager::eval_vid(&expr, base, &mut sub, ctx.va);
-            ctx.merge_sub(&sub.stats, 0)?;
-            out
+            ctx.eager_sub(&expr, base, 0)
         }
     }
 }
@@ -356,19 +203,9 @@ fn stuck(rule: &'static str, detail: &str) -> EvalError {
     }
 }
 
-/// Number of subsets of an `n`-element set with cardinality ≤ `bound`
-/// (saturating) — what a resumed stream *skips* re-enumerating.
-fn subset_count(n: usize, bound: Option<u64>) -> u64 {
-    let total: u128 = match bound {
-        None => 1u128 << n.min(127),
-        Some(m) => (0..=m.min(n as u64)).map(|i| binomial(n as u64, i)).sum(),
-    };
-    u64::try_from(total).unwrap_or(u64::MAX)
-}
-
 /// Enumerate every index combination of `0..n` with size ≤ `max_len`,
 /// calling `f` once per combination (the empty one included), in DFS
-/// order. The streaming routes use this instead of a 2ⁿ mask scan so a
+/// order. The stream uses this instead of a 2ⁿ mask scan so a
 /// cardinality-bounded stream costs `Σᵢ C(n, i)`, not `2ⁿ`.
 fn for_each_combination(
     n: usize,
@@ -467,21 +304,7 @@ fn lazy_in(expr: &Expr, input: Lv, ctx: &mut LazyCtx) -> Result<Lv, EvalError> {
             }
         }
         Expr::While(f) => {
-            let current = force(input, ctx)?;
-            let level = expr.level();
-            if ctx.state.is_some() && !level.powerset && !level.powerset_m {
-                // The lazy context threads (total, delta) through the
-                // fixpoint by delegating it wholesale to the interned
-                // walker: a powerset-free body never streams, so the
-                // delta-driven (and/or memoised) eager rules compute the
-                // bit-identical trajectory with frontier-only work.
-                let weid = ctx.intern_expr(expr);
-                return Ok(Lv::Concrete(ctx.eager_sub_eid(weid, current, 0)?));
-            }
-            // a powerset(ₘ)-carrying body iterates here, streaming its
-            // subsets per iterate — with frontier resumption across
-            // iterates under the semi-naive switch (see `stream_map`)
-            let mut current = current;
+            let mut current = force(input, ctx)?;
             let mut iterations: u64 = 0;
             loop {
                 let next = force(lazy_in(f, Lv::Concrete(current), ctx)?, ctx)?;
@@ -521,135 +344,24 @@ fn stream_map(f: &Expr, base: VId, bound: Option<u64>, ctx: &mut LazyCtx) -> Res
     let max_len = bound.map_or(items.len(), |m| (m.min(items.len() as u64)) as usize);
     let mut acc: BTreeSet<VId> = BTreeSet::new();
     let mut acc_size: u64 = 1;
-    if ctx.state.is_some() {
-        // The sharing-aware route (EvalConfig::memo and/or semi_naive):
-        // each subset is interned and evaluated through the shared
-        // interned walker — under memo, keyed (EId, VId) in the apply
-        // cache shared across the whole stream, so sub-derivations
-        // recurring across subsets are found instead of re-derived. This
-        // deliberately retains the streamed subsets in the arena — see
-        // `evaluate_lazy_vid`.
-        let feid = ctx.intern_expr(f);
-        // Frontier resumption (EvalConfig::semi_naive): when this body
-        // last streamed over a base' ⊆ base with the same bound — the
-        // steady state of a powersetₘ chain inside a while — seed the
-        // accumulator with the previous images and stream only the
-        // subsets containing at least one fresh element. map distributes
-        // over the subset stream subset-by-subset, so the folded result
-        // is bit-for-bit the full re-stream's.
-        let previous = if ctx.config.semi_naive {
-            ctx.subset_delta
-                .get(&feid)
-                .filter(|entry| entry.bound == bound)
-                .map(|entry| (entry.base, entry.output))
-        } else {
-            None
-        };
-        let resumed = previous.and_then(|(prev_base, prev_out)| {
-            if prev_base == base {
-                return Some((prev_out, Vec::new(), items.to_vec()));
-            }
-            if ctx.va.is_subset(prev_base, base) != Some(true) {
-                return None;
-            }
-            let old = ctx.va.as_set(prev_base).expect("previous base is a set");
-            let fresh: Vec<VId> = items
-                .iter()
-                .copied()
-                .filter(|e| old.binary_search(e).is_err())
-                .collect();
-            Some((prev_out, fresh, old.to_vec()))
-        });
-        match resumed {
-            Some((prev_out, fresh, old)) => {
-                ctx.stats.frontier_streams += 1;
-                ctx.stats.frontier_subsets_skipped += subset_count(old.len(), bound);
-                let prev_items = ctx
-                    .va
-                    .as_set(prev_out)
-                    .expect("map over subsets yields a set");
-                acc.extend(prev_items.iter().copied());
-                acc_size = ctx.va.size(prev_out);
-                // subsets with ≥ 1 fresh element: a nonempty combination
-                // of fresh elements unioned with any combination of old
-                // ones, within the cardinality bound (each subset needs
-                // its own vector anyway — the arena takes ownership)
-                for_each_combination(fresh.len(), max_len.min(fresh.len()), &mut |fidx| {
-                    if fidx.is_empty() {
-                        return Ok(()); // the all-old subsets are skipped
-                    }
-                    let old_room = max_len - fidx.len();
-                    for_each_combination(old.len(), old_room.min(old.len()), &mut |oidx| {
-                        let subset: Vec<VId> = fidx
-                            .iter()
-                            .map(|&i| fresh[i])
-                            .chain(oidx.iter().map(|&i| old[i]))
-                            .collect();
-                        stream_one_interned(feid, subset, base_size, &mut acc, &mut acc_size, ctx)
-                    })
-                })?;
-            }
-            None => {
-                for_each_combination(items.len(), max_len, &mut |idx| {
-                    let subset: Vec<VId> = idx.iter().map(|&i| items[i]).collect();
-                    stream_one_interned(feid, subset, base_size, &mut acc, &mut acc_size, ctx)
-                })?;
-            }
+    // the subsets are deliberately built as *transient tree values* and
+    // evaluated on the tree path — interning them would retain all 2ᵏ
+    // subsets in the never-shrinking arena, silently trading the
+    // strategy's polynomial peak-resident guarantee for speed. Only the
+    // images — genuinely live in the accumulator — are interned.
+    let elems: Vec<Value> = items.iter().map(|&e| ctx.va.resolve(e)).collect();
+    for_each_combination(elems.len(), max_len, &mut |idx| {
+        let subset = Value::set(idx.iter().map(|&i| elems[i].clone()));
+        ctx.stats.streamed_subsets += 1;
+        let live = base_size + subset.size() + acc_size;
+        let image = ctx.eager_sub_tree(f, &subset, live)?;
+        let image = ctx.va.intern(&image);
+        if acc.insert(image) {
+            acc_size += ctx.va.size(image);
         }
-        let output = ctx.va.set(acc);
-        if ctx.config.semi_naive {
-            ctx.subset_delta.insert(
-                feid,
-                SubsetDeltaEntry {
-                    base,
-                    bound,
-                    output,
-                },
-            );
-        }
-        Ok(Lv::Concrete(output))
-    } else {
-        // The default route: subsets are deliberately built as
-        // *transient tree values* and evaluated on the tree path —
-        // interning them would retain all 2ᵏ subsets in the
-        // never-shrinking arena, silently trading the strategy's
-        // polynomial peak-resident guarantee for speed. Only the images
-        // — genuinely live in the accumulator — are interned.
-        let elems: Vec<Value> = items.iter().map(|&e| ctx.va.resolve(e)).collect();
-        for_each_combination(elems.len(), max_len, &mut |idx| {
-            let subset = Value::set(idx.iter().map(|&i| elems[i].clone()));
-            ctx.stats.streamed_subsets += 1;
-            let live = base_size + subset.size() + acc_size;
-            let image = ctx.eager_sub_tree(f, &subset, live)?;
-            let image = ctx.va.intern(&image);
-            if acc.insert(image) {
-                acc_size += ctx.va.size(image);
-            }
-            ctx.resident(live)
-        })?;
-        let output = ctx.va.set(acc);
-        Ok(Lv::Concrete(output))
-    }
-}
-
-/// Stream one interned subset through the shared walker, folding its
-/// image into the accumulator.
-fn stream_one_interned(
-    feid: EId,
-    subset: Vec<VId>,
-    base_size: u64,
-    acc: &mut BTreeSet<VId>,
-    acc_size: &mut u64,
-    ctx: &mut LazyCtx,
-) -> Result<(), EvalError> {
-    let subset = ctx.va.set_from_vec(subset);
-    ctx.stats.streamed_subsets += 1;
-    let live = base_size + ctx.va.size(subset) + *acc_size;
-    let image = ctx.eager_sub_eid(feid, subset, live)?;
-    if acc.insert(image) {
-        *acc_size += ctx.va.size(image);
-    }
-    ctx.resident(live)
+        ctx.resident(live)
+    })?;
+    Ok(Lv::Concrete(ctx.va.set(acc)))
 }
 
 #[cfg(test)]

@@ -33,7 +33,9 @@
 //!   thread-local-backed compatibility facade with the historical
 //!   per-call semantics (fresh cache epoch each call; the thread's
 //!   arenas retain interned nodes — see `intern::reset_thread_arena`
-//!   for reclamation at quiescent points).
+//!   for reclamation at quiescent points). The traced and streaming
+//!   strategies exist only there: they build the exact §3 derivation
+//!   and hold no cache state a session could own.
 //!
 //! The [`nra_core::Value`] tree API remains the public surface —
 //! [`evaluate`] converts at the boundary — while [`evaluate_vid`] and
@@ -43,15 +45,16 @@
 //! against.
 //!
 //! On top of value interning, [`EvalConfig::memo`] switches the eager
-//! (and traced) strategy onto the **apply cache**: expressions are
-//! hash-consed too ([`nra_core::expr::intern`]), and each judgment
-//! `f(C) ⇓ C'` is keyed `(EId, VId) → VId` in a BDD-style direct-mapped
-//! table, so a judgment already derived returns its cached handle in
-//! `O(1)` — which collapses the repeated body applications inside
-//! `while` iterates and `map` over recurring elements. The same cache
-//! extends to the lazy strategy's per-subset evaluations. Results are
-//! bit-for-bit identical to memo-off evaluation (both differential
-//! harnesses enforce this); cache activity is reported separately in
+//! strategy onto the **apply cache**: expressions are hash-consed too
+//! ([`nra_core::expr::intern`]), and each judgment `f(C) ⇓ C'` is keyed
+//! `(EId, VId) → VId` in a BDD-style direct-mapped table, so a judgment
+//! already derived returns its cached handle in `O(1)` — which collapses
+//! the repeated body applications inside `while` iterates and `map` over
+//! recurring elements. The traced and streaming strategies ignore this
+//! switch and the next one: they build the exact derivation, which is
+//! what their §3 claims are about. Results are bit-for-bit identical to
+//! memo-off evaluation (both differential harnesses enforce this); cache
+//! activity is reported separately in
 //! [`EvalStats::memo_hits`]/`memo_misses` rather than inflating the §3
 //! counters, which stay exact in the default memo-off mode — though a
 //! hit does charge the recorded cost of its cached subtree against the

@@ -1,11 +1,10 @@
 //! Explicit evaluation sessions: the owned engine layer over the
 //! evaluators.
 //!
-//! The free functions of [`crate::eager`] / [`crate::trace`] /
-//! [`crate::lazy`] run against *thread-local* arenas — convenient, but
-//! one evaluation stream per thread, and the BDD-style apply cache opens
-//! a fresh epoch on every call. An [`EvalSession`] lifts all of that
-//! state into one owned value:
+//! The free functions of [`crate::eager`] run against *thread-local*
+//! arenas — convenient, but one evaluation stream per thread, and the
+//! BDD-style apply cache opens a fresh epoch on every call. An
+//! [`EvalSession`] lifts all of that state into one owned value:
 //!
 //! * a [`ValueArena`] and an [`ExprArena`] (the §3 store of complex
 //!   objects and the hash-consed expressions over it);
@@ -35,7 +34,10 @@
 //!
 //! The free functions remain as a thin thread-local-backed compatibility
 //! facade; nothing on the evaluator hot path touches a thread-local when
-//! a session is supplied.
+//! a session is supplied. The traced and streaming strategies
+//! ([`crate::evaluate_traced`], [`crate::evaluate_lazy`]) build the
+//! exact §3 derivation and need no cache state, so they have no session
+//! counterpart.
 //!
 //! ```
 //! use nra_core::{queries, Value};
@@ -51,10 +53,8 @@
 //! assert!(session.stats().warm_hits > 0);
 //! ```
 
-use crate::eager::{self, Ctx, Evaluation, MemoState, VidEvaluation};
+use crate::eager::{self, Evaluation, MemoState, VidEvaluation};
 use crate::error::EvalConfig;
-use crate::lazy::{self, LazyEvaluation};
-use crate::trace::{self, TracedEvaluation};
 use nra_core::expr::intern::{EId, ExprArena};
 use nra_core::value::intern::{VId, ValueArena};
 use nra_core::value::Value;
@@ -233,8 +233,7 @@ impl EvalSession {
     }
 
     /// Install (or remove) the occupancy ceiling. At every
-    /// [`EvalSession::eval`] / [`EvalSession::eval_lazy`] /
-    /// [`EvalSession::trace`] boundary where
+    /// [`EvalSession::eval`] boundary where
     /// [`EvalSession::approx_resident_bytes`] exceeds the budget, the
     /// session [evicts](EvalSession::evict).
     pub fn set_resident_budget(&mut self, bytes: Option<usize>) {
@@ -335,14 +334,10 @@ impl EvalSession {
         // the apply cache keys on
         let eid = self.optimise_eid(eid);
         self.memo.begin_query(&mut self.exprs, true);
-        let mut ctx = Ctx::new(&self.config);
-        let (dense_ops0, dense_promotions0) = self.values.dense_counters();
         let MemoState { nodes, caches, .. } = &mut self.memo;
-        let result = eager::eval_eid(eid, input, &mut ctx, nodes, caches, &mut self.values);
-        let mut stats = ctx.finish();
-        let (dense_ops1, dense_promotions1) = self.values.dense_counters();
-        stats.dense_ops = dense_ops1 - dense_ops0;
-        stats.dense_promotions = dense_promotions1 - dense_promotions0;
+        let (result, stats) = eager::run(&self.config, &mut self.values, |ctx, va| {
+            eager::eval_eid(eid, input, ctx, nodes, caches, va)
+        });
         self.absorb(&stats);
         VidEvaluation { result, stats }
     }
@@ -369,46 +364,6 @@ impl EvalSession {
         self.config.max_object_size = Some(saved.map_or(budget, |s| s.min(budget)));
         let ev = self.eval_vid(eid, input);
         self.config.max_object_size = saved;
-        ev
-    }
-
-    /// Evaluate under the streaming (lazy) strategy — the session-owned
-    /// counterpart of [`crate::evaluate_lazy`]; the apply cache warms
-    /// across calls exactly as for [`EvalSession::eval`].
-    pub fn eval_lazy(&mut self, expr: &Expr, input: &Value) -> LazyEvaluation {
-        let iv = self.values.intern(input);
-        let state = if self.config.memo || self.config.semi_naive {
-            self.memo.begin_query(&mut self.exprs, true);
-            Some(&mut self.memo)
-        } else {
-            None
-        };
-        let ev = lazy::lazy_eval_with(
-            expr,
-            iv,
-            &self.config,
-            &mut self.values,
-            &mut self.exprs,
-            state,
-        );
-        self.stats.queries += 1;
-        self.stats.memo_hits += ev.stats.memo_hits;
-        self.stats.memo_misses += ev.stats.memo_misses;
-        self.stats.warm_hits += ev.stats.warm_hits;
-        let result = ev.result.map(|out| self.values.resolve(out));
-        self.maybe_evict();
-        LazyEvaluation {
-            result,
-            stats: ev.stats,
-        }
-    }
-
-    /// Evaluate while materialising the derivation tree — the
-    /// session-owned counterpart of [`crate::evaluate_traced`].
-    pub fn trace(&mut self, expr: &Expr, input: &Value) -> TracedEvaluation {
-        let ev = trace::trace_with(expr, input, &self.config, &mut self.exprs, &mut self.values);
-        self.absorb(&ev.stats);
-        self.maybe_evict();
         ev
     }
 
@@ -529,18 +484,6 @@ mod tests {
         assert_eq!(first.result.unwrap(), second.result.unwrap());
         assert_eq!(second.stats.warm_hits, 0, "evicted cache cannot be warm");
         assert_eq!(session.generation(), 2);
-    }
-
-    #[test]
-    fn lazy_and_trace_run_on_the_session() {
-        let mut session = EvalSession::new(EvalConfig::optimised());
-        let input = Value::chain(5);
-        let lazy = session.eval_lazy(&queries::tc_paths(), &input);
-        assert_eq!(lazy.result.unwrap(), Value::chain_tc(5));
-        let traced = session.trace(&queries::tc_step(), &input);
-        let plain = crate::evaluate(&queries::tc_step(), &input, &EvalConfig::default());
-        assert_eq!(traced.result.unwrap().output, plain.result.unwrap());
-        assert_eq!(session.stats().queries, 2);
     }
 
     #[test]

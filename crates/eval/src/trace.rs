@@ -12,28 +12,19 @@
 //! resolves its judgment back to tree [`Value`]s for inspection (the whole
 //! point of tracing is to look at the objects).
 //!
-//! Under [`EvalConfig::memo`] the builder also consults the apply cache:
-//! a judgment `f(C) ⇓ C'` already derived is *shared* — the cached
-//! sub-derivation is grafted in as an [`Rc`] pointer copy instead of
-//! being re-derived, which is the reason [`DerivNode::children`] holds
-//! `Rc<DerivNode>`s. The materialised tree is bit-for-bit equal to the
-//! unmemoised one (evaluation is pure), but repeated subtrees occupy
-//! memory once, and — as in [`crate::eager`] — a hit counts in
-//! [`EvalStats::memo_hits`](crate::stats::EvalStats::memo_hits) rather
-//! than re-counting the skipped derivation's nodes and observations.
-//! Keep memo off (the default) when the statistics must be the exact §3
-//! accounting.
+//! The builder always derives the exact §3 tree: [`EvalConfig::memo`] and
+//! [`EvalConfig::semi_naive`] are ignored here (the apply and delta caches
+//! live in the eager walker alone), so the tree and its statistics are
+//! those of [`crate::eager::evaluate`] under the default configuration.
+//! The budgets of [`EvalConfig`] apply as usual.
 
-use crate::eager::{apply_leaf_vid, record_frontier, Ctx};
+use crate::eager::{self, apply_leaf_vid, Ctx};
 use crate::error::{EvalConfig, EvalError};
 use crate::stats::EvalStats;
-use nra_core::expr::intern::{self as expr_intern, EId, ENode, ExprArena};
 use nra_core::expr::Expr;
-use nra_core::value::intern::{self, FxBuildHasher, VId, ValueArena};
+use nra_core::value::intern::{self, VId, ValueArena};
 use nra_core::value::Value;
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 /// One node of a derivation tree: the rule applied, the judgment
 /// `input ⇓ output`, and the sub-derivations.
@@ -45,16 +36,12 @@ pub struct DerivNode {
     pub input: Value,
     /// The result object `C'`.
     pub output: Value,
-    /// Sub-derivations, in evaluation order. `Rc`-shared so the memoised
-    /// builder can graft an already-derived subtree in `O(1)`; all tree
-    /// measures ([`DerivNode::node_count`], …) count with multiplicity,
-    /// as the §3 tree semantics require.
-    pub children: Vec<Rc<DerivNode>>,
+    /// Sub-derivations, in evaluation order.
+    pub children: Vec<DerivNode>,
 }
 
 impl DerivNode {
-    /// Total number of nodes of the tree (with multiplicity — shared
-    /// subtrees count each time they occur).
+    /// Total number of nodes of the tree.
     pub fn node_count(&self) -> u64 {
         1 + self.children.iter().map(|c| c.node_count()).sum::<u64>()
     }
@@ -133,110 +120,60 @@ pub struct TracedEvaluation {
     pub stats: EvalStats,
 }
 
-/// The trace-side apply cache: each derived judgment keyed by
-/// `(interned expression, interned input)`, holding the shared
-/// sub-derivation, its output handle, and the as-if-uncached cost of
-/// the subtree (charged on a hit so node budgets stay
-/// strategy-independent).
-type TraceMemo = HashMap<(EId, VId), (Rc<DerivNode>, VId, u64), FxBuildHasher>;
-
-/// The trace-side delta cache (semi-naive iteration): per `map` node,
-/// the last application's input/output and its per-element
-/// sub-derivations `element ↦ (shared child, image, cost)`, so a
-/// grown input re-derives the frontier only and grafts the rest.
-type TraceDelta = HashMap<EId, TraceDeltaEntry, FxBuildHasher>;
-
-struct TraceDeltaEntry {
-    input: VId,
-    children: HashMap<VId, (Rc<DerivNode>, VId, u64), FxBuildHasher>,
-}
-
 /// Evaluate while materialising the full derivation tree. Use only on
 /// small inputs — the tree holds every intermediate object in resolved
 /// (tree) form. Budgets from `config` apply exactly as in
-/// [`crate::eager::evaluate`]; under [`EvalConfig::memo`] repeated
-/// judgments are grafted from the apply cache as shared subtrees (see
-/// the module docs for the statistics caveat).
+/// [`crate::eager::evaluate`]; the memo and semi-naive switches do not
+/// apply (see the module docs).
 pub fn evaluate_traced(expr: &Expr, input: &Value, config: &EvalConfig) -> TracedEvaluation {
-    intern::with_arena(|va| expr_intern::with_arena(|ea| trace_with(expr, input, config, ea, va)))
+    intern::with_arena(|va| {
+        let (result, stats) = eager::run(config, va, |ctx, va| {
+            let iv = va.intern(input);
+            trace_vid(expr, iv, ctx, va)
+        });
+        TracedEvaluation {
+            result: result.map(|(node, _)| node),
+            stats,
+        }
+    })
 }
 
-/// Run one traced evaluation against explicitly supplied arenas — the
-/// engine-layer entry point sessions call; [`evaluate_traced`] is its
-/// thread-local facade. The trace-side memo/delta caches are per-call
-/// (they hold `Rc`-shared materialised subtrees, not session state).
-pub(crate) fn trace_with(
+/// One derivation node: the rules of [`crate::eager::evaluate_vid`]'s
+/// exact walker, returning the materialised node plus the interned
+/// handle of its output (so parents keep evaluating on handles).
+fn trace_vid(
     expr: &Expr,
-    input: &Value,
-    config: &EvalConfig,
-    ea: &mut ExprArena,
-    va: &mut ValueArena,
-) -> TracedEvaluation {
-    let mut ctx = Ctx::new(config);
-    let (dense_ops0, dense_promotions0) = va.dense_counters();
-    let iv = va.intern(input);
-    let eid = ea.intern(expr);
-    let mut memo: Option<TraceMemo> = config.memo.then(TraceMemo::default);
-    let mut delta: Option<TraceDelta> = config.semi_naive.then(TraceDelta::default);
-    let traced = trace_eid(eid, iv, &mut ctx, &mut memo, &mut delta, ea, va);
-    // release the caches' Rc references first, so the root node is
-    // uniquely owned and unwraps without an O(object-size) deep clone
-    drop(memo);
-    drop(delta);
-    let result =
-        traced.map(|(node, _)| Rc::try_unwrap(node).unwrap_or_else(|shared| (*shared).clone()));
-    let mut stats = ctx.finish();
-    let (dense_ops1, dense_promotions1) = va.dense_counters();
-    stats.dense_ops = dense_ops1 - dense_ops0;
-    stats.dense_promotions = dense_promotions1 - dense_promotions0;
-    TracedEvaluation { result, stats }
-}
-
-/// One derivation node over the *interned* expression: returns the
-/// materialised node plus the interned handle of its output (so parents
-/// can keep evaluating on handles). With `memo` present (under
-/// [`EvalConfig::memo`]) every judgment is first looked up in the apply
-/// cache — a hit grafts the cached subtree in as an `Rc` copy and skips
-/// the re-derivation, counting in
-/// [`EvalStats::memo_hits`](crate::stats::EvalStats::memo_hits) instead
-/// of the §3 counters; with `memo` absent this is the exact §3 builder
-/// (its statistics coincide with the plain eager evaluator's).
-#[allow(clippy::too_many_arguments)]
-fn trace_eid(
-    eid: EId,
     input: VId,
     ctx: &mut Ctx,
-    memo: &mut Option<TraceMemo>,
-    delta: &mut Option<TraceDelta>,
-    ea: &ExprArena,
     va: &mut ValueArena,
-) -> Result<(Rc<DerivNode>, VId), EvalError> {
-    if let Some(memo) = memo.as_ref() {
-        if let Some((node, out, cost)) = memo.get(&(eid, input)) {
-            ctx.stats.memo_hits += 1;
-            let (node, out, cost) = (Rc::clone(node), *out, *cost);
-            ctx.charge(cost)?;
-            return Ok((node, out));
-        }
-        ctx.stats.memo_misses += 1;
-    }
-    let cost_start = ctx.charged_nodes;
-    let enode = ea.node(eid);
-    let rule = enode.head_name();
-    ctx.node(enode.head_index())?;
+) -> Result<(DerivNode, VId), EvalError> {
+    ctx.node(expr.head_index())?;
     ctx.observe_vid(va, input)?;
-    let (output, children) = match enode {
-        ENode::Tuple(f, g) => {
-            let (a, av) = trace_eid(f, input, ctx, memo, delta, ea, va)?;
-            let (b, bv) = trace_eid(g, input, ctx, memo, delta, ea, va)?;
+    let (output, children) = match expr {
+        Expr::Tuple(f, g) => {
+            let (a, av) = trace_vid(f, input, ctx, va)?;
+            let (b, bv) = trace_vid(g, input, ctx, va)?;
             (va.pair(av, bv), vec![a, b])
         }
-        ENode::Map(f) => trace_map(eid, f, input, ctx, memo, delta, ea, va)?,
-        ENode::Cond(c, then, els) => {
-            let (cnode, cv) = trace_eid(c, input, ctx, memo, delta, ea, va)?;
+        Expr::Map(f) => {
+            let items = va.as_set(input).ok_or(EvalError::Stuck {
+                rule: "map",
+                detail: "input is not a set".into(),
+            })?;
+            let mut children = Vec::with_capacity(items.len());
+            let mut out = Vec::with_capacity(items.len());
+            for &item in items.iter() {
+                let (child, cv) = trace_vid(f, item, ctx, va)?;
+                out.push(cv);
+                children.push(child);
+            }
+            (va.set_from_vec(out), children)
+        }
+        Expr::Cond(c, then, els) => {
+            let (cnode, cv) = trace_vid(c, input, ctx, va)?;
             let (branch, bv) = match va.as_bool(cv) {
-                Some(true) => trace_eid(then, input, ctx, memo, delta, ea, va)?,
-                Some(false) => trace_eid(els, input, ctx, memo, delta, ea, va)?,
+                Some(true) => trace_vid(then, input, ctx, va)?,
+                Some(false) => trace_vid(els, input, ctx, va)?,
                 None => {
                     return Err(EvalError::Stuck {
                         rule: "if",
@@ -246,22 +183,20 @@ fn trace_eid(
             };
             (bv, vec![cnode, branch])
         }
-        ENode::Compose(g, f) => {
-            let (fnode, fv) = trace_eid(f, input, ctx, memo, delta, ea, va)?;
-            let (gnode, gv) = trace_eid(g, fv, ctx, memo, delta, ea, va)?;
+        Expr::Compose(g, f) => {
+            let (fnode, fv) = trace_vid(f, input, ctx, va)?;
+            let (gnode, gv) = trace_vid(g, fv, ctx, va)?;
             (gv, vec![fnode, gnode])
         }
-        ENode::While(f) => {
+        Expr::While(f) => {
             let mut children = Vec::new();
             let mut current = input;
             let mut iterations: u64 = 0;
             loop {
-                let (child, next) = trace_eid(f, current, ctx, memo, delta, ea, va)?;
+                let (child, next) = trace_vid(f, current, ctx, va)?;
                 children.push(child);
                 iterations += 1;
                 ctx.stats.while_iterations += 1;
-                // thread (total, delta), exactly as the eager walker
-                record_frontier(ctx, va, current, next);
                 if next == current {
                     break;
                 }
@@ -272,115 +207,16 @@ fn trace_eid(
             }
             (current, children)
         }
-        ENode::Leaf(leaf) => (apply_leaf_vid(&leaf, input, ctx, va)?, Vec::new()),
+        leaf => (apply_leaf_vid(leaf, input, ctx, va)?, Vec::new()),
     };
     ctx.observe_vid(va, output)?;
-    let node = Rc::new(DerivNode {
-        rule,
+    let node = DerivNode {
+        rule: expr.head_name(),
         input: va.resolve(input),
         output: va.resolve(output),
         children,
-    });
-    if let Some(memo) = memo.as_mut() {
-        memo.insert(
-            (eid, input),
-            (Rc::clone(&node), output, ctx.charged_nodes - cost_start),
-        );
-    }
+    };
     Ok((node, output))
-}
-
-/// The `map` rule of [`trace_eid`]: under [`EvalConfig::semi_naive`], a
-/// grown input re-derives only the frontier elements and grafts the
-/// previous application's per-element sub-derivations in as `Rc`
-/// copies — the materialised tree is bit-for-bit the naive one
-/// (evaluation is pure), with the reused elements' recorded costs
-/// charged against the node budget exactly as the eager walker does.
-#[allow(clippy::type_complexity)]
-#[allow(clippy::too_many_arguments)]
-fn trace_map(
-    eid: EId,
-    f: EId,
-    input: VId,
-    ctx: &mut Ctx,
-    memo: &mut Option<TraceMemo>,
-    delta: &mut Option<TraceDelta>,
-    ea: &ExprArena,
-    va: &mut ValueArena,
-) -> Result<(VId, Vec<Rc<DerivNode>>), EvalError> {
-    let items = va.as_set(input).ok_or(EvalError::Stuck {
-        rule: "map",
-        detail: "input is not a set".into(),
-    })?;
-    // take the node's previous application out of the cache (no map
-    // node can recursively contain itself, so nothing re-enters)
-    let prev = delta.as_mut().and_then(|d| d.remove(&eid));
-    let reusable = prev.and_then(|e| {
-        if e.input == input {
-            return Some((e, va.empty_set()));
-        }
-        let (union, fresh) = va.set_merge_delta(e.input, input)?;
-        (union == input).then_some((e, fresh))
-    });
-    let mut children = Vec::with_capacity(items.len());
-    let mut out = Vec::with_capacity(items.len());
-    match reusable {
-        Some((mut entry, fresh)) => {
-            let fresh_items = va.as_set(fresh).expect("frontier is a set");
-            ctx.stats.delta_hits += 1;
-            ctx.stats.delta_skipped += (items.len() - fresh_items.len()) as u64;
-            for &item in items.iter() {
-                if fresh_items.binary_search(&item).is_err() {
-                    // carried over from the previous application: graft
-                    // the shared subtree and charge its recorded cost
-                    let (child, cv, cost) =
-                        entry.children.get(&item).expect("previous element traced");
-                    let (child, cv, cost) = (Rc::clone(child), *cv, *cost);
-                    ctx.charge(cost)?;
-                    out.push(cv);
-                    children.push(child);
-                } else {
-                    let start = ctx.charged_nodes;
-                    let (child, cv) = trace_eid(f, item, ctx, memo, delta, ea, va)?;
-                    entry
-                        .children
-                        .insert(item, (Rc::clone(&child), cv, ctx.charged_nodes - start));
-                    out.push(cv);
-                    children.push(child);
-                }
-            }
-            let output = va.set_from_vec(out);
-            entry.input = input;
-            if let Some(d) = delta.as_mut() {
-                d.insert(eid, entry);
-            }
-            Ok((output, children))
-        }
-        None => {
-            let mut fresh_children: HashMap<VId, (Rc<DerivNode>, VId, u64), FxBuildHasher> =
-                HashMap::default();
-            for &item in items.iter() {
-                let start = ctx.charged_nodes;
-                let (child, cv) = trace_eid(f, item, ctx, memo, delta, ea, va)?;
-                if delta.is_some() {
-                    fresh_children.insert(item, (Rc::clone(&child), cv, ctx.charged_nodes - start));
-                }
-                out.push(cv);
-                children.push(child);
-            }
-            let output = va.set_from_vec(out);
-            if let Some(d) = delta.as_mut() {
-                d.insert(
-                    eid,
-                    TraceDeltaEntry {
-                        input,
-                        children: fresh_children,
-                    },
-                );
-            }
-            Ok((output, children))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -392,6 +228,7 @@ mod tests {
     #[test]
     fn trace_agrees_with_plain_evaluation() {
         let cfg = EvalConfig::default();
+        let optimised = EvalConfig::optimised();
         let queries = [
             compose(flatten(), map(sng())),
             nra_core::queries::tc_step(),
@@ -414,6 +251,10 @@ mod tests {
                 assert_eq!(traced.stats, plain.stats, "stats must coincide");
                 assert_eq!(tree.node_count(), traced.stats.nodes);
                 assert_eq!(tree.max_object_size(), traced.stats.max_object_size);
+                // the memo and semi-naive switches leave the exact tree alone
+                let exact = evaluate_traced(q, &input, &optimised);
+                assert_eq!(exact.result.unwrap(), tree, "{q} n={n}");
+                assert_eq!(exact.stats, traced.stats, "{q} n={n}");
             }
         }
     }
@@ -447,40 +288,6 @@ mod tests {
             })
             .collect();
         assert_eq!(widths, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn memoised_trace_is_bit_identical_and_reports_hits() {
-        let cfg = EvalConfig::default();
-        let memo_cfg = EvalConfig::memoised();
-        for q in [
-            compose(flatten(), map(sng())),
-            nra_core::queries::tc_step(),
-            nra_core::queries::tc_while(),
-        ] {
-            for n in 0..5u64 {
-                let input = Value::chain(n);
-                let plain = evaluate_traced(&q, &input, &cfg);
-                let memo = evaluate_traced(&q, &input, &memo_cfg);
-                let pt = plain.result.unwrap();
-                let mt = memo.result.unwrap();
-                // the materialised tree is bit-for-bit the unmemoised one
-                assert_eq!(pt, mt, "{q} n={n}");
-                // hits replace re-derivations: the §3 node count can only
-                // shrink, while the complexity (a max over the same set of
-                // distinct judgments) is untouched
-                assert!(memo.stats.nodes <= plain.stats.nodes, "{q} n={n}");
-                assert_eq!(
-                    memo.stats.max_object_size, plain.stats.max_object_size,
-                    "{q} n={n}"
-                );
-                assert_eq!(plain.stats.memo_hits, 0, "memo-off must not count");
-            }
-        }
-        // the while route actually exercises the cache: its body re-visits
-        // elements already mapped in earlier iterates
-        let memo = evaluate_traced(&nra_core::queries::tc_while(), &Value::chain(3), &memo_cfg);
-        assert!(memo.stats.memo_hits > 0, "expected apply-cache hits");
     }
 
     #[test]

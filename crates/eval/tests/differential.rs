@@ -1,10 +1,10 @@
 //! Evaluator-strategy differential tests: the plain eager evaluator, the
 //! derivation-tree-materialising traced evaluator, the streaming (lazy)
-//! evaluator, and the memoised (apply-cache) variants must agree — on
-//! results *and* on the statistics they share — across randomized graphs
-//! from seven families (chains, cycles, DAGs, disconnected graphs,
-//! grids, cliques, sparse random graphs), with the `nra-graph` closure
-//! as the external referee.
+//! evaluator, and the memoised (apply-cache) and semi-naive eager
+//! variants must agree — on results *and* on the statistics they share
+//! — across randomized graphs from seven families (chains, cycles, DAGs,
+//! disconnected graphs, grids, cliques, sparse random graphs), with the
+//! `nra-graph` closure as the external referee.
 //!
 //! The workspace-level `tests/differential.rs` checks agreement between
 //! *routes* (powerset vs while vs classical algorithms); this file checks
@@ -177,8 +177,7 @@ fn interned_path_agrees_with_tree_evaluator_on_all_families() {
 
 /// The apply cache must change the cost, never the answer: memoised
 /// eager evaluation is bit-for-bit the non-memoised interned result on
-/// every family and route, memoised *traced* evaluation materialises the
-/// identical derivation tree, and the default (memo-off) statistics are
+/// every family and route, and the default (memo-off) statistics are
 /// untouched — the §3 counters of a memoised run never exceed the exact
 /// ones, with the skipped work reported in `memo_hits` instead.
 #[test]
@@ -213,39 +212,44 @@ fn memoised_agrees_with_unmemoised_on_all_families() {
                         "{family}: {q} — the §3 complexity is a max over the same judgments"
                     );
                 }
-                // the traced strategy under memo grafts shared subtrees:
-                // the materialised derivation must still be bit-identical
-                let q = queries::tc_step();
-                let plain = evaluate_traced(&q, &input, &cfg);
-                let memoised = evaluate_traced(&q, &input, &memo_cfg);
-                assert_eq!(
-                    plain.result.unwrap(),
-                    memoised.result.unwrap(),
-                    "{family}: traced {q}"
-                );
             }
         },
     );
 }
 
-/// The streaming strategy must change the cost *model*, never the answer.
+/// The streaming strategy must change the cost *model*, never the answer
+/// — and it streams the exact derivation whatever the memo and
+/// semi-naive switches say: under `EvalConfig::optimised()` it returns
+/// the default run's value and statistics.
 #[test]
 fn lazy_agrees_with_eager_on_all_families() {
-    check("lazy_agrees_with_eager_on_all_families", CASES, |_, rng| {
-        let cfg = EvalConfig::default();
-        for (family, g) in family_graphs(rng) {
-            let input = graph_to_value(&g);
-            for q in [
-                queries::tc_paths(),
-                queries::tc_while(),
-                queries::siblings_powerset(),
-            ] {
-                let eager_out = evaluate(&q, &input, &cfg).result.unwrap();
-                let lazy_out = evaluate_lazy(&q, &input, &cfg).result.unwrap();
-                assert_eq!(eager_out, lazy_out, "{family}: {q}");
+    check(
+        "lazy_agrees_with_eager_on_all_families",
+        CASES,
+        |seed, rng| {
+            let cfg = EvalConfig::default();
+            for (family, g) in family_graphs(rng) {
+                let input = graph_to_value(&g);
+                for (q, pin_optimised) in [
+                    // tc_paths streams 2^|R| subsets through the tree-path
+                    // evaluator, so its optimised run covers a third of the
+                    // seeds
+                    (queries::tc_paths(), seed < CASES / 3),
+                    (queries::tc_while(), true),
+                    (queries::siblings_powerset(), true),
+                ] {
+                    let eager_out = evaluate(&q, &input, &cfg).result.unwrap();
+                    let lazy = evaluate_lazy(&q, &input, &cfg);
+                    assert_eq!(&eager_out, lazy.result.as_ref().unwrap(), "{family}: {q}");
+                    if pin_optimised {
+                        let optimised = evaluate_lazy(&q, &input, &EvalConfig::optimised());
+                        assert_eq!(optimised.result, lazy.result, "{family}: optimised {q}");
+                        assert_eq!(optimised.stats, lazy.stats, "{family}: optimised {q}");
+                    }
+                }
             }
-        }
-    });
+        },
+    );
 }
 
 /// Both strategies must agree with the classical closure as an external
@@ -325,26 +329,6 @@ fn seminaive_agrees_with_naive_on_all_families() {
                     );
                     assert!(naive.stats.while_frontiers.is_empty(), "{family}: {q}");
                 }
-                // the traced strategy under semi-naive grafts the reused
-                // per-element sub-derivations: the materialised tree must
-                // still be bit-identical, with the same frontier trace
-                let q = queries::tc_while();
-                let plain = evaluate_traced(&q, &input, &cfg);
-                let delta = evaluate_traced(&q, &input, &EvalConfig::semi_naive());
-                assert_eq!(
-                    plain.result.unwrap(),
-                    delta.result.unwrap(),
-                    "{family}: traced {q}"
-                );
-                assert_eq!(
-                    plain.stats.while_iterations, delta.stats.while_iterations,
-                    "{family}: traced {q}"
-                );
-                let eager_delta = evaluate(&q, &input, &EvalConfig::semi_naive());
-                assert_eq!(
-                    eager_delta.stats.while_frontiers, delta.stats.while_frontiers,
-                    "{family}: eager and traced must thread the same (total, delta) pairs"
-                );
             }
         },
     );
@@ -380,78 +364,6 @@ fn seminaive_frontiers_reconstruct_the_closure() {
             }
         },
     );
-}
-
-/// Extending the apply cache to the lazy strategy's per-subset
-/// evaluations must change the cost, never the answer: lazy-cache-on is
-/// bit-for-bit lazy-cache-off on every family, the cache actually fires
-/// on the powerset route, and cache-off stats never count it.
-#[test]
-fn lazy_cache_agrees_with_uncached_on_all_families() {
-    check(
-        "lazy_cache_agrees_with_uncached_on_all_families",
-        CASES,
-        |_, rng| {
-            let cfg = EvalConfig::default();
-            let memo_cfg = EvalConfig::memoised();
-            for (family, g) in family_graphs(rng) {
-                let input = graph_to_value(&g);
-                for q in [
-                    queries::tc_paths(),
-                    queries::tc_while(),
-                    queries::siblings_powerset(),
-                ] {
-                    let plain = evaluate_lazy(&q, &input, &cfg);
-                    let cached = evaluate_lazy(&q, &input, &memo_cfg);
-                    assert_eq!(
-                        plain.result.as_ref().unwrap(),
-                        cached.result.as_ref().unwrap(),
-                        "{family}: lazy cache {q}"
-                    );
-                    assert_eq!(
-                        plain.stats.memo_hits + plain.stats.memo_misses,
-                        0,
-                        "{family}: {q} — cache-off lazy stats must not count the cache"
-                    );
-                    assert_eq!(
-                        plain.stats.streamed_subsets, cached.stats.streamed_subsets,
-                        "{family}: {q} — the same subsets are streamed either way"
-                    );
-                }
-                // the semi-naive lazy context delegates powerset-free
-                // fixpoints to the delta walker: same answer again
-                let q = queries::tc_while();
-                let plain = evaluate_lazy(&q, &input, &cfg);
-                let delta = evaluate_lazy(&q, &input, &EvalConfig::semi_naive());
-                assert_eq!(
-                    plain.result.unwrap(),
-                    delta.result.unwrap(),
-                    "{family}: semi-naive lazy {q}"
-                );
-                assert_eq!(
-                    plain.stats.while_iterations, delta.stats.while_iterations,
-                    "{family}: semi-naive lazy {q}"
-                );
-            }
-        },
-    );
-}
-
-/// The lazy apply cache earns its keep on the powerset route: streamed
-/// subsets share sub-derivations, so the shared cache must actually hit.
-#[test]
-fn lazy_cache_fires_on_streamed_subsets() {
-    let input = Value::chain(7);
-    let ev = evaluate_lazy(&queries::tc_paths(), &input, &EvalConfig::memoised());
-    assert_eq!(ev.result.unwrap(), Value::chain_tc(7));
-    assert_eq!(ev.stats.streamed_subsets, 128);
-    assert!(
-        ev.stats.memo_hits > 10_000,
-        "expected the shared apply cache to fire across subsets: {} hits / {} misses",
-        ev.stats.memo_hits,
-        ev.stats.memo_misses
-    );
-    assert!(ev.stats.memo_hit_rate() > 0.4);
 }
 
 /// The §3 caveat, quantified: on chains the lazy strategy's peak resident
@@ -687,8 +599,7 @@ fn projected_join_falls_back_when_a_projection_path_gets_stuck() {
 
 /// Bounded-witness transitive closure: each iterate joins the ≤2-edge
 /// subsets of the current relation, so the body is `powersetₘ` applied
-/// to a *growing* base — the workload the semi-naive lazy context
-/// serves by streaming only frontier subsets.
+/// to a *growing* base inside a `while`.
 fn tc_bounded_witness() -> nra_core::Expr {
     let step = compose(
         union(),
@@ -700,82 +611,30 @@ fn tc_bounded_witness() -> nra_core::Expr {
     while_fix(step)
 }
 
-/// The semi-naive lazy context must stream only *frontier* subsets for
-/// `powersetₘ` chains — same answer as the full re-enumeration, on
-/// every family, with the skipped re-enumeration reported in
-/// `LazyStats::frontier_subsets_skipped`.
+/// A `powersetₘ` chain inside a `while`, on the streaming route: the
+/// lazy bounded-witness TC must compute the graph closure on every
+/// family, with the eager strategy as a second referee.
 #[test]
-fn lazy_frontier_streaming_agrees_on_all_families() {
+fn lazy_bounded_witness_tc_agrees_on_all_families() {
     check(
-        "lazy_frontier_streaming_agrees_on_all_families",
+        "lazy_bounded_witness_tc_agrees_on_all_families",
         CASES / 2,
         |_, rng| {
             let q = tc_bounded_witness();
             for (family, g) in family_graphs(rng) {
                 let input = graph_to_value(&g);
                 let expect = graph_to_value(&tc(&g));
-                let plain = evaluate_lazy(&q, &input, &EvalConfig::default());
+                let lazy = evaluate_lazy(&q, &input, &EvalConfig::default());
                 assert_eq!(
-                    plain.result.as_ref().unwrap(),
-                    &expect,
+                    lazy.result.unwrap(),
+                    expect,
                     "{family}: lazy bounded-witness TC vs graph closure"
                 );
-                for (mode, cfg) in [
-                    ("semi-naive", EvalConfig::semi_naive()),
-                    ("memo+semi-naive", EvalConfig::optimised()),
-                ] {
-                    let delta = evaluate_lazy(&q, &input, &cfg);
-                    assert_eq!(
-                        plain.result.as_ref().unwrap(),
-                        delta.result.as_ref().unwrap(),
-                        "{family}: {mode} lazy bounded-witness TC"
-                    );
-                    assert_eq!(
-                        plain.stats.while_iterations, delta.stats.while_iterations,
-                        "{family}: {mode} — the fixpoint trajectory must be exact"
-                    );
-                    assert!(
-                        delta.stats.streamed_subsets <= plain.stats.streamed_subsets,
-                        "{family}: {mode} — resumption may only shrink the stream"
-                    );
-                }
-                // the eager strategy is a second referee
                 let eager_ev = evaluate(&q, &input, &EvalConfig::default());
                 assert_eq!(eager_ev.result.unwrap(), expect, "{family}: eager referee");
             }
         },
     );
-}
-
-/// On a chain long enough to iterate, frontier resumption actually
-/// kicks in: incremental streams fire, whole sub-powersets are skipped,
-/// and the semi-naive stream is strictly shorter than the naive one.
-#[test]
-fn lazy_frontier_streaming_skips_resumed_subsets() {
-    let q = tc_bounded_witness();
-    let input = Value::chain(5);
-    let plain = evaluate_lazy(&q, &input, &EvalConfig::default());
-    let delta = evaluate_lazy(&q, &input, &EvalConfig::semi_naive());
-    assert_eq!(
-        plain.result.as_ref().unwrap(),
-        delta.result.as_ref().unwrap()
-    );
-    assert_eq!(plain.result.unwrap(), Value::chain_tc(5));
-    assert!(delta.stats.frontier_streams > 0, "{:?}", delta.stats);
-    assert!(
-        delta.stats.frontier_subsets_skipped > 0,
-        "{:?}",
-        delta.stats
-    );
-    assert!(
-        delta.stats.streamed_subsets < plain.stats.streamed_subsets,
-        "semi-naive streamed {} vs naive {}",
-        delta.stats.streamed_subsets,
-        plain.stats.streamed_subsets
-    );
-    // the default mode never counts frontier activity
-    assert_eq!(plain.stats.frontier_streams, 0);
-    assert_eq!(plain.stats.frontier_subsets_skipped, 0);
 }
 
 /// The conformance gate of the fused predicate rules: on *ill-typed*

@@ -115,17 +115,6 @@ fn fuzz_domain(dom: &Type, seeds: std::ops::Range<u64>, cfg_gen: &GenConfig) {
                             delta.stats.nodes <= plain.stats.nodes,
                             "seed {seed} ({mode}): counters may only shrink"
                         );
-                        // the traced builder under semi-naive grafts
-                        // shared subtrees but materialises the same tree
-                        let traced_delta = evaluate_traced(&e, &input, &delta_cfg);
-                        assert_eq!(
-                            &traced_delta
-                                .result
-                                .expect("traced semi-naive succeeds")
-                                .output,
-                            v,
-                            "seed {seed} (traced {mode})"
-                        );
                     }
                 }
                 Err(

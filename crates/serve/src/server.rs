@@ -41,11 +41,11 @@ use nra_core::expr::intern::EId;
 use nra_core::parser::MAX_NESTING;
 use nra_core::typecheck::output_type;
 use nra_core::value::intern::{VId, ValueArena};
-use nra_core::{Expr, Type, Value};
+use nra_core::{Expr, Value};
 use nra_eval::{eval_batch_assigned, BatchJob, EvalConfig, EvalSession, SessionStats};
 use nra_symbolic::SpaceVerdict;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::thread::JoinHandle;
 
 /// Serving configuration.
@@ -93,7 +93,9 @@ pub struct TenantStats {
     pub submitted: u64,
     /// Requests that cleared admission (and the byte-budget check).
     pub admitted: u64,
-    /// Requests turned away (admission or byte budget).
+    /// Requests turned away at staging: byte budget, typecheck or
+    /// admission. (An answer too deep for the wire is refused after
+    /// evaluation and counts in `errors`.)
     pub rejected: u64,
     /// Admitted requests that evaluated successfully.
     pub completed: u64,
@@ -131,7 +133,7 @@ pub struct ServeReport {
     /// Rejections citing a certified-exponential verdict.
     pub rejected_exponential: u64,
     /// Other admission rejections (ceiling, unanalyzable, probe failure,
-    /// ill-typed, answers nesting past the wire's cap).
+    /// ill-typed).
     pub rejected_admission: u64,
     /// Rejections for an exhausted tenant byte budget.
     pub rejected_tenant_budget: u64,
@@ -146,24 +148,6 @@ pub struct ServeReport {
     pub session: SessionStats,
     /// The tenant ledger.
     pub tenants: BTreeMap<String, TenantStats>,
-}
-
-/// The deepest a value of type `t` can nest, counted as the parser
-/// counts values: a scalar is one level, and a pair or a set adds one
-/// to its deepest component. Typechecking shares subtypes, so the walk
-/// is memoised on node addresses to stay linear in the query.
-fn value_nesting(t: &Type, memo: &mut HashMap<*const Type, usize>) -> usize {
-    let key: *const Type = t;
-    if let Some(&depth) = memo.get(&key) {
-        return depth;
-    }
-    let depth = match t {
-        Type::Unit | Type::Bool | Type::Nat => 1,
-        Type::Prod(a, b) => 1 + value_nesting(a, memo).max(value_nesting(b, memo)),
-        Type::Set(elem) => 1 + value_nesting(elem, memo),
-    };
-    memo.insert(key, depth);
-    depth
 }
 
 /// Does the answer `v` nest deeper than [`MAX_NESTING`], counted as the
@@ -299,9 +283,10 @@ impl Server {
         }
     }
 
-    /// Admit one request: byte-budget check, typecheck and answer
-    /// depth, symbolic + concrete admission. Returns either a staged
-    /// job or the rejection.
+    /// Admit one request: byte-budget check, typecheck, symbolic +
+    /// concrete admission. Returns either a staged job or the
+    /// rejection. An answer too deep for the wire is refused after
+    /// evaluation, by [`Server::answer_staged`].
     fn stage(&mut self, request: &Request) -> Result<StagedJob, Outcome> {
         let reject = |reason: String| Outcome::Rejected { reason };
         // an eviction since the last batch voids the old generation's
@@ -324,25 +309,12 @@ impl Server {
             )));
         }
 
-        // 2. typecheck against the input's inferred type, and refuse an
-        // answer type whose values the client's decoder could not read
+        // 2. typecheck against the input's inferred type
         if let Some(dom) = request.input.infer_type() {
-            let refusal = match output_type(&request.query, &dom) {
-                Err(e) => Some(format!("ill-typed query for this input: {e}")),
-                Ok(cod) => {
-                    let depth = value_nesting(&cod, &mut HashMap::new());
-                    (depth > MAX_NESTING).then(|| {
-                        format!(
-                            "admission: answers to this query nest up to {depth} levels, \
-                             past the wire's nesting cap of {MAX_NESTING} levels"
-                        )
-                    })
-                }
-            };
-            if let Some(reason) = refusal {
+            if let Err(e) = output_type(&request.query, &dom) {
                 self.tenant(&request.tenant).rejected += 1;
                 self.report.rejected_admission += 1;
-                return Err(reject(reason));
+                return Err(reject(format!("ill-typed query for this input: {e}")));
             }
         }
 
@@ -432,9 +404,8 @@ impl Server {
                 let tenant = self.report.tenants.entry(job.tenant.clone()).or_default();
                 tenant.warm_hits += ev.stats.warm_hits;
                 match ev.result {
-                    // typechecking bounds the answer's depth only for
-                    // inputs `Value::infer_type` types, so the answer
-                    // itself is measured before it goes on the wire
+                    // the one nesting check: the answer itself is
+                    // measured before it goes on the wire
                     Ok(out) if nests_past_cap(self.session.values(), out) => {
                         tenant.errors += 1;
                         self.report.errors += 1;

@@ -190,8 +190,9 @@ fn framing_survives_random_chunk_boundaries() {
 /// instead of overflowing the serving thread's stack (10,000 nested
 /// `map(` used to abort the whole process), a frame exactly at the
 /// limit is still served end to end, a frame whose answer would nest
-/// past the limit is rejected before evaluation (the client could not
-/// decode the answer), and the server answers the next ordinary frame.
+/// past the limit is answered `failed` once the answer is measured (the
+/// client could not decode it), and the server answers the next
+/// ordinary frame.
 #[test]
 fn nesting_limit_fails_hostile_frames_and_keeps_serving() {
     use nra_core::parser::MAX_NESTING;
@@ -225,8 +226,8 @@ fn nesting_limit_fails_hostile_frames_and_keeps_serving() {
     // the same frame wrapping each innermost set in a singleton: the
     // answer would nest one level past what the client can decode
     match ask(2, &maps(MAX_NESTING, "sng"), &deep) {
-        Outcome::Rejected { reason } => {
-            assert!(reason.contains("nesting cap of 128 levels"), "{reason}");
+        Outcome::Failed { detail } => {
+            assert!(detail.contains("nesting cap of 128 levels"), "{detail}");
         }
         other => panic!("an answer past the nesting limit must be refused: {other:?}"),
     }
@@ -253,7 +254,8 @@ fn nesting_limit_fails_hostile_frames_and_keeps_serving() {
     client.shutdown().unwrap();
     let report = handle.join().expect("server thread must not die");
     assert_eq!(report.decode_errors, 3);
-    assert_eq!(report.rejected_admission, 1);
+    assert_eq!(report.rejected_admission, 0);
+    assert_eq!(report.errors, 1);
     assert_eq!(report.completed, 2);
 }
 

@@ -21,7 +21,7 @@
 //! | [`circuits`] (`nra-circuits`) | Prop 4.3's `AC⁰`/`TC⁰` substrate: threshold circuits and a flat-algebra compiler |
 //! | [`opt`] (`nra-opt`) | the pre-evaluation rescue pass over the hash-consed DAG: the powerset-route transitive closure and siblings idioms rewritten to their polynomial routes, each pair gated by the space classifier — the separation theorem run backwards as an optimisation |
 //! | [`serve`] (`nra-serve`) | an offline query-serving front: newline-delimited wire format, **cost-based admission control** (Theorem 4.1 as a safety rail — certified-exponential queries are rejected with their bound; rescuable ones are rewritten and admitted), cache-aware batch scheduling, per-tenant byte budgets riding the eviction generations |
-//! | `nra-bench` | measurement helpers (complexity series, slope fits) and the E1–E11 benchmark suite, on a self-contained harness |
+//! | `nra-bench` | measurement helpers (complexity series, slope fits) and the E1–E16 experiment suite (`report`), on a self-contained harness |
 //! | `nra-testkit` | seeded RNG + property-check runner used by every randomized test suite |
 //!
 //! ## Building & testing
