@@ -1,4 +1,4 @@
-//! Prints every experiment table (E1–E16) as one markdown document:
+//! Prints every experiment table (E1–E17) as one markdown document:
 //!
 //! ```sh
 //! cargo run --release -p nra-bench --bin report > report.md
@@ -41,6 +41,7 @@ fn main() {
     e14_optimiser();
     e15_while_at_scale();
     e16_arena_writer();
+    e17_store_probe();
     footer();
     bench_eval_json();
 }
@@ -259,7 +260,7 @@ fn e15_while_at_scale() {
         let closure = ev.result.expect("tc_while completes");
         let mut va = ValueArena::new();
         let rel = va.intern(&input);
-        let arena_closure = nra_graph::tc_arena(&mut va, rel).expect("tc_arena closes");
+        let arena_closure = nra_graph::tc_arena(&mut va, rel, true).expect("tc_arena closes");
         assert_eq!(
             va.resolve(arena_closure),
             closure,
@@ -269,7 +270,7 @@ fn e15_while_at_scale() {
         let t_arena = median_time(samples, || {
             let mut va = ValueArena::new();
             let rel = va.intern(&input);
-            nra_graph::tc_arena(&mut va, rel)
+            nra_graph::tc_arena(&mut va, rel, true)
         });
         println!(
             "| {} | {} | {} | {} | {} | {} | {} | {:.1}× |",
@@ -303,7 +304,7 @@ fn e16_arena_writer() {
     println!("each set once by its integer keys or by a comparator over arena nodes. The");
     println!("tree path it replaces resolves the answer into a `Value`, formats the frame");
     println!("with `encode_response`, and drops the tree. Each row evaluates one join on");
-    println!("`family(&mut Rng::new(7), 512)` in a fresh shared session of the served");
+    println!("`family(&mut Rng::new(7), 512)` in a fresh session of the served");
     println!("configuration, times both paths to the whole frame (median of {samples} runs");
     println!("each), and asserts the two frames are byte-identical:");
     println!();
@@ -321,7 +322,6 @@ fn e16_arena_writer() {
         let input = Value::relation(g.edges.iter().copied());
         for (name, query) in &joins {
             let mut session = EvalSession::new(EvalConfig::optimised());
-            session.make_shared();
             let (eid, iv) = (session.intern_expr(query), session.intern_value(&input));
             let out = session
                 .eval_vid(eid, iv)
@@ -364,6 +364,117 @@ fn e16_arena_writer() {
                 t_tree.as_secs_f64() / t_arena.as_secs_f64().max(1e-12),
             );
         }
+    }
+    println!();
+}
+
+fn e17_store_probe() {
+    use nra_core::value::intern::{VId, ValueArena};
+    use nra_eval::EvalSession;
+    use nra_testkit::graphs::{power_law, road_grid, two_community, FamilyGraph};
+    use nra_testkit::Rng;
+    use std::time::Duration;
+    /// Median of `samples` durations `f` measures itself, after one
+    /// warm-up call.
+    fn measured(samples: usize, mut f: impl FnMut() -> Duration) -> Duration {
+        f();
+        let mut times: Vec<Duration> = (0..samples.max(1)).map(|_| f()).collect();
+        times.sort_unstable();
+        times[times.len() / 2]
+    }
+    const OPS: usize = 1 << 16;
+    println!("## E17 — the value store probe");
+    println!();
+    let samples = nra_bench::bench_samples();
+    println!("Every arena runs on one store that batch workers share from birth. The");
+    println!("micro rows intern {OPS} distinct pairs of 256 naturals: a hit re-interns");
+    println!("them into the arena that holds them, a miss interns them into a fresh one,");
+    println!("and a read is `as_pair` then `as_nat` on each (median of {samples} runs, ns");
+    println!("per operation). The served joins are the nine 512-node family × join");
+    println!("requests `join512` serves, each evaluated on a fresh `rewritten()` session");
+    println!("(median of 9, evaluation only), then E15's `tc_while` rows on fresh");
+    println!("`optimised()` sessions (median of 3):");
+    println!();
+    let nats_of = |va: &mut ValueArena| -> Vec<VId> { (0..256).map(|i| va.nat(i)).collect() };
+    let pairs_of = |va: &mut ValueArena, nats: &[VId]| -> Vec<VId> {
+        (0..OPS)
+            .map(|i| va.pair(nats[i % 256], nats[(i / 256) % 256]))
+            .collect()
+    };
+    let per_op = |d: Duration| format!("{:.1} ns", d.as_secs_f64() * 1e9 / OPS as f64);
+    let mut held = ValueArena::new();
+    let nats = nats_of(&mut held);
+    let handles = pairs_of(&mut held, &nats);
+    let hit = median_time(samples, || pairs_of(&mut held, &nats));
+    let miss = measured(samples, || {
+        let mut va = ValueArena::new();
+        let nats = nats_of(&mut va);
+        let start = Instant::now();
+        std::hint::black_box(pairs_of(&mut va, &nats));
+        start.elapsed()
+    });
+    let reads = median_time(samples, || {
+        handles
+            .iter()
+            .map(|&p| {
+                let (a, _) = held.as_pair(p).expect("a pair");
+                held.as_nat(a).expect("a natural")
+            })
+            .sum::<u64>()
+    });
+    println!("| row | time |");
+    println!("|--|--:|");
+    println!("| pair intern hit | {} |", per_op(hit));
+    println!("| pair intern miss | {} |", per_op(miss));
+    println!("| two reads (`as_pair` + `as_nat`) | {} |", per_op(reads));
+    type Family = fn(&mut Rng, u64) -> FamilyGraph;
+    let joins = [
+        ("tc_step", queries::tc_step()),
+        ("compose_rel", queries::compose_rel()),
+        ("siblings_direct", queries::siblings_direct()),
+    ];
+    let mut total = Duration::ZERO;
+    for family in [road_grid as Family, power_law, two_community] {
+        let g = family(&mut Rng::new(7), 512);
+        let input = Value::relation(g.edges.iter().copied());
+        for (name, query) in &joins {
+            let t = measured(9, || {
+                let mut session = EvalSession::new(EvalConfig::rewritten());
+                let (eid, iv) = (session.intern_expr(query), session.intern_value(&input));
+                let start = Instant::now();
+                let out = session.eval_vid(eid, iv).result;
+                let t = start.elapsed();
+                out.expect("the join completes");
+                t
+            });
+            total += t;
+            println!("| {} `{name}` | {} |", g.family, fmt_duration(t));
+        }
+    }
+    println!(
+        "| nine served joins, sum of medians | {} |",
+        fmt_duration(total)
+    );
+    let rows: [(Family, u64); 4] = [
+        (road_grid, 512),
+        (power_law, 512),
+        (two_community, 512),
+        (two_community, 256),
+    ];
+    for (family, n) in rows {
+        let g = family(&mut Rng::new(7), n);
+        let input = Value::relation(g.edges.iter().copied());
+        let t = measured(3, || {
+            let mut session = EvalSession::new(EvalConfig::optimised());
+            let eid = session.intern_expr(&queries::tc_while());
+            let iv = session.intern_value(&input);
+            let start = Instant::now();
+            let out = session.eval_vid(eid, iv).result;
+            let t = start.elapsed();
+            out.expect("tc_while completes");
+            t
+        });
+        println!("| {} {n} `tc_while` | {} |", g.family, fmt_duration(t));
     }
     println!();
 }

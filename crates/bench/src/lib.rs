@@ -245,10 +245,9 @@ impl EvalComparison {
 
 /// One timed dense-vs-sorted comparison of the arena-native transitive
 /// closure ([`nra_graph::tc_arena`]) on a serving-scale graph: the same
-/// relation closed twice, once with the dense word-parallel
-/// representation disabled (per-round frontier interning and sorted
-/// `set_union` merges) and once with it enabled (bitmap Warshall over
-/// packed words, one final intern). Both routes produce the identical
+/// relation closed twice, once on the sorted route (per-round frontier
+/// interning and sorted `set_union` merges) and once on the dense route
+/// (bitmap Warshall over packed words, one final intern). Both routes produce the identical
 /// closure handle — [`compare_dense`] asserts it before timing.
 #[derive(Debug, Clone)]
 pub struct DenseComparison {
@@ -258,9 +257,9 @@ pub struct DenseComparison {
     pub n: u64,
     /// Edges in the input relation.
     pub edges: u64,
-    /// Median wall-clock of the sorted-merge route (dense disabled).
+    /// Median wall-clock of the sorted-merge route.
     pub sorted: Duration,
-    /// Median wall-clock of the dense route (dense enabled).
+    /// Median wall-clock of the dense route.
     pub dense: Duration,
 }
 
@@ -287,11 +286,9 @@ pub fn compare_dense(
     use nra_core::value::intern::ValueArena;
     {
         let mut va = ValueArena::new();
-        va.set_dense_enabled(false);
         let r = va.relation(edges.iter().copied());
-        let sorted_out = nra_graph::tc_arena(&mut va, r).expect("sorted closure");
-        va.set_dense_enabled(true);
-        let dense_out = nra_graph::tc_arena(&mut va, r).expect("dense closure");
+        let sorted_out = nra_graph::tc_arena(&mut va, r, false).expect("sorted closure");
+        let dense_out = nra_graph::tc_arena(&mut va, r, true).expect("dense closure");
         assert_eq!(
             sorted_out, dense_out,
             "tc_arena routes disagree on {workload} n={n}"
@@ -302,15 +299,13 @@ pub fn compare_dense(
         &mut [
             &mut || {
                 let mut va = ValueArena::new();
-                va.set_dense_enabled(false);
                 let r = va.relation(edges.iter().copied());
-                std::hint::black_box(nra_graph::tc_arena(&mut va, r));
+                std::hint::black_box(nra_graph::tc_arena(&mut va, r, false));
             },
             &mut || {
                 let mut va = ValueArena::new();
-                va.set_dense_enabled(true);
                 let r = va.relation(edges.iter().copied());
-                std::hint::black_box(nra_graph::tc_arena(&mut va, r));
+                std::hint::black_box(nra_graph::tc_arena(&mut va, r, true));
             },
         ],
     );

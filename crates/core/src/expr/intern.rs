@@ -39,12 +39,10 @@
 //! ```
 
 use super::{Expr, ExprRef};
+use crate::store::{Keyed, View};
 use crate::value::intern::FxBuildHasher;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::hash::BuildHasher;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A handle to an interned expression in an [`ExprArena`].
 ///
@@ -121,6 +119,20 @@ impl ENode {
     }
 }
 
+impl Keyed for ENode {
+    fn key(&self) -> (u8, Option<u64>) {
+        let pack = |f: EId, g: EId| ((f.0 as u64) << 32) | g.0 as u64;
+        match *self {
+            ENode::Leaf(_) => (0, None),
+            ENode::Tuple(f, g) => (1, Some(pack(f, g))),
+            ENode::Map(f) => (2, Some(f.0 as u64)),
+            ENode::Cond(..) => (3, None),
+            ENode::Compose(g, f) => (4, Some(pack(g, f))),
+            ENode::While(f) => (5, Some(f.0 as u64)),
+        }
+    }
+}
+
 /// Cached per-node metadata, computed once at interning time.
 #[derive(Debug, Clone, Copy)]
 struct Meta {
@@ -130,109 +142,10 @@ struct Meta {
     height: u32,
 }
 
-/// Number of lock-striped dedup shards of a shared expression arena —
-/// same recipe as the value arena's shared store (expressions are few
-/// and interned rarely relative to values, so fewer stripes suffice).
-const DEDUP_SHARDS: usize = 8;
-
-/// Slot count of chunk 0 of a shared arena, as a power of two.
-const FIRST_CHUNK_BITS: u32 = 8;
-
-/// Chunks covering the full `u32` handle space at the graduated sizing.
-const SHARED_CHUNKS: usize = 25;
-
-/// Locate `index` in the graduated chunk directory — chunk 0 holds
-/// `2^FIRST_CHUNK_BITS` indices, chunk `c ≥ 1` the next `2^(8+c)`.
-#[inline]
-fn chunk_pos(index: usize) -> (usize, usize) {
-    let adjusted = index + (1usize << FIRST_CHUNK_BITS);
-    let k = usize::BITS - 1 - adjusted.leading_zeros();
-    ((k - FIRST_CHUNK_BITS) as usize, adjusted - (1usize << k))
-}
-
-/// Capacity of chunk `chunk` of the graduated directory.
-#[inline]
-fn chunk_capacity(chunk: usize) -> usize {
-    1usize << (FIRST_CHUNK_BITS as usize + chunk)
-}
-
-/// Dedup shard of `node` — deterministic, so every thread agrees.
-#[inline]
-fn shard_index(node: &ENode) -> usize {
-    (FxBuildHasher::default().hash_one(node) as usize) & (DEDUP_SHARDS - 1)
-}
-
-/// The single-owner backing: plain vectors plus one dedup map.
-#[derive(Default)]
-struct LocalTables {
-    nodes: Vec<ENode>,
-    metas: Vec<Meta>,
-    dedup: HashMap<ENode, EId, FxBuildHasher>,
-}
-
-/// The concurrent backing behind [`ExprArena::make_shared`] — the same
-/// layout and lock discipline as the value arena's shared store (see
-/// `nra_core::value::intern`): graduated append-only `OnceLock` chunks
-/// for lock-free reads, lock-striped dedup shards, one alloc mutex
-/// (lock order shard → alloc), `len` published with `Release`.
-struct SharedTables {
-    chunks: [OnceLock<SharedChunk>; SHARED_CHUNKS],
-    len: AtomicUsize,
-    dedup: [Mutex<HashMap<ENode, EId, FxBuildHasher>>; DEDUP_SHARDS],
-    alloc: Mutex<()>,
-}
-
-/// One lazily-allocated storage chunk of the shared store: a fixed run
-/// of write-once slots.
-type SharedChunk = Box<[OnceLock<(ENode, Meta)>]>;
-
-impl SharedTables {
-    fn new() -> Self {
-        SharedTables {
-            chunks: std::array::from_fn(|_| OnceLock::new()),
-            len: AtomicUsize::new(0),
-            dedup: std::array::from_fn(|_| Mutex::new(HashMap::default())),
-            alloc: Mutex::new(()),
-        }
-    }
-
-    /// The chunk `chunk`, allocated on first touch.
-    fn chunk(&self, chunk: usize) -> &[OnceLock<(ENode, Meta)>] {
-        self.chunks[chunk].get_or_init(|| {
-            (0..chunk_capacity(chunk))
-                .map(|_| OnceLock::new())
-                .collect()
-        })
-    }
-
-    /// The published node behind `index`; panics on a handle this store
-    /// never issued — the stale-handle failure mode.
-    fn slot(&self, index: usize) -> &(ENode, Meta) {
-        assert!(
-            index < self.len.load(Ordering::Acquire),
-            "stale handle: index {index} was never issued by this shared expression arena \
-             (evicted generation, or a foreign arena's handle)"
-        );
-        let (chunk, offset) = chunk_pos(index);
-        self.chunks[chunk]
-            .get()
-            .expect("chunk of a published index is initialised")[offset]
-            .get()
-            .expect("slot of a published index is initialised")
-    }
-}
-
-/// The two storage modes of an arena — see [`ExprArena::make_shared`].
-enum Backing {
-    Local(LocalTables),
-    Shared(Arc<SharedTables>),
-}
-
 /// A hash-consing arena for expressions, mirroring
 /// [`crate::value::intern::ValueArena`]'s dedup/canonicalisation design
-/// — including its two storage modes: local (plain vectors) until
-/// [`ExprArena::make_shared`], lock-striped shared store with
-/// handle-preserving migration and [`ExprArena::shared_clone`]s after.
+/// — including its one store, shareable from birth through
+/// [`ExprArena::shared_clone`].
 ///
 /// ```
 /// use nra_core::expr::intern::ExprArena;
@@ -247,7 +160,7 @@ enum Backing {
 /// assert_eq!(arena.resolve(id), f);
 /// ```
 pub struct ExprArena {
-    backing: Backing,
+    store: View<ENode, Meta>,
     /// Bumped by [`ExprArena::clear`], so holders of incremental
     /// snapshots can detect that their prefix went stale.
     generation: u64,
@@ -256,7 +169,7 @@ pub struct ExprArena {
 impl Default for ExprArena {
     fn default() -> Self {
         ExprArena {
-            backing: Backing::Local(LocalTables::default()),
+            store: View::new(),
             generation: 0,
         }
     }
@@ -266,7 +179,6 @@ impl std::fmt::Debug for ExprArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExprArena")
             .field("nodes", &self.len())
-            .field("shared", &self.is_shared())
             .field("generation", &self.generation)
             .finish()
     }
@@ -280,10 +192,7 @@ impl ExprArena {
 
     /// Number of distinct expression nodes interned so far.
     pub fn len(&self) -> usize {
-        match &self.backing {
-            Backing::Local(t) => t.nodes.len(),
-            Backing::Shared(t) => t.len.load(Ordering::Acquire),
-        }
+        self.store.len()
     }
 
     /// Whether the arena holds no nodes yet.
@@ -297,72 +206,31 @@ impl ExprArena {
         self.len()
     }
 
-    /// Whether this arena runs on a shared concurrent store — see
-    /// [`ExprArena::make_shared`].
-    pub fn is_shared(&self) -> bool {
-        matches!(self.backing, Backing::Shared(_))
+    /// Another arena over the **same** store; handles are
+    /// interchangeable between all clones. Same contract as
+    /// [`crate::value::intern::ValueArena::shared_clone`].
+    pub fn shared_clone(&self) -> ExprArena {
+        ExprArena {
+            store: self.store.share(),
+            generation: self.generation,
+        }
     }
 
-    /// Migrate this arena onto a shared concurrent store (idempotent) —
-    /// the expression-side counterpart of
-    /// [`crate::value::intern::ValueArena::make_shared`]. Every node
-    /// keeps its index, so previously issued [`EId`]s — and snapshot
-    /// prefixes — remain valid; the generation does not change.
-    pub fn make_shared(&mut self) {
-        if self.is_shared() {
-            return;
-        }
-        let Backing::Local(t) =
-            std::mem::replace(&mut self.backing, Backing::Local(LocalTables::default()))
-        else {
-            unreachable!("is_shared() was false");
-        };
-        let mut shared = SharedTables::new();
-        let node_count = t.nodes.len();
-        for (index, (node, meta)) in t.nodes.into_iter().zip(t.metas).enumerate() {
-            let (chunk, offset) = chunk_pos(index);
-            if shared.chunk(chunk)[offset].set((node, meta)).is_err() {
-                unreachable!("fresh shared chunk slot already occupied");
-            }
-        }
-        for (node, id) in t.dedup {
-            let shard = shard_index(&node);
-            shared.dedup[shard]
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(node, id);
-        }
-        shared.len.store(node_count, Ordering::Release);
-        self.backing = Backing::Shared(Arc::new(shared));
-    }
-
-    /// Another arena over the **same** shared store (`None` while
-    /// local); handles are interchangeable between all clones. Same
-    /// contract as [`crate::value::intern::ValueArena::shared_clone`].
-    pub fn shared_clone(&self) -> Option<ExprArena> {
-        match &self.backing {
-            Backing::Shared(t) => Some(ExprArena {
-                backing: Backing::Shared(Arc::clone(t)),
-                generation: self.generation,
-            }),
-            Backing::Local(_) => None,
-        }
+    /// Approximate resident bytes held by the arena: its node slots in
+    /// whole chunks and its dedup index, as
+    /// [`crate::value::intern::ValueArena::approx_resident_bytes`]
+    /// charges them (leaf expressions behind their `Arc`s are shared
+    /// with the caller's trees and not charged).
+    pub fn approx_resident_bytes(&self) -> usize {
+        self.store.resident_bytes()
     }
 
     /// Discard every interned node. **All previously issued [`EId`]s
     /// become invalid** — same contract as
-    /// [`crate::value::intern::ValueArena::clear`] (a shared arena
-    /// detaches onto a fresh store; pre-existing clones keep the old
-    /// one).
+    /// [`crate::value::intern::ValueArena::clear`] (the arena moves onto
+    /// a fresh store; pre-existing clones keep the old one).
     pub fn clear(&mut self) {
-        match &mut self.backing {
-            Backing::Local(t) => {
-                t.nodes.clear();
-                t.metas.clear();
-                t.dedup.clear();
-            }
-            shared => *shared = Backing::Shared(Arc::new(SharedTables::new())),
-        }
+        self.store = View::new();
         self.generation += 1;
     }
 
@@ -395,68 +263,27 @@ impl ExprArena {
     }
 
     fn meta(&self, e: EId) -> Meta {
-        match &self.backing {
-            Backing::Local(t) => t.metas[e.index()],
-            Backing::Shared(t) => t.slot(e.index()).1,
-        }
+        self.store.get(e.index()).1
     }
 
-    /// The node behind a handle — both backings' read path. Panics on a
-    /// handle the arena never issued (stale after a clear, or foreign).
+    /// The node behind a handle. Panics on a handle the arena never
+    /// issued (stale after a clear, or foreign).
     fn node_ref(&self, e: EId) -> &ENode {
-        match &self.backing {
-            Backing::Local(t) => &t.nodes[e.index()],
-            Backing::Shared(t) => &t.slot(e.index()).0,
-        }
+        &self.store.get(e.index()).0
     }
 
+    /// The intern protocol of [`crate::value::intern::ValueArena`]: a
+    /// lock-free lookup, then on a miss the store's locked insert.
     fn add(&mut self, node: ENode) -> EId {
-        if let Backing::Shared(tables) = &self.backing {
-            let tables = Arc::clone(tables);
-            return self.add_shared(&tables, node);
-        }
-        if let Backing::Local(t) = &self.backing {
-            if let Some(&id) = t.dedup.get(&node) {
-                return id;
+        let hash = FxBuildHasher::default().hash_one(&node);
+        let index = match self.store.find(hash, &node) {
+            Some(index) => index,
+            None => {
+                let meta = self.meta_for(&node);
+                self.store.insert(hash, node, meta, None)
             }
-        }
-        let meta = self.meta_for(&node);
-        let Backing::Local(t) = &mut self.backing else {
-            unreachable!("checked local above");
         };
-        let id = EId::new(u32::try_from(t.nodes.len()).expect("ExprArena: more than 2³² nodes"));
-        t.dedup.insert(node.clone(), id);
-        t.nodes.push(node);
-        t.metas.push(meta);
-        id
-    }
-
-    /// The shared-store intern protocol — lock order shard → alloc,
-    /// identical to the value arena's.
-    fn add_shared(&self, tables: &SharedTables, node: ENode) -> EId {
-        let mut shard = tables.dedup[shard_index(&node)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(&id) = shard.get(&node) {
-            return id;
-        }
-        let meta = self.meta_for(&node);
-        let id;
-        {
-            let _alloc = tables.alloc.lock().unwrap_or_else(PoisonError::into_inner);
-            let index = tables.len.load(Ordering::Relaxed);
-            id = EId::new(u32::try_from(index).expect("ExprArena: more than 2³² nodes"));
-            let (chunk, offset) = chunk_pos(index);
-            if tables.chunk(chunk)[offset]
-                .set((node.clone(), meta))
-                .is_err()
-            {
-                unreachable!("allocation is serialised; a fresh slot cannot be occupied");
-            }
-            tables.len.store(index + 1, Ordering::Release);
-        }
-        shard.insert(node, id);
-        id
+        EId::new(index as u32)
     }
 
     /// Intern an expression, sharing every repeated subterm.
@@ -532,30 +359,23 @@ impl ExprArena {
     /// and start from an empty vector again). This keeps repeated
     /// evaluations `O(new nodes)` instead of `O(arena)`.
     ///
-    /// On a shared arena the snapshot extends to the store's currently
-    /// *published* length: nodes another clone interns concurrently past
-    /// that point are invisible, which is sound — a handle only reaches
-    /// this thread after the interning publishes it, and callers resync
-    /// before walking new handles.
+    /// The snapshot covers every index claimed when the call starts,
+    /// so it holds every handle the caller was given before it — also
+    /// when clones intern into the store concurrently: an index another
+    /// clone has claimed but not yet written is waited for, which is
+    /// brief, because a claimer writes its node before it lets go of
+    /// the store's shard lock.
     pub fn extend_snapshot(&self, out: &mut Vec<ENode>) {
-        match &self.backing {
-            Backing::Local(t) => {
-                debug_assert!(
-                    out.len() <= t.nodes.len(),
-                    "extend_snapshot: stale snapshot longer than the arena — missed a clear()?"
-                );
-                out.extend_from_slice(&t.nodes[out.len().min(t.nodes.len())..]);
-            }
-            Backing::Shared(t) => {
-                let len = t.len.load(Ordering::Acquire);
-                debug_assert!(
-                    out.len() <= len,
-                    "extend_snapshot: stale snapshot longer than the arena — missed a clear()?"
-                );
-                out.reserve(len.saturating_sub(out.len()));
-                for index in out.len()..len {
-                    out.push(t.slot(index).0.clone());
-                }
+        let len = self.len();
+        debug_assert!(
+            out.len() <= len,
+            "extend_snapshot: stale snapshot longer than the arena — missed a clear()?"
+        );
+        out.reserve(len.saturating_sub(out.len()));
+        while out.len() < len {
+            match self.store.try_get(out.len()) {
+                Some((node, _)) => out.push(node.clone()),
+                None => std::thread::yield_now(),
             }
         }
     }
@@ -751,36 +571,14 @@ mod tests {
     };
 
     #[test]
-    fn make_shared_preserves_handles_and_snapshots() {
-        let mut a = ExprArena::new();
-        let q = a.intern(&queries::tc_while());
-        let (ops, height) = (a.ops(q), a.height(q));
-        let mut snap = Vec::new();
-        a.extend_snapshot(&mut snap);
-        a.make_shared();
-        assert!(a.is_shared());
-        assert_eq!(a.resolve(q), queries::tc_while());
-        assert_eq!(a.ops(q), ops);
-        assert_eq!(a.height(q), height);
-        assert_eq!(a.intern(&queries::tc_while()), q, "dedup survived");
-        // the pre-migration snapshot is still a valid prefix
-        let before = snap.len();
-        let p = a.intern(&queries::tc_paths());
-        a.extend_snapshot(&mut snap);
-        assert_eq!(snap.len(), a.node_count());
-        assert!(snap.len() > before);
-        assert_eq!(snap[p.index()], a.node(p));
-        a.make_shared(); // idempotent
-    }
-
-    #[test]
     fn shared_clones_intern_canonically_across_threads() {
         let mut a = ExprArena::new();
-        a.make_shared();
         let expect = a.intern(&queries::tc_while());
+        let mut snap = Vec::new();
+        a.extend_snapshot(&mut snap);
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let mut worker = a.shared_clone().unwrap();
+                let mut worker = a.shared_clone();
                 scope.spawn(move || {
                     let q = worker.intern(&queries::tc_while());
                     assert_eq!(q, expect, "canonical across threads");
@@ -792,19 +590,22 @@ mod tests {
                 });
             }
         });
-        assert!(a.shared_clone().is_some());
         assert_eq!(a.intern(&queries::tc_while()), expect);
+        // the earlier snapshot is still a prefix, and extends to the
+        // nodes the clones interned
+        let p = a.intern(&queries::tc_paths());
+        a.extend_snapshot(&mut snap);
+        assert_eq!(snap.len(), a.node_count());
+        assert_eq!(snap[p.index()], a.node(p));
     }
 
     #[test]
     fn shared_clear_detaches_and_bumps_generation() {
         let mut a = ExprArena::new();
-        a.make_shared();
         let q = a.intern(&queries::tc_step());
-        let b = a.shared_clone().unwrap();
+        let b = a.shared_clone();
         let generation = a.generation();
         a.clear();
-        assert!(a.is_shared());
         assert!(a.is_empty());
         assert_eq!(a.generation(), generation + 1);
         assert_eq!(b.resolve(q), queries::tc_step(), "old store unaffected");

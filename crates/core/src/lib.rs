@@ -37,6 +37,7 @@ pub mod expr;
 pub mod generate;
 pub mod parser;
 pub mod queries;
+mod store;
 pub mod typecheck;
 pub mod types;
 pub mod value;

@@ -1,21 +1,17 @@
 //! Word-parallel primitives for dense bitmap sets.
 //!
 //! One vocabulary of packed-`u64` operations shared by every layer that
-//! manipulates dense relations: the arena's [`SetRepr::Dense`] sidecars
-//! (`nra_core::value::intern`), the graph crate's `BitSet` rows, and the
-//! arena-native transitive-closure backend. All functions operate on
-//! plain word slices — no representation assumptions beyond "bit `i` of
-//! word `i / 64` is element `i`" — so callers can layer whatever domain
-//! encoding they need on top (the arena packs atom values directly and
-//! pairs row-major by a power-of-two stride).
+//! manipulates dense relations: the graph crate's `BitSet` rows and the
+//! arena-native transitive-closure backend (`nra_graph::tc_arena`). All
+//! functions operate on plain word slices — no representation
+//! assumptions beyond "bit `i` of word `i / 64` is element `i`" — so
+//! callers can layer whatever domain encoding they need on top.
 //!
 //! Length mismatches are handled by the *growing* convention: a shorter
 //! operand is treated as zero-padded, and in-place destinations grow to
 //! cover the longer operand where bits could be set. This is the
 //! contract `BitSet::union_with` adopts (growing instead of panicking)
 //! so the two layers agree on edge cases.
-//!
-//! [`SetRepr::Dense`]: super::intern::SetRepr
 //!
 //! ```
 //! use nra_core::value::dense;

@@ -71,13 +71,13 @@
 //! assert_eq!(intern::depth(v), 70);
 //! ```
 
-use super::{dense, Value};
+use super::Value;
+use crate::store::{Keyed, View};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::Arc;
 
 /// A fast non-cryptographic hasher (the FxHash recipe: rotate, xor,
 /// multiply) for handle-keyed maps. Interning happens on the evaluator
@@ -198,6 +198,18 @@ enum Node {
     Set(Arc<[VId]>),
 }
 
+impl Keyed for Node {
+    fn key(&self) -> (u8, Option<u64>) {
+        match *self {
+            Node::Unit => (0, Some(0)),
+            Node::Bool(b) => (1, Some(b as u64)),
+            Node::Nat(n) => (2, Some(n)),
+            Node::Pair(a, b) => (3, Some(((a.0 as u64) << 32) | b.0 as u64)),
+            Node::Set(_) => (4, None),
+        }
+    }
+}
+
 /// Cached per-node metadata, computed once at interning time.
 #[derive(Debug, Clone, Copy)]
 struct Meta {
@@ -216,295 +228,14 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Number of lock-striped dedup shards of a shared arena (a power of
-/// two; a node's shard is its hash masked down). 16 stripes keep
-/// contention negligible for the worker counts `eval_batch` runs
-/// (typically ≤ the machine's core count).
-const DEDUP_SHARDS: usize = 16;
-
-/// Slot count of chunk 0 of a shared arena, as a power of two.
-const FIRST_CHUNK_BITS: u32 = 10;
-
-/// Number of chunks a shared arena can grow: chunk `c` holds
-/// `2^(FIRST_CHUNK_BITS + c)` slots, so 23 chunks cover the full `u32`
-/// handle space (the arena panics before exceeding it, exactly like
-/// the local backing).
-const SHARED_CHUNKS: usize = 23;
-
-/// Locate `index` in the graduated chunk directory: chunk 0 holds
-/// indices `0..2¹⁰`, chunk `c ≥ 1` the next `2^(10+c)`.
-#[inline]
-fn chunk_pos(index: usize) -> (usize, usize) {
-    let adjusted = index + (1usize << FIRST_CHUNK_BITS);
-    let k = usize::BITS - 1 - adjusted.leading_zeros();
-    ((k - FIRST_CHUNK_BITS) as usize, adjusted - (1usize << k))
-}
-
-/// Capacity of chunk `chunk` of the graduated directory.
-#[inline]
-fn chunk_capacity(chunk: usize) -> usize {
-    1usize << (FIRST_CHUNK_BITS as usize + chunk)
-}
-
-/// Dedup shard of `node` — deterministic (FxHash of the node), so every
-/// thread agrees on where a node's canonical entry lives.
-#[inline]
-fn shard_index(node: &Node) -> usize {
-    (FxBuildHasher::default().hash_one(node) as usize) & (DEDUP_SHARDS - 1)
-}
-
-/// Largest atom coordinate a dense sidecar will pack. Beyond this the
-/// bit domain (quadratic in the coordinate range for pair relations)
-/// stops paying for itself and sets stay on the sorted spine.
+/// Largest atom coordinate [`ValueArena::dense_domain_cap`] reports a
+/// packed domain for. Beyond it the bit domain (quadratic in the
+/// coordinate range for pair relations) stops paying for itself.
 pub const DENSE_MAX_COORD: u64 = 8192;
 
-/// Minimum cardinality before a set is *considered* for promotion to a
-/// dense sidecar on its own. Below this, one sorted merge is already a
-/// handful of comparisons and the decode pass would dominate. Small
-/// sets can still be densified *against* a dense partner at a merge
-/// boundary (the partner's shape is the hint), which is how frontiers
-/// join the word-parallel path.
-const DENSE_MIN_CARD: usize = 64;
-
-/// The bit domain of a dense sidecar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DenseShape {
-    /// Every element is a natural: bit `n` is the atom `n`.
-    Atoms,
-    /// Every element is a pair of naturals: bit `a·stride + b` is the
-    /// edge `(a, b)`. `stride` is a power of two covering the largest
-    /// coordinate, so the domain is a `stride × stride` adjacency
-    /// matrix packed row-major.
-    Pairs {
-        /// Row length of the packed matrix.
-        stride: u32,
-    },
-}
-
-impl DenseShape {
-    /// The bit index of a decoded element under this shape.
-    #[inline]
-    fn bit(&self, a: u64, b: u64) -> usize {
-        match self {
-            DenseShape::Atoms => a as usize,
-            DenseShape::Pairs { stride } => a as usize * *stride as usize + b as usize,
-        }
-    }
-
-    /// Decode a bit index back into element coordinates.
-    #[inline]
-    fn coords(&self, bit: usize) -> (u64, u64) {
-        match self {
-            DenseShape::Atoms => (bit as u64, 0),
-            DenseShape::Pairs { stride } => (
-                (bit / *stride as usize) as u64,
-                (bit % *stride as usize) as u64,
-            ),
-        }
-    }
-}
-
-/// The dense backing of an interned set of atoms or pairs over a
-/// bounded domain: packed `u64` words (bit `i` set ⇔ the element the
-/// [`DenseShape`] decodes from `i` is in the set).
-///
-/// A `DenseSet` is a **sidecar**, not the node: canonical identity —
-/// the [`VId`], the dedup key, `size`/`depth`/`structural_hash` — is
-/// always the sorted element spine, so dense and sparse encodings of
-/// the same set intern to the same handle by construction. The sidecar
-/// is what the word-parallel set algebra
-/// ([`ValueArena::set_union`] … [`ValueArena::set_merge_frontier`])
-/// computes with when both operands have one.
-#[derive(Debug)]
-pub struct DenseSet {
-    shape: DenseShape,
-    words: Vec<u64>,
-}
-
-impl DenseSet {
-    /// The bit-domain layout.
-    pub fn shape(&self) -> DenseShape {
-        self.shape
-    }
-
-    /// The packed words (suitable for the [`dense`] primitives).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Number of elements — one popcount pass.
-    pub fn cardinality(&self) -> u64 {
-        dense::popcount(&self.words)
-    }
-}
-
-/// How an interned set node is currently represented — see
-/// [`ValueArena::set_repr`].
-#[derive(Debug)]
-pub enum SetRepr {
-    /// The canonical sorted-`VId` element spine (every set has one).
-    Sorted(Arc<[VId]>),
-    /// A dense bitmap sidecar is attached: word-parallel set algebra
-    /// applies. The canonical spine still exists and still defines the
-    /// node's identity.
-    Dense(Arc<DenseSet>),
-}
-
-/// Key of the per-arena atom/pair-domain map: the content coordinates
-/// of a densifiable element, tagged so atom `n` and edge `(0, n)`
-/// cannot collide. Content-addressed (not stride-dependent), so
-/// re-striding a sidecar never invalidates the map.
-#[inline]
-fn atom_key(n: u64) -> u64 {
-    (1u64 << 63) | n
-}
-
-#[inline]
-fn pair_key(a: u64, b: u64) -> u64 {
-    (a << 32) | b
-}
-
-/// Per-arena dense bookkeeping: built sidecars (and negative verdicts)
-/// keyed by node index, plus the atom/pair-domain map that turns bits
-/// back into element handles without re-interning.
-#[derive(Default)]
-struct DenseCache {
-    /// `Some(sidecar)` — built; `None` — proven never-densifiable
-    /// (mixed element kinds, coordinates beyond [`DENSE_MAX_COORD`],
-    /// or density too low). Below-threshold small sets are *not*
-    /// recorded, so a later hinted build can still promote them.
-    sidecars: HashMap<u32, Option<Arc<DenseSet>>, FxBuildHasher>,
-    /// Domain map: [`atom_key`]/[`pair_key`] → the element's handle.
-    domain: HashMap<u64, VId, FxBuildHasher>,
-    /// Total `u64` words held by cached sidecars (for byte accounting).
-    words: usize,
-}
-
-impl DenseCache {
-    fn store(&mut self, index: u32, sidecar: Option<Arc<DenseSet>>) {
-        let new_words = sidecar.as_ref().map_or(0, |s| s.words.len());
-        let old_words = self
-            .sidecars
-            .insert(index, sidecar)
-            .flatten()
-            .map_or(0, |s| s.words.len());
-        self.words = self.words - old_words + new_words;
-    }
-}
-
-/// The single-owner backing: plain vectors plus one dedup map, the
-/// layout every arena starts with.
-#[derive(Default)]
-struct LocalTables {
-    nodes: Vec<Node>,
-    metas: Vec<Meta>,
-    dedup: HashMap<Node, VId, FxBuildHasher>,
-    /// Total set-element fan-out, maintained incrementally so occupancy
-    /// accounting is `O(1)` (and identical between backings).
-    set_children: usize,
-    /// Dense sidecars + domain map. Behind a (single-owner, therefore
-    /// uncontended) `Mutex` because the read-only set ops
-    /// (`is_subset`, `set_contains`, `set_delta_cardinality`) take
-    /// `&self` but still consult the cache, and `ValueArena` must stay
-    /// `Sync`; locks are per-call and never held across arena re-entry.
-    dense: Mutex<DenseCache>,
-}
-
-/// The concurrent backing behind [`ValueArena::make_shared`]: one
-/// canonical store many arena clones intern into simultaneously.
-///
-/// Layout and lock discipline:
-///
-/// * **Node storage** is a graduated directory of append-only chunks
-///   (chunk `c` holds `2^(10+c)` slots), so indices are globally dense
-///   — the same `VId` space as the local backing — and published slots
-///   never move. Each slot is a [`OnceLock`], whose `set`/`get` pair
-///   provides the release/acquire edge that makes a node (and its
-///   metadata) visible to every thread that obtained its `VId`.
-/// * **Deduplication** is lock-striped: [`DEDUP_SHARDS`] mutexes, a
-///   node hashing to its shard. Interning an already-known node takes
-///   exactly one shard lock.
-/// * **Allocation** of fresh indices is serialised by the single
-///   `alloc` mutex (taken *after* the shard lock — the lock order is
-///   shard → alloc, and alloc never takes a shard lock, so the pair
-///   cannot deadlock). `len` is stored with `Release` only after the
-///   slot is written, so any reader that observes an index below `len`
-///   finds its slot initialised.
-///
-/// Reads (`slot`) are entirely lock-free: one `Acquire` load of `len`,
-/// pure index arithmetic, two `OnceLock::get`s.
-struct SharedTables {
-    chunks: [OnceLock<SharedChunk>; SHARED_CHUNKS],
-    len: AtomicUsize,
-    set_children: AtomicUsize,
-    dedup: [Mutex<HashMap<Node, VId, FxBuildHasher>>; DEDUP_SHARDS],
-    alloc: Mutex<()>,
-    /// Dense sidecars, lock-striped by **node index** (`index & mask`)
-    /// so a hot node's sidecar and its neighbours spread over stripes.
-    /// Leaf locks: taken only to get/insert one entry, never while
-    /// holding a dedup shard or `alloc`, and nothing is acquired while
-    /// one is held — so they extend the shard → alloc order trivially.
-    dense_sidecars: [Mutex<SidecarMap>; DEDUP_SHARDS],
-    /// The atom/pair-domain map, lock-striped by key. Same leaf-lock
-    /// discipline as `dense_sidecars`.
-    dense_domain: [Mutex<HashMap<u64, VId, FxBuildHasher>>; DEDUP_SHARDS],
-    /// Total sidecar words across stripes (byte accounting).
-    dense_words: AtomicUsize,
-}
-
-/// One stripe of the sidecar table: cached verdict per node index —
-/// absent = never checked, `None` = checked and not densifiable.
-type SidecarMap = HashMap<u32, Option<Arc<DenseSet>>, FxBuildHasher>;
-
-/// One lazily-allocated storage chunk of the shared store: a fixed run
-/// of write-once slots.
-type SharedChunk = Box<[OnceLock<(Node, Meta)>]>;
-
-impl SharedTables {
-    fn new() -> Self {
-        SharedTables {
-            chunks: std::array::from_fn(|_| OnceLock::new()),
-            len: AtomicUsize::new(0),
-            set_children: AtomicUsize::new(0),
-            dedup: std::array::from_fn(|_| Mutex::new(HashMap::default())),
-            alloc: Mutex::new(()),
-            dense_sidecars: std::array::from_fn(|_| Mutex::new(HashMap::default())),
-            dense_domain: std::array::from_fn(|_| Mutex::new(HashMap::default())),
-            dense_words: AtomicUsize::new(0),
-        }
-    }
-
-    /// The chunk `chunk`, allocated on first touch.
-    fn chunk(&self, chunk: usize) -> &[OnceLock<(Node, Meta)>] {
-        self.chunks[chunk].get_or_init(|| {
-            (0..chunk_capacity(chunk))
-                .map(|_| OnceLock::new())
-                .collect()
-        })
-    }
-
-    /// The published node behind `index`. Panics on an index this store
-    /// never issued — the stale-handle failure mode.
-    fn slot(&self, index: usize) -> &(Node, Meta) {
-        assert!(
-            index < self.len.load(Ordering::Acquire),
-            "stale handle: index {index} was never issued by this shared arena \
-             (evicted generation, or a foreign arena's handle)"
-        );
-        let (chunk, offset) = chunk_pos(index);
-        self.chunks[chunk]
-            .get()
-            .expect("chunk of a published index is initialised")[offset]
-            .get()
-            .expect("slot of a published index is initialised")
-    }
-}
-
-/// The two storage modes of an arena — see [`ValueArena::make_shared`].
-enum Backing {
-    Local(LocalTables),
-    Shared(Arc<SharedTables>),
-}
+/// Bytes a set's element spine costs beyond its elements: the `Arc`
+/// counts and the allocator's header and rounding.
+const SPINE_OVERHEAD: usize = 40;
 
 /// A hash-consing arena for complex objects.
 ///
@@ -512,14 +243,12 @@ enum Backing {
 /// functions; owning a `ValueArena` directly gives an isolated handle
 /// space (handles from different arenas must never be mixed).
 ///
-/// An arena starts in **local** mode (plain vectors, zero
-/// synchronisation). [`ValueArena::make_shared`] migrates it onto a
-/// lock-striped concurrent store, after which
-/// [`ValueArena::shared_clone`] hands out further arenas over the *same*
-/// store: handles are interchangeable between all clones, interning is
-/// canonical across threads, and previously issued handles stay valid
-/// (indices are preserved by the migration). The whole public API is
-/// identical in both modes.
+/// Every arena is shareable from birth: [`ValueArena::shared_clone`]
+/// hands out another arena over the *same* store, handles are
+/// interchangeable between all of them, and interning is canonical
+/// across threads. Lookups take no lock, an arena whose store has no
+/// other clone inserts without one, reads are one vector index, and a
+/// slot chunk is allocated only when a node lands in it.
 ///
 /// ```
 /// use nra_core::value::intern::ValueArena;
@@ -534,31 +263,18 @@ enum Backing {
 /// assert_eq!(arena.resolve(s), Value::set([Value::nat(1), Value::nat(2)]));
 /// ```
 pub struct ValueArena {
-    backing: Backing,
+    store: View<Node, Meta>,
     /// Bumped by [`ValueArena::clear`], mirroring the expression
     /// arena's counter, so holders of handles can detect that they went
     /// stale.
     generation: u64,
-    /// Whether the set algebra may take the dense word-parallel fast
-    /// path — see [`ValueArena::set_dense_enabled`].
-    dense_enabled: bool,
-    /// Set-algebra calls answered on the dense path by *this* arena
-    /// handle (clones of a shared store count separately — the counter
-    /// is the per-session observation the evaluator snapshots).
-    dense_ops: AtomicU64,
-    /// Sorted→dense promotions (sidecar builds) plus re-stridings
-    /// performed by this arena handle.
-    dense_promotions: AtomicU64,
 }
 
 impl Default for ValueArena {
     fn default() -> Self {
         ValueArena {
-            backing: Backing::Local(LocalTables::default()),
+            store: View::new(),
             generation: 0,
-            dense_enabled: true,
-            dense_ops: AtomicU64::new(0),
-            dense_promotions: AtomicU64::new(0),
         }
     }
 }
@@ -567,7 +283,6 @@ impl std::fmt::Debug for ValueArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ValueArena")
             .field("nodes", &self.len())
-            .field("shared", &self.is_shared())
             .field("generation", &self.generation)
             .finish()
     }
@@ -581,9 +296,6 @@ pub struct ArenaStats {
     /// Sum over set nodes of their element counts (total fan-out held by
     /// the arena — a proxy for its memory footprint).
     pub set_children: usize,
-    /// Total packed `u64` words held by dense sidecars — the dense
-    /// representation's footprint is *words*, not elements.
-    pub dense_words: usize,
     /// Approximate resident bytes — see
     /// [`ValueArena::approx_resident_bytes`].
     pub approx_bytes: usize,
@@ -597,10 +309,7 @@ impl ValueArena {
 
     /// Number of distinct nodes interned so far.
     pub fn len(&self) -> usize {
-        match &self.backing {
-            Backing::Local(t) => t.nodes.len(),
-            Backing::Shared(t) => t.len.load(Ordering::Acquire),
-        }
+        self.store.len()
     }
 
     /// Whether the arena holds no nodes yet.
@@ -608,108 +317,39 @@ impl ValueArena {
         self.len() == 0
     }
 
-    /// Whether this arena runs on a shared concurrent store — see
-    /// [`ValueArena::make_shared`].
-    pub fn is_shared(&self) -> bool {
-        matches!(self.backing, Backing::Shared(_))
+    /// Another arena over the **same** store. Handles are
+    /// interchangeable between all clones, and the clone carries the
+    /// same generation. Interning through any clone is canonical for all
+    /// of them (equal objects receive equal handles *across threads*),
+    /// which is what lets batch workers share a parent session's store
+    /// instead of re-interning results.
+    pub fn shared_clone(&self) -> ValueArena {
+        ValueArena {
+            store: self.store.share(),
+            generation: self.generation,
+        }
     }
 
-    /// Migrate this arena onto a **shared concurrent store** (idempotent).
-    ///
-    /// Every node keeps its index, so previously issued [`VId`]s remain
-    /// valid; the generation does not change. Afterwards
-    /// [`ValueArena::shared_clone`] hands out further arenas over the
-    /// same store: all clones intern canonically into one table (equal
-    /// objects receive equal handles *across threads*), which is what
-    /// lets batch workers share a parent session's store instead of
-    /// re-interning results.
-    pub fn make_shared(&mut self) {
-        if self.is_shared() {
-            return;
-        }
-        let Backing::Local(t) =
-            std::mem::replace(&mut self.backing, Backing::Local(LocalTables::default()))
-        else {
-            unreachable!("is_shared() was false");
-        };
-        let mut shared = SharedTables::new();
-        let node_count = t.nodes.len();
-        for (index, (node, meta)) in t.nodes.into_iter().zip(t.metas).enumerate() {
-            let (chunk, offset) = chunk_pos(index);
-            if shared.chunk(chunk)[offset].set((node, meta)).is_err() {
-                unreachable!("fresh shared chunk slot already occupied");
-            }
-        }
-        for (node, id) in t.dedup {
-            let shard = shard_index(&node);
-            shared.dedup[shard]
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(node, id);
-        }
-        shared.len.store(node_count, Ordering::Release);
-        shared.set_children.store(t.set_children, Ordering::Relaxed);
-        // migrate the dense sidecars and domain map: indices are
-        // preserved by the migration, so both stay valid as-is
-        let dense_cache = t.dense.into_inner().unwrap_or_else(PoisonError::into_inner);
-        shared
-            .dense_words
-            .store(dense_cache.words, Ordering::Relaxed);
-        for (index, sidecar) in dense_cache.sidecars {
-            shared.dense_sidecars[index as usize & (DEDUP_SHARDS - 1)]
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(index, sidecar);
-        }
-        for (key, id) in dense_cache.domain {
-            shared.dense_domain
-                [(FxBuildHasher::default().hash_one(key) as usize) & (DEDUP_SHARDS - 1)]
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(key, id);
-        }
-        self.backing = Backing::Shared(Arc::new(shared));
-    }
-
-    /// Another arena over the **same** shared store (`None` while local).
-    /// Handles are interchangeable between all clones; the clone carries
-    /// the same generation. Interning through any clone is canonical for
-    /// all of them.
-    pub fn shared_clone(&self) -> Option<ValueArena> {
-        match &self.backing {
-            Backing::Shared(t) => Some(ValueArena {
-                backing: Backing::Shared(Arc::clone(t)),
-                generation: self.generation,
-                dense_enabled: self.dense_enabled,
-                dense_ops: AtomicU64::new(0),
-                dense_promotions: AtomicU64::new(0),
-            }),
-            Backing::Local(_) => None,
-        }
+    /// Make every node the store holds as cheap to read through this
+    /// arena as the nodes it interned itself. Reads of nodes a clone
+    /// interned are correct either way; call this after a batch of
+    /// clones has filled the store (the batch layer does).
+    pub fn catch_up(&mut self) {
+        self.store.catch_up();
     }
 
     /// Discard every interned node, returning the arena to its empty
-    /// state (capacity is kept in local mode; a shared arena replaces
-    /// its store with a fresh one — clones made before the clear keep
-    /// the *old* store and are unaffected).
+    /// state. The arena moves onto a fresh store: clones made before the
+    /// clear keep the *old* store and are unaffected.
     ///
     /// **All previously issued [`VId`]s become invalid**: using one
-    /// afterwards panics (index out of range) or, once new values are
+    /// afterwards panics (a stale handle) or, once new values are
     /// interned, silently denotes a different object. Call only from
     /// quiescent points where no handles are retained — e.g. between
     /// batches in a long-running process, to stop the arena's otherwise
     /// monotone growth.
     pub fn clear(&mut self) {
-        match &mut self.backing {
-            Backing::Local(t) => {
-                t.nodes.clear();
-                t.metas.clear();
-                t.dedup.clear();
-                t.set_children = 0;
-                *t.dense.get_mut().unwrap_or_else(PoisonError::into_inner) = DenseCache::default();
-            }
-            shared => *shared = Backing::Shared(Arc::new(SharedTables::new())),
-        }
+        self.store = View::new();
         self.generation += 1;
     }
 
@@ -729,50 +369,24 @@ impl ValueArena {
         self.len()
     }
 
-    /// Total set-element fan-out held by the arena (maintained as a
-    /// counter in both backings, so this is `O(1)`).
-    fn set_children(&self) -> usize {
-        match &self.backing {
-            Backing::Local(t) => t.set_children,
-            Backing::Shared(t) => t.set_children.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Total packed words held by dense sidecars (both backings keep a
-    /// running counter, so this is `O(1)`).
-    fn dense_words_held(&self) -> usize {
-        match &self.backing {
-            Backing::Local(t) => t.dense.lock().unwrap_or_else(PoisonError::into_inner).words,
-            Backing::Shared(t) => t.dense_words.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Approximate resident bytes held by the arena: the node and
-    /// metadata storage, the set-element fan-out, the dedup map's
-    /// entries (each key clones its node), and the dense sidecars —
-    /// charged by *words*, not elements: a dense relation's marginal
-    /// cost is its packed bit domain, however many elements it holds.
-    /// An estimate — allocator slack and `HashMap` load factor are not
-    /// modelled — intended for occupancy reporting, not exact
-    /// accounting.
+    /// Approximate resident bytes held by the arena: the node slots in
+    /// whole chunks, the dedup index's tables (every level allocated),
+    /// and each set's element spine with its allocation header. An
+    /// estimate that charges at least what the layout holds; allocator
+    /// slack beyond a spine's header is not modelled.
     pub fn approx_resident_bytes(&self) -> usize {
-        let per_node = std::mem::size_of::<Node>() + std::mem::size_of::<Meta>();
-        // dedup holds a clone of every node (the Arc'd element slice is
-        // shared, not duplicated) plus a VId and a cached hash
-        let per_dedup_entry =
-            std::mem::size_of::<Node>() + std::mem::size_of::<VId>() + std::mem::size_of::<u64>();
-        let fan_out = self.set_children() * std::mem::size_of::<VId>();
-        let dense = self.dense_words_held() * std::mem::size_of::<u64>();
-        self.len() * (per_node + per_dedup_entry) + fan_out + dense
+        let (set_children, sets) = self.store.weight();
+        self.store.resident_bytes()
+            + set_children * std::mem::size_of::<VId>()
+            + sets * SPINE_OVERHEAD
     }
 
-    /// Aggregate statistics (node count, total set fan-out, dense
-    /// sidecar words, approximate resident bytes).
+    /// Aggregate statistics (node count, total set fan-out, approximate
+    /// resident bytes).
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
             nodes: self.len(),
-            set_children: self.set_children(),
-            dense_words: self.dense_words_held(),
+            set_children: self.store.weight().0,
             approx_bytes: self.approx_resident_bytes(),
         }
     }
@@ -824,83 +438,35 @@ impl ValueArena {
         }
     }
 
+    #[inline]
     fn meta(&self, v: VId) -> Meta {
-        match &self.backing {
-            Backing::Local(t) => t.metas[v.index()],
-            Backing::Shared(t) => t.slot(v.index()).1,
-        }
+        self.store.get(v.index()).1
     }
 
-    /// The node behind a handle — both backings' read path. Panics on a
-    /// handle the arena never issued (stale after a clear, or foreign).
+    /// The node behind a handle. Panics on a handle the arena never
+    /// issued (stale after a clear, or foreign).
+    #[inline]
     fn node_ref(&self, v: VId) -> &Node {
-        match &self.backing {
-            Backing::Local(t) => &t.nodes[v.index()],
-            Backing::Shared(t) => &t.slot(v.index()).0,
-        }
+        &self.store.get(v.index()).0
     }
 
+    /// The intern protocol: a lock-free lookup, and on a miss the
+    /// metadata, then the store's locked insert (which looks again).
     fn add(&mut self, node: Node) -> VId {
-        if let Backing::Shared(tables) = &self.backing {
-            let tables = Arc::clone(tables);
-            return self.add_shared(&tables, node);
-        }
-        if let Backing::Local(t) = &self.backing {
-            if let Some(&id) = t.dedup.get(&node) {
-                return id;
+        let hash = FxBuildHasher::default().hash_one(&node);
+        let index = match self.store.find(hash, &node) {
+            Some(index) => index,
+            None => {
+                let meta = self.meta_for(&node);
+                let weight = match &node {
+                    Node::Set(items) => Some(items.len()),
+                    _ => None,
+                };
+                self.store.insert(hash, node, meta, weight)
             }
-        }
-        let meta = self.meta_for(&node);
-        let Backing::Local(t) = &mut self.backing else {
-            unreachable!("checked local above");
         };
-        let id = VId::new(u32::try_from(t.nodes.len()).expect("ValueArena: more than 2³² nodes"));
-        if let Node::Set(items) = &node {
-            t.set_children += items.len();
-        }
-        t.dedup.insert(node.clone(), id);
-        t.nodes.push(node);
-        t.metas.push(meta);
-        id
+        VId::new(index as u32)
     }
-
-    /// The shared-store intern protocol. Lock order is shard → alloc;
-    /// a node already known costs exactly one shard lock.
-    fn add_shared(&self, tables: &SharedTables, node: Node) -> VId {
-        let mut shard = tables.dedup[shard_index(&node)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(&id) = shard.get(&node) {
-            return id;
-        }
-        // child metadata reads are lock-free: every child handle was
-        // published (slot set, then `len` released) before we got it
-        let meta = self.meta_for(&node);
-        let id;
-        {
-            let _alloc = tables.alloc.lock().unwrap_or_else(PoisonError::into_inner);
-            let index = tables.len.load(Ordering::Relaxed);
-            id = VId::new(u32::try_from(index).expect("ValueArena: more than 2³² nodes"));
-            let (chunk, offset) = chunk_pos(index);
-            if let Node::Set(items) = &node {
-                tables
-                    .set_children
-                    .fetch_add(items.len(), Ordering::Relaxed);
-            }
-            if tables.chunk(chunk)[offset]
-                .set((node.clone(), meta))
-                .is_err()
-            {
-                unreachable!("allocation is serialised; a fresh slot cannot be occupied");
-            }
-            // publish: the slot write above happens-before any reader
-            // that observes the new length
-            tables.len.store(index + 1, Ordering::Release);
-        }
-        shard.insert(node, id);
-        id
-    }
-
     /// Intern `()`.
     pub fn unit(&mut self) -> VId {
         self.add(Node::Unit)
@@ -979,17 +545,6 @@ impl ValueArena {
         if a == b {
             return Some(a);
         }
-        if let Some((da, db)) = self.dense_operands(a, &xs, b, &ys) {
-            self.count_dense_op();
-            let mut words = da.words.clone();
-            if !dense::union_into(&mut words, &db.words) {
-                return Some(a); // b ⊆ a: the union is a itself
-            }
-            if dense::words_equal(&words, &db.words) {
-                return Some(b); // a ⊆ b: the union is b itself
-            }
-            return Some(self.dense_materialise(da.shape, words));
-        }
         Some(self.add_canonical_set(merge_sorted(&xs, &ys)))
     }
 
@@ -1000,18 +555,6 @@ impl ValueArena {
         let ys = self.as_set(b)?;
         if a == b {
             return Some(a);
-        }
-        if let Some((da, db)) = self.dense_operands(a, &xs, b, &ys) {
-            self.count_dense_op();
-            let mut words = da.words.clone();
-            dense::intersect_into(&mut words, &db.words);
-            if dense::words_equal(&words, &da.words) {
-                return Some(a); // a ⊆ b: the intersection is a itself
-            }
-            if dense::words_equal(&words, &db.words) {
-                return Some(b);
-            }
-            return Some(self.dense_materialise(da.shape, words));
         }
         let mut out = Vec::with_capacity(xs.len().min(ys.len()));
         let (mut i, mut j) = (0, 0);
@@ -1037,15 +580,6 @@ impl ValueArena {
         if a == b {
             return Some(self.empty_set());
         }
-        if let Some((da, db)) = self.dense_operands(a, &xs, b, &ys) {
-            self.count_dense_op();
-            let mut words = da.words.clone();
-            dense::difference_into(&mut words, &db.words);
-            if dense::words_equal(&words, &da.words) {
-                return Some(a); // a ∩ b = ∅: the difference is a itself
-            }
-            return Some(self.dense_materialise(da.shape, words));
-        }
         let mut out = Vec::with_capacity(xs.len());
         let mut j = 0;
         for &x in xs.iter() {
@@ -1070,16 +604,6 @@ impl ValueArena {
         if xs.len() > ys.len() {
             return Some(false);
         }
-        // read-only entry point: use dense sidecars when both are
-        // already cached with the same shape (no building from `&self`)
-        if self.dense_enabled {
-            if let (Some(Some(da)), Some(Some(db))) = (self.dense_lookup(a), self.dense_lookup(b)) {
-                if da.shape == db.shape {
-                    self.count_dense_op();
-                    return Some(dense::is_subset_words(&da.words, &db.words));
-                }
-            }
-        }
         let mut j = 0;
         for &x in xs.iter() {
             while j < ys.len() && ys[j] < x {
@@ -1098,28 +622,6 @@ impl ValueArena {
     /// structural membership). `None` if `set` is not a set.
     pub fn set_contains(&self, set: VId, elem: VId) -> Option<bool> {
         let items = self.as_set(set)?;
-        // with a cached sidecar, membership is one bit probe: decode the
-        // candidate; an element of the wrong kind or beyond the domain
-        // cannot be in the set
-        if self.dense_enabled {
-            if let Some(Some(ds)) = self.dense_lookup(set) {
-                self.count_dense_op();
-                let decoded = match ds.shape {
-                    DenseShape::Atoms => self.as_nat(elem).map(|n| (n, 0)),
-                    DenseShape::Pairs { stride } => self.as_pair(elem).and_then(|(x, y)| {
-                        match (self.as_nat(x), self.as_nat(y)) {
-                            (Some(a), Some(b)) if a < stride as u64 && b < stride as u64 => {
-                                Some((a, b))
-                            }
-                            _ => None,
-                        }
-                    }),
-                };
-                return Some(
-                    decoded.is_some_and(|(a, b)| dense::get_bit(&ds.words, ds.shape.bit(a, b))),
-                );
-            }
-        }
         Some(items.binary_search(&elem).is_ok())
     }
 
@@ -1205,24 +707,6 @@ impl ValueArena {
             let empty = self.empty_set();
             return Some((old, empty));
         }
-        if let Some((dold, dnew)) = self.dense_operands(old, &xs, new, &ys) {
-            self.count_dense_op();
-            let mut union = dold.words.clone();
-            if !dense::union_into(&mut union, &dnew.words) {
-                // new ⊆ old: fixpoint reached, the frontier is empty
-                let empty = self.empty_set();
-                return Some((old, empty));
-            }
-            let mut fresh = dnew.words.clone();
-            dense::difference_into(&mut fresh, &dold.words);
-            let union_vid = if dense::words_equal(&union, &dnew.words) {
-                new // old ⊆ new: the union is new itself
-            } else {
-                self.dense_materialise(dold.shape, union)
-            };
-            let fresh_vid = self.dense_materialise(dnew.shape, fresh);
-            return Some((union_vid, fresh_vid));
-        }
         let mut union = Vec::with_capacity(xs.len() + ys.len());
         let mut fresh = Vec::new();
         let (mut i, mut j) = (0, 0);
@@ -1273,17 +757,6 @@ impl ValueArena {
         if old == new {
             return Some(0);
         }
-        // read-only entry point: cached same-shape sidecars only
-        if self.dense_enabled {
-            if let (Some(Some(dold)), Some(Some(dnew))) =
-                (self.dense_lookup(old), self.dense_lookup(new))
-            {
-                if dold.shape == dnew.shape {
-                    self.count_dense_op();
-                    return Some(dense::delta_count(&dold.words, &dnew.words));
-                }
-            }
-        }
         let mut fresh: u64 = 0;
         let mut i = 0;
         for &y in ys.iter() {
@@ -1316,60 +789,15 @@ impl ValueArena {
     /// assert_eq!(a.set_merge_frontier(base, &[]), Some(base));
     /// ```
     pub fn set_merge_frontier(&mut self, base: VId, frontiers: &[VId]) -> Option<VId> {
-        // validate everything up front so a non-set frontier refuses the
-        // whole merge instead of silently dropping
-        let base_items = self.as_set(base)?;
-        let mut frontier_items = Vec::with_capacity(frontiers.len());
-        for &f in frontiers {
-            frontier_items.push(self.as_set(f)?);
-        }
         if frontiers.is_empty() {
-            return Some(base);
+            return self.cardinality(base).map(|_| base);
         }
-        // dense path: OR every frontier into the base words — one pass,
-        // no per-element interning. Frontiers densify against the
-        // base's shape (the hint), so small deltas still join in.
-        if self.dense_enabled {
-            if let Some(merged) =
-                self.dense_frontier_merge(base, &base_items, frontiers, &frontier_items)
-            {
-                return Some(merged);
-            }
-        }
+        // the merge validates every operand up front, so a non-set
+        // frontier refuses the whole merge instead of silently dropping
         let mut sets = Vec::with_capacity(frontiers.len() + 1);
         sets.push(base);
         sets.extend_from_slice(frontiers);
         self.set_from_sorted_merge(&sets)
-    }
-
-    /// The word-parallel body of [`ValueArena::set_merge_frontier`]:
-    /// `None` means "stay on the sorted path" (an operand would not
-    /// densify), never an error.
-    fn dense_frontier_merge(
-        &mut self,
-        base: VId,
-        base_items: &[VId],
-        frontiers: &[VId],
-        frontier_items: &[Arc<[VId]>],
-    ) -> Option<VId> {
-        let db = self.sidecar(base, base_items, None)?;
-        let shape = db.shape;
-        let mut words = db.words.clone();
-        let mut changed = false;
-        for (&f, items) in frontiers.iter().zip(frontier_items) {
-            let df = self.sidecar(f, items, Some(shape))?;
-            if df.shape != shape {
-                // a frontier cached under another stride/kind — rare;
-                // the sorted merge handles it
-                return None;
-            }
-            changed |= dense::union_into(&mut words, &df.words);
-        }
-        self.count_dense_op();
-        if !changed {
-            return Some(base);
-        }
-        Some(self.dense_materialise(shape, words))
     }
 
     /// Intern a binary relation `{(a, b), …}`.
@@ -1513,99 +941,14 @@ impl ValueArena {
         Some(out)
     }
 
-    // ------------------------------------------------------------------
-    // Dense bitmap sidecars — the word-parallel representation layer.
-    //
-    // Canonical identity never changes: every set node keeps its sorted
-    // element spine, which is the dedup key and the source of
-    // size/depth/structural-hash. A *sidecar* (DenseSet) is derived,
-    // cached per node index, and consulted by the set algebra above:
-    // when both operands have (or can build) same-shape sidecars, the
-    // op becomes bitwise words + popcount and the result interns to
-    // exactly the VId the sorted merge would produce.
-    // ------------------------------------------------------------------
-
-    /// Whether the set algebra may take the dense word-parallel path.
-    pub fn dense_enabled(&self) -> bool {
-        self.dense_enabled
-    }
-
-    /// Enable/disable the dense representation (on by default). With it
-    /// off every operation stays on the sorted-merge path — results are
-    /// identical either way (same handles); this switch exists for the
-    /// dense-vs-sorted differentials and benchmarks.
-    pub fn set_dense_enabled(&mut self, on: bool) {
-        self.dense_enabled = on;
-    }
-
-    /// `(dense_ops, dense_promotions)` performed through this arena
-    /// handle: operations answered on the word-parallel path, and
-    /// sorted→dense promotions (sidecar builds + re-stridings). The
-    /// counters are cumulative; callers snapshot deltas.
-    pub fn dense_counters(&self) -> (u64, u64) {
-        (
-            self.dense_ops.load(Ordering::Relaxed),
-            self.dense_promotions.load(Ordering::Relaxed),
-        )
-    }
-
-    #[inline]
-    fn count_dense_op(&self) {
-        self.dense_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn count_dense_promotion(&self) {
-        self.dense_promotions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The current representation of a set node: `Dense` when a sidecar
-    /// is attached (and the dense path is enabled), `Sorted` otherwise.
-    /// `None` if `v` is not a set.
-    ///
-    /// ```
-    /// use nra_core::value::intern::{SetRepr, ValueArena};
-    ///
-    /// let mut a = ValueArena::new();
-    /// let r = a.relation((0..100).map(|i| (i, i + 1)));
-    /// assert!(matches!(a.set_repr(r), Some(SetRepr::Sorted(_))));
-    /// assert!(a.prepare_dense(r));
-    /// assert!(matches!(a.set_repr(r), Some(SetRepr::Dense(_))));
-    /// ```
-    pub fn set_repr(&self, v: VId) -> Option<SetRepr> {
-        let items = self.as_set(v)?;
-        if self.dense_enabled {
-            if let Some(Some(sc)) = self.dense_lookup(v) {
-                return Some(SetRepr::Dense(sc));
-            }
-        }
-        Some(SetRepr::Sorted(items))
-    }
-
-    /// Try to attach a dense sidecar to the set `v` (no-op if one is
-    /// already attached). Returns whether `v` is dense afterwards —
-    /// `false` for non-sets, for sets of anything but small-coordinate
-    /// atoms/pairs, and for sets too small or too sparse to pay for a
-    /// packed domain.
-    pub fn prepare_dense(&self, v: VId) -> bool {
-        if !self.dense_enabled {
-            return false;
-        }
-        let Some(items) = self.as_set(v) else {
-            return false;
-        };
-        self.sidecar(v, &items, None).is_some()
-    }
-
     /// The packed-domain bound of `v`: `Some(max_coord + 1)` when `v`
     /// is a set of small-coordinate nat atoms or nat-pair edges (every
     /// coordinate below [`DENSE_MAX_COORD`]), `None` otherwise. The
     /// empty set reports a domain of `1`.
     ///
-    /// This inspects the *domain*, not the representation: it answers
-    /// whether `v` lives in the territory the dense layer can pack,
-    /// independent of whether a sidecar is attached or the dense path
-    /// is even enabled. Admission control uses it to price polynomial
+    /// This inspects the *domain*: it answers whether `v` lives in the
+    /// territory the [`dense`](super::dense) word primitives can pack.
+    /// Admission control uses it to price polynomial
     /// queries over large relations by domain words instead of by
     /// per-element §3 size (which saturates on thousands of edges).
     pub fn dense_domain_cap(&self, v: VId) -> Option<u64> {
@@ -1634,295 +977,6 @@ impl ValueArena {
             max_coord = max_coord.max(a).max(b);
         }
         Some(if items.is_empty() { 1 } else { max_coord + 1 })
-    }
-
-    /// Cached sidecar verdict for a node: `None` — never checked;
-    /// `Some(None)` — checked, not densifiable; `Some(Some(_))` — built.
-    fn dense_lookup(&self, v: VId) -> Option<Option<Arc<DenseSet>>> {
-        let index = v.0;
-        match &self.backing {
-            Backing::Local(t) => t
-                .dense
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .sidecars
-                .get(&index)
-                .cloned(),
-            Backing::Shared(t) => t.dense_sidecars[index as usize & (DEDUP_SHARDS - 1)]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .get(&index)
-                .cloned(),
-        }
-    }
-
-    /// Record a sidecar (or a negative verdict) for a node, keeping the
-    /// word count in sync. Leaf lock on the shared backing — nothing
-    /// else is held while this runs.
-    fn dense_store(&self, v: VId, sidecar: Option<Arc<DenseSet>>) {
-        let index = v.0;
-        match &self.backing {
-            Backing::Local(t) => t
-                .dense
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .store(index, sidecar),
-            Backing::Shared(t) => {
-                let new_words = sidecar.as_ref().map_or(0, |s| s.words.len());
-                let old_words = t.dense_sidecars[index as usize & (DEDUP_SHARDS - 1)]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(index, sidecar)
-                    .flatten()
-                    .map_or(0, |s| s.words.len());
-                if new_words >= old_words {
-                    t.dense_words
-                        .fetch_add(new_words - old_words, Ordering::Relaxed);
-                } else {
-                    t.dense_words
-                        .fetch_sub(old_words - new_words, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    /// Domain-map lookup: the handle of the element whose coordinates
-    /// hash to `key` (see [`atom_key`]/[`pair_key`]).
-    fn domain_get(&self, key: u64) -> Option<VId> {
-        match &self.backing {
-            Backing::Local(t) => t
-                .dense
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .domain
-                .get(&key)
-                .copied(),
-            Backing::Shared(t) => t.dense_domain
-                [(FxBuildHasher::default().hash_one(key) as usize) & (DEDUP_SHARDS - 1)]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .get(&key)
-                .copied(),
-        }
-    }
-
-    fn domain_insert(&self, key: u64, id: VId) {
-        match &self.backing {
-            Backing::Local(t) => {
-                t.dense
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .domain
-                    .insert(key, id);
-            }
-            Backing::Shared(t) => {
-                t.dense_domain
-                    [(FxBuildHasher::default().hash_one(key) as usize) & (DEDUP_SHARDS - 1)]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(key, id);
-            }
-        }
-    }
-
-    /// The sidecar of set `v`, building one if the representation
-    /// heuristic admits it. `hint` is the partner's shape at a merge
-    /// boundary: it waives the cardinality threshold (a small frontier
-    /// is worth densifying against a dense base) and fixes the stride
-    /// so the pair can word-op directly. Returns `None` to stay sorted.
-    fn sidecar(&self, v: VId, items: &[VId], hint: Option<DenseShape>) -> Option<Arc<DenseSet>> {
-        match self.dense_lookup(v) {
-            Some(Some(sc)) => return Some(sc),
-            // a recorded negative verdict is final for unhinted calls;
-            // a hinted build re-checks (the verdict may have been "too
-            // sparse for its own domain", which a partner's paid-for
-            // domain makes moot)
-            Some(None) if hint.is_none() => return None,
-            _ => {}
-        }
-        if hint.is_none() && items.len() < DENSE_MIN_CARD {
-            // not recorded: a later hinted build may still promote it
-            return None;
-        }
-        if items.is_empty() {
-            // only reachable hinted; borrow the partner's shape and do
-            // not cache — the empty set is shapeless
-            return Some(Arc::new(DenseSet {
-                shape: hint.expect("empty sets are below DENSE_MIN_CARD"),
-                words: Vec::new(),
-            }));
-        }
-        // decode: all atoms, or all pairs of atoms, under the coordinate cap
-        let mut decoded: Vec<(u64, u64)> = Vec::with_capacity(items.len());
-        let mut is_atoms = false;
-        let mut max_coord = 0u64;
-        for (i, &item) in items.iter().enumerate() {
-            let (a, b, atom) = if let Some(n) = self.as_nat(item) {
-                (n, 0, true)
-            } else if let Some((x, y)) = self.as_pair(item) {
-                match (self.as_nat(x), self.as_nat(y)) {
-                    (Some(a), Some(b)) => (a, b, false),
-                    _ => {
-                        self.dense_store(v, None);
-                        return None;
-                    }
-                }
-            } else {
-                self.dense_store(v, None);
-                return None;
-            };
-            if i == 0 {
-                is_atoms = atom;
-            } else if is_atoms != atom {
-                self.dense_store(v, None);
-                return None;
-            }
-            if a.max(b) >= DENSE_MAX_COORD {
-                self.dense_store(v, None);
-                return None;
-            }
-            max_coord = max_coord.max(a).max(b);
-            decoded.push((a, b));
-        }
-        let shape = if is_atoms {
-            if matches!(hint, Some(DenseShape::Pairs { .. })) {
-                return None; // kind mismatch with the partner, not a verdict on v
-            }
-            DenseShape::Atoms
-        } else {
-            let needed = u32::try_from((max_coord + 1).next_power_of_two())
-                .expect("coordinates are below DENSE_MAX_COORD");
-            match hint {
-                Some(DenseShape::Atoms) => return None,
-                Some(DenseShape::Pairs { stride }) => {
-                    if needed > stride {
-                        return None; // v outgrows the partner's domain
-                    }
-                    DenseShape::Pairs { stride }
-                }
-                None => DenseShape::Pairs { stride: needed },
-            }
-        };
-        let mut words: Vec<u64> = Vec::new();
-        for &(a, b) in &decoded {
-            dense::set_bit(&mut words, shape.bit(a, b));
-        }
-        // the density heuristic: the packed domain must be within a
-        // constant factor of the element count, or the words don't pay
-        // for themselves (hinted builds skip it — the partner already
-        // paid for the domain)
-        if hint.is_none() && words.len() > 8 * items.len() + 64 {
-            self.dense_store(v, None);
-            return None;
-        }
-        for (&item, &(a, b)) in items.iter().zip(&decoded) {
-            let key = if is_atoms {
-                atom_key(a)
-            } else {
-                pair_key(a, b)
-            };
-            self.domain_insert(key, item);
-        }
-        let sc = Arc::new(DenseSet { shape, words });
-        self.dense_store(v, Some(Arc::clone(&sc)));
-        self.count_dense_promotion();
-        Some(sc)
-    }
-
-    /// Re-pack a pair sidecar onto a wider stride (the promotion that
-    /// reconciles two dense operands whose domains grew apart).
-    fn restride(&self, v: VId, sc: &DenseSet, stride: u32) -> Arc<DenseSet> {
-        let shape = DenseShape::Pairs { stride };
-        let mut words: Vec<u64> = Vec::new();
-        for bit in dense::iter_ones(&sc.words) {
-            let (a, b) = sc.shape.coords(bit);
-            dense::set_bit(&mut words, shape.bit(a, b));
-        }
-        let arc = Arc::new(DenseSet { shape, words });
-        self.dense_store(v, Some(Arc::clone(&arc)));
-        self.count_dense_promotion();
-        arc
-    }
-
-    /// Both operands of a binary set op as *same-shape* sidecars, or
-    /// `None` to stay on the sorted path. The larger operand leads (it
-    /// must justify a domain on its own); the smaller densifies against
-    /// its shape; mismatched pair strides reconcile by re-striding the
-    /// narrower one.
-    fn dense_operands(
-        &self,
-        a: VId,
-        xs: &[VId],
-        b: VId,
-        ys: &[VId],
-    ) -> Option<(Arc<DenseSet>, Arc<DenseSet>)> {
-        if !self.dense_enabled {
-            return None;
-        }
-        let (mut da, mut db);
-        if xs.len() >= ys.len() {
-            da = self.sidecar(a, xs, None)?;
-            db = self.sidecar(b, ys, Some(da.shape))?;
-        } else {
-            db = self.sidecar(b, ys, None)?;
-            da = self.sidecar(a, xs, Some(db.shape))?;
-        }
-        match (da.shape, db.shape) {
-            (DenseShape::Atoms, DenseShape::Atoms) => {}
-            (DenseShape::Pairs { stride: sa }, DenseShape::Pairs { stride: sb }) => {
-                if sa < sb {
-                    da = self.restride(a, &da, sb);
-                } else if sb < sa {
-                    db = self.restride(b, &db, sa);
-                }
-            }
-            _ => return None, // cached sidecars of different kinds
-        }
-        Some((da, db))
-    }
-
-    /// Intern the set a dense word computation produced. Every set bit
-    /// maps back to its element handle through the domain map (falling
-    /// back to interning the decoded element, which dedup-hits), the
-    /// handles are sorted into the canonical spine order, and the spine
-    /// interns as usual — so the result `VId` is exactly what the
-    /// sorted merge would have produced. The words are attached to the
-    /// result as its sidecar.
-    fn dense_materialise(&mut self, shape: DenseShape, mut words: Vec<u64>) -> VId {
-        if dense::popcount(&words) == 0 {
-            return self.empty_set();
-        }
-        let mut items: Vec<VId> = Vec::new();
-        for bit in dense::iter_ones(&words) {
-            let (a, b) = shape.coords(bit);
-            let key = match shape {
-                DenseShape::Atoms => atom_key(a),
-                DenseShape::Pairs { .. } => pair_key(a, b),
-            };
-            let id = match self.domain_get(key) {
-                Some(id) => id,
-                None => {
-                    // result bits come from registered operand bits, but
-                    // re-interning is always a safe (dedup-hit) fallback
-                    let id = match shape {
-                        DenseShape::Atoms => self.nat(a),
-                        DenseShape::Pairs { .. } => self.edge(a, b),
-                    };
-                    self.domain_insert(key, id);
-                    id
-                }
-            };
-            items.push(id);
-        }
-        items.sort_unstable();
-        let out = self.add_canonical_set(items);
-        if !matches!(self.dense_lookup(out), Some(Some(_))) {
-            while words.last() == Some(&0) {
-                words.pop();
-            }
-            self.dense_store(out, Some(Arc::new(DenseSet { shape, words })));
-        }
-        out
     }
 }
 
@@ -2513,13 +1567,16 @@ mod tests {
     fn occupancy_introspection() {
         let mut a = ValueArena::new();
         assert_eq!(a.node_count(), 0);
-        assert_eq!(a.approx_resident_bytes(), 0);
+        // an empty arena is charged its store's fixed tables only
+        let empty = a.approx_resident_bytes();
+        assert!(empty < 64 << 10, "{empty} bytes for an empty store");
         a.chain(4);
         assert_eq!(a.node_count(), a.len());
         let stats = a.stats();
         assert_eq!(stats.nodes, a.node_count());
         assert_eq!(stats.approx_bytes, a.approx_resident_bytes());
-        assert!(stats.approx_bytes > stats.nodes * std::mem::size_of::<u64>());
+        // the first node allocates a whole chunk of slots
+        assert!(stats.approx_bytes >= empty + crate::store::CHUNK * std::mem::size_of::<u64>());
     }
 
     // the shared store's thread-mobility contract, checked at compile time
@@ -2529,63 +1586,42 @@ mod tests {
     };
 
     #[test]
-    fn make_shared_preserves_handles_and_metadata() {
-        let mut a = ValueArena::new();
-        let tc = a.chain_tc(4);
-        let e = a.edge(1, 2);
-        let (size, depth, hash) = (a.size(tc), a.depth(tc), a.structural_hash(tc));
-        let bytes = a.approx_resident_bytes();
-        let stats = a.stats();
-        a.make_shared();
-        assert!(a.is_shared());
-        // indices survived the migration: the same handles resolve
-        assert_eq!(a.resolve(tc), Value::chain_tc(4));
-        assert_eq!(a.as_pair(e).map(|(x, _)| a.as_nat(x)), Some(Some(1)));
-        assert_eq!(a.size(tc), size);
-        assert_eq!(a.depth(tc), depth);
-        assert_eq!(a.structural_hash(tc), hash);
-        // occupancy accounting is identical between backings
-        assert_eq!(a.approx_resident_bytes(), bytes);
-        assert_eq!(a.stats(), stats);
-        // dedup survived too: re-interning hits the same node
-        assert_eq!(a.chain_tc(4), tc);
-        // idempotent
-        a.make_shared();
-        assert!(a.is_shared());
-    }
-
-    #[test]
     fn shared_clones_intern_canonically() {
         let mut a = ValueArena::new();
-        let before = a.chain(3);
-        assert_eq!(a.shared_clone().map(|c| c.is_shared()), None);
-        a.make_shared();
-        let mut b = a.shared_clone().unwrap();
-        let mut c = a.shared_clone().unwrap();
+        let before = a.chain_tc(3);
+        let (size, depth, hash) = (a.size(before), a.depth(before), a.structural_hash(before));
+        let mut b = a.shared_clone();
+        let mut c = a.shared_clone();
         assert_eq!(b.generation(), a.generation());
-        // handles are interchangeable between clones
-        assert_eq!(b.resolve(before), Value::chain(3));
+        // handles, metadata and accounting are the store's, not a clone's
+        assert_eq!(b.resolve(before), Value::chain_tc(3));
+        assert_eq!(
+            (b.size(before), b.depth(before), b.structural_hash(before)),
+            (size, depth, hash)
+        );
+        assert_eq!(b.stats(), a.stats());
         // equal objects intern to equal handles through any clone
-        let x = b.chain_tc(3);
-        let y = c.chain_tc(3);
-        let z = a.chain_tc(3);
+        assert_eq!(b.chain_tc(3), before, "a clone's lookup hits");
+        let x = b.chain_tc(4);
+        let y = c.chain_tc(4);
+        let z = a.chain_tc(4);
         assert_eq!(x, y);
         assert_eq!(x, z);
         // and everyone observes everyone's nodes
         let fresh = b.relation([(41, 42)]);
         assert_eq!(c.resolve(fresh), Value::relation([(41, 42)]));
         assert_eq!(a.len(), b.len());
+        a.catch_up();
+        assert_eq!(a.resolve(fresh), Value::relation([(41, 42)]));
     }
 
     #[test]
     fn shared_clear_detaches_from_the_old_store() {
         let mut a = ValueArena::new();
-        a.make_shared();
         let v = a.chain(3);
-        let b = a.shared_clone().unwrap();
+        let b = a.shared_clone();
         let gen = a.generation();
         a.clear();
-        assert!(a.is_shared(), "clear keeps the arena shared");
         assert!(a.is_empty());
         assert_eq!(a.generation(), gen + 1);
         // the clone still points at the old store, untouched
@@ -2599,7 +1635,6 @@ mod tests {
     #[should_panic(expected = "stale handle")]
     fn shared_stale_handle_panics() {
         let mut a = ValueArena::new();
-        a.make_shared();
         a.chain(2);
         a.clear();
         let fabricated = VId::from_index(1 << 20);
@@ -2609,11 +1644,10 @@ mod tests {
     #[test]
     fn shared_store_under_concurrent_interning() {
         let mut a = ValueArena::new();
-        a.make_shared();
         let expect_tc = a.chain_tc(6);
         std::thread::scope(|scope| {
             for w in 0..4u64 {
-                let mut worker = a.shared_clone().unwrap();
+                let mut worker = a.shared_clone();
                 scope.spawn(move || {
                     for round in 0..8u64 {
                         let tc = worker.chain_tc(6);
@@ -2633,6 +1667,24 @@ mod tests {
     }
 
     #[test]
+    fn a_growing_store_keeps_every_handle() {
+        // enough nodes to grow every index shard several times and to
+        // fill many slot chunks; every node keeps its handle and value
+        let mut a = ValueArena::new();
+        let n = 3 * crate::store::CHUNK as u64;
+        let pairs: Vec<VId> = (0..n).map(|i| a.edge(i, i / 7)).collect();
+        for (i, &p) in pairs.iter().enumerate() {
+            let i = i as u64;
+            assert_eq!(a.edge(i, i / 7), p, "re-interning hits");
+            let single = a.set([p]);
+            assert_eq!(a.to_edges(single), Some(vec![(i, i / 7)]));
+        }
+        let before = a.approx_resident_bytes();
+        a.relation([(0, 0)]);
+        assert!(a.approx_resident_bytes() >= before);
+    }
+
+    #[test]
     fn empty_set_and_relations() {
         let mut a = ValueArena::new();
         let e = a.empty_set();
@@ -2644,174 +1696,22 @@ mod tests {
         assert_eq!(a.to_edges(tc).unwrap().len(), 6);
     }
 
-    /// A pseudo-random relation big enough to clear [`DENSE_MIN_CARD`].
-    fn sample_relation(arena: &mut ValueArena, seed: u64, n: u64) -> VId {
-        let mut state = seed;
-        let edges: Vec<(u64, u64)> = (0..4 * n)
-            .map(|_| {
-                state = mix(state.wrapping_add(0x9E37_79B9_7F4A_7C15));
-                (state % n, (state >> 32) % n)
-            })
-            .collect();
-        arena.relation(edges)
-    }
-
     #[test]
-    fn dense_ops_intern_to_the_sorted_handles() {
-        // two arenas — dense on vs off — must issue identical handle
-        // sequences for the same op trace, because the dense path
-        // interns exactly the set the sorted merge would
-        for seed in [1u64, 7, 99] {
-            let mut on = ValueArena::new();
-            let mut off = ValueArena::new();
-            off.set_dense_enabled(false);
-            for arena in [&mut on, &mut off] {
-                let x = sample_relation(arena, seed, 64);
-                let y = sample_relation(arena, seed ^ 0xABCD, 64);
-                arena.prepare_dense(x);
-                arena.prepare_dense(y);
-                let u = arena.set_union(x, y).unwrap();
-                let i = arena.set_intersection(x, y).unwrap();
-                let d = arena.set_difference(x, y).unwrap();
-                let (m, fresh) = arena.set_merge_delta(x, y).unwrap();
-                let f = arena.set_merge_frontier(x, &[y, d]).unwrap();
-                assert_eq!(arena.is_subset(i, x), Some(true));
-                assert_eq!(arena.is_subset(u, x), Some(u == x));
-                assert_eq!(
-                    arena.set_delta_cardinality(x, y),
-                    Some(arena.cardinality(fresh).unwrap() as u64)
-                );
-                assert_eq!(u, m);
-                assert_eq!(f, u);
-                // results resolve to the same trees either way
-                let _ = (u, i, d, m, fresh, f);
-            }
-            // identical traces ⇒ identical arena contents
-            assert_eq!(on.len(), off.len());
-            for raw in 0..on.len() {
-                let v = VId::from_index(raw);
-                assert_eq!(
-                    on.structural_hash(v),
-                    off.structural_hash(v),
-                    "node {raw} diverged between dense and sorted (seed {seed})"
-                );
-            }
-            let (ops, promotions) = on.dense_counters();
-            assert!(ops > 0, "dense path never taken (seed {seed})");
-            assert!(promotions > 0, "no promotion recorded (seed {seed})");
-            assert_eq!(off.dense_counters(), (0, 0));
-        }
-    }
-
-    #[test]
-    fn dense_respects_the_representation_heuristic() {
-        let mut a = ValueArena::new();
-        // tiny sets stay sorted on their own…
-        let small = a.relation([(1, 0), (2, 1)]);
-        assert!(!a.prepare_dense(small));
-        assert!(matches!(a.set_repr(small), Some(SetRepr::Sorted(_))));
-        // …but densify against a dense partner (the hint waives the
-        // cardinality threshold), so the merge still goes word-parallel
-        let big = a.relation((0..100).map(|i| (i, i + 1)));
-        assert!(a.prepare_dense(big));
-        let ops_before = a.dense_counters().0;
-        let u = a.set_union(big, small).unwrap();
-        assert!(
-            a.dense_counters().0 > ops_before,
-            "hinted merge stayed sorted"
-        );
-        assert_eq!(a.cardinality(u), Some(102));
-        // coordinates beyond the cap are never densified
-        let wide = a.relation((0..100).map(|i| (i * 1_000_000, i)));
-        assert!(!a.prepare_dense(wide));
-        // atom sets densify with the Atoms shape
-        let nats: Vec<VId> = (0..200).map(|i| a.nat(i)).collect();
-        let atom_set = a.set(nats);
-        assert!(a.prepare_dense(atom_set));
-        assert!(matches!(
-            a.set_repr(atom_set),
-            Some(SetRepr::Dense(ds)) if ds.shape() == DenseShape::Atoms
-        ));
-        // non-sets have no representation
-        let n = a.nat(3);
-        assert!(a.set_repr(n).is_none());
-        assert!(!a.prepare_dense(n));
-    }
-
-    #[test]
-    fn dense_restride_reconciles_grown_domains() {
-        let mut a = ValueArena::new();
-        // stride 128 domain vs stride 512 domain
-        let narrow = a.relation((0..70).map(|i| (i, i + 1)));
-        let wide = a.relation((0..300).map(|i| (i, i + 1)));
-        assert!(a.prepare_dense(narrow));
-        assert!(a.prepare_dense(wide));
-        let promotions_before = a.dense_counters().1;
-        let u = a.set_union(narrow, wide).unwrap();
-        assert_eq!(u, wide, "narrow ⊆ wide: union is wide itself");
-        assert!(
-            a.dense_counters().1 > promotions_before,
-            "stride reconciliation should re-stride the narrow sidecar"
-        );
-    }
-
-    #[test]
-    fn dense_words_are_charged_not_elements() {
-        let mut a = ValueArena::new();
-        let r = a.relation((0..200).map(|i| (i, i + 1)));
-        let before = a.approx_resident_bytes();
-        assert_eq!(a.stats().dense_words, 0);
-        assert!(a.prepare_dense(r));
-        let words = a.stats().dense_words;
-        assert!(words > 0);
-        assert_eq!(
-            a.approx_resident_bytes(),
-            before + words * std::mem::size_of::<u64>(),
-            "sidecars are charged by packed words"
-        );
-        a.clear();
-        assert_eq!(a.stats().dense_words, 0);
-    }
-
-    #[test]
-    fn dense_survives_migration_to_the_shared_store() {
-        let mut a = ValueArena::new();
-        let x = sample_relation(&mut a, 42, 96);
-        assert!(a.prepare_dense(x));
-        let words = a.stats().dense_words;
-        a.make_shared();
-        assert_eq!(
-            a.stats().dense_words,
-            words,
-            "sidecars migrate with their indices"
-        );
-        assert!(matches!(a.set_repr(x), Some(SetRepr::Dense(_))));
-        // dense algebra keeps working across clones of the shared store
-        let mut clone = a.shared_clone().unwrap();
-        let y = sample_relation(&mut clone, 43, 96);
-        clone.prepare_dense(y);
-        let u_clone = clone.set_union(x, y).unwrap();
-        let u_orig = a.set_union(x, y).unwrap();
-        assert_eq!(u_clone, u_orig, "canonical handles across clones");
-        assert!(clone.dense_counters().0 > 0);
-    }
-
-    #[test]
-    fn dense_contains_probes_bits() {
+    fn dense_domain_cap_reads_the_packable_domain() {
         let mut a = ValueArena::new();
         let r = a.relation((0..100).map(|i| (i, i + 1)));
-        let inside = a.edge(5, 6);
-        let outside = a.edge(6, 5);
-        let not_a_pair = a.nat(7);
-        // sorted answers first…
-        assert_eq!(a.set_contains(r, inside), Some(true));
-        assert_eq!(a.set_contains(r, outside), Some(false));
-        // …and identical dense answers once the sidecar is attached
-        assert!(a.prepare_dense(r));
-        let ops = a.dense_counters().0;
-        assert_eq!(a.set_contains(r, inside), Some(true));
-        assert_eq!(a.set_contains(r, outside), Some(false));
-        assert_eq!(a.set_contains(r, not_a_pair), Some(false));
-        assert_eq!(a.dense_counters().0, ops + 3);
+        assert_eq!(a.dense_domain_cap(r), Some(101));
+        let nats: Vec<VId> = (0..200).map(|i| a.nat(i)).collect();
+        let atoms = a.set(nats);
+        assert_eq!(a.dense_domain_cap(atoms), Some(200));
+        let empty = a.empty_set();
+        assert_eq!(a.dense_domain_cap(empty), Some(1));
+        // coordinates beyond the cap, mixed kinds and non-sets have none
+        let wide = a.relation([(0, DENSE_MAX_COORD)]);
+        assert_eq!(a.dense_domain_cap(wide), None);
+        let (one, e) = (a.nat(1), a.edge(1, 2));
+        let mixed = a.set([one, e]);
+        assert_eq!(a.dense_domain_cap(mixed), None);
+        assert_eq!(a.dense_domain_cap(one), None);
     }
 }

@@ -1,6 +1,6 @@
 //! Stress smoke for the **shared concurrent store**: seeded threads
-//! hammering one lock-striped value/expression store at once (the
-//! workload `nra_eval::eval_batch` workers put on it), offline and
+//! hammering one value/expression store at once (the workload
+//! `nra_eval::eval_batch` workers put on it), offline and
 //! dependency-free — a loom-style schedule-shaking smoke rather than a
 //! model check.
 //!
@@ -13,13 +13,24 @@
 //!   resolves to exactly the tree it was interned from;
 //! * **metadata coherence** — sizes, cardinalities, and the merge
 //!   algebra read through concurrently-issued handles agree with the
-//!   sequential reference.
+//!   sequential reference;
+//! * **one handle per node while the index grows** — threads racing to
+//!   intern the *same* fresh nodes into an empty store, whose lock-free
+//!   lookups miss while another thread inserts and whose dedup tables
+//!   double mid-race, each get the one handle the store issued;
+//! * **snapshots cover their roots** — threads interning *distinct* fresh
+//!   expression trees claim indices in different shards at once, and
+//!   each thread's snapshot, extended right after its intern, still
+//!   holds its own root, as the evaluators that index it by `EId`
+//!   require.
 
+use nra_core::builder::{compose, cond, konst, map, tuple};
 use nra_core::expr::intern::ExprArena;
 use nra_core::value::intern::{VId, ValueArena};
 use nra_core::value::Value;
-use nra_core::{queries, Expr};
+use nra_core::{queries, Expr, Type};
 use nra_testkit::{check, Rng};
+use std::sync::Barrier;
 
 /// Threads per case — enough to contend on 16 value shards without
 /// swamping small CI runners.
@@ -64,13 +75,12 @@ fn hammer_values(arena: &mut ValueArena, seed: u64) -> Vec<(Value, VId)> {
 fn concurrent_value_interning_is_canonical() {
     check("concurrent_value_interning_is_canonical", 8, |seed, rng| {
         let mut parent = ValueArena::new();
-        parent.make_shared();
         let thread_seeds: Vec<u64> = (0..THREADS).map(|_| rng.next_u64()).collect();
         let gathered: Vec<Vec<(Value, VId)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = thread_seeds
                 .iter()
                 .map(|&ts| {
-                    let mut worker = parent.shared_clone().expect("parent is shared");
+                    let mut worker = parent.shared_clone();
                     scope.spawn(move || hammer_values(&mut worker, ts))
                 })
                 .collect();
@@ -108,7 +118,6 @@ fn concurrent_value_interning_is_canonical() {
 fn concurrent_expr_interning_is_canonical() {
     check("concurrent_expr_interning_is_canonical", 8, |seed, rng| {
         let mut parent = ExprArena::new();
-        parent.make_shared();
         let queries: Vec<Expr> = vec![
             queries::tc_while(),
             queries::tc_step(),
@@ -122,7 +131,7 @@ fn concurrent_expr_interning_is_canonical() {
                 let handles: Vec<_> = thread_seeds
                     .iter()
                     .map(|&ts| {
-                        let mut worker = parent.shared_clone().expect("parent is shared");
+                        let mut worker = parent.shared_clone();
                         let queries = &queries;
                         scope.spawn(move || {
                             let mut rng = Rng::new(ts);
@@ -154,4 +163,128 @@ fn concurrent_expr_interning_is_canonical() {
         // published node
         assert_eq!(parent.snapshot().len(), parent.node_count());
     });
+}
+
+/// Side of the grid of fresh pairs the racing threads intern: `SIDE`
+/// naturals, `SIDE²` pairs and one set per row — enough to double every
+/// dedup shard's table several times during the race.
+const SIDE: u64 = 48;
+
+/// Intern the whole grid in a seeded order, once every racer is at the
+/// start line: the naturals, each pair `(a, b)`, and each row
+/// `{(a, b) : b < SIDE}`. Returns every handle keyed by what it denotes.
+fn race_grid(arena: &mut ValueArena, seed: u64, start: &Barrier) -> Vec<(Value, VId)> {
+    let mut rng = Rng::new(seed);
+    let mut order: Vec<u64> = (0..SIDE * SIDE).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.usize_below(i + 1));
+    }
+    start.wait();
+    let mut out = Vec::new();
+    for &cell in &order {
+        let (a, b) = (cell / SIDE, cell % SIDE);
+        let edge = arena.edge(a, b);
+        out.push((Value::edge(a, b), edge));
+        if b == SIDE - 1 {
+            let row = arena.relation((0..SIDE).map(|b| (a, b)));
+            out.push((Value::relation((0..SIDE).map(|b| (a, b))), row));
+        }
+    }
+    out
+}
+
+#[test]
+fn racing_interns_of_fresh_nodes_get_one_handle() {
+    check(
+        "racing_interns_of_fresh_nodes_get_one_handle",
+        8,
+        |seed, rng| {
+            let parent = ValueArena::new();
+            let thread_seeds: Vec<u64> = (0..THREADS).map(|_| rng.next_u64()).collect();
+            let start = Barrier::new(THREADS as usize);
+            let gathered: Vec<Vec<(Value, VId)>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = thread_seeds
+                    .iter()
+                    .map(|&ts| {
+                        let mut worker = parent.shared_clone();
+                        let start = &start;
+                        scope.spawn(move || race_grid(&mut worker, ts, start))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("racing worker panicked"))
+                    .collect()
+            });
+            // every thread got the same handle for the same node
+            let mut issued: std::collections::BTreeMap<Value, VId> = Default::default();
+            for pairs in &gathered {
+                for (tree, id) in pairs {
+                    let first = *issued.entry(tree.clone()).or_insert(*id);
+                    assert_eq!(first, *id, "seed {seed}: two handles for {tree}");
+                    assert_eq!(parent.resolve(*id), *tree, "seed {seed}: resolve diverged");
+                }
+            }
+            // exactly one node per distinct object: SIDE naturals, SIDE²
+            // pairs, SIDE rows
+            let expect_nodes = (SIDE + SIDE * SIDE + SIDE) as usize;
+            assert_eq!(parent.len(), expect_nodes, "seed {seed}: duplicate nodes");
+            let stats = parent.stats();
+            assert_eq!(stats.nodes, parent.len(), "seed {seed}");
+            let fan_out: usize = (0..parent.len())
+                .filter_map(|i| parent.cardinality(VId::from_index(i)))
+                .sum();
+            assert_eq!(stats.set_children, fan_out, "seed {seed}: set_children");
+            assert_eq!(fan_out, (SIDE * SIDE) as usize, "seed {seed}");
+        },
+    );
+}
+
+/// A nine-node expression no other call builds: its constants carry
+/// `tag`, and it has keyed nodes (tuple, map, compose) and unkeyed ones
+/// (constants, a conditional).
+fn fresh_tree(tag: u64) -> Expr {
+    let k = |i: u64| konst(Value::nat(tag * 8 + i), Type::Nat);
+    compose(tuple(k(0), k(1)), map(cond(k(2), k(3), k(4))))
+}
+
+#[test]
+fn snapshots_cover_every_root_under_concurrent_interning() {
+    check(
+        "snapshots_cover_every_root_under_concurrent_interning",
+        8,
+        |seed, _rng| {
+            let parent = ExprArena::new();
+            let start = Barrier::new(THREADS as usize);
+            std::thread::scope(|scope| {
+                for t in 0..THREADS {
+                    let mut worker = parent.shared_clone();
+                    let start = &start;
+                    scope.spawn(move || {
+                        let mut snap = Vec::new();
+                        start.wait();
+                        for round in 0..ROUNDS * 20 {
+                            let root =
+                                worker.intern(&fresh_tree((seed * THREADS + t) << 16 | round));
+                            worker.extend_snapshot(&mut snap);
+                            assert!(
+                                snap.len() > root.index(),
+                                "seed {seed}: a snapshot of {} nodes misses root {}",
+                                snap.len(),
+                                root.index()
+                            );
+                            assert_eq!(snap[root.index()], worker.node(root), "seed {seed}");
+                        }
+                    });
+                }
+            });
+            let nodes = (THREADS * ROUNDS * 20) as usize * fresh_tree(0).size();
+            assert_eq!(
+                parent.node_count(),
+                nodes,
+                "seed {seed}: every tree is fresh"
+            );
+            assert_eq!(parent.snapshot().len(), nodes, "seed {seed}");
+        },
+    );
 }

@@ -1,11 +1,10 @@
 //! Parallel batch evaluation over one **shared concurrent store**.
 //!
 //! A batch is a list of `(EId, VId)` queries against one parent
-//! [`EvalSession`]. [`eval_batch`] first migrates the parent onto the
-//! shared store ([`EvalSession::make_shared`] — handle-preserving and
-//! idempotent), then fans the queries across `workers` scoped threads
-//! (`std::thread::scope` — no external crates), each owning a worker
-//! session [split](EvalSession::split) off the parent:
+//! [`EvalSession`]. Every arena is shareable from birth, so
+//! [`eval_batch`] fans the queries across `workers` scoped threads
+//! (`std::thread::scope` — no external crates) as they are, each owning
+//! a worker session [split](EvalSession::split) off the parent:
 //!
 //! 1. workers **share the parent's arenas and apply table** — there is
 //!    no per-worker arena, no resolve-to-tree hand-off, and no
@@ -39,7 +38,7 @@
 //! cost up front ([`estimated_batch_cost`], an `O(1)`-per-job metadata
 //! read) and runs batches under [`SMALL_BATCH_COST`] inline on the
 //! calling thread, still through a single split worker session — so
-//! the store migration, panic containment, statistics and budget
+//! the shared apply table, panic containment, statistics and budget
 //! accounting are identical on both paths, and the results stay
 //! bit-for-bit the same (a regression test pins both sides of the
 //! threshold).
@@ -161,14 +160,14 @@ pub fn effective_workers(session: &EvalSession, queries: &[(EId, VId)], workers:
 }
 
 /// Evaluate `queries` (handles into `session`) across `workers` scoped
-/// worker threads over the session's shared store, returning one
+/// worker threads over the session's stores, returning one
 /// [`VidEvaluation`] per query, in input order, with result handles
 /// valid in `session`. The worker count is [`effective_workers`]:
 /// clamped to `1..=queries.len()`, and a batch under
 /// [`SMALL_BATCH_COST`] runs on one inline worker (results are
 /// partition-independent by construction, so the fallback is invisible
-/// except in wall-clock time). The session stays on the shared store
-/// afterwards, so a later batch re-uses every judgment this one
+/// except in wall-clock time). The session keeps the shared apply
+/// table afterwards, so a later batch re-uses every judgment this one
 /// derived.
 pub fn eval_batch(
     session: &mut EvalSession,
@@ -268,6 +267,7 @@ pub fn eval_batch_assigned(
         .into_iter()
         .map(|ev| ev.expect("every job was claimed by exactly one worker"))
         .collect();
+    session.catch_up();
 
     // the batch counts against the parent's books like a sequential
     // loop would: per-query stats fold into SessionStats…
@@ -386,16 +386,27 @@ mod tests {
 
     #[test]
     fn batch_shares_one_store_and_one_apply_table() {
-        // after a batch the parent is on the shared store, and the
-        // judgments the workers derived are warm for the parent
+        // the parent's arenas are the workers' store: the handles a
+        // batch returns are the parent's own, and the judgments the
+        // workers derived are warm for the parent
         let mut session = EvalSession::new(EvalConfig::optimised());
         let q = session.intern_expr(&queries::tc_while());
         let jobs: Vec<(EId, VId)> = (4..8u64)
             .map(|n| (q, session.values_mut().chain(n)))
             .collect();
-        assert!(!session.is_shared());
+        assert!(!session.is_shared(), "the apply table starts local");
         let first = eval_batch(&mut session, &jobs, 4);
-        assert!(session.is_shared());
+        assert!(session.is_shared(), "a batch shares the apply table");
+        let nodes = session.values().len();
+        for (n, ev) in (4..8u64).zip(&first) {
+            let expect = session.values_mut().chain_tc(n);
+            assert_eq!(*ev.result.as_ref().unwrap(), expect, "n={n}");
+        }
+        assert_eq!(
+            session.values().len(),
+            nodes,
+            "the workers' answers were already in the parent's store"
+        );
         // a second batch over the same jobs hits the shared table the
         // first batch filled: every job reports warm activity
         let second = eval_batch(&mut session, &jobs, 4);

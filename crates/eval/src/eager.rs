@@ -48,7 +48,7 @@ use nra_core::expr::intern::{self as expr_intern, EId, ENode, ExprArena};
 use nra_core::expr::Expr;
 use nra_core::value::intern::{self, FxBuildHasher, VId, ValueArena};
 use nra_core::value::Value;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -258,23 +258,16 @@ pub fn evaluate_vid(expr: &Expr, input: VId, config: &EvalConfig) -> VidEvaluati
 }
 
 /// Run one walk under a fresh [`Ctx`] against `va` and complete its
-/// statistics: the per-rule counters are folded in, and the arena's
-/// cumulative dense counters are read on both sides, so the delta is
-/// what this walk spent on the word-parallel dense path. Every
-/// evaluation entry point with [`EvalStats`] goes through here.
+/// statistics (the per-rule counters are folded in). Every evaluation
+/// entry point with [`EvalStats`] goes through here.
 pub(crate) fn run<T>(
     config: &EvalConfig,
     va: &mut ValueArena,
     walk: impl FnOnce(&mut Ctx, &mut ValueArena) -> Result<T, EvalError>,
 ) -> (Result<T, EvalError>, EvalStats) {
     let mut ctx = Ctx::new(config);
-    let (dense_ops0, dense_promotions0) = va.dense_counters();
     let result = walk(&mut ctx, va);
-    let (dense_ops1, dense_promotions1) = va.dense_counters();
-    let mut stats = ctx.finish();
-    stats.dense_ops = dense_ops1 - dense_ops0;
-    stats.dense_promotions = dense_promotions1 - dense_promotions0;
-    (result, stats)
+    (result, ctx.finish())
 }
 
 /// Evaluate with the default (unbudgeted) configuration, discarding stats.
@@ -461,7 +454,7 @@ pub(crate) struct SharedMemoTable {
     /// Each stripe's slots are allocated by its first store (a probe of
     /// an unallocated stripe misses): filling all 1.5 MiB up front cost
     /// about a millisecond of page faults, paid by every session that
-    /// migrates onto the shared store and by every eviction — more than
+    /// shares its apply table and by every eviction — more than
     /// a small batch's whole evaluation.
     stripes: Box<[Stripe]>,
     next_query: AtomicU32,
@@ -1842,11 +1835,15 @@ fn eval_join_fused(
     }
     ctx.node(ENode::Compose(eid, eid).head_index())?;
     ctx.observe_vid(va, input)?;
+    // a join node applied again in one evaluation (`tc_while`'s
+    // squaring) can project one answer from many matches: it interns
+    // each distinct answer once, across both halves of the delta form
+    let mut seen = prev.is_some().then(HashSet::default);
     let mut pairs = Vec::new();
-    hash_join(&shape, &fresh, &items, va, &mut pairs);
+    hash_join(&shape, &fresh, &items, va, seen.as_mut(), &mut pairs);
     let output = match prev {
         Some(e) => {
-            hash_join(&shape, &old, &fresh, va, &mut pairs);
+            hash_join(&shape, &old, &fresh, va, seen.as_mut(), &mut pairs);
             ctx.stats.delta_hits += 1;
             ctx.stats.delta_skipped += va.cardinality(e.output).unwrap_or(0) as u64;
             let fresh_pairs = va.set_from_vec(pairs);
@@ -1871,12 +1868,16 @@ fn eval_join_fused(
 /// (each match projected when the shape carries a projection): hash
 /// `rights` on the right key, probe with each left element's key, keep
 /// the pairs passing the residual conjuncts. Nat handles are
-/// hash-consed, so handle equality is `=_N`.
+/// hash-consed, so handle equality is `=_N`. With a `seen` set, a
+/// projected answer is interned and appended only the first time its
+/// [`answer_key`] enters it; a bare join's matches are distinct pairs
+/// already.
 fn hash_join(
     shape: &JoinShape,
     lefts: &[VId],
     rights: &[VId],
     va: &mut ValueArena,
+    mut seen: Option<&mut HashSet<u64, FxBuildHasher>>,
     out: &mut Vec<VId>,
 ) {
     if lefts.is_empty() || rights.is_empty() {
@@ -1900,17 +1901,28 @@ fn hash_join(
                 (a == b) != t.negated
             });
             if keep {
-                let (a, b) = match &shape.project {
-                    None => (x, y),
-                    Some([c1, c2]) => (
-                        c1.read(va, x, y).expect(gated),
-                        c2.read(va, x, y).expect(gated),
-                    ),
-                };
-                out.push(va.pair(a, b));
+                match &shape.project {
+                    None => out.push(va.pair(x, y)),
+                    Some([c1, c2]) => {
+                        let a = c1.read(va, x, y).expect(gated);
+                        let b = c2.read(va, x, y).expect(gated);
+                        if seen.as_mut().is_none_or(|s| s.insert(answer_key(a, b))) {
+                            out.push(va.pair(a, b));
+                        }
+                    }
+                }
             }
         }
     }
+}
+
+/// The `seen` key of a projected answer `(a, b)`: the two handles'
+/// indices packed into one word, then multiplied and rotated — a
+/// bijection, so keys stay distinct — because FxHash places a `u64` key
+/// by its low bits, which in the packed word are `b`'s alone.
+fn answer_key(a: VId, b: VId) -> u64 {
+    let packed = ((a.index() as u64) << 32) | b.index() as u64;
+    packed.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(32)
 }
 
 /// Apply a non-recursive primitive on the interned path (every rule

@@ -136,31 +136,29 @@ impl EvalSession {
         session
     }
 
-    /// Migrate this session onto the **shared concurrent store**:
-    /// lock-striped intern tables for both arenas plus one lock-striped
-    /// apply table, all behind `Arc`s. Idempotent; every previously
-    /// issued handle stays valid (the migration preserves indices), and
-    /// results are bit-for-bit unaffected — interning stays canonical,
-    /// so the same structure gets the same handle no matter which
-    /// session (or thread) interns it first.
+    /// Move this session's apply cache onto a table that split-off
+    /// workers share (idempotent). The arenas need no such step: every
+    /// arena is shareable from birth, and [`EvalSession::split`] hands
+    /// its workers clones of the same stores. The shared table starts
+    /// cold; results are bit-for-bit unaffected.
     ///
-    /// This is what [`EvalSession::split`] (and through it
-    /// [`crate::eval_batch`]) builds worker sessions on: workers intern
-    /// into the *same* canonical store and probe the *same* apply
-    /// table, so one worker's derivation is every worker's warm hit.
+    /// [`EvalSession::split`] (and through it [`crate::eval_batch`])
+    /// calls this, so workers probe the *same* apply table as the
+    /// parent: one worker's derivation is every worker's warm hit. A
+    /// server calls it up front, so the warmth its admission probe
+    /// leaves is not dropped at the first batch.
     pub fn make_shared(&mut self) {
-        self.values.make_shared();
-        self.exprs.make_shared();
         self.memo.make_shared();
     }
 
-    /// Whether this session runs on the shared concurrent store.
+    /// Whether this session's apply cache is the shared table — see
+    /// [`EvalSession::make_shared`].
     pub fn is_shared(&self) -> bool {
-        self.values.is_shared()
+        self.memo.shared_table().is_some()
     }
 
-    /// Split off `workers` sessions over this session's shared store
-    /// (migrating it via [`EvalSession::make_shared`] first if needed).
+    /// Split off `workers` sessions over this session's stores (moving
+    /// the apply cache onto its shared table first if needed).
     ///
     /// Each returned session interns into the **same** canonical
     /// value/expression store and probes the **same** apply table as
@@ -176,17 +174,10 @@ impl EvalSession {
             .expect("make_shared installed a shared apply table");
         (0..workers)
             .map(|_| {
-                let values = self
-                    .values
-                    .shared_clone()
-                    .expect("make_shared installed a shared value store");
-                let mut exprs = self
-                    .exprs
-                    .shared_clone()
-                    .expect("make_shared installed a shared expression store");
+                let mut exprs = self.exprs.shared_clone();
                 let memo = MemoState::with_shared_table(&mut exprs, Arc::clone(&table));
                 EvalSession {
-                    values,
+                    values: self.values.shared_clone(),
                     exprs,
                     memo,
                     config: self.config.clone(),
@@ -198,6 +189,14 @@ impl EvalSession {
                 }
             })
             .collect()
+    }
+
+    /// Make the values split-off workers interned as cheap to read
+    /// through this session as its own (see [`ValueArena::catch_up`]);
+    /// the batch layer calls this when a batch ends, before the answers
+    /// are read.
+    pub(crate) fn catch_up(&mut self) {
+        self.values.catch_up();
     }
 
     /// Install (or remove) the pre-evaluation rewrite pass — see
@@ -295,7 +294,7 @@ impl EvalSession {
     /// eviction.
     pub fn approx_resident_bytes(&self) -> usize {
         self.values.approx_resident_bytes()
-            + self.exprs.node_count() * std::mem::size_of::<nra_core::expr::intern::ENode>()
+            + self.exprs.approx_resident_bytes()
             + self.memo.approx_resident_bytes()
     }
 

@@ -15,12 +15,11 @@ use std::collections::BTreeMap;
 
 /// Statistics of one eager evaluation, in the sense of §3.
 ///
-/// Equality deliberately ignores the `dense_ops`/`dense_promotions`
-/// counters (see the manual [`PartialEq`] impl): whether a set-algebra
-/// op took the word-parallel dense path is a representation detail of
-/// the arena, not of the derivation, and the differential suites assert
-/// stats equality across backends that do and don't have an arena at
-/// all. Everything a §3 derivation determines — sizes, node counts,
+/// Equality deliberately ignores the `dense_ops` counter (see the
+/// manual [`PartialEq`] impl): how many packed-word operations a kernel
+/// ran is a representation detail, not a fact of the derivation, and
+/// the differential suites assert stats equality across backends that
+/// do and don't have an arena at all. Everything a §3 derivation determines — sizes, node counts,
 /// rule counters, frontiers — still compares exactly.
 #[derive(Debug, Clone, Default, Eq)]
 pub struct EvalStats {
@@ -75,21 +74,16 @@ pub struct EvalStats {
     /// Recorded only under `EvalConfig::semi_naive`, and only for
     /// set-valued iterates.
     pub while_frontiers: Vec<u64>,
-    /// Set-algebra operations served by the arena's word-parallel dense
-    /// bitmap path (union/intersection/difference/subset/contains/
-    /// merge) during this evaluation. Excluded from equality: a
-    /// representation counter, not a derivation fact.
+    /// Packed-word operations run during this evaluation. No kernel
+    /// runs on packed words yet, so this reads 0; servebench reports it
+    /// as `eval.dense_ops`. Excluded from equality: a representation
+    /// counter, not a derivation fact.
     pub dense_ops: u64,
-    /// Dense sidecars built by the arena during this evaluation —
-    /// promotions of a sorted spine to the packed-words representation
-    /// (including stride-widening re-promotions). Excluded from
-    /// equality, like `dense_ops`.
-    pub dense_promotions: u64,
 }
 
 impl PartialEq for EvalStats {
     fn eq(&self, other: &Self) -> bool {
-        // every field except dense_ops / dense_promotions
+        // every field except dense_ops
         self.max_object_size == other.max_object_size
             && self.nodes == other.nodes
             && self.total_size == other.total_size
@@ -154,10 +148,9 @@ mod tests {
         let mut a = EvalStats::default();
         let b = EvalStats {
             dense_ops: 17,
-            dense_promotions: 3,
             ..EvalStats::default()
         };
-        assert_eq!(a, b, "dense_* are representation, not derivation");
+        assert_eq!(a, b, "dense_ops is representation, not derivation");
         a.nodes = 1;
         assert_ne!(a, b, "derivation fields still compare");
     }

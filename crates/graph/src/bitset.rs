@@ -1,8 +1,8 @@
 //! A dense growable bitset, the substrate for the Warshall baseline.
 //!
 //! The word-level arithmetic is `nra_core::value::dense` — the same
-//! vocabulary the value arena's dense sidecars and the arena-native
-//! transitive-closure backend compute with — so every layer that ORs
+//! vocabulary the arena-native transitive-closure backend computes
+//! with — so every layer that ORs
 //! adjacency rows agrees on semantics (zero-padded comparison, growth
 //! on capacity mismatch) and there is exactly one implementation of
 //! each primitive.

@@ -7,9 +7,9 @@
 //! * [`semi_naive`] — delta-driven datalog-style iteration, the classical
 //!   implementation of the paper's `while` query;
 //! * [`bfs_per_source`] — `O(V·(V+E))` adjacency-list search;
-//! * [`tc_arena`] — closure of an *interned* relation, choosing its route
-//!   by the arena's dense switch: word-parallel bitmap Warshall over the
-//!   shared [`dense`] primitives when on, sorted
+//! * [`tc_arena`] — closure of an *interned* relation on the route its
+//!   `dense` parameter picks: word-parallel bitmap Warshall over the
+//!   shared [`dense`] primitives, or sorted
 //!   arena merges when off — identical closure `VId` either way.
 //!
 //! All agree (property-tested); `tc` picks the BFS variant.
@@ -99,16 +99,14 @@ pub fn bfs_per_source(g: &DiGraph) -> DiGraph {
     DiGraph::from_edges(out)
 }
 
-/// Transitive closure of an interned relation `{N × N}`, computed in the
-/// representation the arena is configured for and returned as the
-/// canonical interned closure handle. `None` if `rel` is not a relation
-/// of nat pairs.
+/// Transitive closure of an interned relation `{N × N}`, computed on the
+/// route `dense` picks and returned as the canonical interned closure
+/// handle. `None` if `rel` is not a relation of nat pairs.
 ///
-/// With [`ValueArena::dense_enabled`] the closure runs as word-parallel
-/// bitmap Warshall (`O(V³/64)` over the shared
+/// With `dense` the closure runs as word-parallel bitmap Warshall (`O(V³/64)` over the shared
 /// [`dense`] primitives, node ids compacted
 /// first) and the result set is interned **once** at the end — no
-/// per-round interning at all. With dense off it runs the classical
+/// per-round interning at all. Without it runs the classical
 /// semi-naive iteration, interning each frontier and folding it in by
 /// the arena's sorted-spine merges — the sorted rung the dense route is
 /// benchmarked against. Canonical dedup guarantees both routes return
@@ -121,15 +119,16 @@ pub fn bfs_per_source(g: &DiGraph) -> DiGraph {
 ///
 /// let mut va = ValueArena::new();
 /// let r = va.chain(100);
-/// let closure = tc_arena(&mut va, r).unwrap();
+/// let closure = tc_arena(&mut va, r, true).unwrap();
 /// assert_eq!(closure, va.chain_tc(100));
+/// assert_eq!(tc_arena(&mut va, r, false), Some(closure));
 /// ```
-pub fn tc_arena(va: &mut ValueArena, rel: VId) -> Option<VId> {
+pub fn tc_arena(va: &mut ValueArena, rel: VId, dense: bool) -> Option<VId> {
     let edges = va.to_edges(rel)?;
     if edges.is_empty() {
         return Some(rel); // the closure of the empty relation is itself
     }
-    if va.dense_enabled() {
+    if dense {
         Some(va.relation(dense_closure(&edges)))
     } else {
         sorted_closure_arena(va, rel, &edges)
@@ -296,10 +295,8 @@ mod tests {
             // closures the *same* interned handle
             let mut va = ValueArena::new();
             let rel = va.relation(g.edges());
-            va.set_dense_enabled(false);
-            let c_sorted = tc_arena(&mut va, rel).unwrap();
-            va.set_dense_enabled(true);
-            let c_dense = tc_arena(&mut va, rel).unwrap();
+            let c_sorted = tc_arena(&mut va, rel, false).unwrap();
+            let c_dense = tc_arena(&mut va, rel, true).unwrap();
             assert_eq!(
                 c_dense, c_sorted,
                 "seed {seed}: dense and sorted routes split"
@@ -313,15 +310,15 @@ mod tests {
     fn tc_arena_edge_cases() {
         let mut va = ValueArena::new();
         let empty = va.relation([]);
-        assert_eq!(tc_arena(&mut va, empty), Some(empty));
+        assert_eq!(tc_arena(&mut va, empty, true), Some(empty));
         let nat = va.nat(3);
-        assert_eq!(tc_arena(&mut va, nat), None, "not a relation");
+        assert_eq!(tc_arena(&mut va, nat, true), None, "not a relation");
         let loops = va.relation([(3, 3)]);
-        assert_eq!(tc_arena(&mut va, loops), Some(loops));
+        assert_eq!(tc_arena(&mut va, loops, true), Some(loops));
         // ids beyond the dense coordinate bound still close correctly
         // (the Warshall rows index *compacted* ids, not raw labels)
         let wide = va.relation([(1_000_000, 2_000_000), (2_000_000, 3_000_000)]);
-        let c = tc_arena(&mut va, wide).unwrap();
+        let c = tc_arena(&mut va, wide, true).unwrap();
         let got: BTreeSet<(u64, u64)> = va.to_edges(c).unwrap().into_iter().collect();
         let expect: BTreeSet<(u64, u64)> = [
             (1_000_000, 2_000_000),

@@ -225,11 +225,12 @@ impl Server {
     /// A fresh server with its own session.
     pub fn new(config: ServeConfig) -> Self {
         let mut session = EvalSession::new(config.eval.clone());
-        // migrate to the shared concurrent store *before* the first
-        // admission: the probe evaluates powerset-free prefixes inside
-        // this session, and `make_shared` starts the shared apply table
-        // cold (local entries are not migrated) — staying local until
-        // the first batch split would throw the probe's warmth away
+        // share the apply table *before* the first admission: the probe
+        // evaluates powerset-free prefixes inside this session, and
+        // `make_shared` starts the shared table cold (local entries are
+        // not carried over) — staying local until the first batch split
+        // would throw the probe's warmth away. The arenas are the
+        // workers' store from birth and need no such step.
         session.make_shared();
         if config.eval.optimise {
             nra_opt::install(&mut session);
@@ -723,8 +724,8 @@ mod tests {
         // powerset over a nontrivial powerset-free prefix: admission
         // must evaluate `tc_step` on the live input to price the site,
         // and that judgment must land in the shared apply table so the
-        // admitted run starts warm (a local cache is discarded, not
-        // migrated, when the first batch split shares the store).
+        // admitted run starts warm (a local apply cache is discarded,
+        // not carried over, when the first batch split shares it).
         // Interpreted memo config: it probes the cache at every node,
         // so the overlap with the probe's keys is exact rather than
         // call-grain dependent; optimise stays off so the query runs as
