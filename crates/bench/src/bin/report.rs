@@ -369,7 +369,9 @@ fn e16_arena_writer() {
 }
 
 fn e17_store_probe() {
+    use nra_core::expr::intern::EId;
     use nra_core::value::intern::{VId, ValueArena};
+    use nra_eval::memo::ApplyView;
     use nra_eval::EvalSession;
     use nra_testkit::graphs::{power_law, road_grid, two_community, FamilyGraph};
     use nra_testkit::Rng;
@@ -383,17 +385,22 @@ fn e17_store_probe() {
         times[times.len() / 2]
     }
     const OPS: usize = 1 << 16;
-    println!("## E17 — the value store probe");
+    println!("## E17 — the value store and apply table probe");
     println!();
     let samples = nra_bench::bench_samples();
     println!("Every arena runs on one store that batch workers share from birth. The");
     println!("micro rows intern {OPS} distinct pairs of 256 naturals: a hit re-interns");
     println!("them into the arena that holds them, a miss interns them into a fresh one,");
     println!("and a read is `as_pair` then `as_nat` on each (median of {samples} runs, ns");
-    println!("per operation). The served joins are the nine 512-node family × join");
-    println!("requests `join512` serves, each evaluated on a fresh `rewritten()` session");
-    println!("(median of 9, evaluation only), then E15's `tc_while` rows on fresh");
-    println!("`optimised()` sessions (median of 3):");
+    println!("per operation). The apply-table rows probe {OPS} judgments of one");
+    println!("expression over ascending value ids, through the only view of a table and");
+    println!("through a worker view that shares its table; a miss probes an expression");
+    println!("not seen before and stores each judgment. The served joins are the nine");
+    println!("512-node family × join requests `join512` serves, each evaluated on a fresh");
+    println!("`rewritten()` session (median of 9, evaluation only), then E15's `tc_while`");
+    println!("rows on fresh `optimised()` sessions (median of 3), then the facade's");
+    println!("memoised and semi-naive rungs of three `BENCH_eval.json` rows (median of");
+    println!("{samples}):");
     println!();
     let nats_of = |va: &mut ValueArena| -> Vec<VId> { (0..256).map(|i| va.nat(i)).collect() };
     let pairs_of = |va: &mut ValueArena, nats: &[VId]| -> Vec<VId> {
@@ -427,6 +434,36 @@ fn e17_store_probe() {
     println!("| pair intern hit | {} |", per_op(hit));
     println!("| pair intern miss | {} |", per_op(miss));
     println!("| two reads (`as_pair` + `as_nat`) | {} |", per_op(reads));
+    let judgments = |eid: usize| (0..OPS).map(move |i| (EId::from_index(eid), VId::from_index(i)));
+    for (name, worker) in [("a session's own table", false), ("a worker view", true)] {
+        let mut own = ApplyView::new();
+        let mut view = if worker {
+            own.share()
+        } else {
+            ApplyView::new()
+        };
+        view.open(true);
+        for (e, v) in judgments(1) {
+            view.store(e, v, v, 1);
+        }
+        let hit = median_time(samples, || {
+            judgments(1).filter_map(|(e, v)| view.probe(e, v)).count()
+        });
+        let mut fresh = 1;
+        let miss = median_time(samples, || {
+            fresh += 1;
+            for (e, v) in judgments(fresh) {
+                if view.probe(e, v).is_none() {
+                    view.store(e, v, v, 1);
+                }
+            }
+        });
+        println!("| apply-table probe hit, {name} | {} |", per_op(hit));
+        println!(
+            "| apply-table probe miss + store, {name} | {} |",
+            per_op(miss)
+        );
+    }
     type Family = fn(&mut Rng, u64) -> FamilyGraph;
     let joins = [
         ("tc_step", queries::tc_step()),
@@ -475,6 +512,36 @@ fn e17_store_probe() {
             t
         });
         println!("| {} {n} `tc_while` | {} |", g.family, fmt_duration(t));
+    }
+    let tc_step = queries::tc_step();
+    let spine = (1..24).fold(tc_step.clone(), |acc, _| {
+        builder::compose(tc_step.clone(), acc)
+    });
+    let facade_rows = [
+        (
+            "chain(16) `tc_while`",
+            queries::tc_while(),
+            Value::chain(16),
+        ),
+        (
+            "clique(5) `tc_while`",
+            queries::tc_while(),
+            graph_to_value(&DiGraph::clique(5)),
+        ),
+        (
+            "depth-24 `tc_step` spine on chain(8)",
+            spine,
+            Value::chain(8),
+        ),
+    ];
+    for (name, query, input) in &facade_rows {
+        for (rung, config) in [
+            ("memoised", EvalConfig::memoised()),
+            ("semi-naive", EvalConfig::optimised()),
+        ] {
+            let t = median_time(samples, || evaluate(query, input, &config));
+            println!("| facade {rung}, {name} | {} |", fmt_duration(t));
+        }
     }
     println!();
 }

@@ -1,6 +1,6 @@
 //! # nra-bench
 //!
-//! Shared measurement helpers for the experiment suite (E1–E16, printed
+//! Shared measurement helpers for the experiment suite (E1–E17, printed
 //! by the `report` binary: `report > report.md`): complexity series
 //! over the chain inputs, slope fits for exponential/polynomial growth
 //! classification, wall-clock timing, and

@@ -15,7 +15,10 @@
 //!   judgment, so a memo table keyed on (interned expression, interned
 //!   input) can return the cached result handle instead of re-running
 //!   the derivation. `nra-eval`'s memoised eager evaluator is exactly
-//!   that table.
+//!   that table;
+//! * [`ExprArena::node_ref`] borrows a node straight from the store
+//!   without a lock, so an evaluator walks the interned expression
+//!   through the arena itself, with no copy of it.
 //!
 //! Like the value arena, this module keeps a thread-local arena behind
 //! its free functions ([`intern`], [`resolve`], [`node`], …) as the
@@ -161,8 +164,8 @@ struct Meta {
 /// ```
 pub struct ExprArena {
     store: View<ENode, Meta>,
-    /// Bumped by [`ExprArena::clear`], so holders of incremental
-    /// snapshots can detect that their prefix went stale.
+    /// Bumped by [`ExprArena::clear`], so holders of state keyed on
+    /// handles can detect that their handles went stale.
     generation: u64,
 }
 
@@ -235,9 +238,10 @@ impl ExprArena {
     }
 
     /// A counter that changes exactly when previously issued handles are
-    /// invalidated ([`ExprArena::clear`]) — consumers holding an
-    /// incremental [`ExprArena::extend_snapshot`] prefix compare it to
-    /// decide whether their copy is still a prefix of this arena.
+    /// invalidated ([`ExprArena::clear`]) — consumers holding handles
+    /// across calls (the facade's evaluation state, which keeps the
+    /// handles of the derived terms it recognises) compare it to decide
+    /// whether theirs are still valid.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -266,9 +270,12 @@ impl ExprArena {
         self.store.get(e.index()).1
     }
 
-    /// The node behind a handle. Panics on a handle the arena never
-    /// issued (stale after a clear, or foreign).
-    fn node_ref(&self, e: EId) -> &ENode {
+    /// The node behind a handle, borrowed from the store: a lock-free
+    /// read of a slot that was written before its handle was issued.
+    /// Panics on a handle the arena never issued (stale after a clear,
+    /// or foreign).
+    #[inline]
+    pub fn node_ref(&self, e: EId) -> &ENode {
         &self.store.get(e.index()).0
     }
 
@@ -339,47 +346,6 @@ impl ExprArena {
         }
     }
 
-    /// Clone the node table as a dense vector indexed by
-    /// [`EId::index`]. Evaluators snapshot this once per evaluation so
-    /// their inner loop reads expression structure by plain indexing
-    /// instead of re-borrowing the (thread-local) arena at every
-    /// derivation step. Cheap: nodes hold child handles and `Rc`'d
-    /// leaves, and expressions are tiny next to the objects they
-    /// compute on.
-    pub fn snapshot(&self) -> Vec<ENode> {
-        let mut out = Vec::new();
-        self.extend_snapshot(&mut out);
-        out
-    }
-
-    /// Bring an earlier snapshot up to date by appending only the nodes
-    /// interned since it was taken — the arena is append-only between
-    /// [`ExprArena::clear`]s, so a snapshot is always a prefix of the
-    /// node table (callers detect clears via [`ExprArena::generation`]
-    /// and start from an empty vector again). This keeps repeated
-    /// evaluations `O(new nodes)` instead of `O(arena)`.
-    ///
-    /// The snapshot covers every index claimed when the call starts,
-    /// so it holds every handle the caller was given before it — also
-    /// when clones intern into the store concurrently: an index another
-    /// clone has claimed but not yet written is waited for, which is
-    /// brief, because a claimer writes its node before it lets go of
-    /// the store's shard lock.
-    pub fn extend_snapshot(&self, out: &mut Vec<ENode>) {
-        let len = self.len();
-        debug_assert!(
-            out.len() <= len,
-            "extend_snapshot: stale snapshot longer than the arena — missed a clear()?"
-        );
-        out.reserve(len.saturating_sub(out.len()));
-        while out.len() < len {
-            match self.store.try_get(out.len()) {
-                Some((node, _)) => out.push(node.clone()),
-                None => std::thread::yield_now(),
-            }
-        }
-    }
-
     /// Cached AST node count — the measure of [`Expr::size`], `O(1)`,
     /// saturating at `u64::MAX`.
     pub fn ops(&self, e: EId) -> u64 {
@@ -431,26 +397,6 @@ pub fn height(e: EId) -> u32 {
 /// Number of distinct nodes in the thread-local expression arena.
 pub fn node_count() -> usize {
     with_arena(|a| a.node_count())
-}
-
-/// Snapshot the thread-local arena's node table — see
-/// [`ExprArena::snapshot`].
-pub fn snapshot() -> Vec<ENode> {
-    with_arena(|a| a.snapshot())
-}
-
-/// Update `out` (a snapshot taken at `generation`) to match the
-/// thread-local arena, restarting from scratch if the arena was cleared
-/// in between; returns the current generation. See
-/// [`ExprArena::extend_snapshot`].
-pub fn sync_snapshot(out: &mut Vec<ENode>, generation: u64) -> u64 {
-    with_arena(|a| {
-        if a.generation() != generation {
-            out.clear();
-        }
-        a.extend_snapshot(out);
-        a.generation()
-    })
 }
 
 /// Discard every node of the calling thread's expression arena — all
@@ -574,29 +520,28 @@ mod tests {
     fn shared_clones_intern_canonically_across_threads() {
         let mut a = ExprArena::new();
         let expect = a.intern(&queries::tc_while());
-        let mut snap = Vec::new();
-        a.extend_snapshot(&mut snap);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let mut worker = a.shared_clone();
-                scope.spawn(move || {
-                    let q = worker.intern(&queries::tc_while());
-                    assert_eq!(q, expect, "canonical across threads");
-                    let p = worker.intern(&queries::tc_paths());
-                    assert_eq!(worker.resolve(p), queries::tc_paths());
-                    let mut snap = Vec::new();
-                    worker.extend_snapshot(&mut snap);
-                    assert!(snap.len() > p.index());
-                });
-            }
+        let paths: Vec<EId> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    let mut worker = a.shared_clone();
+                    scope.spawn(move || {
+                        let q = worker.intern(&queries::tc_while());
+                        assert_eq!(q, expect, "canonical across threads");
+                        assert!(matches!(worker.node_ref(q), ENode::While(_)));
+                        let p = worker.intern(&queries::tc_paths());
+                        assert_eq!(worker.resolve(p), queries::tc_paths());
+                        p
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
         assert_eq!(a.intern(&queries::tc_while()), expect);
-        // the earlier snapshot is still a prefix, and extends to the
-        // nodes the clones interned
+        // the parent reads the nodes the clones interned in place
         let p = a.intern(&queries::tc_paths());
-        a.extend_snapshot(&mut snap);
-        assert_eq!(snap.len(), a.node_count());
-        assert_eq!(snap[p.index()], a.node(p));
+        assert!(paths.iter().all(|&q| q == p));
+        assert_eq!(*a.node_ref(p), a.node(p));
+        assert_eq!(a.resolve(p), queries::tc_paths());
     }
 
     #[test]

@@ -30,15 +30,15 @@
 //!   to the shard's current one, probes again (another view may have
 //!   inserted the node meanwhile), claims a fresh index from one atomic
 //!   counter, writes the slot, and only then publishes the entry and
-//!   lets the mutex go. A claimed index is therefore written before its
-//!   claimer releases its shard, which is what lets
-//!   [`crate::expr::intern::ExprArena::extend_snapshot`] wait for every
-//!   index below [`View::len`]. A view that holds the store's only
-//!   `Arc` reaches the shard through [`Arc::get_mut`] instead, so an
-//!   unshared arena pays one compare-and-swap for the check and plain
-//!   loads and stores for its counters, not the mutex's two atomic
-//!   operations and the claim's third. The slot write is a
-//!   [`OnceLock::set`] either way.
+//!   lets the mutex go. An insert therefore returns an index only once
+//!   its slot is written, so every handle a caller holds, and every
+//!   child handle in a node it reads, names a written slot: readers such
+//!   as [`crate::expr::intern::ExprArena::node_ref`] never wait. A view
+//!   that holds the store's only `Arc` reaches the shard through
+//!   [`Arc::get_mut`] instead, so an unshared arena pays one
+//!   compare-and-swap for the check and plain loads and stores for its
+//!   counters, not the mutex's two atomic operations and the claim's
+//!   third. The slot write is a [`OnceLock::set`] either way.
 //! * **Growth.** A shard doubles its table under its mutex. A view that
 //!   still holds the old table keeps it alive; the old table is never
 //!   written again, so a lookup in it can miss a present node (the
@@ -243,16 +243,14 @@ impl<N, M> Nodes<N, M> {
     #[cold]
     #[inline(never)]
     fn get(&self, index: usize) -> &(N, M) {
-        self.try_get(index).unwrap_or_else(|| {
-            panic!(
-                "stale handle: index {index} was never issued by this arena \
-                 (evicted generation, or a foreign arena's handle)"
-            )
-        })
-    }
-
-    fn try_get(&self, index: usize) -> Option<&(N, M)> {
-        self.chunk(index >> CHUNK_BITS)?[index & (CHUNK - 1)].get()
+        self.chunk(index >> CHUNK_BITS)
+            .and_then(|chunk| chunk[index & (CHUNK - 1)].get())
+            .unwrap_or_else(|| {
+                panic!(
+                    "stale handle: index {index} was never issued by this arena \
+                     (evicted generation, or a foreign arena's handle)"
+                )
+            })
     }
 
     /// Add `n` to `counter`: an atomic add, or for the store's only
@@ -361,7 +359,7 @@ fn insert_into<N: Keyed, M>(
         *seen = Some(grown);
     }
     // claim only a representable index, so a refused claim leaves no
-    // hole below `len` for a snapshot to wait on
+    // hole below `len`
     let full = "arena: more than 2³² − 1 nodes";
     let index = if exclusive {
         let index = nodes.next.load(Ordering::Relaxed);
@@ -445,14 +443,6 @@ impl<N: Keyed, M> View<N, M> {
     #[inline]
     pub(crate) fn get(&self, index: usize) -> &(N, M) {
         read(&self.chunks, &self.store.nodes, index)
-    }
-
-    /// The record at `index`, or `None` while it is unwritten.
-    pub(crate) fn try_get(&self, index: usize) -> Option<&(N, M)> {
-        match self.chunks.get(index >> CHUNK_BITS) {
-            Some(chunk) => chunk[index & (CHUNK - 1)].get(),
-            None => self.store.nodes.try_get(index),
-        }
     }
 
     /// The index of `node` if it is interned. Takes no lock; may miss a

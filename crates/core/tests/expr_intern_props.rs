@@ -110,14 +110,3 @@ fn interning_never_stores_a_subterm_twice() {
         },
     );
 }
-
-#[test]
-fn snapshot_agrees_with_node_accessors() {
-    let mut arena = ExprArena::new();
-    let e = nra_core::queries::tc_while();
-    let id = arena.intern(&e);
-    let snapshot = arena.snapshot();
-    assert_eq!(snapshot.len(), arena.node_count());
-    assert_eq!(snapshot[id.index()], arena.node(id));
-    assert_eq!(snapshot[id.index()].head_name(), "while");
-}

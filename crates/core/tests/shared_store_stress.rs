@@ -18,14 +18,14 @@
 //!   intern the *same* fresh nodes into an empty store, whose lock-free
 //!   lookups miss while another thread inserts and whose dedup tables
 //!   double mid-race, each get the one handle the store issued;
-//! * **snapshots cover their roots** — threads interning *distinct* fresh
-//!   expression trees claim indices in different shards at once, and
-//!   each thread's snapshot, extended right after its intern, still
-//!   holds its own root, as the evaluators that index it by `EId`
-//!   require.
+//! * **every handle reads back at once** — threads interning *distinct*
+//!   fresh expression trees claim indices in different shards at once,
+//!   and each thread reads every node of its tree back through its own
+//!   view right after the intern, with no wait, as the evaluators that
+//!   walk an expression through its arena require.
 
 use nra_core::builder::{compose, cond, konst, map, tuple};
-use nra_core::expr::intern::ExprArena;
+use nra_core::expr::intern::{EId, ENode, ExprArena};
 use nra_core::value::intern::{VId, ValueArena};
 use nra_core::value::Value;
 use nra_core::{queries, Expr, Type};
@@ -126,29 +126,28 @@ fn concurrent_expr_interning_is_canonical() {
             nra_core::derived::unnest(),
         ];
         let thread_seeds: Vec<u64> = (0..THREADS).map(|_| rng.next_u64()).collect();
-        let gathered: Vec<Vec<(usize, nra_core::expr::intern::EId)>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = thread_seeds
-                    .iter()
-                    .map(|&ts| {
-                        let mut worker = parent.shared_clone();
-                        let queries = &queries;
-                        scope.spawn(move || {
-                            let mut rng = Rng::new(ts);
-                            (0..ROUNDS * 2)
-                                .map(|_| {
-                                    let pick = rng.usize_below(queries.len());
-                                    (pick, worker.intern(&queries[pick]))
-                                })
-                                .collect::<Vec<_>>()
-                        })
+        let gathered: Vec<Vec<(usize, EId)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = thread_seeds
+                .iter()
+                .map(|&ts| {
+                    let mut worker = parent.shared_clone();
+                    let queries = &queries;
+                    scope.spawn(move || {
+                        let mut rng = Rng::new(ts);
+                        (0..ROUNDS * 2)
+                            .map(|_| {
+                                let pick = rng.usize_below(queries.len());
+                                (pick, worker.intern(&queries[pick]))
+                            })
+                            .collect::<Vec<_>>()
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("stress worker panicked"))
-                    .collect()
-            });
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("stress worker panicked"))
+                .collect()
+        });
         for pairs in gathered {
             for (pick, eid) in pairs {
                 assert_eq!(
@@ -159,9 +158,12 @@ fn concurrent_expr_interning_is_canonical() {
                 assert_eq!(parent.resolve(eid), queries[pick], "seed {seed}");
             }
         }
-        // the snapshot machinery the evaluators rely on sees every
-        // published node
-        assert_eq!(parent.snapshot().len(), parent.node_count());
+        // every published node reads back through the parent's view
+        for i in 0..parent.node_count() {
+            let e = EId::from_index(i);
+            let tree = parent.resolve(e);
+            assert_eq!(parent.intern(&tree), e, "seed {seed}: node {i}");
+        }
     });
 }
 
@@ -249,9 +251,9 @@ fn fresh_tree(tag: u64) -> Expr {
 }
 
 #[test]
-fn snapshots_cover_every_root_under_concurrent_interning() {
+fn fresh_trees_read_back_under_concurrent_interning() {
     check(
-        "snapshots_cover_every_root_under_concurrent_interning",
+        "fresh_trees_read_back_under_concurrent_interning",
         8,
         |seed, _rng| {
             let parent = ExprArena::new();
@@ -261,19 +263,14 @@ fn snapshots_cover_every_root_under_concurrent_interning() {
                     let mut worker = parent.shared_clone();
                     let start = &start;
                     scope.spawn(move || {
-                        let mut snap = Vec::new();
                         start.wait();
                         for round in 0..ROUNDS * 20 {
-                            let root =
-                                worker.intern(&fresh_tree((seed * THREADS + t) << 16 | round));
-                            worker.extend_snapshot(&mut snap);
-                            assert!(
-                                snap.len() > root.index(),
-                                "seed {seed}: a snapshot of {} nodes misses root {}",
-                                snap.len(),
-                                root.index()
-                            );
-                            assert_eq!(snap[root.index()], worker.node(root), "seed {seed}");
+                            let tree = fresh_tree((seed * THREADS + t) << 16 | round);
+                            let root = worker.intern(&tree);
+                            // resolve reads every node through the
+                            // borrowing accessor
+                            assert!(matches!(worker.node_ref(root), ENode::Compose(..)));
+                            assert_eq!(worker.resolve(root), tree, "seed {seed}");
                         }
                     });
                 }
@@ -284,7 +281,11 @@ fn snapshots_cover_every_root_under_concurrent_interning() {
                 nodes,
                 "seed {seed}: every tree is fresh"
             );
-            assert_eq!(parent.snapshot().len(), nodes, "seed {seed}");
+            // and the parent reads every node the workers interned
+            let roots = (0..nodes)
+                .filter(|&i| matches!(parent.node_ref(EId::from_index(i)), ENode::Compose(..)))
+                .count();
+            assert_eq!(roots, nodes / fresh_tree(0).size(), "seed {seed}");
         },
     );
 }

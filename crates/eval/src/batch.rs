@@ -394,9 +394,13 @@ mod tests {
         let jobs: Vec<(EId, VId)> = (4..8u64)
             .map(|n| (q, session.values_mut().chain(n)))
             .collect();
-        assert!(!session.is_shared(), "the apply table starts local");
+        // what the parent derived before the batch is warm for the
+        // worker that meets it
+        let (eid, input) = jobs[0];
+        let own = session.eval_vid(eid, input).result.unwrap();
         let first = eval_batch(&mut session, &jobs, 4);
-        assert!(session.is_shared(), "a batch shares the apply table");
+        assert_eq!(*first[0].result.as_ref().unwrap(), own);
+        assert!(first[0].stats.warm_hits > 0, "{:?}", first[0].stats);
         let nodes = session.values().len();
         for (n, ev) in (4..8u64).zip(&first) {
             let expect = session.values_mut().chain_tc(n);

@@ -26,11 +26,14 @@
 //! memory.
 //!
 //! Two opt-in cost-model switches run on the interned-expression walker
-//! (`eval_eid`), never changing a result:
+//! (`eval_eid`, which reads each expression node in place through
+//! [`ExprArena::node_ref`]), never changing a result:
 //!
 //! * [`EvalConfig::memo`] — the BDD-style apply cache `(EId, VId) →
-//!   VId` (`MemoCache`), with each slot carrying the subtree's
-//!   as-if-uncached cost so hits charge the node budget exactly;
+//!   VId` ([`crate::memo`]): one table that every session, batch worker
+//!   and facade call probes through its own view, with each slot
+//!   carrying the subtree's as-if-uncached cost so hits charge the node
+//!   budget exactly;
 //! * [`EvalConfig::semi_naive`] — delta-driven iteration: `while`
 //!   threads `(total, delta)`, `map`/`μ` evaluate frontier-only against
 //!   the `DeltaEntry` cache, and the hash-consed Prop 2.1 shapes —
@@ -42,6 +45,7 @@
 //!   the default mode remains the exact §3 measure.
 
 use crate::error::{EvalConfig, EvalError};
+use crate::memo::ApplyView;
 use crate::shapes::{apply_proj, proj_path, JoinShape, ProjPath, ShapeCaches};
 use crate::stats::EvalStats;
 use nra_core::expr::intern::{self as expr_intern, EId, ENode, ExprArena};
@@ -49,8 +53,7 @@ use nra_core::expr::Expr;
 use nra_core::value::intern::{self, FxBuildHasher, VId, ValueArena};
 use nra_core::value::Value;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// The outcome of an evaluation: result (or budget error) plus statistics.
 /// The statistics are meaningful in both cases — on a budget error they
@@ -235,17 +238,11 @@ pub fn evaluate_vid(expr: &Expr, input: VId, config: &EvalConfig) -> VidEvaluati
         expr_intern::with_arena(|ea| {
             let eid = ea.intern(expr);
             // the thread's pooled state opens a cold query
-            let mut state = match MEMO_POOL.take() {
-                Some(mut state) => {
-                    state.begin_query(ea, false);
-                    state
-                }
-                None => MemoState::new(ea),
-            };
+            let mut state = MEMO_POOL.take().unwrap_or_else(|| MemoState::new(ea));
+            state.begin_query(ea, false);
             let ev = intern::with_arena(|va| {
-                let MemoState { nodes, caches, .. } = &mut state;
                 run(config, va, |ctx, va| {
-                    eval_eid(eid, input, ctx, nodes, caches, va)
+                    eval_eid(eid, input, ctx, ea, &mut state, va)
                 })
             });
             MEMO_POOL.set(Some(state));
@@ -386,355 +383,11 @@ fn eval_leaf_rule(
     }
 }
 
-/// Initial size of the apply cache, as a power of two.
-const MEMO_INITIAL_BITS: u32 = 14;
-/// Ceiling on the apply cache size (2²⁰ slots ≈ 32 MiB): past this the
-/// cache stays lossy instead of growing — the BDD trade-off that keeps
-/// memory bounded on powerset-sized runs.
-const MEMO_MAX_BITS: u32 = 20;
-
-/// One apply-cache slot: packed `(EId, VId)` key, the epoch that wrote
-/// it, the query stamp within that epoch (how warm hits are told apart
-/// from same-query hits), the cached result, and the recorded
-/// *as-if-uncached* cost of the cached subtree (in derivation nodes) —
-/// what a hit charges against the node budget so budgeted runs stay
-/// strategy-independent.
-type MemoSlot = (u64, u32, u32, VId, u64);
-
 thread_local! {
     /// The pooled [`MemoState`], so consecutive memoised evaluations
-    /// through [`evaluate_vid`] reuse its storage. Sessions own their
-    /// state instead.
+    /// through [`evaluate_vid`] reuse its table and caches. Sessions own
+    /// their state instead.
     static MEMO_POOL: std::cell::Cell<Option<MemoState>> = const { std::cell::Cell::new(None) };
-}
-
-/// Key sentinel used for never-written slots — unreachable as a packed
-/// key while either arena holds fewer than 2³² nodes (they panic before
-/// that).
-const MEMO_EMPTY_KEY: u64 = u64::MAX;
-
-/// Slot index of the apply tables: the expression id is
-/// Fibonacci-scrambled, the value id added *linearly*. Two judgments on
-/// the same expression can then only collide when their value ids
-/// differ by a multiple of the table length, and a `map` loop — which
-/// probes the same `EId` over ascending element ids — walks consecutive
-/// slots, so the hardware prefetcher hides the table's memory latency.
-#[inline]
-fn memo_slot(key: u64, mask: u64) -> usize {
-    let eid = key >> 32;
-    (eid.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(key) & mask) as usize
-}
-
-/// Fixed size of the shared apply table, as a power of two (2¹⁶ slots ≈
-/// 1.5 MiB). Unlike the local table it never grows: growth would move
-/// slots under concurrent readers, and the table is lossy by design —
-/// a displaced judgment is simply re-derived.
-const SHARED_MEMO_BITS: u32 = 16;
-/// Lock stripes of the shared apply table. 2¹⁶ slots / 128 stripes =
-/// 512 consecutive slots per stripe — consecutive probes of a `map`
-/// loop stay on one stripe, so striping costs no locality.
-const SHARED_MEMO_STRIPES: usize = 128;
-/// Slots per stripe.
-const SHARED_MEMO_STRIPE_SLOTS: usize = (1usize << SHARED_MEMO_BITS) / SHARED_MEMO_STRIPES;
-
-/// One shared apply-table slot: packed key, the query stamp that wrote
-/// it, the result, and the recorded as-if-uncached cost. No epoch — a
-/// shared table is dropped wholesale (the Arc replaced) instead of
-/// epoch-invalidated, and it lives exactly as long as the shared store
-/// its handles point into.
-type SharedSlot = (u64, u32, VId, u64);
-
-/// The **shared** apply table all worker sessions of a batch probe and
-/// write together: one worker's derivation becomes every worker's warm
-/// hit. Lock-striped; a probe or store locks exactly one stripe.
-/// Query stamps are drawn from one atomic counter, so every
-/// `begin_query` anywhere gets a distinct stamp and cross-query *and*
-/// cross-worker hits both classify as warm.
-pub(crate) struct SharedMemoTable {
-    /// Each stripe's slots are allocated by its first store (a probe of
-    /// an unallocated stripe misses): filling all 1.5 MiB up front cost
-    /// about a millisecond of page faults, paid by every session that
-    /// shares its apply table and by every eviction — more than
-    /// a small batch's whole evaluation.
-    stripes: Box<[Stripe]>,
-    next_query: AtomicU32,
-}
-
-/// One lock stripe of a [`SharedMemoTable`]; `None` until first stored.
-type Stripe = Mutex<Option<Box<[SharedSlot]>>>;
-
-impl SharedMemoTable {
-    fn new() -> Self {
-        SharedMemoTable {
-            stripes: (0..SHARED_MEMO_STRIPES).map(|_| Mutex::new(None)).collect(),
-            next_query: AtomicU32::new(0),
-        }
-    }
-
-    /// A fresh query stamp, distinct from every stamp handed out before
-    /// (modulo `u32` wrap, which only ever misclassifies warmness, never
-    /// correctness).
-    fn fresh_query(&self) -> u32 {
-        self.next_query.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The stripe holding `slot`, and the slot's index within it.
-    #[inline]
-    fn stripe(&self, slot: usize) -> (&Stripe, usize) {
-        (
-            &self.stripes[slot / SHARED_MEMO_STRIPE_SLOTS],
-            slot % SHARED_MEMO_STRIPE_SLOTS,
-        )
-    }
-}
-
-/// The single-owner apply cache — the classic BDD design: a
-/// direct-mapped, lossy table of epoch-stamped `(key, result)` slots
-/// rather than an exact map. A probe is one array read, an insert one
-/// array write, and a colliding entry is simply overwritten (the
-/// judgment is then re-derived on the next encounter, which changes no
-/// result, only a hit counter). The table quadruples while its load
-/// would exceed ~¼, up to a fixed ceiling, and its storage is handed
-/// back to a thread-local pool between evaluations.
-struct LocalMemo {
-    /// Direct-mapped slots; a slot is live iff its epoch matches.
-    slots: Vec<MemoSlot>,
-    /// Index mask (`slots.len() − 1`; the length is a power of two).
-    mask: u64,
-    /// Live-slot count, driving growth.
-    stored: usize,
-    /// The current epoch stamp. The facade opens a fresh epoch per
-    /// evaluation (cold starts); a session keeps the epoch and bumps
-    /// only the query stamp, which is what makes its entries survive
-    /// across `session.eval(…)` calls.
-    epoch: u32,
-    /// The current query stamp within the epoch. A hit on a slot whose
-    /// query stamp differs is a **warm hit**: the judgment was derived
-    /// by an earlier query of the same session.
-    query: u32,
-}
-
-impl LocalMemo {
-    fn blank_slots(len: usize) -> Vec<MemoSlot> {
-        // handle 0 as filler payload; never returned because the
-        // sentinel key can't match
-        vec![(MEMO_EMPTY_KEY, 0, 0, VId::from_index(0), 0); len]
-    }
-
-    fn new() -> Self {
-        let len = 1usize << MEMO_INITIAL_BITS;
-        LocalMemo {
-            slots: Self::blank_slots(len),
-            mask: (len - 1) as u64,
-            stored: 0,
-            epoch: 0,
-            query: 0,
-        }
-    }
-
-    /// Probe for a cached judgment: the result handle, the recorded
-    /// as-if-uncached cost of its subtree, and whether the entry is a
-    /// *warm* one (written by an earlier query of the same session).
-    fn probe(&self, key: u64) -> Option<(VId, u64, bool)> {
-        let (k, e, q, v, cost) = self.slots[memo_slot(key, self.mask)];
-        (k == key && e == self.epoch).then_some((v, cost, q != self.query))
-    }
-
-    fn store(&mut self, key: u64, out: VId, cost: u64) {
-        if self.stored * 4 >= self.slots.len() && self.slots.len() < (1 << MEMO_MAX_BITS) {
-            self.grow();
-        }
-        let epoch = self.epoch;
-        let slot = memo_slot(key, self.mask);
-        if self.slots[slot].1 != epoch {
-            self.stored += 1; // filling an empty or stale slot
-        }
-        self.slots[slot] = (key, epoch, self.query, out, cost);
-    }
-
-    /// Quadruple the table, re-inserting this epoch's live entries
-    /// (their query stamps survive, so warmness is preserved).
-    fn grow(&mut self) {
-        let new_len = self.slots.len() * 4;
-        let old = std::mem::replace(&mut self.slots, Self::blank_slots(new_len));
-        self.mask = (new_len - 1) as u64;
-        self.stored = 0;
-        for (k, e, q, v, cost) in old {
-            if k != MEMO_EMPTY_KEY && e == self.epoch {
-                let slot = memo_slot(k, self.mask);
-                if self.slots[slot].1 != self.epoch {
-                    self.stored += 1;
-                }
-                self.slots[slot] = (k, self.epoch, q, v, cost);
-            }
-        }
-    }
-}
-
-/// A session's view of a [`SharedMemoTable`]: the Arc plus this view's
-/// current query stamp (stamps live per view, entries per table).
-struct SharedMemo {
-    table: Arc<SharedMemoTable>,
-    query: u32,
-}
-
-/// The apply cache of the memoised walker, in one of two modes:
-///
-/// * [`MemoCache::Local`] — the single-owner direct-mapped table every
-///   session starts with (and the facade pools thread-locally);
-/// * [`MemoCache::Shared`] — a view of one lock-striped
-///   [`SharedMemoTable`] several sessions (the parent and its batch
-///   workers) probe and write together, so a judgment derived by any
-///   of them is a warm `O(1)` hit for all of them.
-///
-/// Every rule is cached, leaves included: a leaf hit skips not just
-/// the (cheap) primitive but the per-node §3 bookkeeping — rule
-/// counting and the two size observations — which costs more than the
-/// probe. The expression-node snapshot lives *outside* this type (see
-/// [`eval_eid`]) so the walker can read structure through a shared
-/// borrow while mutating the cache.
-enum MemoCache {
-    /// Single-owner table.
-    Local(LocalMemo),
-    /// View of a table shared between sessions.
-    Shared(SharedMemo),
-}
-
-impl MemoCache {
-    fn new_local() -> Self {
-        MemoCache::Local(LocalMemo::new())
-    }
-
-    /// A view of an existing shared table, opening with a fresh query
-    /// stamp — how batch workers join the parent's cache.
-    fn with_shared_table(table: Arc<SharedMemoTable>) -> Self {
-        let query = table.fresh_query();
-        MemoCache::Shared(SharedMemo { table, query })
-    }
-
-    /// Switch to a **fresh, empty** shared table (idempotent). Local
-    /// entries are deliberately not migrated — the shared cache starts
-    /// cold and warms on first use; migrating would mean re-hashing the
-    /// whole local table under no contention benefit.
-    fn make_shared(&mut self) {
-        if matches!(self, MemoCache::Shared(_)) {
-            return;
-        }
-        *self = MemoCache::with_shared_table(Arc::new(SharedMemoTable::new()));
-    }
-
-    /// The shared table behind this cache, if any — what a parent
-    /// session hands to its batch workers.
-    fn shared_table(&self) -> Option<Arc<SharedMemoTable>> {
-        match self {
-            MemoCache::Shared(m) => Some(Arc::clone(&m.table)),
-            MemoCache::Local(_) => None,
-        }
-    }
-
-    fn key(eid: EId, input: VId) -> u64 {
-        ((eid.index() as u64) << 32) | input.index() as u64
-    }
-
-    /// Probe for a cached judgment — see [`LocalMemo::probe`]. On the
-    /// shared table this locks exactly one stripe; an entry written by
-    /// any *other* query stamp (other query of this session, or any
-    /// query of another session on the same table) classifies as warm.
-    fn probe(&self, key: u64) -> Option<(VId, u64, bool)> {
-        match self {
-            MemoCache::Local(m) => m.probe(key),
-            MemoCache::Shared(m) => {
-                let slot = memo_slot(key, (1u64 << SHARED_MEMO_BITS) - 1);
-                let (stripe, within) = m.table.stripe(slot);
-                let guard = stripe.lock().unwrap_or_else(PoisonError::into_inner);
-                let (k, q, v, cost) = guard.as_ref()?[within];
-                (k == key).then_some((v, cost, q != m.query))
-            }
-        }
-    }
-
-    fn store(&mut self, key: u64, out: VId, cost: u64) {
-        match self {
-            MemoCache::Local(m) => m.store(key, out, cost),
-            MemoCache::Shared(m) => {
-                let slot = memo_slot(key, (1u64 << SHARED_MEMO_BITS) - 1);
-                let (stripe, within) = m.table.stripe(slot);
-                let mut guard = stripe.lock().unwrap_or_else(PoisonError::into_inner);
-                let slots = guard.get_or_insert_with(|| {
-                    vec![(MEMO_EMPTY_KEY, 0, VId::from_index(0), 0); SHARED_MEMO_STRIPE_SLOTS]
-                        .into_boxed_slice()
-                });
-                slots[within] = (key, m.query, out, cost);
-            }
-        }
-    }
-
-    /// Open the next query against this cache; returns whether it is
-    /// actually warm (entries of earlier queries remain probeable).
-    /// `generation_changed` forces a cold start — cached handles went
-    /// stale with the arena; a shared cache detaches onto a fresh table
-    /// for the same reason (other views keep the old one).
-    fn begin_query(&mut self, warm: bool, generation_changed: bool) -> bool {
-        match self {
-            MemoCache::Local(m) => {
-                let warm = warm && !generation_changed && m.query < u32::MAX;
-                if warm {
-                    m.query += 1;
-                } else {
-                    m.epoch = m.epoch.wrapping_add(1);
-                    if m.epoch == 0 {
-                        // the stamp wrapped: stale slots could alias the
-                        // new epoch (blank slots are stamped 0, so
-                        // restart from 1)
-                        m.slots = LocalMemo::blank_slots(m.slots.len());
-                        m.epoch = 1;
-                    }
-                    m.stored = 0;
-                    m.query = 0;
-                }
-                warm
-            }
-            MemoCache::Shared(m) => {
-                if generation_changed {
-                    m.table = Arc::new(SharedMemoTable::new());
-                    m.query = m.table.fresh_query();
-                    return false;
-                }
-                m.query = m.table.fresh_query();
-                // a shared table cannot be epoch-invalidated per view;
-                // a cold (warm = false) open detaches this view instead
-                if !warm {
-                    m.table = Arc::new(SharedMemoTable::new());
-                    m.query = m.table.fresh_query();
-                }
-                warm
-            }
-        }
-    }
-
-    /// Drop everything this cache retains; the local table shrinks back
-    /// to its initial size, a shared view detaches onto a fresh table.
-    fn evict(&mut self) {
-        match self {
-            MemoCache::Local(m) => *m = LocalMemo::new(),
-            MemoCache::Shared(m) => {
-                m.table = Arc::new(SharedMemoTable::new());
-                m.query = m.table.fresh_query();
-            }
-        }
-    }
-
-    /// Approximate resident bytes of the slot table (the session
-    /// layer's occupancy accounting). A shared table is counted in full
-    /// by every view holding it.
-    fn approx_resident_bytes(&self) -> usize {
-        match self {
-            MemoCache::Local(m) => m.slots.len() * std::mem::size_of::<MemoSlot>(),
-            MemoCache::Shared(_) => {
-                (1usize << SHARED_MEMO_BITS) * std::mem::size_of::<SharedSlot>()
-            }
-        }
-    }
 }
 
 /// One entry of the **delta cache**: the last `(input, output)` pair a
@@ -761,13 +414,18 @@ struct DeltaEntry {
 /// keyed by [`EId`]. Cleared per evaluation.
 type DeltaMap = HashMap<EId, DeltaEntry, FxBuildHasher>;
 
-/// The mutable cache state one cached evaluation threads through
-/// [`eval_eid`]: the apply cache (active under [`EvalConfig::memo`])
-/// and the delta cache (active under [`EvalConfig::semi_naive`]).
-/// Split from the expression-node snapshot so the walker can read
-/// structure through a shared borrow while mutating the caches.
-pub(crate) struct Caches {
-    memo: MemoCache,
+/// Everything one cached (memoised and/or semi-naive) evaluation
+/// threads through [`eval_eid`]: a view of the apply table (active under
+/// [`EvalConfig::memo`]), the delta cache (active under
+/// [`EvalConfig::semi_naive`]) and the shape-recognition caches. The
+/// walker reads expression structure from the [`ExprArena`] itself, so
+/// the state holds no copy of it. A session owns one state for its
+/// lifetime, and [`evaluate_vid`] pools one per thread.
+pub(crate) struct MemoState {
+    /// The expression-arena generation the recognised handles below
+    /// were interned in.
+    generation: u64,
+    memo: ApplyView,
     delta: DeltaMap,
     /// The interned handle of the Prop 2.1 derived term
     /// [`nra_core::derived::cartprod`] — hash-consing makes every
@@ -805,11 +463,11 @@ pub(crate) struct Caches {
 
 /// Recognise the Prop 2.1 selection shape at `eid` and return its
 /// predicate, caching the verdict.
-fn select_pred(eid: EId, nodes: &[ENode], caches: &mut Caches) -> Option<EId> {
+fn select_pred(eid: EId, exprs: &ExprArena, caches: &mut MemoState) -> Option<EId> {
     *caches
         .selects
         .entry(eid)
-        .or_insert_with(|| crate::shapes::select_shape(nodes, eid))
+        .or_insert_with(|| crate::shapes::select_shape(exprs, eid))
 }
 
 /// Probe the delta cache for an incremental application: `Some((prev
@@ -840,143 +498,83 @@ fn delta_probe(
     Some((e.output, e.cost, fresh))
 }
 
-/// Everything one cached (memoised and/or semi-naive) evaluation needs:
-/// the synced expression-node snapshot (read through a shared borrow)
-/// and the apply + delta caches (read through a mutable one) — split
-/// fields so [`eval_eid`] can hold both at once. Pooled thread-locally
-/// between evaluations: "clearing" the apply-cache slots is an epoch
-/// bump — `O(1)` instead of a multi-megabyte memset, the same reason
-/// BDD packages keep their apply cache alive across `apply` calls —
-/// and the node snapshot is only ever *extended* (the arena is
-/// append-only between clears), so a repeat evaluation pays
-/// `O(new nodes)`, not `O(arena)`.
-pub(crate) struct MemoState {
-    /// Dense copy of the expression arena's node table, indexed by
-    /// [`EId::index`], kept in sync via [`MemoState::resync`].
-    pub(crate) nodes: Vec<ENode>,
-    /// The expression-arena generation `nodes` was synced against.
-    generation: u64,
-    pub(crate) caches: Caches,
-}
-
 impl MemoState {
-    /// A fresh state against the given expression arena (interns the
-    /// monomorphic recognisable derived terms). Sessions own one of
-    /// these for their whole lifetime; [`evaluate_vid`] pools one per
-    /// thread.
+    /// A fresh state on a fresh apply table, against the given
+    /// expression arena (interns the monomorphic recognisable derived
+    /// terms).
     pub(crate) fn new(ea: &mut ExprArena) -> Self {
-        Self::new_with_cache(ea, MemoCache::new_local())
+        let cartprod = ea.intern(&nra_core::derived::cartprod());
+        let unnest = ea.intern(&nra_core::derived::unnest());
+        MemoState::around(ea.generation(), ApplyView::new(), cartprod, unnest)
     }
 
-    /// A fresh state around the given apply cache — how batch workers
-    /// are built directly onto the parent's shared table, skipping the
-    /// local slot-table allocation [`MemoState::new`] would make.
-    pub(crate) fn with_shared_table(ea: &mut ExprArena, table: Arc<SharedMemoTable>) -> Self {
-        Self::new_with_cache(ea, MemoCache::with_shared_table(table))
+    /// A batch worker's state: a view of this state's apply table at
+    /// this state's floor, the same recognised handles (the worker's
+    /// expression arena is a clone of this one's store), and empty
+    /// delta and recognition caches.
+    pub(crate) fn worker(&mut self) -> Self {
+        MemoState::around(
+            self.generation,
+            self.memo.share(),
+            self.cartprod,
+            self.unnest,
+        )
     }
 
-    fn new_with_cache(ea: &mut ExprArena, memo: MemoCache) -> Self {
-        // a state built onto an existing shared table opens *warm*, so
-        // it joins the table's entries instead of detaching from them
-        let opens_warm = matches!(memo, MemoCache::Shared(_));
-        let mut state = MemoState {
-            nodes: Vec::new(),
-            generation: ea.generation(),
-            caches: Caches {
-                memo,
-                delta: DeltaMap::default(),
-                cartprod: ea.intern(&nra_core::derived::cartprod()),
-                unnest: ea.intern(&nra_core::derived::unnest()),
-                shapes: ShapeCaches::default(),
-                selects: HashMap::default(),
-                projeqs: HashMap::default(),
-                projpairs: HashMap::default(),
-            },
-        };
-        state.begin_query(ea, opens_warm);
-        state
-    }
-
-    /// Switch the apply cache to a fresh shared table (idempotent) —
-    /// part of [`crate::EvalSession::make_shared`].
-    pub(crate) fn make_shared(&mut self) {
-        self.caches.memo.make_shared();
-    }
-
-    /// The shared apply table behind this state, if any.
-    pub(crate) fn shared_table(&self) -> Option<Arc<SharedMemoTable>> {
-        self.caches.memo.shared_table()
+    fn around(generation: u64, memo: ApplyView, cartprod: EId, unnest: EId) -> Self {
+        MemoState {
+            generation,
+            memo,
+            delta: DeltaMap::default(),
+            cartprod,
+            unnest,
+            shapes: ShapeCaches::default(),
+            selects: HashMap::default(),
+            projeqs: HashMap::default(),
+            projpairs: HashMap::default(),
+        }
     }
 
     /// Open the next query against this state.
     ///
-    /// * `warm = false` ([`evaluate_vid`]'s per-call semantics): a fresh
-    ///   cache epoch — every previous apply-cache entry goes stale in
-    ///   `O(1)` — and cleared recognition caches.
-    /// * `warm = true` (the session semantics): the epoch is kept, so
-    ///   apply-cache entries **survive across queries** and later hits
-    ///   on them are counted as warm; only the query stamp advances.
-    ///   Falls back to a cold start when the expression arena was
-    ///   cleared in between (all cached `EId`s went stale) or the query
-    ///   stamp would wrap.
+    /// * `warm = false` ([`evaluate_vid`]'s per-call semantics): a cold
+    ///   open — the apply-table view raises its floor, so every earlier
+    ///   entry is hidden in `O(1)` — and cleared recognition caches.
+    /// * `warm = true` (the session semantics): apply-table entries
+    ///   **survive across queries**, and later hits on them are counted
+    ///   as warm. Falls back to a cold open when the expression arena
+    ///   was cleared in between (every cached `EId` went stale).
     ///
     /// The delta cache is cleared either way: its entries carry
     /// per-evaluation cost accounting.
     pub(crate) fn begin_query(&mut self, ea: &mut ExprArena, warm: bool) {
-        let generation_changed = self.resync(ea);
-        if generation_changed {
+        let cleared = ea.generation() != self.generation;
+        if cleared {
             // interning is canonical, so the recognised handles only
-            // move when the arena was cleared; re-intern them then, and
-            // take their nodes into the snapshot
-            self.caches.cartprod = ea.intern(&nra_core::derived::cartprod());
-            self.caches.unnest = ea.intern(&nra_core::derived::unnest());
-            ea.extend_snapshot(&mut self.nodes);
-        }
-        if !self.caches.memo.begin_query(warm, generation_changed) {
-            // the shape-recognition caches key on EIds, which a cold
-            // start treats as untrusted (the arena may have been reset)
-            self.caches.shapes.clear();
-            self.caches.selects.clear();
-            self.caches.projeqs.clear();
-            self.caches.projpairs.clear();
-        }
-        // the delta cache has no epochs: entries hold per-evaluation
-        // costs, so every query starts from an empty map
-        self.caches.delta.clear();
-    }
-
-    /// Bring the node snapshot up to date with the given expression
-    /// arena. Returns whether the arena was cleared since the last sync
-    /// (all snapshot prefixes and cached `EId`s were stale).
-    fn resync(&mut self, ea: &ExprArena) -> bool {
-        let changed = ea.generation() != self.generation;
-        if changed {
-            self.nodes.clear();
+            // move when the arena was cleared; re-intern them then
             self.generation = ea.generation();
+            self.cartprod = ea.intern(&nra_core::derived::cartprod());
+            self.unnest = ea.intern(&nra_core::derived::unnest());
         }
-        ea.extend_snapshot(&mut self.nodes);
-        changed
+        let warm = warm && !cleared;
+        self.memo.open(warm);
+        if !warm {
+            // the shape-recognition caches key on EIds (and on VIds, for
+            // conformance), which a cold open treats as untrusted: the
+            // facade's arenas may have been reset
+            self.shapes.clear();
+            self.selects.clear();
+            self.projeqs.clear();
+            self.projpairs.clear();
+        }
+        self.delta.clear();
     }
 
-    /// Drop everything this state retains — apply-cache entries (the
-    /// slot table shrinks back to its initial size), node snapshot, and
-    /// recognition caches. The session layer calls this on
-    /// generation-based eviction, together with clearing its arenas.
-    pub(crate) fn evict(&mut self) {
-        self.caches.memo.evict();
-        self.nodes = Vec::new();
-        self.caches.delta = DeltaMap::default();
-        self.caches.shapes = ShapeCaches::default();
-        self.caches.selects = HashMap::default();
-        self.caches.projeqs = HashMap::default();
-        self.caches.projpairs = HashMap::default();
-    }
-
-    /// Approximate resident bytes of the retained cache state — the
-    /// apply-cache slots plus the node snapshot (the recognition caches
-    /// are negligible next to either).
+    /// Approximate resident bytes of the retained cache state: the
+    /// apply table, charged in full by every view of it (the
+    /// recognition caches are negligible next to it).
     pub(crate) fn approx_resident_bytes(&self) -> usize {
-        self.caches.memo.approx_resident_bytes() + self.nodes.len() * std::mem::size_of::<ENode>()
+        self.memo.resident_bytes()
     }
 }
 
@@ -1008,14 +606,13 @@ pub(crate) fn eval_eid(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
-    nodes: &[ENode],
-    caches: &mut Caches,
+    exprs: &ExprArena,
+    caches: &mut MemoState,
     va: &mut ValueArena,
 ) -> Result<VId, EvalError> {
     let memo = ctx.config.memo;
-    let key = MemoCache::key(eid, input);
     if memo {
-        if let Some((out, cost, warm)) = caches.memo.probe(key) {
+        if let Some((out, cost, warm)) = caches.memo.probe(eid, input) {
             ctx.stats.memo_hits += 1;
             if warm {
                 ctx.stats.warm_hits += 1;
@@ -1036,23 +633,23 @@ pub(crate) fn eval_eid(
             eval_cartprod_fused(eid, input, ctx, caches, va)?
         } else if eid == caches.unnest {
             eval_unnest_fused(eid, input, ctx, caches, va)?
-        } else if let ENode::Compose(g, _) = nodes[eid.index()] {
+        } else if let ENode::Compose(g, _) = *exprs.node_ref(eid) {
             // one-read pre-filters before the (cached) full shape
             // recognitions: σ_p starts `μ ∘ …`, projection equality
             // starts `=_N ∘ …`, inclusion starts `empty ∘ …`,
             // membership starts `(¬ ∘ empty) ∘ …`, the self-join
             // `(μ ∘ …) ∘ …`, the projected self-join `map(⟨…⟩) ∘ …`,
             // nest starts `map(⟨π₁, …⟩) ∘ …`
-            match &nodes[g.index()] {
-                ENode::Leaf(l) if **l == Expr::Flatten => match select_pred(eid, nodes, caches) {
-                    Some(pred) => eval_select_fused(eid, pred, input, ctx, nodes, caches, va)?,
+            match exprs.node_ref(g) {
+                ENode::Leaf(l) if **l == Expr::Flatten => match select_pred(eid, exprs, caches) {
+                    Some(pred) => eval_select_fused(eid, pred, input, ctx, exprs, caches, va)?,
                     None => None,
                 },
                 ENode::Leaf(l) if **l == Expr::EqNat => {
-                    eval_projeq_fused(eid, input, ctx, nodes, caches, va)?
+                    eval_projeq_fused(eid, input, ctx, exprs, caches, va)?
                 }
                 ENode::Leaf(l) if **l == Expr::IsEmpty => {
-                    eval_subset_fused(eid, input, ctx, nodes, caches, va)?
+                    eval_subset_fused(eid, input, ctx, exprs, caches, va)?
                 }
                 // membership and the self-join share this head, the
                 // projected self-join and nest share the next
@@ -1060,19 +657,19 @@ pub(crate) fn eval_eid(
                     if crate::shapes::join_shape(
                         eid,
                         caches.cartprod,
-                        nodes,
+                        exprs,
                         &mut caches.shapes,
                     )
                     .is_some() =>
                 {
-                    eval_join_fused(eid, input, ctx, nodes, caches, va)?
+                    eval_join_fused(eid, input, ctx, exprs, caches, va)?
                 }
-                ENode::Compose(..) => eval_member_fused(eid, input, ctx, nodes, caches, va)?,
-                ENode::Map(_) => eval_nest_fused(eid, input, ctx, nodes, caches, va)?,
+                ENode::Compose(..) => eval_member_fused(eid, input, ctx, exprs, caches, va)?,
+                ENode::Map(_) => eval_nest_fused(eid, input, ctx, exprs, caches, va)?,
                 _ => None,
             }
-        } else if matches!(nodes[eid.index()], ENode::Tuple(..)) {
-            eval_projpair_fused(eid, input, ctx, nodes, caches, va)?
+        } else if matches!(*exprs.node_ref(eid), ENode::Tuple(..)) {
+            eval_projpair_fused(eid, input, ctx, exprs, caches, va)?
         } else {
             None
         };
@@ -1080,13 +677,13 @@ pub(crate) fn eval_eid(
             if memo {
                 caches
                     .memo
-                    .store(key, output, ctx.charged_nodes - fused_start);
+                    .store(eid, input, output, ctx.charged_nodes - fused_start);
             }
             return Ok(output);
         }
     }
     let cost_start = ctx.charged_nodes;
-    let node = &nodes[eid.index()];
+    let node = exprs.node_ref(eid);
     ctx.node(node.head_index())?;
     let output = match node {
         ENode::Leaf(leaf) if ctx.config.semi_naive && **leaf == Expr::Flatten => {
@@ -1097,28 +694,28 @@ pub(crate) fn eval_eid(
             ctx.observe_vid(va, input)?;
             let output = match *recursive {
                 ENode::Tuple(f, g) => {
-                    let a = eval_eid(f, input, ctx, nodes, caches, va)?;
-                    let b = eval_eid(g, input, ctx, nodes, caches, va)?;
+                    let a = eval_eid(f, input, ctx, exprs, caches, va)?;
+                    let b = eval_eid(g, input, ctx, exprs, caches, va)?;
                     va.pair(a, b)
                 }
-                ENode::Map(f) => eval_map_eid(eid, f, input, ctx, nodes, caches, va)?,
+                ENode::Map(f) => eval_map_eid(eid, f, input, ctx, exprs, caches, va)?,
                 ENode::Cond(c, then, els) => {
-                    let cv = eval_eid(c, input, ctx, nodes, caches, va)?;
+                    let cv = eval_eid(c, input, ctx, exprs, caches, va)?;
                     match va.as_bool(cv) {
-                        Some(true) => eval_eid(then, input, ctx, nodes, caches, va)?,
-                        Some(false) => eval_eid(els, input, ctx, nodes, caches, va)?,
+                        Some(true) => eval_eid(then, input, ctx, exprs, caches, va)?,
+                        Some(false) => eval_eid(els, input, ctx, exprs, caches, va)?,
                         None => return Err(stuck("if", "condition is not boolean")),
                     }
                 }
                 ENode::Compose(g, f) => {
-                    let mid = eval_eid(f, input, ctx, nodes, caches, va)?;
-                    eval_eid(g, mid, ctx, nodes, caches, va)?
+                    let mid = eval_eid(f, input, ctx, exprs, caches, va)?;
+                    eval_eid(g, mid, ctx, exprs, caches, va)?
                 }
                 ENode::While(f) => {
                     let mut current = input;
                     let mut iterations: u64 = 0;
                     loop {
-                        let next = eval_eid(f, current, ctx, nodes, caches, va)?;
+                        let next = eval_eid(f, current, ctx, exprs, caches, va)?;
                         iterations += 1;
                         ctx.stats.while_iterations += 1;
                         record_frontier(ctx, va, current, next);
@@ -1140,7 +737,7 @@ pub(crate) fn eval_eid(
     if memo {
         caches
             .memo
-            .store(key, output, ctx.charged_nodes - cost_start);
+            .store(eid, input, output, ctx.charged_nodes - cost_start);
     }
     Ok(output)
 }
@@ -1167,8 +764,8 @@ fn eval_map_eid(
     f: EId,
     input: VId,
     ctx: &mut Ctx,
-    nodes: &[ENode],
-    caches: &mut Caches,
+    exprs: &ExprArena,
+    caches: &mut MemoState,
     va: &mut ValueArena,
 ) -> Result<VId, EvalError> {
     let items = va
@@ -1183,7 +780,7 @@ fn eval_map_eid(
             ctx.charge(prev_cost)?;
             let mut images = Vec::with_capacity(fresh_items.len());
             for &item in fresh_items.iter() {
-                images.push(eval_eid(f, item, ctx, nodes, caches, va)?);
+                images.push(eval_eid(f, item, ctx, exprs, caches, va)?);
             }
             let imgs = va.set_from_vec(images);
             let output = va
@@ -1204,7 +801,7 @@ fn eval_map_eid(
     let cost_start = ctx.charged_nodes;
     let mut out = Vec::with_capacity(items.len());
     for &item in items.iter() {
-        out.push(eval_eid(f, item, ctx, nodes, caches, va)?);
+        out.push(eval_eid(f, item, ctx, exprs, caches, va)?);
     }
     let output = va.set_from_vec(out);
     if ctx.config.semi_naive {
@@ -1246,7 +843,7 @@ fn eval_cartprod_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
-    caches: &mut Caches,
+    caches: &mut MemoState,
     va: &mut ValueArena,
 ) -> Result<Option<VId>, EvalError> {
     #[derive(Clone, Copy)]
@@ -1357,20 +954,20 @@ fn eval_projeq_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
-    nodes: &[ENode],
-    caches: &mut Caches,
+    exprs: &ExprArena,
+    caches: &mut MemoState,
     va: &mut ValueArena,
 ) -> Result<Option<VId>, EvalError> {
     let recognised = caches.projeqs.entry(eid).or_insert_with(|| {
-        let ENode::Compose(_, f) = nodes[eid.index()] else {
+        let ENode::Compose(_, f) = *exprs.node_ref(eid) else {
             return None;
         };
-        let ENode::Tuple(p1, p2) = nodes[f.index()] else {
+        let ENode::Tuple(p1, p2) = *exprs.node_ref(f) else {
             return None;
         };
         let (mut a, mut b) = (ProjPath::new(), ProjPath::new());
-        proj_path(p1, nodes, &mut a)?;
-        proj_path(p2, nodes, &mut b)?;
+        proj_path(p1, exprs, &mut a)?;
+        proj_path(p2, exprs, &mut b)?;
         Some((a, b))
     });
     let Some((p1, p2)) = recognised else {
@@ -1403,17 +1000,17 @@ fn eval_projpair_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
-    nodes: &[ENode],
-    caches: &mut Caches,
+    exprs: &ExprArena,
+    caches: &mut MemoState,
     va: &mut ValueArena,
 ) -> Result<Option<VId>, EvalError> {
     let recognised = caches.projpairs.entry(eid).or_insert_with(|| {
-        let ENode::Tuple(p1, p2) = nodes[eid.index()] else {
+        let ENode::Tuple(p1, p2) = *exprs.node_ref(eid) else {
             return None;
         };
         let (mut a, mut b) = (ProjPath::new(), ProjPath::new());
-        proj_path(p1, nodes, &mut a)?;
-        proj_path(p2, nodes, &mut b)?;
+        proj_path(p1, exprs, &mut a)?;
+        proj_path(p2, exprs, &mut b)?;
         // plain ⟨id, id⟩ (dup) gains nothing from fusion
         (!(a.is_empty() && b.is_empty())).then_some((a, b))
     });
@@ -1451,8 +1048,8 @@ fn eval_select_fused(
     pred: EId,
     input: VId,
     ctx: &mut Ctx,
-    nodes: &[ENode],
-    caches: &mut Caches,
+    exprs: &ExprArena,
+    caches: &mut MemoState,
     va: &mut ValueArena,
 ) -> Result<Option<VId>, EvalError> {
     let Some(items) = va.as_set(input) else {
@@ -1475,7 +1072,7 @@ fn eval_select_fused(
     ctx.charge(prev_cost)?;
     let mut selected = Vec::new();
     for &item in fresh_items.iter() {
-        let verdict = eval_eid(pred, item, ctx, nodes, caches, va)?;
+        let verdict = eval_eid(pred, item, ctx, exprs, caches, va)?;
         match va.as_bool(verdict) {
             Some(true) => selected.push(item),
             Some(false) => {}
@@ -1514,7 +1111,7 @@ fn eval_flatten_delta(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
-    caches: &mut Caches,
+    caches: &mut MemoState,
     va: &mut ValueArena,
 ) -> Result<VId, EvalError> {
     let probed = delta_probe(eid, input, &caches.delta, va);
@@ -1559,7 +1156,7 @@ fn eval_unnest_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
-    caches: &mut Caches,
+    caches: &mut MemoState,
     va: &mut ValueArena,
 ) -> Result<Option<VId>, EvalError> {
     let Some(items) = va.as_set(input) else {
@@ -1621,11 +1218,11 @@ fn eval_member_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
-    nodes: &[ENode],
-    caches: &mut Caches,
+    exprs: &ExprArena,
+    caches: &mut MemoState,
     va: &mut ValueArena,
 ) -> Result<Option<VId>, EvalError> {
-    let Some(t) = crate::shapes::member_elem_type(eid, nodes, &mut caches.shapes) else {
+    let Some(t) = crate::shapes::member_elem_type(eid, exprs, &mut caches.shapes) else {
         return Ok(None);
     };
     let Some((x, s)) = va.as_pair(input) else {
@@ -1660,11 +1257,11 @@ fn eval_subset_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
-    nodes: &[ENode],
-    caches: &mut Caches,
+    exprs: &ExprArena,
+    caches: &mut MemoState,
     va: &mut ValueArena,
 ) -> Result<Option<VId>, EvalError> {
-    let Some(t) = crate::shapes::subset_elem_type(eid, nodes, &mut caches.shapes) else {
+    let Some(t) = crate::shapes::subset_elem_type(eid, exprs, &mut caches.shapes) else {
         return Ok(None);
     };
     let Some((a, b)) = va.as_pair(input) else {
@@ -1707,11 +1304,11 @@ fn eval_nest_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
-    nodes: &[ENode],
-    caches: &mut Caches,
+    exprs: &ExprArena,
+    caches: &mut MemoState,
     va: &mut ValueArena,
 ) -> Result<Option<VId>, EvalError> {
-    let Some(key_type) = crate::shapes::nest_key_type(eid, nodes, &mut caches.shapes) else {
+    let Some(key_type) = crate::shapes::nest_key_type(eid, exprs, &mut caches.shapes) else {
         return Ok(None);
     };
     let Some(items) = va.as_set(input) else {
@@ -1790,11 +1387,11 @@ fn eval_join_fused(
     eid: EId,
     input: VId,
     ctx: &mut Ctx,
-    nodes: &[ENode],
-    caches: &mut Caches,
+    exprs: &ExprArena,
+    caches: &mut MemoState,
     va: &mut ValueArena,
 ) -> Result<Option<VId>, EvalError> {
-    let Some(shape) = crate::shapes::join_shape(eid, caches.cartprod, nodes, &mut caches.shapes)
+    let Some(shape) = crate::shapes::join_shape(eid, caches.cartprod, exprs, &mut caches.shapes)
     else {
         return Ok(None);
     };

@@ -20,22 +20,24 @@
 //! The arenas are threaded **explicitly** through every rule; who owns
 //! them is the caller's choice:
 //!
-//! * an [`EvalSession`] ([`session`]) owns its arenas, apply cache and
-//!   config outright — queries **warm-start** across `session.eval`
-//!   calls (the `(EId, VId)` apply cache survives, hits reported in
-//!   [`EvalStats::warm_hits`]), residency is bounded by a
-//!   generation-based eviction budget, the session is `Send`, and
-//!   [`batch::eval_batch`] fans query batches across worker sessions on
-//!   scoped threads that intern into one **shared concurrent store**
-//!   and share one apply cache ([`EvalSession::split`]);
+//! * an [`EvalSession`] ([`session`]) owns its arenas, a view of an
+//!   apply table and its config outright — queries **warm-start**
+//!   across `session.eval` calls (the `(EId, VId)` apply cache
+//!   survives, hits reported in [`EvalStats::warm_hits`]), residency is
+//!   bounded by a generation-based eviction budget, the session is
+//!   `Send`, and [`batch::eval_batch`] fans query batches across worker
+//!   sessions on scoped threads that intern into one **shared
+//!   concurrent store** and probe one apply table
+//!   ([`EvalSession::split`]);
 //! * the free functions ([`evaluate`], [`evaluate_vid`],
 //!   [`evaluate_lazy`], [`evaluate_traced`]) remain as a thin
 //!   thread-local-backed compatibility facade with the historical
-//!   per-call semantics (fresh cache epoch each call; the thread's
-//!   arenas retain interned nodes — see `intern::reset_thread_arena`
-//!   for reclamation at quiescent points). The traced and streaming
-//!   strategies exist only there: they build the exact §3 derivation
-//!   and hold no cache state a session could own.
+//!   per-call semantics (each call opens the thread's apply table cold,
+//!   hiding every earlier entry; the thread's arenas retain interned
+//!   nodes — see `intern::reset_thread_arena` for reclamation at
+//!   quiescent points). The traced and streaming strategies exist only
+//!   there: they build the exact §3 derivation and hold no cache state
+//!   a session could own.
 //!
 //! The [`nra_core::Value`] tree API remains the public surface —
 //! [`evaluate`] converts at the boundary — while [`evaluate_vid`] and
@@ -47,12 +49,13 @@
 //! On top of value interning, [`EvalConfig::memo`] switches the eager
 //! strategy onto the **apply cache**: expressions are hash-consed too
 //! ([`nra_core::expr::intern`]), and each judgment `f(C) ⇓ C'` is keyed
-//! `(EId, VId) → VId` in a BDD-style direct-mapped table, so a judgment
-//! already derived returns its cached handle in `O(1)` — which collapses
-//! the repeated body applications inside `while` iterates and `map` over
-//! recurring elements. The traced and streaming strategies ignore this
-//! switch and the next one: they build the exact derivation, which is
-//! what their §3 claims are about. Results are bit-for-bit identical to
+//! `(EId, VId) → VId` in a BDD-style direct-mapped table ([`memo`], the
+//! one table design every session, worker and facade call uses), so a
+//! judgment already derived returns its cached handle in `O(1)` — which
+//! collapses the repeated body applications inside `while` iterates and
+//! `map` over recurring elements. The traced and streaming strategies
+//! ignore this switch and the next one: they build the exact derivation,
+//! which is what their §3 claims are about. Results are bit-for-bit identical to
 //! memo-off evaluation (both differential harnesses enforce this); cache
 //! activity is reported separately in
 //! [`EvalStats::memo_hits`]/`memo_misses` rather than inflating the §3
@@ -87,6 +90,7 @@ pub mod batch;
 pub mod eager;
 pub mod error;
 pub mod lazy;
+pub mod memo;
 pub mod session;
 mod shapes;
 pub mod stats;

@@ -2,14 +2,14 @@
 //! evaluators.
 //!
 //! The free functions of [`crate::eager`] run against *thread-local*
-//! arenas — convenient, but one evaluation stream per thread, and the
-//! BDD-style apply cache opens a fresh epoch on every call. An
-//! [`EvalSession`] lifts all of that state into one owned value:
+//! arenas — convenient, but one evaluation stream per thread, and every
+//! call opens the BDD-style apply cache cold. An [`EvalSession`] lifts
+//! all of that state into one owned value:
 //!
 //! * a [`ValueArena`] and an [`ExprArena`] (the §3 store of complex
 //!   objects and the hash-consed expressions over it);
-//! * the apply cache `(EId, VId) → VId` and the shape-recognition /
-//!   delta caches of the cached walker;
+//! * a view of an apply table `(EId, VId) → VId` ([`crate::memo`]) and
+//!   the shape-recognition / delta caches of the cached walker;
 //! * the [`EvalConfig`] every query of the session runs under.
 //!
 //! Owning the state buys three things:
@@ -136,57 +136,27 @@ impl EvalSession {
         session
     }
 
-    /// Move this session's apply cache onto a table that split-off
-    /// workers share (idempotent). The arenas need no such step: every
-    /// arena is shareable from birth, and [`EvalSession::split`] hands
-    /// its workers clones of the same stores. The shared table starts
-    /// cold; results are bit-for-bit unaffected.
-    ///
-    /// [`EvalSession::split`] (and through it [`crate::eval_batch`])
-    /// calls this, so workers probe the *same* apply table as the
-    /// parent: one worker's derivation is every worker's warm hit. A
-    /// server calls it up front, so the warmth its admission probe
-    /// leaves is not dropped at the first batch.
-    pub fn make_shared(&mut self) {
-        self.memo.make_shared();
-    }
-
-    /// Whether this session's apply cache is the shared table — see
-    /// [`EvalSession::make_shared`].
-    pub fn is_shared(&self) -> bool {
-        self.memo.shared_table().is_some()
-    }
-
-    /// Split off `workers` sessions over this session's stores (moving
-    /// the apply cache onto its shared table first if needed).
+    /// Split off `workers` sessions over this session's stores.
     ///
     /// Each returned session interns into the **same** canonical
     /// value/expression store and probes the **same** apply table as
     /// the parent — handles issued by any of them are valid in all of
-    /// them — but owns its private recognition/delta caches, its own
+    /// them, and one worker's derivation is every worker's warm hit —
+    /// but owns its private recognition/delta caches, its own
     /// [`SessionStats`], and no resident budget (the parent enforces
     /// its budget at batch boundaries instead; see [`crate::eval_batch`]).
     pub fn split(&mut self, workers: usize) -> Vec<EvalSession> {
-        self.make_shared();
-        let table = self
-            .memo
-            .shared_table()
-            .expect("make_shared installed a shared apply table");
         (0..workers)
-            .map(|_| {
-                let mut exprs = self.exprs.shared_clone();
-                let memo = MemoState::with_shared_table(&mut exprs, Arc::clone(&table));
-                EvalSession {
-                    values: self.values.shared_clone(),
-                    exprs,
-                    memo,
-                    config: self.config.clone(),
-                    stats: SessionStats::default(),
-                    resident_budget: None,
-                    generation: self.generation,
-                    rewriter: self.rewriter.clone(),
-                    rewrites: HashMap::new(),
-                }
+            .map(|_| EvalSession {
+                values: self.values.shared_clone(),
+                exprs: self.exprs.shared_clone(),
+                memo: self.memo.worker(),
+                config: self.config.clone(),
+                stats: SessionStats::default(),
+                resident_budget: None,
+                generation: self.generation,
+                rewriter: self.rewriter.clone(),
+                rewrites: HashMap::new(),
             })
             .collect()
     }
@@ -333,9 +303,8 @@ impl EvalSession {
         // the apply cache keys on
         let eid = self.optimise_eid(eid);
         self.memo.begin_query(&mut self.exprs, true);
-        let MemoState { nodes, caches, .. } = &mut self.memo;
         let (result, stats) = eager::run(&self.config, &mut self.values, |ctx, va| {
-            eager::eval_eid(eid, input, ctx, nodes, caches, va)
+            eager::eval_eid(eid, input, ctx, &self.exprs, &mut self.memo, va)
         });
         self.absorb(&stats);
         VidEvaluation { result, stats }
@@ -369,13 +338,15 @@ impl EvalSession {
     /// Force an eviction now: clear both arenas and the cache state,
     /// bump the generation, count it. **All handles issued by this
     /// session become invalid.** Results of subsequent queries are
-    /// unaffected — only cache hit counters change (cold restart).
+    /// unaffected — only cache hit counters change (cold restart). The
+    /// cache state moves onto a fresh apply table: split-off workers
+    /// keep the old one with the old stores, so nothing they store
+    /// afterwards can reach this session's new generation.
     pub fn evict(&mut self) {
         self.values.clear();
         self.exprs.clear();
-        self.memo.evict();
+        self.memo = MemoState::new(&mut self.exprs);
         self.rewrites.clear();
-        self.memo.begin_query(&mut self.exprs, false);
         self.generation += 1;
         self.stats.evictions += 1;
     }
@@ -483,6 +454,34 @@ mod tests {
         assert_eq!(first.result.unwrap(), second.result.unwrap());
         assert_eq!(second.stats.warm_hits, 0, "evicted cache cannot be warm");
         assert_eq!(session.generation(), 2);
+    }
+
+    #[test]
+    fn an_eviction_hides_every_earlier_entry() {
+        let mut session = EvalSession::new(EvalConfig::memoised());
+        let intern = |s: &mut EvalSession| {
+            let q = s.intern_expr(&queries::tc_while());
+            let q2 = s.intern_expr(&nra_core::builder::powerset());
+            (q, q2, s.values_mut().chain(6))
+        };
+        let (q, q2, input) = intern(&mut session);
+        // entries stored before the eviction…
+        let closure = session.eval_vid(q, input).result.unwrap();
+        let closure = session.resolve(closure);
+        // …and by a worker that keeps the old stores and table, after it
+        let mut worker = session.split(1).pop().unwrap();
+        session.evict();
+        let subsets = worker.eval_vid(q2, input).result.unwrap();
+        let subsets = worker.resolve(subsets);
+        // the fresh arenas reissue the same handles, and neither kind of
+        // entry is seen through them
+        assert_eq!(intern(&mut session), (q, q2, input));
+        let ev = session.eval_vid(q2, input);
+        assert_eq!(ev.stats.warm_hits, 0, "{:?}", ev.stats);
+        assert_eq!(session.resolve(ev.result.unwrap()), subsets);
+        let ev = session.eval_vid(q, input);
+        assert!(ev.stats.memo_misses > 0, "{:?}", ev.stats);
+        assert_eq!(session.resolve(ev.result.unwrap()), closure);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! per `(EId, VId)`) in [`ShapeCaches`], which the cache state
 //! invalidates whenever handles could have been reissued.
 
-use nra_core::expr::intern::{EId, ENode};
+use nra_core::expr::intern::{EId, ENode, ExprArena};
 use nra_core::expr::Expr;
 use nra_core::types::Type;
 use nra_core::value::intern::{FxBuildHasher, VId, ValueArena};
@@ -108,13 +108,13 @@ pub(crate) fn conforms_cached(
 }
 
 /// Is `eid` the given non-recursive primitive?
-fn leaf_is(nodes: &[ENode], eid: EId, expr: &Expr) -> bool {
-    matches!(&nodes[eid.index()], ENode::Leaf(l) if **l == *expr)
+fn leaf_is(exprs: &ExprArena, eid: EId, expr: &Expr) -> bool {
+    matches!(exprs.node_ref(eid), ENode::Leaf(l) if **l == *expr)
 }
 
 /// `true ∘ !` / `false ∘ !` — the constant booleans at any domain.
-fn is_always(nodes: &[ENode], eid: EId, value: bool) -> bool {
-    let ENode::Compose(g, f) = nodes[eid.index()] else {
+fn is_always(exprs: &ExprArena, eid: EId, value: bool) -> bool {
+    let ENode::Compose(g, f) = *exprs.node_ref(eid) else {
         return false;
     };
     let konst = if value {
@@ -122,83 +122,83 @@ fn is_always(nodes: &[ENode], eid: EId, value: bool) -> bool {
     } else {
         Expr::ConstFalse
     };
-    leaf_is(nodes, g, &konst) && leaf_is(nodes, f, &Expr::Bang)
+    leaf_is(exprs, g, &konst) && leaf_is(exprs, f, &Expr::Bang)
 }
 
 /// `¬ = if id then false else true`.
-fn is_not(nodes: &[ENode], eid: EId) -> bool {
-    let ENode::Cond(c, t, e) = nodes[eid.index()] else {
+fn is_not(exprs: &ExprArena, eid: EId) -> bool {
+    let ENode::Cond(c, t, e) = *exprs.node_ref(eid) else {
         return false;
     };
-    leaf_is(nodes, c, &Expr::Id) && is_always(nodes, t, false) && is_always(nodes, e, true)
+    leaf_is(exprs, c, &Expr::Id) && is_always(exprs, t, false) && is_always(exprs, e, true)
 }
 
 /// `∧ = if π₁ then π₂ else false` — the strict-left conjunction `pand`
 /// builds on.
-fn is_and2(nodes: &[ENode], eid: EId) -> bool {
-    let ENode::Cond(c, t, e) = nodes[eid.index()] else {
+fn is_and2(exprs: &ExprArena, eid: EId) -> bool {
+    let ENode::Cond(c, t, e) = *exprs.node_ref(eid) else {
         return false;
     };
-    leaf_is(nodes, c, &Expr::Fst) && leaf_is(nodes, t, &Expr::Snd) && is_always(nodes, e, false)
+    leaf_is(exprs, c, &Expr::Fst) && leaf_is(exprs, t, &Expr::Snd) && is_always(exprs, e, false)
 }
 
 /// `nonempty = ¬ ∘ empty`.
-fn is_nonempty(nodes: &[ENode], eid: EId) -> bool {
-    let ENode::Compose(g, f) = nodes[eid.index()] else {
+fn is_nonempty(exprs: &ExprArena, eid: EId) -> bool {
+    let ENode::Compose(g, f) = *exprs.node_ref(eid) else {
         return false;
     };
-    is_not(nodes, g) && leaf_is(nodes, f, &Expr::IsEmpty)
+    is_not(exprs, g) && leaf_is(exprs, f, &Expr::IsEmpty)
 }
 
 /// `swap = ⟨π₂, π₁⟩`.
-fn is_swap(nodes: &[ENode], eid: EId) -> bool {
-    let ENode::Tuple(a, b) = nodes[eid.index()] else {
+fn is_swap(exprs: &ExprArena, eid: EId) -> bool {
+    let ENode::Tuple(a, b) = *exprs.node_ref(eid) else {
         return false;
     };
-    leaf_is(nodes, a, &Expr::Snd) && leaf_is(nodes, b, &Expr::Fst)
+    leaf_is(exprs, a, &Expr::Snd) && leaf_is(exprs, b, &Expr::Fst)
 }
 
 /// `ρ₁ = map(swap) ∘ ρ₂ ∘ swap`.
-fn is_rho1(nodes: &[ENode], eid: EId) -> bool {
-    let ENode::Compose(g, f) = nodes[eid.index()] else {
+fn is_rho1(exprs: &ExprArena, eid: EId) -> bool {
+    let ENode::Compose(g, f) = *exprs.node_ref(eid) else {
         return false;
     };
-    let ENode::Map(sw) = nodes[g.index()] else {
+    let ENode::Map(sw) = *exprs.node_ref(g) else {
         return false;
     };
-    if !is_swap(nodes, sw) {
+    if !is_swap(exprs, sw) {
         return false;
     }
-    let ENode::Compose(pw, sw2) = nodes[f.index()] else {
+    let ENode::Compose(pw, sw2) = *exprs.node_ref(f) else {
         return false;
     };
-    leaf_is(nodes, pw, &Expr::PairWith) && is_swap(nodes, sw2)
+    leaf_is(exprs, pw, &Expr::PairWith) && is_swap(exprs, sw2)
 }
 
 /// `σ_p = μ ∘ map(if p then η else ∅ˢ ∘ !)` — returns the predicate.
-pub(crate) fn select_shape(nodes: &[ENode], eid: EId) -> Option<EId> {
-    let ENode::Compose(g, f) = nodes[eid.index()] else {
+pub(crate) fn select_shape(exprs: &ExprArena, eid: EId) -> Option<EId> {
+    let ENode::Compose(g, f) = *exprs.node_ref(eid) else {
         return None;
     };
-    if !leaf_is(nodes, g, &Expr::Flatten) {
+    if !leaf_is(exprs, g, &Expr::Flatten) {
         return None;
     }
-    let ENode::Map(b) = nodes[f.index()] else {
+    let ENode::Map(b) = *exprs.node_ref(f) else {
         return None;
     };
-    let ENode::Cond(p, t, e) = nodes[b.index()] else {
+    let ENode::Cond(p, t, e) = *exprs.node_ref(b) else {
         return None;
     };
-    if !leaf_is(nodes, t, &Expr::Sng) {
+    if !leaf_is(exprs, t, &Expr::Sng) {
         return None;
     }
-    let ENode::Compose(es, bg) = nodes[e.index()] else {
+    let ENode::Compose(es, bg) = *exprs.node_ref(e) else {
         return None;
     };
-    let ENode::Leaf(ref el) = nodes[es.index()] else {
+    let ENode::Leaf(ref el) = *exprs.node_ref(es) else {
         return None;
     };
-    (matches!(**el, Expr::EmptySet(_)) && leaf_is(nodes, bg, &Expr::Bang)).then_some(p)
+    (matches!(**el, Expr::EmptySet(_)) && leaf_is(exprs, bg, &Expr::Bang)).then_some(p)
 }
 
 /// A chain of pair projections, innermost step first: `false` = `π₁`
@@ -209,8 +209,8 @@ pub(crate) type ProjPath = Vec<bool>;
 /// Walk a candidate projection chain (`fst`/`snd`/`id` leaves glued by
 /// `compose`) into its [`ProjPath`], or `None` if any other head
 /// occurs.
-pub(crate) fn proj_path(eid: EId, nodes: &[ENode], out: &mut ProjPath) -> Option<()> {
-    match &nodes[eid.index()] {
+pub(crate) fn proj_path(eid: EId, exprs: &ExprArena, out: &mut ProjPath) -> Option<()> {
+    match exprs.node_ref(eid) {
         ENode::Leaf(leaf) => match **leaf {
             Expr::Fst => {
                 out.push(false);
@@ -225,8 +225,8 @@ pub(crate) fn proj_path(eid: EId, nodes: &[ENode], out: &mut ProjPath) -> Option
         },
         // g ∘ f applies f first
         ENode::Compose(g, f) => {
-            proj_path(*f, nodes, out)?;
-            proj_path(*g, nodes, out)
+            proj_path(*f, exprs, out)?;
+            proj_path(*g, exprs, out)
         }
         _ => None,
     }
@@ -260,9 +260,9 @@ impl Coord {
 
     /// Recognise a π-chain over a product element as a coordinate: its
     /// first step picks the element, the rest is the path inside it.
-    fn of(eid: EId, nodes: &[ENode]) -> Option<Coord> {
+    fn of(eid: EId, exprs: &ExprArena) -> Option<Coord> {
         let mut path = ProjPath::new();
-        proj_path(eid, nodes, &mut path)?;
+        proj_path(eid, exprs, &mut path)?;
         let (&right, inner) = path.split_first()?;
         Some(Coord {
             right,
@@ -306,35 +306,35 @@ pub(crate) struct JoinShape {
 
 /// Flatten a `pand` tree of projection equalities, each possibly under
 /// `¬`, into `out`; `None` if any leaf has another shape.
-fn conjuncts(p: EId, nodes: &[ENode], out: &mut Vec<JoinTest>) -> Option<()> {
-    let ENode::Compose(g, f) = nodes[p.index()] else {
+fn conjuncts(p: EId, exprs: &ExprArena, out: &mut Vec<JoinTest>) -> Option<()> {
+    let ENode::Compose(g, f) = *exprs.node_ref(p) else {
         return None;
     };
     // pand(a, b) = ∧ ∘ ⟨a, b⟩
-    if is_and2(nodes, g) {
-        let ENode::Tuple(a, b) = nodes[f.index()] else {
+    if is_and2(exprs, g) {
+        let ENode::Tuple(a, b) = *exprs.node_ref(f) else {
             return None;
         };
-        conjuncts(a, nodes, out)?;
-        return conjuncts(b, nodes, out);
+        conjuncts(a, exprs, out)?;
+        return conjuncts(b, exprs, out);
     }
-    let (negated, eq) = if is_not(nodes, g) {
+    let (negated, eq) = if is_not(exprs, g) {
         (true, f)
     } else {
         (false, p)
     };
-    let ENode::Compose(eq_nat, args) = nodes[eq.index()] else {
+    let ENode::Compose(eq_nat, args) = *exprs.node_ref(eq) else {
         return None;
     };
-    let ENode::Tuple(a, b) = nodes[args.index()] else {
+    let ENode::Tuple(a, b) = *exprs.node_ref(args) else {
         return None;
     };
-    if !leaf_is(nodes, eq_nat, &Expr::EqNat) {
+    if !leaf_is(exprs, eq_nat, &Expr::EqNat) {
         return None;
     }
     out.push(JoinTest {
-        lhs: Coord::of(a, nodes)?,
-        rhs: Coord::of(b, nodes)?,
+        lhs: Coord::of(a, exprs)?,
+        rhs: Coord::of(b, exprs)?,
         negated,
     });
     Some(())
@@ -350,42 +350,42 @@ fn conjuncts(p: EId, nodes: &[ENode], out: &mut Vec<JoinTest>) -> Option<()> {
 pub(crate) fn join_shape(
     eid: EId,
     cartprod: EId,
-    nodes: &[ENode],
+    exprs: &ExprArena,
     caches: &mut ShapeCaches,
 ) -> Option<Arc<JoinShape>> {
     if let Some(verdict) = caches.joins.get(&eid) {
         return verdict.clone();
     }
     let verdict = (|| {
-        let ENode::Compose(sel, product) = nodes[eid.index()] else {
+        let ENode::Compose(sel, product) = *exprs.node_ref(eid) else {
             return None;
         };
-        if let ENode::Map(body) = nodes[sel.index()] {
-            let ENode::Tuple(c1, c2) = nodes[body.index()] else {
+        if let ENode::Map(body) = *exprs.node_ref(sel) {
+            let ENode::Tuple(c1, c2) = *exprs.node_ref(body) else {
                 return None;
             };
-            let project = [Coord::of(c1, nodes)?, Coord::of(c2, nodes)?];
+            let project = [Coord::of(c1, exprs)?, Coord::of(c2, exprs)?];
             // the coordinates read the matched pair `(x, y)`, so the
             // inner join must be bare: over a projected join they
             // would read its projection, not the match
-            let bare = join_shape(product, cartprod, nodes, caches)
+            let bare = join_shape(product, cartprod, exprs, caches)
                 .filter(|inner| inner.project.is_none())?;
             return Some(Arc::new(JoinShape {
                 project: Some(project),
                 ..JoinShape::clone(&bare)
             }));
         }
-        let ENode::Compose(cp, dup) = nodes[product.index()] else {
+        let ENode::Compose(cp, dup) = *exprs.node_ref(product) else {
             return None;
         };
-        let ENode::Tuple(l, r) = nodes[dup.index()] else {
+        let ENode::Tuple(l, r) = *exprs.node_ref(dup) else {
             return None;
         };
-        if cp != cartprod || !leaf_is(nodes, l, &Expr::Id) || !leaf_is(nodes, r, &Expr::Id) {
+        if cp != cartprod || !leaf_is(exprs, l, &Expr::Id) || !leaf_is(exprs, r, &Expr::Id) {
             return None;
         }
         let mut residual = Vec::new();
-        conjuncts(select_shape(nodes, sel)?, nodes, &mut residual)?;
+        conjuncts(select_shape(exprs, sel)?, exprs, &mut residual)?;
         let key = residual
             .iter()
             .position(|t| !t.negated && t.lhs.right != t.rhs.right)?;
@@ -417,70 +417,70 @@ pub(crate) fn join_shape(
 /// `⟨πₒ ∘ π₁, πₒ ∘ π₂⟩` with `πₒ = π₁` (`second = false`, the left
 /// components of a pair of pairs) or `πₒ = π₂` (the right components) —
 /// the coordinate re-wiring of componentwise equality at products.
-fn is_proj_tuple(nodes: &[ENode], eid: EId, second: bool) -> bool {
+fn is_proj_tuple(exprs: &ExprArena, eid: EId, second: bool) -> bool {
     let outer = if second { Expr::Snd } else { Expr::Fst };
-    let ENode::Tuple(x, y) = nodes[eid.index()] else {
+    let ENode::Tuple(x, y) = *exprs.node_ref(eid) else {
         return false;
     };
-    let left = matches!(nodes[x.index()], ENode::Compose(g, f)
-        if leaf_is(nodes, g, &outer) && leaf_is(nodes, f, &Expr::Fst));
-    let right = matches!(nodes[y.index()], ENode::Compose(g, f)
-        if leaf_is(nodes, g, &outer) && leaf_is(nodes, f, &Expr::Snd));
+    let left = matches!(*exprs.node_ref(x), ENode::Compose(g, f)
+        if leaf_is(exprs, g, &outer) && leaf_is(exprs, f, &Expr::Fst));
+    let right = matches!(*exprs.node_ref(y), ENode::Compose(g, f)
+        if leaf_is(exprs, g, &outer) && leaf_is(exprs, f, &Expr::Snd));
     left && right
 }
 
 /// Is `eid` the Prop 2.1 equality `=ₜ`? Returns the witnessed `t` —
 /// the type-directed grammar determines it uniquely, and the fused
 /// rules need it for their runtime conformance gate.
-pub(crate) fn eq_at_type(eid: EId, nodes: &[ENode], caches: &mut ShapeCaches) -> Option<Type> {
+pub(crate) fn eq_at_type(eid: EId, exprs: &ExprArena, caches: &mut ShapeCaches) -> Option<Type> {
     if let Some(verdict) = caches.eq_ats.get(&eid) {
         return verdict.clone();
     }
-    let verdict = compute_eq_at(eid, nodes, caches);
+    let verdict = compute_eq_at(eid, exprs, caches);
     caches.eq_ats.insert(eid, verdict.clone());
     verdict
 }
 
-fn compute_eq_at(eid: EId, nodes: &[ENode], caches: &mut ShapeCaches) -> Option<Type> {
-    match &nodes[eid.index()] {
+fn compute_eq_at(eid: EId, exprs: &ExprArena, caches: &mut ShapeCaches) -> Option<Type> {
+    match exprs.node_ref(eid) {
         // =_N, the primitive
         ENode::Leaf(l) if **l == Expr::EqNat => Some(Type::Nat),
         // =_B = if π₁ then π₂ else ¬π₂
-        ENode::Cond(c, t, e) => (leaf_is(nodes, *c, &Expr::Fst)
-            && leaf_is(nodes, *t, &Expr::Snd)
-            && matches!(nodes[e.index()], ENode::Compose(n, s)
-                    if is_not(nodes, n) && leaf_is(nodes, s, &Expr::Snd)))
+        ENode::Cond(c, t, e) => (leaf_is(exprs, *c, &Expr::Fst)
+            && leaf_is(exprs, *t, &Expr::Snd)
+            && matches!(*exprs.node_ref(*e), ENode::Compose(n, s)
+                    if is_not(exprs, n) && leaf_is(exprs, s, &Expr::Snd)))
         .then_some(Type::Bool),
         ENode::Compose(g, f) => {
             // =_unit = true ∘ !
-            if leaf_is(nodes, *g, &Expr::ConstTrue) && leaf_is(nodes, *f, &Expr::Bang) {
+            if leaf_is(exprs, *g, &Expr::ConstTrue) && leaf_is(exprs, *f, &Expr::Bang) {
                 return Some(Type::Unit);
             }
             // the two pand cases: ∧ ∘ ⟨p, q⟩
-            if !is_and2(nodes, *g) {
+            if !is_and2(exprs, *g) {
                 return None;
             }
-            let ENode::Tuple(p, q) = nodes[f.index()] else {
+            let ENode::Tuple(p, q) = *exprs.node_ref(*f) else {
                 return None;
             };
             // =_{s×t}: componentwise
             if let (ENode::Compose(ea, pa), ENode::Compose(eb, pb)) =
-                (&nodes[p.index()], &nodes[q.index()])
+                (exprs.node_ref(p), exprs.node_ref(q))
             {
-                if is_proj_tuple(nodes, *pa, false) && is_proj_tuple(nodes, *pb, true) {
+                if is_proj_tuple(exprs, *pa, false) && is_proj_tuple(exprs, *pb, true) {
                     if let (Some(ta), Some(tb)) = (
-                        eq_at_type(*ea, nodes, caches),
-                        eq_at_type(*eb, nodes, caches),
+                        eq_at_type(*ea, exprs, caches),
+                        eq_at_type(*eb, exprs, caches),
                     ) {
                         return Some(Type::prod(ta, tb));
                     }
                 }
             }
             // =_{ {t} }: ⊆ ∧ ⊇
-            if let Some(elem) = subset_elem_type(p, nodes, caches) {
-                if let ENode::Compose(sub, sw) = nodes[q.index()] {
-                    if is_swap(nodes, sw)
-                        && subset_elem_type(sub, nodes, caches) == Some(elem.clone())
+            if let Some(elem) = subset_elem_type(p, exprs, caches) {
+                if let ENode::Compose(sub, sw) = *exprs.node_ref(q) {
+                    if is_swap(exprs, sw)
+                        && subset_elem_type(sub, exprs, caches) == Some(elem.clone())
                     {
                         return Some(Type::set(elem));
                     }
@@ -496,26 +496,26 @@ fn compute_eq_at(eid: EId, nodes: &[ENode], caches: &mut ShapeCaches) -> Option<
 /// Returns the witnessed element type `t`.
 pub(crate) fn member_elem_type(
     eid: EId,
-    nodes: &[ENode],
+    exprs: &ExprArena,
     caches: &mut ShapeCaches,
 ) -> Option<Type> {
     if let Some(verdict) = caches.members.get(&eid) {
         return verdict.clone();
     }
     let verdict = (|| {
-        let ENode::Compose(g, f) = nodes[eid.index()] else {
+        let ENode::Compose(g, f) = *exprs.node_ref(eid) else {
             return None;
         };
-        if !is_nonempty(nodes, g) {
+        if !is_nonempty(exprs, g) {
             return None;
         }
-        let ENode::Compose(sel, pw) = nodes[f.index()] else {
+        let ENode::Compose(sel, pw) = *exprs.node_ref(f) else {
             return None;
         };
-        if !leaf_is(nodes, pw, &Expr::PairWith) {
+        if !leaf_is(exprs, pw, &Expr::PairWith) {
             return None;
         }
-        eq_at_type(select_shape(nodes, sel)?, nodes, caches)
+        eq_at_type(select_shape(exprs, sel)?, exprs, caches)
     })();
     caches.members.insert(eid, verdict.clone());
     verdict
@@ -525,34 +525,34 @@ pub(crate) fn member_elem_type(
 /// the witnessed element type `t`.
 pub(crate) fn subset_elem_type(
     eid: EId,
-    nodes: &[ENode],
+    exprs: &ExprArena,
     caches: &mut ShapeCaches,
 ) -> Option<Type> {
     if let Some(verdict) = caches.subsets.get(&eid) {
         return verdict.clone();
     }
     let verdict = (|| {
-        let ENode::Compose(g, f) = nodes[eid.index()] else {
+        let ENode::Compose(g, f) = *exprs.node_ref(eid) else {
             return None;
         };
-        if !leaf_is(nodes, g, &Expr::IsEmpty) {
+        if !leaf_is(exprs, g, &Expr::IsEmpty) {
             return None;
         }
-        let ENode::Compose(sel, r1) = nodes[f.index()] else {
+        let ENode::Compose(sel, r1) = *exprs.node_ref(f) else {
             return None;
         };
-        if !is_rho1(nodes, r1) {
+        if !is_rho1(exprs, r1) {
             return None;
         }
-        let pred = select_shape(nodes, sel)?;
+        let pred = select_shape(exprs, sel)?;
         // ¬∈ = ¬ ∘ member
-        let ENode::Compose(n, m) = nodes[pred.index()] else {
+        let ENode::Compose(n, m) = *exprs.node_ref(pred) else {
             return None;
         };
-        if !is_not(nodes, n) {
+        if !is_not(exprs, n) {
             return None;
         }
-        member_elem_type(m, nodes, caches)
+        member_elem_type(m, exprs, caches)
     })();
     caches.subsets.insert(eid, verdict.clone());
     verdict
@@ -562,72 +562,72 @@ pub(crate) fn subset_elem_type(
 /// `nest = map(⟨π₁, image⟩) ∘ ρ₁ ∘ ⟨map(π₁), id⟩`, with
 /// `image = map(π₂ ∘ π₂) ∘ σ_{same key} ∘ ρ₂` and
 /// `same key = =ₛ ∘ ⟨π₁, π₁ ∘ π₂⟩`? Returns the witnessed key type `s`.
-pub(crate) fn nest_key_type(eid: EId, nodes: &[ENode], caches: &mut ShapeCaches) -> Option<Type> {
+pub(crate) fn nest_key_type(eid: EId, exprs: &ExprArena, caches: &mut ShapeCaches) -> Option<Type> {
     if let Some(verdict) = caches.nests.get(&eid) {
         return verdict.clone();
     }
     let verdict = (|| {
-        let ENode::Compose(g, f) = nodes[eid.index()] else {
+        let ENode::Compose(g, f) = *exprs.node_ref(eid) else {
             return None;
         };
         // head: map(⟨π₁, image⟩)
-        let ENode::Map(body) = nodes[g.index()] else {
+        let ENode::Map(body) = *exprs.node_ref(g) else {
             return None;
         };
-        let ENode::Tuple(first, image) = nodes[body.index()] else {
+        let ENode::Tuple(first, image) = *exprs.node_ref(body) else {
             return None;
         };
-        if !leaf_is(nodes, first, &Expr::Fst) {
+        if !leaf_is(exprs, first, &Expr::Fst) {
             return None;
         }
         // image = map(π₂ ∘ π₂) ∘ (σ_{same key} ∘ ρ₂)
-        let ENode::Compose(mp, inner) = nodes[image.index()] else {
+        let ENode::Compose(mp, inner) = *exprs.node_ref(image) else {
             return None;
         };
-        let ENode::Map(sndsnd) = nodes[mp.index()] else {
+        let ENode::Map(sndsnd) = *exprs.node_ref(mp) else {
             return None;
         };
-        if !matches!(nodes[sndsnd.index()], ENode::Compose(a, b)
-            if leaf_is(nodes, a, &Expr::Snd) && leaf_is(nodes, b, &Expr::Snd))
+        if !matches!(*exprs.node_ref(sndsnd), ENode::Compose(a, b)
+            if leaf_is(exprs, a, &Expr::Snd) && leaf_is(exprs, b, &Expr::Snd))
         {
             return None;
         }
-        let ENode::Compose(sel, pw) = nodes[inner.index()] else {
+        let ENode::Compose(sel, pw) = *exprs.node_ref(inner) else {
             return None;
         };
-        if !leaf_is(nodes, pw, &Expr::PairWith) {
+        if !leaf_is(exprs, pw, &Expr::PairWith) {
             return None;
         }
-        let same_key = select_shape(nodes, sel)?;
-        let ENode::Compose(eq, keyproj) = nodes[same_key.index()] else {
+        let same_key = select_shape(exprs, sel)?;
+        let ENode::Compose(eq, keyproj) = *exprs.node_ref(same_key) else {
             return None;
         };
-        let key_type = eq_at_type(eq, nodes, caches)?;
-        let ENode::Tuple(k1, k2) = nodes[keyproj.index()] else {
+        let key_type = eq_at_type(eq, exprs, caches)?;
+        let ENode::Tuple(k1, k2) = *exprs.node_ref(keyproj) else {
             return None;
         };
-        if !leaf_is(nodes, k1, &Expr::Fst) {
+        if !leaf_is(exprs, k1, &Expr::Fst) {
             return None;
         }
-        if !matches!(nodes[k2.index()], ENode::Compose(a, b)
-            if leaf_is(nodes, a, &Expr::Fst) && leaf_is(nodes, b, &Expr::Snd))
+        if !matches!(*exprs.node_ref(k2), ENode::Compose(a, b)
+            if leaf_is(exprs, a, &Expr::Fst) && leaf_is(exprs, b, &Expr::Snd))
         {
             return None;
         }
         // tail: ρ₁ ∘ ⟨map(π₁), id⟩
-        let ENode::Compose(r1, t) = nodes[f.index()] else {
+        let ENode::Compose(r1, t) = *exprs.node_ref(f) else {
             return None;
         };
-        if !is_rho1(nodes, r1) {
+        if !is_rho1(exprs, r1) {
             return None;
         }
-        let ENode::Tuple(mf, idl) = nodes[t.index()] else {
+        let ENode::Tuple(mf, idl) = *exprs.node_ref(t) else {
             return None;
         };
-        let ENode::Map(ff) = nodes[mf.index()] else {
+        let ENode::Map(ff) = *exprs.node_ref(mf) else {
             return None;
         };
-        (leaf_is(nodes, ff, &Expr::Fst) && leaf_is(nodes, idl, &Expr::Id)).then_some(key_type)
+        (leaf_is(exprs, ff, &Expr::Fst) && leaf_is(exprs, idl, &Expr::Id)).then_some(key_type)
     })();
     caches.nests.insert(eid, verdict.clone());
     verdict
@@ -638,13 +638,12 @@ mod tests {
     use super::*;
     use nra_core::builder::*;
     use nra_core::derived;
-    use nra_core::expr::intern::ExprArena;
     use nra_core::types::Type;
 
-    fn recognise(e: &Expr) -> (EId, Vec<ENode>, ShapeCaches) {
+    fn recognise(e: &Expr) -> (EId, ExprArena, ShapeCaches) {
         let mut arena = ExprArena::new();
         let eid = arena.intern(e);
-        (eid, arena.snapshot(), ShapeCaches::default())
+        (eid, arena, ShapeCaches::default())
     }
 
     #[test]
@@ -658,17 +657,17 @@ mod tests {
             Type::set(Type::nat_rel()),
             Type::prod(Type::nat_rel(), Type::set(Type::Nat)),
         ] {
-            let (eid, nodes, mut caches) = recognise(&derived::eq_at(&t));
+            let (eid, exprs, mut caches) = recognise(&derived::eq_at(&t));
             assert_eq!(
-                eq_at_type(eid, &nodes, &mut caches),
+                eq_at_type(eid, &exprs, &mut caches),
                 Some(t.clone()),
                 "eq_at({t})"
             );
         }
         // near-misses must not match
         for e in [neq_nat_like(), id(), compose(eq_nat(), swap())] {
-            let (eid, nodes, mut caches) = recognise(&e);
-            assert_eq!(eq_at_type(eid, &nodes, &mut caches), None, "{e}");
+            let (eid, exprs, mut caches) = recognise(&e);
+            assert_eq!(eq_at_type(eid, &exprs, &mut caches), None, "{e}");
         }
     }
 
@@ -679,24 +678,24 @@ mod tests {
     #[test]
     fn member_and_subset_match_their_skeletons() {
         for t in [Type::Nat, Type::nat_rel(), Type::set(Type::Nat)] {
-            let (eid, nodes, mut caches) = recognise(&derived::member(&t));
+            let (eid, exprs, mut caches) = recognise(&derived::member(&t));
             assert_eq!(
-                member_elem_type(eid, &nodes, &mut caches),
+                member_elem_type(eid, &exprs, &mut caches),
                 Some(t.clone()),
                 "member at {t}"
             );
-            let (eid, nodes, mut caches) = recognise(&derived::subset(&t));
+            let (eid, exprs, mut caches) = recognise(&derived::subset(&t));
             assert_eq!(
-                subset_elem_type(eid, &nodes, &mut caches),
+                subset_elem_type(eid, &exprs, &mut caches),
                 Some(t.clone()),
                 "subset at {t}"
             );
         }
         // a selection that is not a membership test must not match
         let sel = derived::select(always_true(), Type::Nat);
-        let (eid, nodes, mut caches) = recognise(&sel);
-        assert_eq!(member_elem_type(eid, &nodes, &mut caches), None);
-        assert_eq!(subset_elem_type(eid, &nodes, &mut caches), None);
+        let (eid, exprs, mut caches) = recognise(&sel);
+        assert_eq!(member_elem_type(eid, &exprs, &mut caches), None);
+        assert_eq!(subset_elem_type(eid, &exprs, &mut caches), None);
     }
 
     #[test]
@@ -706,15 +705,15 @@ mod tests {
             (Type::Nat, Type::Bool),
             (Type::prod(Type::Nat, Type::Nat), Type::Nat),
         ] {
-            let (eid, nodes, mut caches) = recognise(&derived::nest(&s, &t));
+            let (eid, exprs, mut caches) = recognise(&derived::nest(&s, &t));
             assert_eq!(
-                nest_key_type(eid, &nodes, &mut caches),
+                nest_key_type(eid, &exprs, &mut caches),
                 Some(s.clone()),
                 "nest({s}, {t})"
             );
         }
-        let (eid, nodes, mut caches) = recognise(&derived::unnest());
-        assert_eq!(nest_key_type(eid, &nodes, &mut caches), None);
+        let (eid, exprs, mut caches) = recognise(&derived::unnest());
+        assert_eq!(nest_key_type(eid, &exprs, &mut caches), None);
     }
 
     #[test]
@@ -732,12 +731,7 @@ mod tests {
             let mut arena = ExprArena::new();
             let cartprod = arena.intern(&derived::cartprod());
             let eid = arena.intern(e);
-            join_shape(
-                eid,
-                cartprod,
-                &arena.snapshot(),
-                &mut ShapeCaches::default(),
-            )
+            join_shape(eid, cartprod, &arena, &mut ShapeCaches::default())
         };
         // composition: b = c, written either way round
         for p in [eq(b(), c()), eq(c(), b())] {
@@ -798,8 +792,8 @@ mod tests {
     #[test]
     fn verdicts_are_memoised() {
         let t = Type::set(Type::nat_rel());
-        let (eid, nodes, mut caches) = recognise(&derived::eq_at(&t));
-        assert_eq!(eq_at_type(eid, &nodes, &mut caches), Some(t.clone()));
+        let (eid, exprs, mut caches) = recognise(&derived::eq_at(&t));
+        assert_eq!(eq_at_type(eid, &exprs, &mut caches), Some(t.clone()));
         assert_eq!(caches.eq_ats.get(&eid), Some(&Some(t)));
         // the set-equality grammar recurses through ⊆, whose verdicts
         // land in the subset cache as a side effect

@@ -46,10 +46,11 @@ pub struct EvalStats {
     /// Apply-cache misses — evaluations that ran the derivation and
     /// populated the cache. Only nonzero under `EvalConfig::memo`.
     pub memo_misses: u64,
-    /// The subset of `memo_hits` served by entries written by an
-    /// **earlier query of the same session** (cross-query warm starts).
-    /// Always 0 through the free-function facade, which opens a fresh
-    /// cache epoch per call; a `session::EvalSession` keeps its apply
+    /// The subset of `memo_hits` served by entries another query wrote:
+    /// an **earlier query of the same session** (cross-query warm
+    /// starts), or a batch worker sharing its apply table. Always 0
+    /// through the free-function facade, which opens its apply table
+    /// cold on every call; a `session::EvalSession` keeps its apply
     /// cache across `eval` calls and re-derivations of judgments already
     /// seen by previous queries land here.
     pub warm_hits: u64,

@@ -225,13 +225,6 @@ impl Server {
     /// A fresh server with its own session.
     pub fn new(config: ServeConfig) -> Self {
         let mut session = EvalSession::new(config.eval.clone());
-        // share the apply table *before* the first admission: the probe
-        // evaluates powerset-free prefixes inside this session, and
-        // `make_shared` starts the shared table cold (local entries are
-        // not carried over) — staying local until the first batch split
-        // would throw the probe's warmth away. The arenas are the
-        // workers' store from birth and need no such step.
-        session.make_shared();
         if config.eval.optimise {
             nra_opt::install(&mut session);
         }
@@ -723,9 +716,9 @@ mod tests {
     fn admission_probe_warms_the_shared_store_for_the_admitted_run() {
         // powerset over a nontrivial powerset-free prefix: admission
         // must evaluate `tc_step` on the live input to price the site,
-        // and that judgment must land in the shared apply table so the
-        // admitted run starts warm (a local apply cache is discarded,
-        // not carried over, when the first batch split shares it).
+        // and that judgment must land in the session's apply table,
+        // which the batch's worker shares, so the admitted run starts
+        // warm.
         // Interpreted memo config: it probes the cache at every node,
         // so the overlap with the probe's keys is exact rather than
         // call-grain dependent; optimise stays off so the query runs as
