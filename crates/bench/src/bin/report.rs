@@ -217,9 +217,9 @@ fn e14_optimiser() {
         }
     );
     println!();
-    println!("This is the serving-door behaviour `BENCH_serve.json` gates on: every");
-    println!("family's `rescued` column counts powerset-route submissions admission");
-    println!("would reject as written, answered correctly through the rewrite.");
+    println!("This is the serving door's rescue: a powerset-route submission admission");
+    println!("would reject as written is answered correctly through the rewrite");
+    println!("(servebench counts them as `opt.rescues`).");
     println!();
 }
 

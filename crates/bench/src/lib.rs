@@ -6,14 +6,11 @@
 //! classification, wall-clock timing, and
 //! the tree-vs-interned-vs-memoised evaluator comparison
 //! ([`compare_eval`]) whose results accumulate in `BENCH_eval.json` at
-//! the repository root ([`write_bench_eval_json`]), plus the serving
-//! benchmark ([`serve`]) behind `BENCH_serve.json` — sustained qps
-//! through the `nra-serve` front under a mixed 7-family, multi-tenant
-//! workload.
+//! the repository root ([`write_bench_eval_json`]). The serving
+//! front's end-to-end benchmark is servebench, its own package.
 
 #![deny(missing_docs)]
 
-pub mod serve;
 pub mod tinybench;
 
 use nra_core::expr::Expr;

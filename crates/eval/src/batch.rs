@@ -2,23 +2,25 @@
 //!
 //! A batch is a list of `(EId, VId)` queries against one parent
 //! [`EvalSession`]. Every arena is shareable from birth, so
-//! [`eval_batch`] fans the queries across `workers` scoped threads
-//! (`std::thread::scope` — no external crates) as they are, each owning
-//! a worker session [split](EvalSession::split) off the parent:
+//! [`eval_batch`] fans the queries across up to `workers` scoped
+//! threads (`std::thread::scope` — no external crates) as they are,
+//! each owning a worker session [split](EvalSession::split) off the
+//! parent:
 //!
 //! 1. workers **share the parent's arenas and apply table** — there is
 //!    no per-worker arena, no resolve-to-tree hand-off, and no
 //!    re-intern merge pass; every worker interns into the single
 //!    canonical store, so a handle issued by any of them is valid in
 //!    all of them (and in the parent);
-//! 2. workers claim the queries their **assignment** names (round-robin
-//!    for [`eval_batch`]; scheduling layers pass an explicit partition
-//!    to [`eval_batch_assigned`], e.g. grouping jobs that share
-//!    hash-consed subtrees onto one worker) and evaluate them on
-//!    handles directly; because the apply table is shared, a judgment
-//!    derived by one worker is an `O(1)` warm hit for every other
-//!    worker (and for later queries of the parent) — one worker's
-//!    derivation is the whole batch's warm start;
+//! 2. workers claim the queries their **assignment** names and evaluate
+//!    them on handles directly. [`partition`] is the one placement
+//!    rule — [`eval_batch`] and the serving layer both pass its
+//!    assignment to [`eval_batch_assigned`] — and it places jobs by
+//!    cost alone, heaviest first on the least-loaded worker. Because
+//!    the apply table is shared, a judgment derived by one worker is an
+//!    `O(1)` warm hit for every other worker (and for later queries of
+//!    the parent) — one worker's derivation is the whole batch's warm
+//!    start;
 //! 3. results are returned in input order as handles into the shared
 //!    store. Interning is canonical, so the handles (and the §3
 //!    statistics, which are a pure function of `(query, input,
@@ -28,20 +30,21 @@
 //!    families.
 //!
 //! Evaluation is pure, so correctness never depends on the partition;
-//! the partition only decides the interleaving of cache fills, and the
-//! shared apply table makes even that immaterial for warmth.
+//! the partition only decides wall-clock time and the interleaving of
+//! cache fills, and the shared apply table makes even that immaterial
+//! for warmth.
 //!
 //! **Small batches never pay for threads.** Spawning a scoped worker
 //! costs on the order of 100µs, which dominates a sub-millisecond
 //! batch — the `dag/tc_while n=8` workload used to *lose* 8% against
-//! sequential evaluation. [`eval_batch`] therefore estimates the batch
-//! cost up front ([`estimated_batch_cost`], an `O(1)`-per-job metadata
-//! read) and runs batches under [`SMALL_BATCH_COST`] inline on the
-//! calling thread, still through a single split worker session — so
-//! the shared apply table, panic containment, statistics and budget
-//! accounting are identical on both paths, and the results stay
-//! bit-for-bit the same (a regression test pins both sides of the
-//! threshold).
+//! sequential evaluation. [`partition`] therefore prices the batch up
+//! front (an `O(1)`-per-job metadata read) and keeps batches under
+//! [`SMALL_BATCH_COST`] in one partition, which [`eval_batch_assigned`]
+//! runs inline on the calling thread, still through a single split
+//! worker session — so the shared apply table, panic containment,
+//! statistics and budget accounting are identical on both paths, and
+//! the results stay bit-for-bit the same (a regression test pins both
+//! sides of the threshold).
 //!
 //! The batch also keeps the parent's *accounting* honest:
 //!
@@ -79,10 +82,11 @@ use crate::error::EvalError;
 use crate::session::EvalSession;
 use nra_core::expr::intern::EId;
 use nra_core::value::intern::VId;
+use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Batches whose [`estimated_batch_cost`] falls below this run inline on
-/// the calling thread instead of spawning workers. Calibrated so the
+/// Batches whose summed [`partition`] cost falls below this run inline
+/// on the calling thread instead of spawning workers. Calibrated so the
 /// 12-job `tc_while` batches on ≤10-node graphs (sub-millisecond of
 /// total work, where thread spawns used to eat the parallel win) stay
 /// sequential while the larger differential/bench workloads still fan
@@ -116,88 +120,99 @@ impl From<(EId, VId)> for BatchJob {
     }
 }
 
-/// A crude, `O(1)`-per-job cost proxy for batch scheduling:
-/// `Σ ops(query) · size(input)²` over the jobs — the square reflecting
-/// that the relational workloads are dominated by their self-products.
-/// Both factors are interned metadata reads. Scheduling layers use it
-/// to pick worker counts and balance partitions; [`eval_batch`] uses it
-/// to decide the sequential fallback.
-pub fn estimated_batch_cost(session: &EvalSession, queries: &[(EId, VId)]) -> u64 {
-    queries
+/// The one placement rule for a batch: which of `workers` workers
+/// evaluates which of `jobs`, as an assignment for
+/// [`eval_batch_assigned`] (`assignment[w]` lists worker `w`'s job
+/// indices in job order; every index appears exactly once).
+///
+/// `workers` is clamped to `1..=jobs.len()`, and a batch whose summed
+/// cost falls under [`SMALL_BATCH_COST`] is one inline partition
+/// (sub-millisecond batches lose more to thread spawns than they gain
+/// from parallelism — the `batch_speedup: 0.168` regression on chain
+/// n=8). Otherwise the jobs are placed heaviest first, each on the
+/// least-loaded worker (longest processing time first), ties broken by
+/// fewer jobs and then by lower worker index, so equal-cost jobs are
+/// dealt round-robin and a job heavier than all the others together
+/// gets a worker of its own. A job's cost is the `O(1)` proxy
+/// `ops(query) · size(input)²` — two interned metadata reads, the square
+/// reflecting that the relational workloads are dominated by their
+/// self-products. Placement changes no answer and no §3 statistic; it
+/// only decides wall-clock time.
+pub fn partition(session: &EvalSession, jobs: &[(EId, VId)], workers: usize) -> Vec<Vec<usize>> {
+    if jobs.is_empty() {
+        return Vec::new();
+    }
+    let costs: Vec<u64> = jobs
         .iter()
-        .map(|&(eid, input)| {
-            // a stale/fabricated handle costs 0 here and panics inside
-            // the per-job guard instead (WorkerPanicked), not in the
-            // scheduler
-            if eid.index() >= session.exprs().node_count()
-                || input.index() >= session.values().len()
-            {
-                return 0;
-            }
-            let s = session.values().size(input);
-            session.exprs().ops(eid).saturating_mul(s.saturating_mul(s))
-        })
-        .fold(0u64, u64::saturating_add)
+        .map(|&(query, input)| job_cost(session, query, input))
+        .collect();
+    let workers = workers.clamp(1, jobs.len());
+    if workers == 1 || costs.iter().fold(0u64, |a, &c| a.saturating_add(c)) < SMALL_BATCH_COST {
+        return vec![(0..jobs.len()).collect()];
+    }
+    // a stable sort: equal costs keep job order
+    let mut heaviest_first: Vec<usize> = (0..jobs.len()).collect();
+    heaviest_first.sort_by_key(|&i| Reverse(costs[i]));
+    let mut assignment = vec![Vec::new(); workers];
+    let mut loads = vec![0u64; workers];
+    for i in heaviest_first {
+        // the first minimum: the lower index on a full tie
+        let w = (0..workers)
+            .min_by_key(|&w| (loads[w], assignment[w].len()))
+            .expect("workers >= 1");
+        loads[w] = loads[w].saturating_add(costs[i]);
+        assignment[w].push(i);
+    }
+    for part in &mut assignment {
+        part.sort_unstable();
+    }
+    assignment
 }
 
-/// The worker count [`eval_batch`] actually uses for this batch — the
-/// scheduling decision itself, exposed so callers (and the regression
-/// tests) can check the small-batch floor without timing anything: the
-/// requested count clamped to `1..=queries.len()`, then floored to a
-/// single inline worker when [`estimated_batch_cost`] falls under
-/// [`SMALL_BATCH_COST`] (sub-millisecond batches lose more to thread
-/// spawns than they gain from parallelism — the `batch_speedup: 0.168`
-/// regression on chain n=8). Returns 0 for an empty batch.
-pub fn effective_workers(session: &EvalSession, queries: &[(EId, VId)], workers: usize) -> usize {
-    if queries.is_empty() {
+/// [`partition`]'s per-job cost proxy. A stale or fabricated handle
+/// costs 0 here and panics inside the per-job guard instead
+/// ([`EvalError::WorkerPanicked`]), not in the placement.
+fn job_cost(session: &EvalSession, query: EId, input: VId) -> u64 {
+    if query.index() >= session.exprs().node_count() || input.index() >= session.values().len() {
         return 0;
     }
-    if estimated_batch_cost(session, queries) < SMALL_BATCH_COST {
-        1
-    } else {
-        workers.clamp(1, queries.len())
-    }
+    let s = session.values().size(input);
+    session
+        .exprs()
+        .ops(query)
+        .saturating_mul(s.saturating_mul(s))
 }
 
-/// Evaluate `queries` (handles into `session`) across `workers` scoped
-/// worker threads over the session's stores, returning one
+/// Evaluate `queries` (handles into `session`) across at most `workers`
+/// scoped worker threads over the session's stores, returning one
 /// [`VidEvaluation`] per query, in input order, with result handles
-/// valid in `session`. The worker count is [`effective_workers`]:
-/// clamped to `1..=queries.len()`, and a batch under
-/// [`SMALL_BATCH_COST`] runs on one inline worker (results are
-/// partition-independent by construction, so the fallback is invisible
-/// except in wall-clock time). The session keeps the shared apply
-/// table afterwards, so a later batch re-uses every judgment this one
+/// valid in `session`. The jobs are placed by [`partition`], so a batch
+/// under [`SMALL_BATCH_COST`] runs on one inline worker (results are
+/// partition-independent by construction, so the placement is invisible
+/// except in wall-clock time). The session keeps the shared apply table
+/// afterwards, so a later batch re-uses every judgment this one
 /// derived.
 pub fn eval_batch(
     session: &mut EvalSession,
     queries: &[(EId, VId)],
     workers: usize,
 ) -> Vec<VidEvaluation> {
-    if queries.is_empty() {
-        return Vec::new();
-    }
-    let workers = effective_workers(session, queries, workers);
-    let assignment: Vec<Vec<usize>> = (0..workers)
-        .map(|w| (w..queries.len()).step_by(workers).collect())
-        .collect();
+    let assignment = partition(session, queries, workers);
     let jobs: Vec<BatchJob> = queries.iter().copied().map(BatchJob::from).collect();
     eval_batch_assigned(session, &jobs, &assignment)
 }
 
-/// The scheduling hook under [`eval_batch`]: evaluate `jobs` under an
+/// The evaluation under [`eval_batch`]: evaluate `jobs` under an
 /// **explicit partition** — `assignment[w]` lists the job indices worker
 /// `w` evaluates, and every job index must be assigned exactly once.
-/// A single-worker assignment runs inline on the calling thread (no
-/// spawn); anything else fans out on scoped threads. Results come back
-/// in job order either way, with the same statistics folding, panic
-/// containment and parent-budget enforcement as [`eval_batch`] — which
-/// is this function with a round-robin assignment.
-///
-/// Serving layers use the explicit partition for **cache-aware
-/// placement**: jobs sharing hash-consed subtrees grouped onto the same
-/// worker derive their common judgments once and hit the shared apply
-/// table for the rest.
+/// Each non-empty partition gets one worker session; an empty one gets
+/// nothing. When at most one partition is non-empty the batch runs
+/// inline on the calling thread (no spawn); anything else fans out on
+/// scoped threads. Results come back in job order either way, with the
+/// same statistics folding, panic containment and parent-budget
+/// enforcement as [`eval_batch`] — which is this function with the
+/// [`partition`] assignment. The serving layer calls it with that
+/// assignment too, adding each job's declared budget.
 pub fn eval_batch_assigned(
     session: &mut EvalSession,
     jobs: &[BatchJob],
@@ -218,20 +233,25 @@ pub fn eval_batch_assigned(
         "assignment must name every job index exactly once"
     );
 
-    let mut worker_sessions = session.split(assignment.len().max(1));
+    let parts: Vec<&[usize]> = assignment
+        .iter()
+        .map(Vec::as_slice)
+        .filter(|part| !part.is_empty())
+        .collect();
+    let mut worker_sessions = session.split(parts.len().max(1));
     let mut gathered: Vec<Option<VidEvaluation>> = (0..jobs.len()).map(|_| None).collect();
-    if assignment.len() <= 1 {
-        // inline fallback: same worker-session semantics, no spawn
+    if parts.len() <= 1 {
+        // inline: same worker-session semantics, no spawn
         let worker = &mut worker_sessions[0];
-        for &i in assignment.first().map(Vec::as_slice).unwrap_or(&[]) {
+        for &i in parts.iter().copied().flatten() {
             gathered[i] = Some(run_job(worker, jobs[i]));
         }
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = worker_sessions
                 .into_iter()
-                .zip(assignment)
-                .map(|(mut worker, mine)| {
+                .zip(&parts)
+                .map(|(mut worker, &mine)| {
                     scope.spawn(move || {
                         mine.iter()
                             .map(|&i| (i, run_job(&mut worker, jobs[i])))
@@ -239,7 +259,7 @@ pub fn eval_batch_assigned(
                     })
                 })
                 .collect();
-            for (w, handle) in handles.into_iter().enumerate() {
+            for (handle, &mine) in handles.into_iter().zip(&parts) {
                 match handle.join() {
                     Ok(list) => {
                         for (i, ev) in list {
@@ -250,7 +270,7 @@ pub fn eval_batch_assigned(
                     // happen): fail that worker's share, keep the rest
                     Err(payload) => {
                         let detail = panic_detail(&payload);
-                        for &i in &assignment[w] {
+                        for &i in mine {
                             gathered[i].get_or_insert_with(|| VidEvaluation {
                                 result: Err(EvalError::WorkerPanicked {
                                     detail: detail.clone(),
@@ -322,7 +342,9 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::error::EvalConfig;
-    use nra_core::queries;
+    use nra_core::{queries, Expr, Value};
+    use nra_testkit::graphs::{self, FamilyGraph};
+    use nra_testkit::Rng;
 
     #[test]
     fn batch_matches_sequential_session_evaluation() {
@@ -499,7 +521,7 @@ mod tests {
         let q = session.intern_expr(&queries::tc_while());
         let good = session.values_mut().chain(3);
         let jobs = [(q, good), (q, VId::from_index(usize::from(u16::MAX) << 8))];
-        assert!(estimated_batch_cost(&session, &jobs) < SMALL_BATCH_COST);
+        assert_eq!(partition(&session, &jobs, 4), vec![vec![0, 1]]);
         let out = eval_batch(&mut session, &jobs, 4);
         let expect = session.values_mut().chain_tc(3);
         assert_eq!(out[0].result.clone().unwrap(), expect);
@@ -509,12 +531,13 @@ mod tests {
         ));
     }
 
-    /// The small-batch regression fix, pinned from both sides: the
-    /// 12-job `tc_while` batches on small graphs fall under
-    /// [`SMALL_BATCH_COST`] (they run inline), the larger bench
-    /// workloads stay parallel, and the results are **bit-for-bit**
-    /// identical either way — forced through both code paths via
-    /// explicit assignments.
+    /// The small-batch fallback is invisible in the results: on both
+    /// 12-job shapes `effective_workers_floors_small_batches` places
+    /// (inline at chain n=8, fanned out at n=12), the inline and the
+    /// threaded path give **bit-for-bit** identical results — forced
+    /// through both code paths via explicit assignments, including one
+    /// whose only non-empty partition sits between two empty ones
+    /// (inline too).
     #[test]
     fn small_batch_fallback_is_bit_for_bit() {
         let mut session = EvalSession::new(EvalConfig::optimised());
@@ -522,17 +545,9 @@ mod tests {
         let small: Vec<(EId, VId)> = (0..12)
             .map(|_| (q, session.values_mut().chain(8)))
             .collect();
-        assert!(
-            estimated_batch_cost(&session, &small) < SMALL_BATCH_COST,
-            "the dag/chain n=8 batch shape must take the sequential fallback"
-        );
         let big: Vec<(EId, VId)> = (0..12)
             .map(|_| (q, session.values_mut().chain(12)))
             .collect();
-        assert!(
-            estimated_batch_cost(&session, &big) >= SMALL_BATCH_COST,
-            "the chain n=12 batch must still fan out"
-        );
 
         // both shapes, both code paths, same result bits (under the
         // warm cache, per-job *hit counters* are timing-dependent
@@ -540,16 +555,23 @@ mod tests {
         for jobs in [&small, &big] {
             let batch_jobs: Vec<BatchJob> = jobs.iter().copied().map(BatchJob::from).collect();
             let inline_assignment = vec![(0..jobs.len()).collect::<Vec<_>>()];
+            let padded_assignment = vec![vec![], inline_assignment[0].clone(), vec![]];
             let threaded_assignment: Vec<Vec<usize>> = (0..4)
                 .map(|w| (w..jobs.len()).step_by(4).collect())
                 .collect();
             let inline = eval_batch_assigned(&mut session, &batch_jobs, &inline_assignment);
+            let padded = eval_batch_assigned(&mut session, &batch_jobs, &padded_assignment);
             let threaded = eval_batch_assigned(&mut session, &batch_jobs, &threaded_assignment);
-            for (i, (a, b)) in inline.iter().zip(&threaded).enumerate() {
+            for (i, ((a, b), c)) in inline.iter().zip(&threaded).zip(&padded).enumerate() {
                 assert_eq!(
                     a.result.as_ref().unwrap(),
                     b.result.as_ref().unwrap(),
                     "job {i}: inline vs threaded handles"
+                );
+                assert_eq!(
+                    a.result.as_ref().unwrap(),
+                    c.result.as_ref().unwrap(),
+                    "job {i}: inline vs padded handles"
                 );
             }
         }
@@ -573,11 +595,11 @@ mod tests {
         }
     }
 
-    /// The scheduling decision itself, unit-tested without timing: the
-    /// bench's 12-job batch shapes land on one inline worker at chain
+    /// The placement's worker count, unit-tested without timing: the
+    /// bench's 12-job batch shapes land on one inline partition at chain
     /// n=8 (the `batch_speedup: 0.168` regression shape) and fan out to
-    /// the requested four at chain n=12; the clamp and the empty batch
-    /// behave.
+    /// the requested four at chain n=12, dealt round-robin because
+    /// their costs are equal; the clamp and the empty batch behave.
     #[test]
     fn effective_workers_floors_small_batches() {
         let mut session = EvalSession::new(EvalConfig::optimised());
@@ -585,18 +607,156 @@ mod tests {
         let small: Vec<(EId, VId)> = (0..12)
             .map(|_| (q, session.values_mut().chain(8)))
             .collect();
-        assert_eq!(effective_workers(&session, &small, 4), 1);
+        assert_eq!(
+            partition(&session, &small, 4),
+            vec![(0..12).collect::<Vec<_>>()]
+        );
         let big: Vec<(EId, VId)> = (0..12)
             .map(|_| (q, session.values_mut().chain(12)))
             .collect();
-        assert_eq!(effective_workers(&session, &big, 4), 4);
+        let round_robin: Vec<Vec<usize>> = (0..4).map(|w| (w..12).step_by(4).collect()).collect();
+        assert_eq!(partition(&session, &big, 4), round_robin);
         // the clamp still applies above the floor
-        assert_eq!(effective_workers(&session, &big, 20), 12);
-        assert_eq!(effective_workers(&session, &[], 4), 0);
+        assert_eq!(partition(&session, &big, 20).len(), 12);
+        assert!(partition(&session, &[], 4).is_empty());
+    }
+
+    /// A batch of mixed queries and sizes, above the floor, is placed
+    /// with every job exactly once, in job order within each worker and
+    /// no worker idle, at every worker count.
+    #[test]
+    fn every_job_is_assigned_exactly_once() {
+        let mut session = EvalSession::new(EvalConfig::optimised());
+        let q = session.intern_expr(&queries::tc_while());
+        let q_step = session.intern_expr(&queries::tc_step());
+        let mixed: Vec<(EId, VId)> = (1..13u64)
+            .map(|n| {
+                let input = session.values_mut().chain(8 * n);
+                (if n % 2 == 0 { q } else { q_step }, input)
+            })
+            .collect();
+        assert_eq!(partition(&session, &mixed, 4).len(), 4, "above the floor");
+        for workers in 1..=mixed.len() + 1 {
+            let assignment = partition(&session, &mixed, workers);
+            assert!(
+                assignment.iter().all(|part| !part.is_empty()),
+                "workers={workers}: {assignment:?}"
+            );
+            assert!(
+                assignment
+                    .iter()
+                    .all(|part| part.windows(2).all(|w| w[0] < w[1])),
+                "workers={workers}: job order within a worker: {assignment:?}"
+            );
+            let mut seen: Vec<usize> = assignment.iter().flatten().copied().collect();
+            seen.sort_unstable();
+            assert_eq!(
+                seen,
+                (0..mixed.len()).collect::<Vec<_>>(),
+                "workers={workers}"
+            );
+        }
+    }
+
+    /// A few jobs over short chains, whose summed cost is under
+    /// [`SMALL_BATCH_COST`], collapse to one inline partition whatever
+    /// the requested worker count.
+    #[test]
+    fn small_batches_collapse_to_one_inline_partition() {
+        let mut session = EvalSession::new(EvalConfig::optimised());
+        let q = session.intern_expr(&queries::tc_while());
+        let jobs: Vec<(EId, VId)> = (2..6u64)
+            .map(|n| (q, session.values_mut().chain(n)))
+            .collect();
+        for workers in [2, 4, 16] {
+            assert_eq!(
+                partition(&session, &jobs, workers),
+                vec![(0..jobs.len()).collect::<Vec<_>>()],
+                "workers={workers}: a small batch must not fan out"
+            );
+        }
+    }
+
+    /// Build the same batch in two fresh sessions, place it with
+    /// [`partition`] over `workers`, evaluate that placement in one and
+    /// each job sequentially in the other, require identical answers,
+    /// and return the placement.
+    fn partitioned_matches_sequential(
+        workers: usize,
+        build: impl Fn(&mut EvalSession) -> Vec<(EId, VId)>,
+    ) -> Vec<Vec<usize>> {
+        let mut parallel = EvalSession::new(EvalConfig::optimised());
+        let mut sequential = EvalSession::new(EvalConfig::optimised());
+        let jobs = build(&mut parallel);
+        let assignment = partition(&parallel, &jobs, workers);
+        let batch: Vec<BatchJob> = jobs.iter().copied().map(BatchJob::from).collect();
+        let evals = eval_batch_assigned(&mut parallel, &batch, &assignment);
+        for (i, (ev, (q, v))) in evals.iter().zip(build(&mut sequential)).enumerate() {
+            let expect = sequential.eval_vid(q, v);
+            assert_eq!(
+                parallel.resolve(*ev.result.as_ref().unwrap()),
+                sequential.resolve(*expect.result.as_ref().unwrap()),
+                "job {i}"
+            );
+        }
+        assignment
+    }
+
+    /// The serving burst's shape: one 512-node road-grid join among
+    /// seven door-sized jobs. Over two workers the join gets a worker of
+    /// its own and the seven small jobs share the other, instead of all
+    /// eight queueing on one worker behind the join; evaluating that
+    /// placement answers exactly what sequential evaluation does.
+    #[test]
+    fn a_large_join_gets_a_worker_of_its_own() {
+        let mut rng = Rng::new(7);
+        let join = graphs::road_grid(&mut rng, 512);
+        let door = graphs::family_graphs(&mut rng);
+        let door_queries = [
+            queries::tc_while(),
+            queries::tc_step(),
+            queries::siblings_powerset(),
+        ];
+        let assignment = partitioned_matches_sequential(2, |session| {
+            let mut job = |query: &Expr, g: &FamilyGraph| {
+                (
+                    session.intern_expr(query),
+                    session.intern_value(&Value::relation(g.edges.iter().copied())),
+                )
+            };
+            let mut jobs = vec![job(&queries::tc_step(), &join)];
+            let door_jobs = door.iter().zip(door_queries.iter().cycle());
+            jobs.extend(door_jobs.map(|(g, query)| job(query, g)));
+            jobs
+        });
+        assert_eq!(assignment, vec![vec![0], (1..8).collect::<Vec<_>>()]);
+    }
+
+    /// A batch of three queries over growing chains, placed by
+    /// [`partition`] across three threaded workers, answers exactly what
+    /// a sequential session does.
+    #[test]
+    fn partitions_feed_eval_batch_assigned_bit_for_bit() {
+        let zoo = [
+            queries::tc_while(),
+            queries::tc_step(),
+            queries::compose_rel(),
+        ];
+        let assignment = partitioned_matches_sequential(3, |session| {
+            let mut jobs = Vec::new();
+            for (k, query) in zoo.iter().enumerate() {
+                let query = session.intern_expr(query);
+                for n in 8..12u64 {
+                    jobs.push((query, session.values_mut().chain(2 * n + k as u64)));
+                }
+            }
+            jobs
+        });
+        assert_eq!(assignment.len(), 3, "the batch must fan out");
     }
 
     /// The explicit-assignment hook honours arbitrary partitions (here:
-    /// all jobs on one of three workers, the others idle) and per-job
+    /// all jobs on one of three workers, which runs inline) and per-job
     /// declared budgets — an undersized budget surfaces as the engine's
     /// own `SpaceBudgetExceeded`, not a panic.
     #[test]

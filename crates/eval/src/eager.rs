@@ -1611,34 +1611,30 @@ fn apply_simple_leaf(expr: &Expr, input: VId, a: &mut ValueArena) -> Result<VId,
     Ok(output)
 }
 
-/// Predicted size of `powerset({e₁,…,eₖ})` in the §3 measure:
-/// `1 + 2ᵏ + 2ᵏ⁻¹ · Σᵢ size(eᵢ)` (the outer set node, one node per subset,
-/// and each element occurring in half of the subsets). Saturating — huge
-/// or deeply shared inputs report `u128::MAX`/`u64::MAX` rather than
-/// wrapping in release builds.
-pub fn powerset_output_size(elem_sizes: &[u64]) -> u128 {
-    let k = elem_sizes.len() as u32;
-    let sum = elem_sizes
-        .iter()
-        .fold(0u128, |acc, &s| acc.saturating_add(s as u128));
-    if k == 0 {
-        return 2; // {∅}
-    }
-    if k >= 120 {
+/// Predicted size of `powerset({e₁,…,eₖ})` in the §3 measure, from the
+/// cardinality `k` and the summed element size `Σᵢ size(eᵢ)` (for a set
+/// `s`, that sum is `size(s) − 1`): `1 + 2ᵏ + 2ᵏ⁻¹ · Σᵢ size(eᵢ)` (the
+/// outer set node, one node per subset, and each element occurring in
+/// half of the subsets). Saturating — huge or deeply shared inputs
+/// report `u128::MAX`/`u64::MAX` rather than wrapping in release builds.
+/// Admission control prices its powerset sites with it, so the price it
+/// declares is the size the evaluator checks.
+pub fn powerset_output_size(cardinality: u64, elem_size_sum: u128) -> u128 {
+    if cardinality >= 120 {
         return u128::MAX;
     }
-    let subsets = 1u128 << k;
+    let subsets = 1u128 << cardinality;
     1u128
         .saturating_add(subsets)
-        .saturating_add((subsets >> 1).saturating_mul(sum))
+        .saturating_add((subsets >> 1).saturating_mul(elem_size_sum))
 }
 
 fn eval_powerset_vid(input: VId, ctx: &mut Ctx, va: &mut ValueArena) -> Result<VId, EvalError> {
     let items = va
         .as_set(input)
         .ok_or_else(|| stuck("powerset", "input is not a set"))?;
-    let sizes: Vec<u64> = items.iter().map(|&v| va.size(v)).collect();
-    let predicted = powerset_output_size(&sizes);
+    let elem_size_sum = items.iter().map(|&v| u128::from(va.size(v))).sum();
+    let predicted = powerset_output_size(items.len() as u64, elem_size_sum);
     let predicted64 = u64::try_from(predicted).unwrap_or(u64::MAX);
     // Record the requirement and enforce the budget *before* materialising.
     ctx.check_size(predicted64)?;
@@ -1872,8 +1868,8 @@ fn eval_powerset(input: &Value, ctx: &mut Ctx) -> Result<Value, EvalError> {
         _ => return Err(stuck("powerset", "input is not a set")),
     };
     let elems: Vec<&Value> = items.iter().collect();
-    let sizes: Vec<u64> = elems.iter().map(|v| v.size()).collect();
-    let predicted = powerset_output_size(&sizes);
+    let elem_size_sum = elems.iter().map(|v| u128::from(v.size())).sum();
+    let predicted = powerset_output_size(elems.len() as u64, elem_size_sum);
     let predicted64 = u64::try_from(predicted).unwrap_or(u64::MAX);
     // Record the requirement and enforce the budget *before* materialising.
     ctx.check_size(predicted64)?;
@@ -2025,16 +2021,15 @@ mod tests {
     fn powerset_size_prediction_matches_reality() {
         for k in 0..6 {
             let v = Value::set((0..k).map(Value::nat));
-            let sizes: Vec<u64> = (0..k).map(|_| 1).collect();
-            let predicted = powerset_output_size(&sizes) as u64;
+            // atoms have size 1
+            let predicted = powerset_output_size(k, u128::from(k)) as u64;
             let actual = run(&powerset(), &v).size();
             assert_eq!(predicted, actual, "k = {k}");
         }
-        // with non-atomic elements too
+        // with non-atomic elements too: the elements sum to size(s) − 1
         let v = Value::chain(4);
-        let sizes: Vec<u64> = v.as_set().unwrap().iter().map(Value::size).collect();
         assert_eq!(
-            powerset_output_size(&sizes) as u64,
+            powerset_output_size(4, u128::from(v.size() - 1)) as u64,
             run(&powerset(), &v).size()
         );
     }
@@ -2245,8 +2240,9 @@ mod tests {
     fn powerset_size_prediction_saturates() {
         // sizes near u64::MAX must saturate, not wrap
         let sizes = [u64::MAX, u64::MAX, 7];
-        let p = powerset_output_size(&sizes);
+        let p = powerset_output_size(3, sizes.iter().map(|&s| u128::from(s)).sum());
         assert!(p >= u64::MAX as u128);
+        assert_eq!(powerset_output_size(120, 0), u128::MAX);
         let pm = powerset_m_output_size(2, &sizes);
         assert!(pm >= u64::MAX as u128);
         // and through the evaluator the u64 report pins at u64::MAX: a

@@ -96,9 +96,7 @@ mod shapes;
 pub mod stats;
 pub mod trace;
 
-pub use batch::{
-    effective_workers, estimated_batch_cost, eval_batch, eval_batch_assigned, BatchJob,
-};
+pub use batch::{eval_batch, eval_batch_assigned, partition, BatchJob};
 pub use eager::{eval, evaluate, evaluate_tree, evaluate_vid, Evaluation, VidEvaluation};
 pub use error::{EvalConfig, EvalError};
 pub use lazy::{evaluate_lazy, evaluate_lazy_vid, LazyEvaluation, LazyStats, LazyVidEvaluation};

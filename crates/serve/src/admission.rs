@@ -38,8 +38,9 @@
 //! [`LinearCertificate`]: nra_symbolic::LinearCertificate
 
 use nra_core::expr::intern::EId;
-use nra_core::value::intern::{VId, ValueArena};
+use nra_core::value::intern::VId;
 use nra_core::Expr;
+use nra_eval::eager::powerset_output_size;
 use nra_eval::EvalSession;
 use nra_symbolic::{predict_space, SpaceVerdict};
 
@@ -119,23 +120,6 @@ pub enum AdmissionDecision {
     Rejected(Rejected),
 }
 
-/// Exact §3 size of `powerset(s)` for an interned set `s`, computed
-/// combinatorially: `1 + 2^c + 2^{c−1}·(size(s) − 1)` for cardinality
-/// `c` (every element of `s` appears in exactly half the subsets).
-/// Saturates at `u64::MAX` — which any finite ceiling rejects.
-pub fn powerset_object_size(values: &ValueArena, v: VId) -> Option<u64> {
-    let card = values.cardinality(v)? as u32;
-    let size = values.size(v);
-    if card >= 63 {
-        return Some(u64::MAX);
-    }
-    let subsets = 1u64 << card;
-    Some(
-        1u64.saturating_add(subsets)
-            .saturating_add((subsets / 2).saturating_mul(size.saturating_sub(1))),
-    )
-}
-
 /// Walk the composition spine of a powerset-bearing expression,
 /// evaluating powerset-free prefixes on the live input, and return the
 /// dominant **exact** powerset-object size among the sites reached.
@@ -150,8 +134,16 @@ fn probe_sites(
     probe_budget: u64,
 ) -> Result<u64, String> {
     match expr {
-        Expr::Powerset | Expr::PowersetM(_) => powerset_object_size(session.values(), input)
-            .ok_or_else(|| "admission probe: powerset applied to a non-set argument".to_string()),
+        Expr::Powerset | Expr::PowersetM(_) => {
+            let values = session.values();
+            let card = values.cardinality(input).ok_or_else(|| {
+                "admission probe: powerset applied to a non-set argument".to_string()
+            })?;
+            // the engine's own prediction: the size its budget check sees
+            let elements = values.size(input).saturating_sub(1);
+            let size = powerset_output_size(card as u64, elements.into());
+            Ok(u64::try_from(size).unwrap_or(u64::MAX))
+        }
         Expr::Compose(g, f) => {
             if f.powerset_occurrences() > 0 {
                 let site = probe_sites(session, f, input, probe_budget)?;
@@ -411,13 +403,15 @@ mod tests {
 
     #[test]
     fn powerset_object_size_is_exact() {
+        // a powerset site is priced at the size of the object the
+        // evaluation materialises
         let mut session = EvalSession::new(EvalConfig::default());
         let v = session.values_mut().chain(3); // card 3, size 10
-                                               // enumerate: sum over the 8 subsets of their sizes, plus 1
-        let expect = 1 + 8 + 4 * (10 - 1);
-        assert_eq!(
-            powerset_object_size(session.values(), v),
-            Some(expect as u64)
-        );
+        let powerset = nra_core::builder::powerset();
+        let priced = probe_sites(&mut session, &powerset, v, u64::MAX).unwrap();
+        assert_eq!(priced, 1 + 8 + 4 * (10 - 1));
+        let p = session.intern_expr(&powerset);
+        let out = session.eval_vid(p, v).result.unwrap();
+        assert_eq!(priced, session.values().size(out));
     }
 }

@@ -14,8 +14,10 @@
 //!   queries are priced by their `2^n` lower bound;
 //! * the **concrete layer** ([`admission`]) prices each powerset site
 //!   exactly (`1 + 2^c + 2^(c-1)·(size-1)` for an argument of
-//!   cardinality `c`), catching the cases the symbolic bound
-//!   underestimates (e.g. a powerset of `V×V` is `2^Θ(n²)`, not `2^n`).
+//!   cardinality `c`, the engine's own
+//!   [`powerset_output_size`](nra_eval::eager::powerset_output_size)),
+//!   catching the cases the symbolic bound underestimates (e.g. a
+//!   powerset of `V×V` is `2^Θ(n²)`, not `2^n`).
 //!
 //! Admitted queries run under their **declared budget** — the engine's
 //! §3 `max_object_size` instrumentation enforces at runtime exactly the
@@ -27,9 +29,9 @@
 //! * [`wire`] — a newline-delimited frame format over an in-repo
 //!   byte-chunk transport (no async runtime), reusing
 //!   [`nra_core::parser`] as the payload syntax;
-//! * [`schedule`] — cache-aware partitioning of admitted batches:
-//!   jobs sharing hash-consed subtrees land on the same worker;
-//! * [`server`] — the loop: drain a window of frames, admit, partition,
+//! * [`server`] — the loop: drain a window of frames, admit, place the
+//!   admitted jobs with [`partition`] (the engine's one placement rule,
+//!   re-exported here: heaviest job first on the least-loaded worker),
 //!   evaluate on scoped threads over the shared concurrent store,
 //!   charge per-tenant byte budgets that reset with the engine's
 //!   eviction generations, answer every frame exactly once. An `ok`
@@ -43,15 +45,14 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
-pub mod schedule;
 pub mod server;
 pub mod wire;
 
 pub use admission::{
-    admit, powerset_object_size, AdmissionDecision, AdmissionPolicy, Admitted, Rejected,
-    DEFAULT_POWERSET_CEILING, PROBE_HEADROOM,
+    admit, AdmissionDecision, AdmissionPolicy, Admitted, Rejected, DEFAULT_POWERSET_CEILING,
+    PROBE_HEADROOM,
 };
-pub use schedule::partition;
+pub use nra_eval::batch::partition;
 pub use server::{spawn, Client, ServeConfig, ServeReport, Server, StagedJob, TenantStats};
 pub use wire::{
     decode_frame, decode_response, encode_request, encode_response, socketpair, Endpoint, Frame,

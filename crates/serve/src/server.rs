@@ -1,13 +1,15 @@
-//! The long-lived serving loop: wire in, admission, cache-aware batch
-//! scheduling, per-tenant byte budgets, wire out.
+//! The long-lived serving loop: wire in, admission, batch placement,
+//! per-tenant byte budgets, wire out.
 //!
 //! One [`Server`] owns one [`EvalSession`] (the shared concurrent
 //! store every batch's workers intern into) and a tenant ledger. Its
 //! [`run`](Server::run) loop blocks on the transport, drains up to
 //! [`ServeConfig::batch_window`] frames, admits each request
-//! ([`crate::admission`]), places the admitted jobs with the
-//! cache-aware scheduler ([`crate::schedule`]), evaluates them on
-//! scoped worker threads via [`nra_eval::eval_batch_assigned`] — each
+//! ([`crate::admission`]), places the admitted jobs with
+//! [`partition`] — the engine's one placement rule, so a large join
+//! gets a worker of its own next to the small jobs of its batch —
+//! evaluates them on scoped worker threads via
+//! [`nra_eval::eval_batch_assigned`] — each
 //! under its **declared budget** — and answers every frame exactly
 //! once. A worker panic is contained by the batch layer and surfaces
 //! as a `failed` response; the loop, the session, and the other jobs
@@ -32,7 +34,6 @@
 //! tree [`Value`] on return.
 
 use crate::admission::{admit, AdmissionDecision, AdmissionPolicy};
-use crate::schedule::partition;
 use crate::wire::{
     decode_frame, encode_response, socketpair, validate_tenant, Endpoint, Frame, Outcome, Request,
     Response, WireError, MAX_FRAME_BYTES,
@@ -42,7 +43,7 @@ use nra_core::parser::MAX_NESTING;
 use nra_core::typecheck::output_type;
 use nra_core::value::intern::{VId, ValueArena};
 use nra_core::{Expr, Value};
-use nra_eval::{eval_batch_assigned, BatchJob, EvalConfig, EvalSession, SessionStats};
+use nra_eval::{eval_batch_assigned, partition, BatchJob, EvalConfig, EvalSession, SessionStats};
 use nra_symbolic::SpaceVerdict;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
@@ -52,6 +53,10 @@ use std::thread::JoinHandle;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker sessions per batch (scoped threads over the shared store).
+    /// 0, the default, is the machine's available parallelism (1 when
+    /// unknown), read once by [`Server::new`]: reading it costs tens of
+    /// microseconds, which a config whose count is set explicitly should
+    /// not pay.
     pub workers: usize,
     /// Maximum frames drained into one batch.
     pub batch_window: usize,
@@ -70,7 +75,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            workers: 4,
+            workers: 0,
             batch_window: 16,
             policy: AdmissionPolicy::default(),
             tenant_budget_bytes: u64::MAX,
@@ -223,7 +228,10 @@ pub struct Server {
 
 impl Server {
     /// A fresh server with its own session.
-    pub fn new(config: ServeConfig) -> Self {
+    pub fn new(mut config: ServeConfig) -> Self {
+        if config.workers == 0 {
+            config.workers = std::thread::available_parallelism().map_or(1, usize::from);
+        }
         let mut session = EvalSession::new(config.eval.clone());
         if config.eval.optimise {
             nra_opt::install(&mut session);
@@ -357,8 +365,8 @@ impl Server {
         }
     }
 
-    /// Evaluate one staged batch: cache-aware partition, scoped-thread
-    /// fan-out under per-job budgets, tenant charging, generation roll.
+    /// Evaluate one staged batch: [`partition`], scoped-thread fan-out
+    /// under per-job budgets, tenant charging, generation roll.
     /// One response per job, in job order.
     pub fn run_staged(&mut self, staged: &[StagedJob]) -> Vec<Response> {
         let answers = self.answer_staged(staged);
@@ -761,6 +769,20 @@ mod tests {
             report.tenants["beta"].warm_hits > 0,
             "beta must warm-hit judgments derived for alpha: {report:?}"
         );
+    }
+
+    #[test]
+    fn the_default_worker_count_is_the_machines_parallelism() {
+        let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(
+            Server::new(ServeConfig::default()).config.workers,
+            parallelism
+        );
+        let set = ServeConfig {
+            workers: 3,
+            ..ServeConfig::default()
+        };
+        assert_eq!(Server::new(set).config.workers, 3);
     }
 
     #[test]

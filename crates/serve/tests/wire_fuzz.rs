@@ -20,7 +20,9 @@
 //!    straight from the session arena, so the raw lines a spawned
 //!    server sends must equal [`encode_response`] of what
 //!    [`Server::process_batch`](nra_serve::Server::process_batch)
-//!    answers to the same frames, byte for byte.
+//!    answers to the same frames, byte for byte; and those answers are
+//!    the door's and the joins' expected outcomes (admitted, rescued,
+//!    rejected citing Theorem 4.1).
 
 use nra_core::generate::{random_expr, GenConfig, Rng as GenRng};
 use nra_core::parser::{parse_expr, parse_value};
@@ -389,10 +391,15 @@ fn a_frame_over_the_byte_cap_fails_and_the_next_is_served() {
 /// equal [`encode_response`] of the response a second server's
 /// `process_batch` gives the same group. The spawned loop writes `ok`
 /// answers from its arena; `process_batch` resolves them to trees.
-fn assert_served_frames_are_encoded_responses(groups: &[Vec<Request>]) {
+/// Returns the reference server's responses, in request order, and its
+/// closing report, so callers can check the outcomes themselves.
+fn assert_served_frames_are_encoded_responses(
+    groups: &[Vec<Request>],
+) -> (Vec<Response>, nra_serve::ServeReport) {
     use nra_serve::{spawn, ServeConfig, Server};
     let (mut client, handle) = spawn(ServeConfig::default());
     let mut reference = Server::new(ServeConfig::default());
+    let mut responses = Vec::new();
     for group in groups {
         let mut chunk = Vec::new();
         for request in group {
@@ -424,10 +431,17 @@ fn assert_served_frames_are_encoded_responses(groups: &[Vec<Request>]) {
                     near(&expect),
                 );
             }
+            responses.push(response);
         }
     }
     client.shutdown().unwrap();
     handle.join().expect("server thread must not die");
+    (responses, reference.report())
+}
+
+/// Is `outcome` a rejection citing the Theorem 4.1 bound?
+fn cites_theorem_4_1(outcome: &Outcome) -> bool {
+    matches!(outcome, Outcome::Rejected { reason } if reason.contains("Theorem 4.1"))
 }
 
 /// One request per query over `input`, ids counted from 0.
@@ -444,11 +458,12 @@ fn requests_over(tenant: &str, queries: &[nra_core::Expr], input: &Value) -> Vec
         .collect()
 }
 
-/// The seven small families under the door's three queries, plus one of
-/// each other door outcome: a powerset-route `tc_paths` the optimiser
-/// rescues, a bare `powerset` rejected as exponential, an admitted
-/// `powerset` whose answer is a set of sets, and an untyped answer past
-/// the nesting cap (failed) next to one at the cap (ok).
+/// The seven small families under the door's three queries, every one
+/// answered `ok`, plus one of each other door outcome: a powerset-route
+/// `tc_paths` the optimiser rescues, a bare `powerset` rejected citing
+/// Theorem 4.1, an admitted `powerset` whose answer is a set of sets, and
+/// an untyped answer past the nesting cap (failed) next to one at the
+/// cap (ok).
 #[test]
 fn served_frames_are_encoded_responses_on_the_small_families() {
     use nra_core::parser::MAX_NESTING;
@@ -490,7 +505,37 @@ fn served_frames_are_encoded_responses_on_the_small_families() {
         })
         .collect(),
     );
-    assert_served_frames_are_encoded_responses(&groups);
+    let (responses, report) = assert_served_frames_are_encoded_responses(&groups);
+    let (families, others) = responses.split_at(3 * 7 * door.len());
+    for response in families {
+        assert!(
+            matches!(response.outcome, Outcome::Ok { .. }),
+            "{response:?}"
+        );
+    }
+    match &others[0].outcome {
+        Outcome::Ok { value, .. } => assert_eq!(*value, Value::chain_tc(15)),
+        other => panic!("tc_paths on chain(15) must be rescued: {other:?}"),
+    }
+    assert!(cites_theorem_4_1(&others[1].outcome), "{:?}", others[1]);
+    let outcomes: Vec<_> = others[2..].iter().map(|r| &r.outcome).collect();
+    assert!(
+        matches!(
+            outcomes[..],
+            [
+                Outcome::Ok { .. },
+                Outcome::Failed { .. },
+                Outcome::Ok { .. }
+            ]
+        ),
+        "{outcomes:?}"
+    );
+    assert_eq!(report.rescued, 1);
+    assert_eq!(report.rejected_exponential, 1);
+    assert_eq!(
+        report.errors, 1,
+        "only the answer past the nesting cap fails"
+    );
 }
 
 /// The payload fuzz's structurally random values, each served back by
@@ -514,20 +559,44 @@ fn served_frames_are_encoded_responses_on_the_value_corpus() {
 }
 
 /// The serving-scale joins: the three 512-node families under the three
-/// joins servebench's `join512` sends, answers of up to tens of
-/// thousands of pairs (under a second in a debug build).
+/// joins servebench's `join512` sends, all nine admitted and answered
+/// `ok` with answers of up to tens of thousands of pairs (under a second
+/// in a debug build), and a bare `powerset` of the road grid rejected
+/// citing Theorem 4.1.
 #[test]
 fn served_frames_are_encoded_responses_on_the_large_families() {
-    use nra_core::queries;
+    use nra_core::{builder, queries};
     use nra_testkit::graphs::large_family_graphs;
     let joins = [
         queries::tc_step(),
         queries::compose_rel(),
         queries::siblings_direct(),
     ];
-    let groups: Vec<Vec<Request>> = large_family_graphs(&mut Rng::new(7), 512)
+    let mut groups: Vec<Vec<Request>> = large_family_graphs(&mut Rng::new(7), 512)
         .into_iter()
         .map(|g| requests_over(g.family, &joins, &Value::relation(g.edges.iter().copied())))
         .collect();
-    assert_served_frames_are_encoded_responses(&groups);
+    // a bare powerset of the road grid rides along in its batch
+    let road_grid = groups[0][0].clone();
+    assert_eq!(road_grid.tenant, "road_grid");
+    groups[0].push(Request {
+        id: 3,
+        query: builder::powerset(),
+        ..road_grid
+    });
+    let (responses, report) = assert_served_frames_are_encoded_responses(&groups);
+    assert!(
+        cites_theorem_4_1(&responses[3].outcome),
+        "{:?}",
+        responses[3]
+    );
+    for (i, response) in responses.iter().enumerate().filter(|&(i, _)| i != 3) {
+        assert!(
+            matches!(response.outcome, Outcome::Ok { .. }),
+            "join {i}: {response:?}"
+        );
+    }
+    assert_eq!((report.admitted, report.completed), (9, 9));
+    assert_eq!(report.rejected_exponential, 1);
+    assert_eq!(report.errors, 0);
 }

@@ -55,7 +55,7 @@ fn main() {
     let t = Instant::now();
     let results = eval_batch(&mut session, &jobs, 4);
     println!(
-        "\nbatch: {} closure queries over 4 worker sessions in {:?}",
+        "\nbatch: {} closure queries on up to 4 worker sessions in {:?}",
         results.len(),
         t.elapsed()
     );
