@@ -293,23 +293,33 @@ fn e15_while_at_scale() {
 
 fn e16_arena_writer() {
     use nra_eval::EvalSession;
-    use nra_serve::{encode_response, Outcome, Response};
+    use nra_serve::{decode_response, encode_response, socketpair, Outcome, Response};
     use nra_testkit::graphs::{power_law, road_grid, two_community, FamilyGraph};
     use nra_testkit::Rng;
-    println!("## E16 — answers written from the arena");
+    use std::time::Duration;
+    println!("## E16 — a large answer across the wire");
     println!();
     let samples = nra_bench::bench_samples();
     println!("The serving loop writes each `ok` frame straight from the answer's handle:");
-    println!("`ValueArena::write_text` emits every set's elements in `Value` order, sorting");
-    println!("each set once by its integer keys or by a comparator over arena nodes. The");
-    println!("tree path it replaces resolves the answer into a `Value`, formats the frame");
-    println!("with `encode_response`, and drops the tree. Each row evaluates one join on");
-    println!("`family(&mut Rng::new(7), 512)` in a fresh session of the served");
-    println!("configuration, times both paths to the whole frame (median of {samples} runs");
-    println!("each), and asserts the two frames are byte-identical:");
+    println!("`ValueArena::write_text` emits every set's elements in `Value` order, writing");
+    println!("a set of naturals or of pairs of naturals from its sorted integer keys and");
+    println!("sorting any other set once by a comparator over arena nodes. The tree path it");
+    println!("replaces resolves the answer into a `Value`, formats the frame with");
+    println!("`encode_response`, and drops the tree. The client half is what the frame");
+    println!("costs on arrival: reassembly sends it as one chunk through a `socketpair`");
+    println!("and receives it as a line, and `decode_response` parses the line into a");
+    println!("`Response` and drops it. The floor is `Value::relation` on the answer's");
+    println!("sorted pairs, built and dropped: the tree the decoder has to build, without");
+    println!("the text. Each row evaluates one join on `family(&mut Rng::new(7), 512)` in");
+    println!("a fresh session of the served configuration, times each step (median of");
+    println!("{samples} runs), and asserts the two frames are byte-identical and that the");
+    println!("decoded answer is the resolved one:");
     println!();
-    println!("| input | join | answer pairs | frame bytes | resolve + encode + drop | arena writer | ratio |");
-    println!("|--|--|--:|--:|--:|--:|--:|");
+    println!(
+        "| input | join | answer pairs | frame bytes | resolve + encode + drop | arena writer \
+         | ratio | reassembly | decode + drop | floor | decode / floor |"
+    );
+    println!("|--|--|--:|--:|--:|--:|--:|--:|--:|--:|--:|");
     type Family = fn(&mut Rng, u64) -> FamilyGraph;
     let families: [Family; 3] = [road_grid, power_law, two_community];
     let joins = [
@@ -317,6 +327,7 @@ fn e16_arena_writer() {
         ("compose_rel", queries::compose_rel()),
         ("siblings_direct", queries::siblings_direct()),
     ];
+    let (client, mut server) = socketpair();
     for family in families {
         let g = family(&mut Rng::new(7), 512);
         let input = Value::relation(g.edges.iter().copied());
@@ -353,15 +364,52 @@ fn e16_arena_writer() {
             );
             let t_tree = median_time(samples, tree_frame);
             let t_arena = median_time(samples, arena_frame);
+            // the chunk is built before the clock starts, as the server
+            // hands over the buffer it wrote the frame into
+            let mut reassembly: Vec<Duration> = (0..=samples.max(1))
+                .map(|_| {
+                    let mut chunk = frame.clone().into_bytes();
+                    chunk.push(b'\n');
+                    let start = Instant::now();
+                    client.tx.send_bytes(chunk).expect("the receiver is alive");
+                    let line = server.rx.recv_line();
+                    let elapsed = start.elapsed();
+                    assert_eq!(line, Some(Ok(frame.clone())), "one line, intact");
+                    elapsed
+                })
+                .skip(1)
+                .collect();
+            reassembly.sort_unstable();
+            let t_reassembly = reassembly[reassembly.len() / 2];
+            let decoded = decode_response(&frame).expect("the frame decodes");
+            assert_eq!(
+                decoded.outcome,
+                Outcome::Ok {
+                    declared_budget: budget,
+                    value: session.resolve(out),
+                },
+                "the decoded answer is the resolved one on {} {name}",
+                g.family
+            );
+            let t_decode = median_time(samples, || decode_response(&frame));
+            let pairs = session
+                .values()
+                .to_edges(out)
+                .expect("a join answers a relation");
+            let t_floor = median_time(samples, || Value::relation(pairs.iter().copied()));
             println!(
-                "| {} | {} | {} | {} | {} | {} | {:.1}× |",
+                "| {} | {} | {} | {} | {} | {} | {:.1}× | {} | {} | {} | {:.2}× |",
                 g.family,
                 name,
-                session.values().cardinality(out).unwrap_or(0),
+                pairs.len(),
                 frame.len(),
                 fmt_duration(t_tree),
                 fmt_duration(t_arena),
                 t_tree.as_secs_f64() / t_arena.as_secs_f64().max(1e-12),
+                fmt_duration(t_reassembly),
+                fmt_duration(t_decode),
+                fmt_duration(t_floor),
+                t_decode.as_secs_f64() / t_floor.as_secs_f64().max(1e-12),
             );
         }
     }

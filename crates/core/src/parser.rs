@@ -136,19 +136,20 @@ impl<'a> Parser<'a> {
         Ok(std::str::from_utf8(&self.input[start..self.pos]).expect("ascii"))
     }
 
+    /// A decimal natural, its digits accumulated as they are read. An
+    /// overflowing one is consumed whole and refused at its end.
     fn number(&mut self) -> Result<u64, ParseError> {
         self.skip_ws();
         let start = self.pos;
-        while self.pos < self.input.len() && self.input[self.pos].is_ascii_digit() {
+        let mut n = Some(0u64);
+        while let Some(&digit) = self.input.get(self.pos).filter(|b| b.is_ascii_digit()) {
+            n = n.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(digit - b'0')));
             self.pos += 1;
         }
         if start == self.pos {
             return self.error("expected a number");
         }
-        std::str::from_utf8(&self.input[start..self.pos])
-            .expect("ascii")
-            .parse()
-            .or_else(|_| self.error("number out of range"))
+        n.map_or_else(|| self.error("number out of range"), Ok)
     }
 
     // -- types ------------------------------------------------------------
@@ -392,6 +393,63 @@ mod tests {
         assert_eq!(
             parse_value("(true, 3)").unwrap(),
             Value::pair(Value::TRUE, Value::nat(3))
+        );
+    }
+
+    #[test]
+    fn numbers_span_u64_and_refuse_past_it_at_their_end() {
+        let max = u64::MAX.to_string();
+        assert_eq!(parse_value(&max).unwrap(), Value::nat(u64::MAX));
+        assert_eq!(
+            parse_value(&format!("{{(0, {max}), ({max}, 0)}}")).unwrap(),
+            Value::relation([(0, u64::MAX), (u64::MAX, 0)])
+        );
+        // leading zeros and whitespace between tokens, as before
+        assert_eq!(parse_value("007").unwrap(), Value::nat(7));
+        assert_eq!(
+            parse_value(&format!("0000000{max}")).unwrap(),
+            Value::nat(u64::MAX)
+        );
+        assert_eq!(
+            parse_value(" { 01 ,\t( 0002 ,\n3 ) } ").unwrap(),
+            Value::set([Value::nat(1), Value::pair(Value::nat(2), Value::nat(3))])
+        );
+        // one past u64::MAX, and far past it: refused at the end of the
+        // digits, as `str::parse` refused them
+        let refused = |err: ParseError, position: usize, message: &str| {
+            let expected = ParseError {
+                position,
+                message: message.into(),
+            };
+            assert_eq!(err, expected);
+        };
+        let out_of_range = "number out of range";
+        refused(
+            parse_value("18446744073709551616").unwrap_err(),
+            20,
+            out_of_range,
+        );
+        refused(
+            parse_value(" 18446744073709551616 ").unwrap_err(),
+            21,
+            out_of_range,
+        );
+        refused(
+            parse_value("{1, 99999999999999999999999}").unwrap_err(),
+            27,
+            out_of_range,
+        );
+        // `powerset_m(N)` reads its bound through the same path
+        assert_eq!(
+            parse_expr(&format!("powerset_m( {max} )")).unwrap(),
+            Expr::PowersetM(u64::MAX)
+        );
+        let err = parse_expr("powerset_m(18446744073709551616)").unwrap_err();
+        refused(err, 31, out_of_range);
+        refused(
+            parse_expr("powerset_m( x)").unwrap_err(),
+            12,
+            "expected a number",
         );
     }
 

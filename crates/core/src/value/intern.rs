@@ -74,6 +74,7 @@
 use super::Value;
 use crate::store::{Keyed, View};
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::rc::Rc;
@@ -980,11 +981,92 @@ impl ValueArena {
     }
 }
 
-/// One [`ValueArena::write_text`] call: the element handles of every set
-/// node it has met, in [`Value`] order, so each set is sorted once.
+/// One [`ValueArena::write_text`] call: the [`Value`] order of every set
+/// met inside another set, so each is sorted once and compared by it.
 struct TextWriter<'a> {
     arena: &'a ValueArena,
-    orders: HashMap<VId, Rc<[VId]>, FxBuildHasher>,
+    orders: HashMap<VId, Order, FxBuildHasher>,
+}
+
+/// A set's elements in [`Value`] order.
+enum Order {
+    /// The elements are all naturals or all pairs of naturals.
+    Keys(IntKeys),
+    /// Any other set: its element handles, sorted by [`TextWriter::cmp`].
+    Handles(Rc<[VId]>),
+}
+
+/// The integer keys of a set whose elements are all naturals or all
+/// pairs of naturals below 2³², a pair `(a, b)` keyed `a·2³² + b`: on
+/// such a set the [`Value`] order is the order of the keys, and each
+/// element's text is written from its key. A pair with a larger
+/// coordinate has no key, and its set is sorted by the node comparator.
+struct IntKeys {
+    pairs: bool,
+    keys: Vec<u64>,
+}
+
+impl IntKeys {
+    /// The sorted keys of `items`, read in one pass; `None` unless
+    /// every element of nonempty `items` has a key of one kind.
+    fn of(arena: &ValueArena, items: &[VId]) -> Option<IntKeys> {
+        let key = |v: VId| match arena.node_ref(v) {
+            Node::Nat(n) => Some((false, *n)),
+            Node::Pair(a, b) => {
+                let a = u32::try_from(arena.as_nat(*a)?).ok()?;
+                let b = u32::try_from(arena.as_nat(*b)?).ok()?;
+                Some((true, u64::from(a) << 32 | u64::from(b)))
+            }
+            _ => None,
+        };
+        let pairs = key(*items.first()?)?.0;
+        let mut keys: Vec<u64> = items
+            .iter()
+            .map(|&item| match key(item)? {
+                (kind, key) if kind == pairs => Some(key),
+                _ => None,
+            })
+            .collect::<Option<_>>()?;
+        keys.sort_unstable();
+        Some(IntKeys { pairs, keys })
+    }
+
+    /// The set's text, each element written from its key.
+    fn write(&self, out: &mut String) {
+        out.push('{');
+        for (i, &key) in self.keys.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            if self.pairs {
+                let (a, b) = unpack(key);
+                out.push('(');
+                push_nat(out, a);
+                out.push_str(", ");
+                push_nat(out, b);
+                out.push(')');
+            } else {
+                push_nat(out, key);
+            }
+        }
+        out.push('}');
+    }
+
+    /// The [`Value`] order between the element keyed `key` and `v`.
+    fn cmp_element(&self, arena: &ValueArena, key: u64, v: VId) -> Ordering {
+        let nat = |n: u64, v: VId| match arena.node_ref(v) {
+            Node::Nat(m) => n.cmp(m),
+            node => NAT_RANK.cmp(&rank(node)),
+        };
+        match arena.node_ref(v) {
+            _ if !self.pairs => nat(key, v),
+            Node::Pair(a, b) => {
+                let (x, y) = unpack(key);
+                nat(x, *a).then_with(|| nat(y, *b))
+            }
+            node => PAIR_RANK.cmp(&rank(node)),
+        }
+    }
 }
 
 impl TextWriter<'_> {
@@ -1002,8 +1084,18 @@ impl TextWriter<'_> {
                 out.push(')');
             }
             Node::Set(items) => {
+                let handles = match self.orders.get(&v) {
+                    Some(Order::Keys(keyed)) => return keyed.write(out),
+                    Some(Order::Handles(handles)) => Rc::clone(handles),
+                    // not inside another set, so never compared: its
+                    // order is used once and not kept
+                    None => match IntKeys::of(arena, items) {
+                        Some(keyed) => return keyed.write(out),
+                        None => self.sorted_handles(items),
+                    },
+                };
                 out.push('{');
-                for (i, &item) in self.order(v, items).iter().enumerate() {
+                for (i, &item) in handles.iter().enumerate() {
                     if i > 0 {
                         out.push_str(", ");
                     }
@@ -1014,29 +1106,28 @@ impl TextWriter<'_> {
         }
     }
 
-    /// The elements of the set `set` (whose canonical spine is `items`)
-    /// in [`Value`] order. Every set nested in them is ordered first, so
-    /// [`TextWriter::cmp`] finds each in `orders`.
-    fn order(&mut self, set: VId, items: &[VId]) -> Rc<[VId]> {
-        if let Some(order) = self.orders.get(&set) {
-            return Rc::clone(order);
+    /// Keep the [`Value`] order of the set `set`, whose canonical spine
+    /// is `items`, in `orders`. Every set nested in its elements is
+    /// ordered first, so [`TextWriter::cmp`] finds each there.
+    fn order(&mut self, set: VId, items: &[VId]) {
+        if !self.orders.contains_key(&set) {
+            let order = match IntKeys::of(self.arena, items) {
+                Some(keyed) => Order::Keys(keyed),
+                None => Order::Handles(self.sorted_handles(items)),
+            };
+            self.orders.insert(set, order);
         }
-        let order: Rc<[VId]> = match self.int_keys(items) {
-            Some(mut keyed) => {
-                keyed.sort_unstable_by_key(|&(key, _)| key);
-                keyed.into_iter().map(|(_, item)| item).collect()
-            }
-            None => {
-                for &item in items {
-                    self.order_nested(item);
-                }
-                let mut sorted = items.to_vec();
-                sorted.sort_unstable_by(|&a, &b| self.cmp(a, b));
-                sorted.into()
-            }
-        };
-        self.orders.insert(set, Rc::clone(&order));
-        order
+    }
+
+    /// `items` sorted by [`TextWriter::cmp`], after ordering every set
+    /// nested in them.
+    fn sorted_handles(&mut self, items: &[VId]) -> Rc<[VId]> {
+        for &item in items {
+            self.order_nested(item);
+        }
+        let mut sorted = items.to_vec();
+        sorted.sort_unstable_by(|&a, &b| self.cmp(a, b));
+        sorted.into()
     }
 
     /// Order every set reachable from `v` through pairs and sets.
@@ -1054,60 +1145,68 @@ impl TextWriter<'_> {
         }
     }
 
-    /// Integer sort keys for `items` when they are all naturals or all
-    /// pairs of naturals: on those the [`Value`] order is the order of
-    /// the keys (a pair's is `a·2⁶⁴ + b`).
-    fn int_keys(&self, items: &[VId]) -> Option<Vec<(u128, VId)>> {
-        let key = |v: VId| match self.arena.node_ref(v) {
-            Node::Nat(n) => Some((false, *n as u128)),
-            Node::Pair(a, b) => {
-                let (a, b) = (self.arena.as_nat(*a)?, self.arena.as_nat(*b)?);
-                Some((true, (a as u128) << 64 | b as u128))
-            }
-            _ => None,
-        };
-        let pairs = key(*items.first()?)?.0;
-        items
-            .iter()
-            .map(|&item| match key(item)? {
-                (kind, key) if kind == pairs => Some((key, item)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The [`Value`] order on two handles whose nested sets are all in
     /// `orders`. Equal handles denote equal objects.
-    fn cmp(&self, a: VId, b: VId) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
+    fn cmp(&self, a: VId, b: VId) -> Ordering {
         if a == b {
             return Ordering::Equal;
         }
-        // the order of the constructors in `Value`'s derived `Ord`
-        let rank = |node: &Node| match node {
-            Node::Unit => 0,
-            Node::Bool(_) => 1,
-            Node::Nat(_) => 2,
-            Node::Pair(..) => 3,
-            Node::Set(_) => 4,
-        };
-        match (self.arena.node_ref(a), self.arena.node_ref(b)) {
+        let arena = self.arena;
+        match (arena.node_ref(a), arena.node_ref(b)) {
             (Node::Bool(x), Node::Bool(y)) => x.cmp(y),
             (Node::Nat(x), Node::Nat(y)) => x.cmp(y),
             (Node::Pair(a1, a2), Node::Pair(b1, b2)) => {
                 self.cmp(*a1, *b1).then_with(|| self.cmp(*a2, *b2))
             }
-            (Node::Set(_), Node::Set(_)) => {
-                let (xs, ys) = (&self.orders[&a], &self.orders[&b]);
-                xs.iter()
-                    .zip(ys.iter())
-                    .map(|(&x, &y)| self.cmp(x, y))
-                    .find(|o| o.is_ne())
-                    .unwrap_or_else(|| xs.len().cmp(&ys.len()))
-            }
+            (Node::Set(_), Node::Set(_)) => match (&self.orders[&a], &self.orders[&b]) {
+                // both nonempty: elements of different kinds order the
+                // sets by their first ones
+                (Order::Keys(xs), Order::Keys(ys)) => {
+                    xs.pairs.cmp(&ys.pairs).then_with(|| xs.keys.cmp(&ys.keys))
+                }
+                (Order::Keys(xs), Order::Handles(ys)) => {
+                    lexicographic(&xs.keys, ys, |&x, &y| xs.cmp_element(arena, x, y))
+                }
+                (Order::Handles(xs), Order::Keys(ys)) => {
+                    lexicographic(xs, &ys.keys, |&x, &y| ys.cmp_element(arena, y, x).reverse())
+                }
+                (Order::Handles(xs), Order::Handles(ys)) => {
+                    lexicographic(xs, ys, |&x, &y| self.cmp(x, y))
+                }
+            },
             (x, y) => rank(x).cmp(&rank(y)),
         }
     }
+}
+
+/// The position of a node's constructor in [`Value`]'s derived `Ord`.
+fn rank(node: &Node) -> u8 {
+    match node {
+        Node::Unit => 0,
+        Node::Bool(_) => 1,
+        Node::Nat(_) => NAT_RANK,
+        Node::Pair(..) => PAIR_RANK,
+        Node::Set(_) => 4,
+    }
+}
+
+/// The coordinates of a pair from its [`IntKeys`] key.
+fn unpack(key: u64) -> (u64, u64) {
+    (key >> 32, key & u64::from(u32::MAX))
+}
+
+/// The [`rank`] of a natural and of a pair.
+const NAT_RANK: u8 = 2;
+const PAIR_RANK: u8 = 3;
+
+/// The lexicographic order of two sorted element sequences under the
+/// element order `cmp`, a proper prefix first: [`BTreeSet`]'s `Ord`.
+fn lexicographic<X, Y>(xs: &[X], ys: &[Y], cmp: impl Fn(&X, &Y) -> Ordering) -> Ordering {
+    xs.iter()
+        .zip(ys)
+        .map(|(x, y)| cmp(x, y))
+        .find(|o| o.is_ne())
+        .unwrap_or_else(|| xs.len().cmp(&ys.len()))
 }
 
 /// Append the decimal digits of `n`.

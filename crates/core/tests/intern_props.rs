@@ -182,6 +182,34 @@ fn arena_text_pins_empty_mixed_prefixed_and_deep_sets() {
     assert_arena_text_is_tree_text(&set("{{(0, 1), (1, 3)}, {(0, 1), (1, 2)}, {(0, 1)}}"));
     assert_arena_text_is_tree_text(&set("{{true, {2}}, {true, {1, 2}}, {true}, {false, {1}}}"));
     assert_arena_text_is_tree_text(&set("{({1}, {{3}, {2}}), ({1}, {{3}, {2, 4}}), ({0}, {})}"));
+    // naturals and pair coordinates at 2³² − 1, the last a pair's integer
+    // key holds, at 2³², and at u64::MAX
+    let (below, at, max) = (u64::from(u32::MAX), 1u64 << 32, u64::MAX);
+    assert_arena_text_is_tree_text(&set(&format!("{{{max}, {at}, {below}, 0}}")));
+    assert_arena_text_is_tree_text(&set(&format!(
+        "{{({below}, {below}), ({below}, 0), (0, {below}), (1, 2)}}"
+    )));
+    assert_arena_text_is_tree_text(&set(&format!(
+        "{{({at}, 0), (0, {at}), ({below}, {max}), ({max}, {below}), (1, 2)}}"
+    )));
+    // naturals mixed with pairs, and pairs with a set coordinate
+    assert_arena_text_is_tree_text(&set("{(2, 0), 7, (0, 3), 1, (0, 2)}"));
+    assert_arena_text_is_tree_text(&set("{(1, {2, 3}), (1, {2}), ({0}, 5), (0, 1)}"));
+    // sets with integer keys among sets without: by their keys, and each
+    // against the others element by element
+    assert_arena_text_is_tree_text(&set(&format!(
+        "{{{{(0, 1), (1, 2)}}, {{(0, 1), ({at}, 0)}}, {{(0, 1)}}, {{3, 1}}, {{1, (0, 1)}}, \
+         {{1, {{2}}}}, {{1}}, {{(), 1}}, {{}}}}"
+    )));
+    // one set with integer keys reached twice through sharing, outside
+    // every other set and inside one
+    let shared = set("{(3, 4), (1, 2)}");
+    assert_arena_text_is_tree_text(&Value::pair(shared.clone(), shared.clone()));
+    assert_arena_text_is_tree_text(&Value::set([
+        Value::pair(shared.clone(), Value::nat(1)),
+        Value::pair(Value::nat(0), shared.clone()),
+        shared,
+    ]));
     // 128 levels, the wire's nesting cap, alternating sets and pairs
     let mut deep = Value::nat(0);
     for level in 1..MAX_NESTING as u64 {

@@ -28,11 +28,15 @@
 //! sender (or a fuzzer) chooses — the framing layer is tested by
 //! splitting encoded frames at random byte boundaries. Reassembly scans
 //! each byte once, however finely a line is chunked, and the server
-//! bounds its inbound lines at [`MAX_FRAME_BYTES`].
+//! bounds its inbound lines at [`MAX_FRAME_BYTES`]. A chunk that arrives
+//! with nothing pending becomes the buffer, and a line that fills the
+//! buffer becomes its `String` in place, so a frame sent as one chunk
+//! is neither copied nor re-encoded on the way in.
 
 use nra_core::parser::{parse_expr, parse_value, ParseError};
 use nra_core::{Expr, Value};
 use std::fmt;
+use std::io::BufRead;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 
 /// The control frame that asks the server to drain and exit.
@@ -345,9 +349,12 @@ impl LineReceiver {
     }
 
     /// The next complete line in the buffer, searching only the bytes
-    /// that arrived since the last search.
+    /// that arrived since the last search. A line that is the whole
+    /// buffer takes the buffer; its bytes become the `String` in place
+    /// unless they are not UTF-8, when each invalid sequence is replaced
+    /// by U+FFFD.
     fn pop_line(&mut self) -> Option<Result<String, WireError>> {
-        let Some(at) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') else {
+        let Some(at) = find_newline(&self.buf[self.scanned..]) else {
             self.scanned = self.buf.len();
             if self.discarding.is_none() && self.max_line.is_some_and(|max| self.buf.len() > max) {
                 self.discarding = Some(line_head(&self.buf));
@@ -360,17 +367,35 @@ impl LineReceiver {
         };
         let nl = self.scanned + at;
         self.scanned = 0;
-        let mut line: Vec<u8> = self.buf.drain(..=nl).collect();
+        let mut line = if nl + 1 == self.buf.len() {
+            std::mem::take(&mut self.buf)
+        } else {
+            self.buf.drain(..=nl).collect()
+        };
         line.pop();
         let head = match self.discarding.take() {
             Some(head) => head,
             None if self.max_line.is_some_and(|max| line.len() > max) => line_head(&line),
-            None => return Some(Ok(String::from_utf8_lossy(&line).into_owned())),
+            None => {
+                return Some(Ok(String::from_utf8(line).unwrap_or_else(|invalid| {
+                    String::from_utf8_lossy(invalid.as_bytes()).into_owned()
+                })))
+            }
         };
         Some(Err(WireError::FrameTooLong {
             limit: self.max_line.unwrap_or(usize::MAX),
             head,
         }))
+    }
+
+    /// Append a received chunk to the buffer, or make it the buffer when
+    /// nothing is pending.
+    fn push_chunk(&mut self, chunk: Vec<u8>) {
+        if self.buf.is_empty() {
+            self.buf = chunk;
+        } else {
+            self.buf.extend_from_slice(&chunk);
+        }
     }
 
     /// Block until one complete line is available. `None` means the
@@ -383,7 +408,7 @@ impl LineReceiver {
                 return Some(line);
             }
             match self.rx.recv() {
-                Ok(chunk) => self.buf.extend_from_slice(&chunk),
+                Ok(chunk) => self.push_chunk(chunk),
                 Err(_) => return None,
             }
         }
@@ -399,12 +424,22 @@ impl LineReceiver {
                 return line.map(Some);
             }
             match self.rx.try_recv() {
-                Ok(chunk) => self.buf.extend_from_slice(&chunk),
+                Ok(chunk) => self.push_chunk(chunk),
                 Err(TryRecvError::Empty) => return Ok(None),
                 Err(TryRecvError::Disconnected) => return Err(WireError::Closed),
             }
         }
     }
+}
+
+/// The index of the first newline in `bytes`, found by the standard
+/// library's word-at-a-time byte search rather than byte by byte.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    let mut rest = bytes;
+    let through = rest
+        .skip_until(b'\n')
+        .expect("reading a byte slice cannot fail");
+    (bytes[..through].last() == Some(&b'\n')).then(|| through - 1)
 }
 
 /// The whole `;`-fields within the first [`HEAD_BYTES`] of a line.
@@ -531,5 +566,78 @@ mod tests {
             );
         }
         assert_eq!(server.rx.try_recv_line(), Ok(Some("c;4".into())));
+    }
+
+    #[test]
+    fn moved_chunks_reassemble_whole_several_and_continued_lines() {
+        let (client, mut server) = socketpair();
+        let send = |chunk: &[u8]| client.tx.send_bytes(chunk.to_vec()).unwrap();
+        // one chunk holding exactly one line: the chunk becomes the line
+        send(b"a;1;id;{}\n");
+        assert_eq!(server.rx.recv_line(), Some(Ok("a;1;id;{}".into())));
+        // several lines and a partial one in one moved chunk, the
+        // partial one continued by the next two chunks
+        send(b"b;2;id;1\nc;3;id;2\nd;4;");
+        send(b"id;");
+        send(b"(3, 4)\ne;5;");
+        for line in ["b;2;id;1", "c;3;id;2", "d;4;id;(3, 4)"] {
+            assert_eq!(server.rx.recv_line(), Some(Ok(line.into())));
+        }
+        assert_eq!(server.rx.try_recv_line(), Ok(None));
+        send(b"id;5\n");
+        assert_eq!(server.rx.try_recv_line(), Ok(Some("e;5;id;5".into())));
+        // a line begun by a chunk that moved into the emptied buffer
+        send(b"f;6;");
+        send(b"id;6\n");
+        assert_eq!(server.rx.recv_line(), Some(Ok("f;6;id;6".into())));
+        // over the cap in a moved chunk: once with its newline, once
+        // without, each dropped through its newline, the next line intact
+        server.rx.set_max_line(Some(8));
+        send(b"g;7;123456789\n");
+        send(b"h;8;123456789");
+        send(b"0\ni;9;id\n");
+        for head in ["g;7;", "h;8;"] {
+            assert_eq!(
+                server.rx.recv_line(),
+                Some(Err(WireError::FrameTooLong {
+                    limit: 8,
+                    head: head.into()
+                }))
+            );
+        }
+        assert_eq!(server.rx.recv_line(), Some(Ok("i;9;id".into())));
+        drop(client);
+        assert_eq!(server.rx.try_recv_line(), Err(WireError::Closed));
+    }
+
+    #[test]
+    fn invalid_utf8_is_replaced_as_from_utf8_lossy_replaces_it() {
+        let (client, mut server) = socketpair();
+        // a valid three-byte character split across two chunks is whole
+        client.tx.send_bytes(b"a;1;\xE2\x82".to_vec()).unwrap();
+        client.tx.send_bytes(b"\xAC\n".to_vec()).unwrap();
+        assert_eq!(server.rx.recv_line(), Some(Ok("a;1;\u{20AC}".into())));
+        // a truncated sequence, a stray continuation byte and an overlong
+        // encoding, in one chunk and split across chunks mid-sequence
+        let cases: [(&[&[u8]], &str); 3] = [
+            (
+                &[b"b;2;\xE2\x82;\x80;\xC0\xAF\n"],
+                "b;2;\u{FFFD};\u{FFFD};\u{FFFD}\u{FFFD}",
+            ),
+            (&[b"c;3;\xF0\x9F", b"\x98;\n"], "c;3;\u{FFFD};"),
+            (
+                &[b"d;4;\xF0", b"\x9F\x98\x80\xFF\n"],
+                "d;4;\u{1F600}\u{FFFD}",
+            ),
+        ];
+        for (chunks, expected) in cases {
+            for chunk in chunks {
+                client.tx.send_bytes(chunk.to_vec()).unwrap();
+            }
+            let bytes = chunks.concat();
+            let lossy = String::from_utf8_lossy(&bytes[..bytes.len() - 1]);
+            assert_eq!(lossy, expected);
+            assert_eq!(server.rx.recv_line(), Some(Ok(expected.into())));
+        }
     }
 }
