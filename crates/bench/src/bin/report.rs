@@ -61,14 +61,16 @@ fn bench_eval_json() {
 fn e13_delta_frontiers() {
     println!("## E13 — semi-naive iteration: the (total, delta) frontier trace");
     println!();
-    println!("Under `EvalConfig::semi_naive` the `while` rule threads a `(total, delta)`");
-    println!("pair: each iterate's body runs on the frontier only (the facts the fixpoint");
-    println!("gained since the previous iterate), and the new facts are folded in by the");
-    println!("arena's one-pass merge algebra. Results are bit-for-bit the naive-iteration");
-    println!("results and the iteration count is exact — only the re-derivation of the");
-    println!("accumulated closure disappears. The frontier trace per workload (`|cₖ₊₁ ∖");
+    println!("Under `EvalConfig::semi_naive` the join inside `tc_while`'s body runs as");
+    println!("one fused hash join, and from the second iterate on it builds only the");
+    println!("joins touching the frontier (the facts the fixpoint gained since the");
+    println!("previous iterate), folding them into its previous answer by a sorted merge;");
+    println!("the `while` rule records each iterate's frontier. Every other node runs the");
+    println!("exact rule. Results are bit-for-bit the naive-iteration results and the");
+    println!("iteration count is exact — only the product and the re-derivation of the");
+    println!("accumulated joins disappear. The frontier trace per workload (`|cₖ₊₁ ∖");
     println!("cₖ|` per iterate; the final 0 is the fixpoint test), with the §3 node");
-    println!("counts the delta rules avoided:");
+    println!("counts the fused join avoided and the earlier answers it folded in:");
     println!();
     println!(
         "| workload | n | iterations | frontier sizes | naive nodes | semi-naive nodes | skipped |"

@@ -549,30 +549,6 @@ impl ValueArena {
         Some(self.add_canonical_set(merge_sorted(&xs, &ys)))
     }
 
-    /// Intersection of two interned sets, as one linear merge. `None` if
-    /// either handle is not a set.
-    pub fn set_intersection(&mut self, a: VId, b: VId) -> Option<VId> {
-        let xs = self.as_set(a)?;
-        let ys = self.as_set(b)?;
-        if a == b {
-            return Some(a);
-        }
-        let mut out = Vec::with_capacity(xs.len().min(ys.len()));
-        let (mut i, mut j) = (0, 0);
-        while i < xs.len() && j < ys.len() {
-            match xs[i].cmp(&ys[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(xs[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        Some(self.add_canonical_set(out))
-    }
-
     /// Difference `a ∖ b` of two interned sets, as one linear merge.
     /// `None` if either handle is not a set.
     pub fn set_difference(&mut self, a: VId, b: VId) -> Option<VId> {
@@ -616,14 +592,6 @@ impl ValueArena {
             j += 1;
         }
         Some(true)
-    }
-
-    /// Membership test `elem ∈ set` — a binary search over the canonical
-    /// element slice (handles are the identity, so this is exact
-    /// structural membership). `None` if `set` is not a set.
-    pub fn set_contains(&self, set: VId, elem: VId) -> Option<bool> {
-        let items = self.as_set(set)?;
-        Some(items.binary_search(&elem).is_ok())
     }
 
     /// N-ary union: merge the canonical element slices of the given
@@ -681,66 +649,10 @@ impl ValueArena {
         Some(self.add_canonical_set(merged))
     }
 
-    /// Union and frontier in **one** linear pass: returns
-    /// `(old ∪ new, new ∖ old)` — the merged set together with "what's
-    /// new" relative to `old`. `None` if either handle is not a set.
-    ///
-    /// This is the primitive behind semi-naive (delta-driven) `while`
-    /// iteration: when `old ⊆ new` the union interns back to `new`
-    /// itself (so the superset test is `union == new`, for free), and
-    /// the second component is exactly the frontier the next iterate
-    /// needs to look at.
-    ///
-    /// ```
-    /// use nra_core::value::intern::ValueArena;
-    ///
-    /// let mut a = ValueArena::new();
-    /// let total = a.relation([(0, 1), (1, 2)]);
-    /// let next = a.relation([(0, 1), (0, 2), (1, 2)]);
-    /// let (union, fresh) = a.set_merge_delta(total, next).unwrap();
-    /// assert_eq!(union, next); // total ⊆ next ⇒ union is next itself
-    /// assert_eq!(fresh, a.relation([(0, 2)]));
-    /// ```
-    pub fn set_merge_delta(&mut self, old: VId, new: VId) -> Option<(VId, VId)> {
-        let xs = self.as_set(old)?;
-        let ys = self.as_set(new)?;
-        if old == new {
-            let empty = self.empty_set();
-            return Some((old, empty));
-        }
-        let mut union = Vec::with_capacity(xs.len() + ys.len());
-        let mut fresh = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < xs.len() && j < ys.len() {
-            match xs[i].cmp(&ys[j]) {
-                std::cmp::Ordering::Less => {
-                    union.push(xs[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    union.push(ys[j]);
-                    fresh.push(ys[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    union.push(xs[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        union.extend_from_slice(&xs[i..]);
-        union.extend_from_slice(&ys[j..]);
-        fresh.extend_from_slice(&ys[j..]);
-        let union = self.add_canonical_set(union);
-        let fresh = self.add_canonical_set(fresh);
-        Some((union, fresh))
-    }
-
     /// Frontier cardinality `|new ∖ old|` by a count-only merge scan —
-    /// the observation half of [`ValueArena::set_merge_delta`], for
-    /// callers (the semi-naive `while` rule's per-iterate frontier
-    /// trace) that need the size of the delta without interning it.
+    /// [`ValueArena::set_difference`]'s cardinality, for callers (the
+    /// semi-naive `while` rule's per-iterate frontier trace) that need
+    /// the size of the delta without interning it.
     /// `None` if either handle is not a set.
     ///
     /// ```
@@ -774,8 +686,8 @@ impl ValueArena {
     /// N-ary **frontier merge**: fold the element slices of the
     /// `frontiers` (each a *set* handle) into `base` without ever
     /// re-sorting — the semi-naive counterpart of
-    /// [`ValueArena::set_from_sorted_merge`], used to fold the images
-    /// of a delta-evaluated `map`/`μ` back into the previous total.
+    /// [`ValueArena::set_from_sorted_merge`], used to fold the fresh
+    /// answers of a delta-evaluated join back into its previous answer.
     /// Equivalent to iterated binary [`ValueArena::set_union`], in one
     /// balanced merge. `None` if `base` or any frontier is not a set.
     ///
@@ -923,11 +835,6 @@ impl ValueArena {
             Node::Bool(b) => Some(*b),
             _ => None,
         }
-    }
-
-    /// Whether `v` is the unit value `()`.
-    pub fn is_unit(&self, v: VId) -> bool {
-        matches!(self.node_ref(v), Node::Unit)
     }
 
     /// Decode a value of type `{N × N}` into a sorted edge list.
@@ -1376,11 +1283,6 @@ pub fn set_union(a: VId, b: VId) -> Option<VId> {
     with_arena(|ar| ar.set_union(a, b))
 }
 
-/// Merge-based intersection — see [`ValueArena::set_intersection`].
-pub fn set_intersection(a: VId, b: VId) -> Option<VId> {
-    with_arena(|ar| ar.set_intersection(a, b))
-}
-
 /// Merge-based difference `a ∖ b` — see [`ValueArena::set_difference`].
 pub fn set_difference(a: VId, b: VId) -> Option<VId> {
     with_arena(|ar| ar.set_difference(a, b))
@@ -1391,20 +1293,10 @@ pub fn is_subset(a: VId, b: VId) -> Option<bool> {
     with_arena(|ar| ar.is_subset(a, b))
 }
 
-/// Binary-search membership test — see [`ValueArena::set_contains`].
-pub fn set_contains(set: VId, elem: VId) -> Option<bool> {
-    with_arena(|a| a.set_contains(set, elem))
-}
-
 /// N-ary sorted merge of set handles — see
 /// [`ValueArena::set_from_sorted_merge`].
 pub fn set_from_sorted_merge(sets: &[VId]) -> Option<VId> {
     with_arena(|a| a.set_from_sorted_merge(sets))
-}
-
-/// Union + frontier in one pass — see [`ValueArena::set_merge_delta`].
-pub fn set_merge_delta(old: VId, new: VId) -> Option<(VId, VId)> {
-    with_arena(|a| a.set_merge_delta(old, new))
 }
 
 /// Count-only frontier scan — see
@@ -1549,22 +1441,15 @@ mod tests {
             a.resolve(union),
             Value::relation([(0, 1), (1, 2), (3, 4), (7, 8)])
         );
-        let inter = a.set_intersection(x, y).unwrap();
-        assert_eq!(a.resolve(inter), Value::relation([(1, 2), (3, 4)]));
         let diff = a.set_difference(x, y).unwrap();
         assert_eq!(a.resolve(diff), Value::relation([(0, 1)]));
-        assert_eq!(a.is_subset(inter, x), Some(true));
+        assert_eq!(a.is_subset(diff, x), Some(true));
         assert_eq!(a.is_subset(x, y), Some(false));
-        let e12 = a.edge(1, 2);
-        let e99 = a.edge(9, 9);
-        assert_eq!(a.set_contains(x, e12), Some(true));
-        assert_eq!(a.set_contains(x, e99), Some(false));
         // non-sets are refused, not misinterpreted
+        let e12 = a.edge(1, 2);
         assert_eq!(a.set_union(e12, x), None);
-        assert_eq!(a.set_intersection(x, e12), None);
         assert_eq!(a.set_difference(e12, e12), None);
         assert_eq!(a.is_subset(e12, x), None);
-        assert_eq!(a.set_contains(e12, e12), None);
     }
 
     #[test]
@@ -1574,7 +1459,6 @@ mod tests {
         let empty = a.empty_set();
         assert_eq!(a.set_union(x, x), Some(x));
         assert_eq!(a.set_union(x, empty), Some(x));
-        assert_eq!(a.set_intersection(x, empty), Some(empty));
         assert_eq!(a.set_difference(x, x), Some(empty));
         assert_eq!(a.set_difference(empty, x), Some(empty));
         assert_eq!(a.is_subset(empty, x), Some(true));
@@ -1606,35 +1490,28 @@ mod tests {
     }
 
     #[test]
-    fn merge_delta_is_union_plus_difference() {
+    fn delta_cardinality_counts_the_difference() {
         let mut a = ValueArena::new();
         let old = a.relation([(0, 1), (2, 3)]);
         let new = a.relation([(0, 1), (1, 2), (4, 5)]);
-        let (union, fresh) = a.set_merge_delta(old, new).unwrap();
-        assert_eq!(union, a.set_union(old, new).unwrap());
-        assert_eq!(fresh, a.set_difference(new, old).unwrap());
-        // superset fast-path property: old ⊆ new ⇔ union == new
         let grown = a.set_union(old, new).unwrap();
-        let (u2, f2) = a.set_merge_delta(old, grown).unwrap();
-        assert_eq!(u2, grown);
-        assert_eq!(f2, a.set_difference(grown, old).unwrap());
-        // degenerate cases
         let empty = a.empty_set();
-        assert_eq!(a.set_merge_delta(old, old), Some((old, empty)));
-        assert_eq!(a.set_merge_delta(empty, new), Some((new, new)));
-        assert_eq!(a.set_merge_delta(new, empty), Some((new, empty)));
-        // non-sets refuse
-        let n = a.nat(7);
-        assert_eq!(a.set_merge_delta(n, new), None);
-        assert_eq!(a.set_merge_delta(old, n), None);
         // the count-only scan agrees with the interned frontier
-        for (x, y) in [(old, new), (new, old), (old, grown), (empty, new)] {
-            let (_, f) = a.set_merge_delta(x, y).unwrap();
+        for (x, y) in [
+            (old, new),
+            (new, old),
+            (old, grown),
+            (empty, new),
+            (old, old),
+        ] {
+            let fresh = a.set_difference(y, x).unwrap();
             assert_eq!(
                 a.set_delta_cardinality(x, y),
-                Some(a.cardinality(f).unwrap() as u64)
+                Some(a.cardinality(fresh).unwrap() as u64)
             );
         }
+        // non-sets refuse
+        let n = a.nat(7);
         assert_eq!(a.set_delta_cardinality(n, new), None);
         assert_eq!(a.set_delta_cardinality(old, n), None);
     }
@@ -1752,9 +1629,9 @@ mod tests {
                         let tc = worker.chain_tc(6);
                         assert_eq!(tc, expect_tc, "canonical across threads");
                         let r = worker.relation([(w, round), (round, w)]);
-                        let (u, fresh) = worker.set_merge_delta(tc, r).unwrap();
-                        assert_eq!(worker.set_union(tc, r), Some(u));
-                        assert_eq!(worker.set_difference(r, tc), Some(fresh));
+                        let u = worker.set_union(tc, r).unwrap();
+                        let fresh = worker.set_difference(r, tc).unwrap();
+                        assert_eq!(worker.set_union(tc, fresh), Some(u));
                     }
                 });
             }

@@ -63,9 +63,11 @@ fn hammer_values(arena: &mut ValueArena, seed: u64) -> Vec<(Value, VId)> {
         );
         assert_eq!(arena.is_subset(chain, tc), Some(true));
         let diff = arena.set_difference(tc, chain).expect("sets difference");
-        let (merged, frontier) = arena.set_merge_delta(chain, tc).expect("merge delta");
-        assert_eq!(merged, tc);
-        assert_eq!(frontier, diff, "delta frontier must be the difference");
+        assert_eq!(
+            arena.set_union(chain, diff),
+            Some(tc),
+            "chain ∪ (chain_tc ∖ chain) must intern back to chain_tc"
+        );
         out.push((arena.resolve(diff), diff));
     }
     out

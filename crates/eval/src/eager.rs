@@ -34,19 +34,19 @@
 //!   and facade call probes through its own view, with each slot
 //!   carrying the subtree's as-if-uncached cost so hits charge the node
 //!   budget exactly;
-//! * [`EvalConfig::semi_naive`] — delta-driven iteration: `while`
-//!   threads `(total, delta)`, `map`/`μ` evaluate frontier-only against
-//!   the `DeltaEntry` cache, and the hash-consed Prop 2.1 shapes —
-//!   cartesian product (`eval_cartprod_fused`), selection
-//!   (`eval_select_fused`), projection equality and tupling
-//!   (`eval_projeq_fused`, `eval_projpair_fused`) — run fused delta
-//!   rules. The §3 counters only ever shrink (every skipped object
-//!   already occurred, and was observed, earlier in the evaluation);
-//!   the default mode remains the exact §3 measure.
+//! * [`EvalConfig::semi_naive`] — one fused rule: the Prop 2.1
+//!   self-join `σ_p ∘ (cartprod ∘ ⟨id, id⟩)`, bare or projected, runs as
+//!   a hash join (`eval_join_fused`), in the delta form
+//!   `δ ⋈ R ∪ Rₚ ⋈ δ` when its input grew from the node's previous
+//!   application, and `while` records each iterate's frontier. Every
+//!   other node runs the exact rule. The §3 counters only ever shrink
+//!   (the fused judgment observes its input and its answer, both of
+//!   which the exact derivation observes too); the default mode remains
+//!   the exact §3 measure.
 
 use crate::error::{EvalConfig, EvalError};
 use crate::memo::ApplyView;
-use crate::shapes::{apply_proj, proj_path, JoinShape, ProjPath, ShapeCaches};
+use crate::shapes::{apply_proj, JoinCache, JoinShape};
 use crate::stats::EvalStats;
 use nra_core::expr::intern::{self as expr_intern, EId, ENode, ExprArena};
 use nra_core::expr::Expr;
@@ -96,11 +96,10 @@ pub(crate) struct Ctx<'a> {
     pub(crate) stats: EvalStats,
     /// Derivation nodes charged against [`EvalConfig::max_nodes`]: the
     /// *as-if-uncached* count. Equal to `stats.nodes` in the default
-    /// mode; an apply-cache hit or a delta-skipped frontier adds the
-    /// recorded cost of the skipped subtree here (and only here), so
-    /// budget exhaustion is strategy-independent — a budget that cuts
-    /// the naive derivation cuts the cached one at the same point in
-    /// the judgment sequence.
+    /// mode; an apply-cache hit adds the recorded cost of the skipped
+    /// subtree here (and only here), so budget exhaustion is
+    /// strategy-independent — a budget that cuts the naive derivation
+    /// cuts the cached one at the same point in the judgment sequence.
     charged_nodes: u64,
     /// Per-rule application counts, indexed by [`Expr::head_index`] —
     /// a flat array on the hot path (one increment per derivation
@@ -130,9 +129,8 @@ impl<'a> Ctx<'a> {
         self.stats
     }
 
-    /// Charge the recorded cost of a skipped (cached or delta-folded)
-    /// sub-derivation against the node budget without touching the §3
-    /// counters.
+    /// Charge the recorded cost of a cached sub-derivation against the
+    /// node budget without touching the §3 counters.
     fn charge(&mut self, cost: u64) -> Result<(), EvalError> {
         self.charged_nodes = self.charged_nodes.saturating_add(cost);
         match self.config.max_nodes {
@@ -232,7 +230,7 @@ pub fn evaluate_vid(expr: &Expr, input: VId, config: &EvalConfig) -> VidEvaluati
     let (result, stats) = if config.memo || config.semi_naive {
         // the cached routes walk the interned expression, so the
         // (EId, VId) pair is available as the apply-cache key — and the
-        // EId as the delta-cache key — at every recursion step. The
+        // EId as the join's delta-cache key — at every recursion step. The
         // facade borrows both thread-local arenas once, for the whole
         // evaluation: the walker itself never touches a thread-local.
         expr_intern::with_arena(|ea| {
@@ -391,147 +389,68 @@ thread_local! {
 }
 
 /// One entry of the **delta cache**: the last `(input, output)` pair a
-/// `map`/`μ` node produced, plus the as-if-uncached cost (derivation
-/// nodes) of its per-element sub-derivations. When the same expression
-/// node next fires on a *superset* of `input` — exactly what happens to
-/// every pointwise rule inside an inflationary `while` body — the body
-/// runs on the frontier only and `output` is folded in by a sorted
-/// merge. `map` and `μ` distribute over union element-by-element, so
-/// the incremental result is bit-for-bit the recomputed one.
+/// fused self-join node produced. When the same node next fires on a
+/// *superset* of `input` — the steady state of the join inside an
+/// inflationary `while` body — only the joins touching the frontier are
+/// built and `output` is folded in by a sorted merge (see
+/// [`eval_join_fused`]).
 #[derive(Clone, Copy)]
 struct DeltaEntry {
     /// The input set of the previous application.
     input: VId,
     /// Its output.
     output: VId,
-    /// As-if-uncached cost of the per-element sub-derivations (0 for
-    /// `μ`, which has none); charged on a skip so node budgets stay
-    /// strategy-independent.
-    cost: u64,
 }
 
-/// The delta cache: one [`DeltaEntry`] per `map`/`μ` expression node,
-/// keyed by [`EId`]. Cleared per evaluation.
+/// The delta cache: one [`DeltaEntry`] per fused join node, keyed by
+/// [`EId`]. Cleared per evaluation.
 type DeltaMap = HashMap<EId, DeltaEntry, FxBuildHasher>;
 
 /// Everything one cached (memoised and/or semi-naive) evaluation
 /// threads through [`eval_eid`]: a view of the apply table (active under
-/// [`EvalConfig::memo`]), the delta cache (active under
-/// [`EvalConfig::semi_naive`]) and the shape-recognition caches. The
-/// walker reads expression structure from the [`ExprArena`] itself, so
-/// the state holds no copy of it. A session owns one state for its
-/// lifetime, and [`evaluate_vid`] pools one per thread.
+/// [`EvalConfig::memo`]), the delta cache and the join-recognition
+/// cache (active under [`EvalConfig::semi_naive`]). The walker reads
+/// expression structure from the [`ExprArena`] itself, so the state
+/// holds no copy of it. A session owns one state for its lifetime, and
+/// [`evaluate_vid`] pools one per thread.
 pub(crate) struct MemoState {
-    /// The expression-arena generation the recognised handles below
-    /// were interned in.
+    /// The expression-arena generation `cartprod` was interned in.
     generation: u64,
     memo: ApplyView,
     delta: DeltaMap,
     /// The interned handle of the Prop 2.1 derived term
     /// [`nra_core::derived::cartprod`] — hash-consing makes every
-    /// occurrence of the derived product share this `EId`, so the
-    /// semi-naive walker can recognise it and apply the fused
-    /// delta-join rule `A×B = Aₚ×Bₚ ∪ δA×B ∪ Aₚ×δB` (see
-    /// [`eval_cartprod_fused`]).
+    /// occurrence of the derived product share this `EId`, which is how
+    /// [`crate::shapes::join_shape`] recognises the self-product under a
+    /// join.
     cartprod: EId,
-    /// The interned handle of the Prop 2.1 `unnest = μ ∘ map(ρ₂)` term
-    /// — like `cartprod`, monomorphic and hence recognisable by handle
-    /// equality. See [`eval_unnest_fused`].
-    unnest: EId,
-    /// Recognition caches for the type-parameterised Prop 2.1 shapes —
-    /// equality at a type, membership, inclusion, and `nest` — which
-    /// cannot be recognised by a single handle (each type instantiation
-    /// interns differently) and are matched structurally instead. See
-    /// [`crate::shapes`].
-    shapes: ShapeCaches,
-    /// Recognition cache for the Prop 2.1 selection shape
-    /// `σ_p = μ ∘ map(if p then η else ∅ˢ ∘ !)`: maps a `Compose` node
-    /// to `Some(predicate)` when it is a selection, `None` when it is
-    /// not (so the shape is walked at most once per node). See
-    /// [`eval_select_fused`].
-    selects: HashMap<EId, Option<EId>, FxBuildHasher>,
-    /// Recognition cache for projection-equality predicates
-    /// `=_N ∘ ⟨π-chain, π-chain⟩` (the coordinate comparisons every
-    /// Prop 2.1 join condition is built from), keyed at the outer
-    /// `Compose`. See [`eval_projeq_fused`].
-    projeqs: HashMap<EId, Option<(ProjPath, ProjPath)>, FxBuildHasher>,
-    /// Recognition cache for projection tupling `⟨π-chain, π-chain⟩`
-    /// (the re-assembly step of every Prop 2.1 join), keyed at the
-    /// `Tuple` node. See [`eval_projpair_fused`].
-    projpairs: HashMap<EId, Option<(ProjPath, ProjPath)>, FxBuildHasher>,
-}
-
-/// Recognise the Prop 2.1 selection shape at `eid` and return its
-/// predicate, caching the verdict.
-fn select_pred(eid: EId, exprs: &ExprArena, caches: &mut MemoState) -> Option<EId> {
-    *caches
-        .selects
-        .entry(eid)
-        .or_insert_with(|| crate::shapes::select_shape(exprs, eid))
-}
-
-/// Probe the delta cache for an incremental application: `Some((prev
-/// output, prev cost, frontier))` when `eid` last fired on a subset of
-/// `input` (the one-pass [`set_merge_delta`] gives the subset test and
-/// the frontier together — `old ⊆ new` iff their union interns back to
-/// `new`).
-///
-/// [`set_merge_delta`]: nra_core::value::intern::ValueArena::set_merge_delta
-fn delta_probe(
-    eid: EId,
-    input: VId,
-    delta: &DeltaMap,
-    va: &mut ValueArena,
-) -> Option<(VId, u64, VId)> {
-    let e = delta.get(&eid)?;
-    if e.input == input {
-        // the identical application: the frontier is empty
-        return Some((e.output, e.cost, va.empty_set()));
-    }
-    // subset test by merge *scan* (interns nothing on the miss path),
-    // then one pass for the frontier — equivalent to `set_merge_delta`
-    // with the union elided, since `old ⊆ new` makes the union `new`
-    if !va.is_subset(e.input, input)? {
-        return None;
-    }
-    let fresh = va.set_difference(input, e.input)?;
-    Some((e.output, e.cost, fresh))
+    /// Join-recognition verdicts per `EId`.
+    joins: JoinCache,
 }
 
 impl MemoState {
     /// A fresh state on a fresh apply table, against the given
-    /// expression arena (interns the monomorphic recognisable derived
-    /// terms).
+    /// expression arena (interns the derived product).
     pub(crate) fn new(ea: &mut ExprArena) -> Self {
         let cartprod = ea.intern(&nra_core::derived::cartprod());
-        let unnest = ea.intern(&nra_core::derived::unnest());
-        MemoState::around(ea.generation(), ApplyView::new(), cartprod, unnest)
+        MemoState::around(ea.generation(), ApplyView::new(), cartprod)
     }
 
     /// A batch worker's state: a view of this state's apply table at
-    /// this state's floor, the same recognised handles (the worker's
+    /// this state's floor, the same `cartprod` handle (the worker's
     /// expression arena is a clone of this one's store), and empty
     /// delta and recognition caches.
     pub(crate) fn worker(&mut self) -> Self {
-        MemoState::around(
-            self.generation,
-            self.memo.share(),
-            self.cartprod,
-            self.unnest,
-        )
+        MemoState::around(self.generation, self.memo.share(), self.cartprod)
     }
 
-    fn around(generation: u64, memo: ApplyView, cartprod: EId, unnest: EId) -> Self {
+    fn around(generation: u64, memo: ApplyView, cartprod: EId) -> Self {
         MemoState {
             generation,
             memo,
             delta: DeltaMap::default(),
             cartprod,
-            unnest,
-            shapes: ShapeCaches::default(),
-            selects: HashMap::default(),
-            projeqs: HashMap::default(),
-            projpairs: HashMap::default(),
+            joins: JoinCache::default(),
         }
     }
 
@@ -539,40 +458,35 @@ impl MemoState {
     ///
     /// * `warm = false` ([`evaluate_vid`]'s per-call semantics): a cold
     ///   open — the apply-table view raises its floor, so every earlier
-    ///   entry is hidden in `O(1)` — and cleared recognition caches.
+    ///   entry is hidden in `O(1)` — and a cleared recognition cache.
     /// * `warm = true` (the session semantics): apply-table entries
     ///   **survive across queries**, and later hits on them are counted
     ///   as warm. Falls back to a cold open when the expression arena
     ///   was cleared in between (every cached `EId` went stale).
     ///
-    /// The delta cache is cleared either way: its entries carry
-    /// per-evaluation cost accounting.
+    /// The delta cache is cleared either way: its entries are handles
+    /// of this evaluation's values.
     pub(crate) fn begin_query(&mut self, ea: &mut ExprArena, warm: bool) {
         let cleared = ea.generation() != self.generation;
         if cleared {
-            // interning is canonical, so the recognised handles only
-            // move when the arena was cleared; re-intern them then
+            // interning is canonical, so the handle only moves when the
+            // arena was cleared; re-intern it then
             self.generation = ea.generation();
             self.cartprod = ea.intern(&nra_core::derived::cartprod());
-            self.unnest = ea.intern(&nra_core::derived::unnest());
         }
         let warm = warm && !cleared;
         self.memo.open(warm);
         if !warm {
-            // the shape-recognition caches key on EIds (and on VIds, for
-            // conformance), which a cold open treats as untrusted: the
-            // facade's arenas may have been reset
-            self.shapes.clear();
-            self.selects.clear();
-            self.projeqs.clear();
-            self.projpairs.clear();
+            // the recognition cache keys on EIds, which a cold open
+            // treats as untrusted: the facade's arenas may have been reset
+            self.joins.clear();
         }
         self.delta.clear();
     }
 
     /// Approximate resident bytes of the retained cache state: the
     /// apply table, charged in full by every view of it (the
-    /// recognition caches are negligible next to it).
+    /// recognition cache is negligible next to it).
     pub(crate) fn approx_resident_bytes(&self) -> usize {
         self.memo.resident_bytes()
     }
@@ -588,20 +502,18 @@ impl MemoState {
 ///   after a miss — a hit returns the cached handle in `O(1)` without
 ///   re-deriving, which collapses the repeated body applications inside
 ///   `while`, `map` over recurring elements, and `powersetₘ` chains;
-/// * under [`EvalConfig::semi_naive`], the pointwise set rules (`map`,
-///   `μ`) consult the delta cache: when their input grew from the
-///   previous application of the same node — the steady state of every
-///   rule inside an inflationary `while` body — the body runs on the
-///   frontier only and the previous output is folded in by a sorted
-///   merge, and the `while` rule itself threads the `(total, delta)`
-///   pair, recording each iterate's frontier in
-///   [`EvalStats::while_frontiers`].
+/// * under [`EvalConfig::semi_naive`], a Prop 2.1 self-join runs as one
+///   fused hash join ([`eval_join_fused`]), in its delta form when its
+///   input grew from the node's previous application, and the `while`
+///   rule records each iterate's frontier in
+///   [`EvalStats::while_frontiers`]. Every other node runs the exact
+///   rule.
 ///
-/// Hits and skips are counted in [`EvalStats::memo_hits`] /
-/// [`EvalStats::delta_skipped`] and deliberately do **not** re-count
-/// the skipped derivation's nodes or object observations — but they do
-/// charge its recorded as-if-uncached cost against the node budget, so
-/// budget exhaustion is strategy-independent.
+/// Apply-cache hits are counted in [`EvalStats::memo_hits`] and
+/// deliberately do **not** re-count the skipped derivation's nodes or
+/// object observations — but they do charge its recorded as-if-uncached
+/// cost against the node budget, so budget exhaustion is
+/// strategy-independent.
 pub(crate) fn eval_eid(
     eid: EId,
     input: VId,
@@ -622,58 +534,11 @@ pub(crate) fn eval_eid(
         }
         ctx.stats.memo_misses += 1;
     }
-    if ctx.config.semi_naive {
-        // the fused-rule hooks; every stored slot carries the cost the
-        // fused application actually charged (one node for the pure
-        // projection rules; node + folded frontier + fresh predicate
-        // derivations for the selection), so later hits keep charging
-        // the budget exactly what a re-run would
+    if ctx.config.semi_naive && is_join_head(eid, exprs) {
+        // the stored slot carries the one node the fused join charged,
+        // so later hits charge the budget what a re-run would
         let fused_start = ctx.charged_nodes;
-        let fused = if eid == caches.cartprod {
-            eval_cartprod_fused(eid, input, ctx, caches, va)?
-        } else if eid == caches.unnest {
-            eval_unnest_fused(eid, input, ctx, caches, va)?
-        } else if let ENode::Compose(g, _) = *exprs.node_ref(eid) {
-            // one-read pre-filters before the (cached) full shape
-            // recognitions: σ_p starts `μ ∘ …`, projection equality
-            // starts `=_N ∘ …`, inclusion starts `empty ∘ …`,
-            // membership starts `(¬ ∘ empty) ∘ …`, the self-join
-            // `(μ ∘ …) ∘ …`, the projected self-join `map(⟨…⟩) ∘ …`,
-            // nest starts `map(⟨π₁, …⟩) ∘ …`
-            match exprs.node_ref(g) {
-                ENode::Leaf(l) if **l == Expr::Flatten => match select_pred(eid, exprs, caches) {
-                    Some(pred) => eval_select_fused(eid, pred, input, ctx, exprs, caches, va)?,
-                    None => None,
-                },
-                ENode::Leaf(l) if **l == Expr::EqNat => {
-                    eval_projeq_fused(eid, input, ctx, exprs, caches, va)?
-                }
-                ENode::Leaf(l) if **l == Expr::IsEmpty => {
-                    eval_subset_fused(eid, input, ctx, exprs, caches, va)?
-                }
-                // membership and the self-join share this head, the
-                // projected self-join and nest share the next
-                ENode::Compose(..) | ENode::Map(_)
-                    if crate::shapes::join_shape(
-                        eid,
-                        caches.cartprod,
-                        exprs,
-                        &mut caches.shapes,
-                    )
-                    .is_some() =>
-                {
-                    eval_join_fused(eid, input, ctx, exprs, caches, va)?
-                }
-                ENode::Compose(..) => eval_member_fused(eid, input, ctx, exprs, caches, va)?,
-                ENode::Map(_) => eval_nest_fused(eid, input, ctx, exprs, caches, va)?,
-                _ => None,
-            }
-        } else if matches!(*exprs.node_ref(eid), ENode::Tuple(..)) {
-            eval_projpair_fused(eid, input, ctx, exprs, caches, va)?
-        } else {
-            None
-        };
-        if let Some(output) = fused {
+        if let Some(output) = eval_join_fused(eid, input, ctx, exprs, caches, va)? {
             if memo {
                 caches
                     .memo
@@ -686,9 +551,6 @@ pub(crate) fn eval_eid(
     let node = exprs.node_ref(eid);
     ctx.node(node.head_index())?;
     let output = match node {
-        ENode::Leaf(leaf) if ctx.config.semi_naive && **leaf == Expr::Flatten => {
-            eval_flatten_delta(eid, input, ctx, caches, va)?
-        }
         ENode::Leaf(leaf) => eval_leaf_rule(leaf, input, ctx, va)?,
         recursive => {
             ctx.observe_vid(va, input)?;
@@ -698,7 +560,16 @@ pub(crate) fn eval_eid(
                     let b = eval_eid(g, input, ctx, exprs, caches, va)?;
                     va.pair(a, b)
                 }
-                ENode::Map(f) => eval_map_eid(eid, f, input, ctx, exprs, caches, va)?,
+                ENode::Map(f) => {
+                    let items = va
+                        .as_set(input)
+                        .ok_or_else(|| stuck("map", "input is not a set"))?;
+                    let mut out = Vec::with_capacity(items.len());
+                    for &item in items.iter() {
+                        out.push(eval_eid(f, item, ctx, exprs, caches, va)?);
+                    }
+                    va.set_from_vec(out)
+                }
                 ENode::Cond(c, then, els) => {
                     let cv = eval_eid(c, input, ctx, exprs, caches, va)?;
                     match va.as_bool(cv) {
@@ -742,6 +613,13 @@ pub(crate) fn eval_eid(
     Ok(output)
 }
 
+/// The one-read pre-filter before the (cached) join recognition: a
+/// self-join starts `(μ ∘ …) ∘ …`, a projected one `map(⟨…⟩) ∘ …`.
+fn is_join_head(eid: EId, exprs: &ExprArena) -> bool {
+    matches!(*exprs.node_ref(eid), ENode::Compose(g, _)
+        if matches!(exprs.node_ref(g), ENode::Compose(..) | ENode::Map(_)))
+}
+
 /// Thread the `(total, delta)` pair of one semi-naive `while` iterate:
 /// record the frontier cardinality `|next ∖ current|` in
 /// [`EvalStats::while_frontiers`] — a count-only merge scan, nothing is
@@ -752,599 +630,6 @@ fn record_frontier(ctx: &mut Ctx, va: &ValueArena, current: VId, next: VId) {
             ctx.stats.while_frontiers.push(card);
         }
     }
-}
-
-/// The `map` rule of [`eval_eid`], with the semi-naive incremental
-/// path: `map(f)` distributes over union element-by-element, so when
-/// the input is a superset of the node's previous input, `{f(x) | x ∈
-/// fresh}` merged into the previous output *is* the full result —
-/// bit-for-bit, for every `f`.
-fn eval_map_eid(
-    eid: EId,
-    f: EId,
-    input: VId,
-    ctx: &mut Ctx,
-    exprs: &ExprArena,
-    caches: &mut MemoState,
-    va: &mut ValueArena,
-) -> Result<VId, EvalError> {
-    let items = va
-        .as_set(input)
-        .ok_or_else(|| stuck("map", "input is not a set"))?;
-    if ctx.config.semi_naive {
-        if let Some((prev_out, prev_cost, fresh)) = delta_probe(eid, input, &caches.delta, va) {
-            let fresh_items = va.as_set(fresh).expect("frontier is a set");
-            ctx.stats.delta_hits += 1;
-            ctx.stats.delta_skipped += (items.len() - fresh_items.len()) as u64;
-            let cost_start = ctx.charged_nodes;
-            ctx.charge(prev_cost)?;
-            let mut images = Vec::with_capacity(fresh_items.len());
-            for &item in fresh_items.iter() {
-                images.push(eval_eid(f, item, ctx, exprs, caches, va)?);
-            }
-            let imgs = va.set_from_vec(images);
-            let output = va
-                .set_merge_frontier(prev_out, &[imgs])
-                .expect("map outputs are sets");
-            let cost = ctx.charged_nodes - cost_start;
-            caches.delta.insert(
-                eid,
-                DeltaEntry {
-                    input,
-                    output,
-                    cost,
-                },
-            );
-            return Ok(output);
-        }
-    }
-    let cost_start = ctx.charged_nodes;
-    let mut out = Vec::with_capacity(items.len());
-    for &item in items.iter() {
-        out.push(eval_eid(f, item, ctx, exprs, caches, va)?);
-    }
-    let output = va.set_from_vec(out);
-    if ctx.config.semi_naive {
-        let cost = ctx.charged_nodes - cost_start;
-        caches.delta.insert(
-            eid,
-            DeltaEntry {
-                input,
-                output,
-                cost,
-            },
-        );
-    }
-    Ok(output)
-}
-
-/// The fused delta-join rule for the Prop 2.1 derived product: when the
-/// semi-naive walker reaches the (hash-consed, hence recognisable)
-/// `cartprod` term on a pair of sets, it constructs `A × B` directly in
-/// the arena instead of deriving the `μ ∘ map(ρ₂) ∘ ρ₁` spread — and
-/// when the node's previous application was on `(Aₚ ⊆ A, Bₚ ⊆ B)` (the
-/// steady state of the self-join inside `tc_step`), only the delta
-/// products are built and merged into the previous result:
-///
-/// ```text
-/// A × B  =  Aₚ × Bₚ  ∪  δA × B  ∪  Aₚ × δB
-/// ```
-///
-/// The output is the canonical set either way — bit-for-bit the derived
-/// result. The §3 observations of this rule are the judgment's own
-/// boundary objects (a *subset* of the derivation's, so counters never
-/// inflate and the complexity never grows); the skipped spread is the
-/// point — semi-naive turns the dominant `O(iterations × |closure|²)`
-/// re-materialisation into `O(|closure|²)` total work. Returns
-/// `Ok(None)` when the input is not a pair of sets (the caller falls
-/// back to the ordinary derivation, which reports the proper stuck
-/// state).
-fn eval_cartprod_fused(
-    eid: EId,
-    input: VId,
-    ctx: &mut Ctx,
-    caches: &mut MemoState,
-    va: &mut ValueArena,
-) -> Result<Option<VId>, EvalError> {
-    #[derive(Clone, Copy)]
-    enum Plan {
-        /// Build `A × B` from scratch.
-        Full(VId, VId),
-        /// Build `δA × B ∪ Aₚ × δB` and merge into the previous output.
-        Delta {
-            prev_out: VId,
-            a_prev: VId,
-            delta_a: VId,
-            b: VId,
-            delta_b: VId,
-        },
-    }
-    let plan = (|va: &mut ValueArena| {
-        let (a, b) = va.as_pair(input)?;
-        va.as_set(a)?;
-        va.as_set(b)?;
-        let incremental = caches.delta.get(&eid).copied().and_then(|e| {
-            let (a_prev, b_prev) = va.as_pair(e.input)?;
-            if !(va.is_subset(a_prev, a)? && va.is_subset(b_prev, b)?) {
-                return None;
-            }
-            let delta_a = va.set_difference(a, a_prev)?;
-            let delta_b = va.set_difference(b, b_prev)?;
-            Some(Plan::Delta {
-                prev_out: e.output,
-                a_prev,
-                delta_a,
-                b,
-                delta_b,
-            })
-        });
-        Some(incremental.unwrap_or(Plan::Full(a, b)))
-    })(va);
-    let Some(plan) = plan else {
-        return Ok(None);
-    };
-    // one derivation node for the fused judgment, plus its two boundary
-    // observations — a strict subset of what the spread would observe
-    ctx.node(ENode::Compose(eid, eid).head_index())?;
-    ctx.observe_vid(va, input)?;
-    let output = match plan {
-        Plan::Full(a, b) => {
-            let xs = va.as_set(a).expect("checked above");
-            let ys = va.as_set(b).expect("checked above");
-            let mut pairs = Vec::with_capacity(xs.len() * ys.len());
-            for &x in xs.iter() {
-                for &y in ys.iter() {
-                    pairs.push(va.pair(x, y));
-                }
-            }
-            va.set_from_vec(pairs)
-        }
-        Plan::Delta {
-            prev_out,
-            a_prev,
-            delta_a,
-            b,
-            delta_b,
-        } => {
-            let da = va.as_set(delta_a).expect("frontier is a set");
-            let db = va.as_set(delta_b).expect("frontier is a set");
-            let ys = va.as_set(b).expect("checked above");
-            let xs_prev = va.as_set(a_prev).expect("previous input was a set");
-            let mut pairs = Vec::with_capacity(da.len() * ys.len() + xs_prev.len() * db.len());
-            for &x in da.iter() {
-                for &y in ys.iter() {
-                    pairs.push(va.pair(x, y));
-                }
-            }
-            for &x in xs_prev.iter() {
-                for &y in db.iter() {
-                    pairs.push(va.pair(x, y));
-                }
-            }
-            let fresh = va.set_from_vec(pairs);
-            va.set_merge_frontier(prev_out, &[fresh])
-                .expect("products are sets")
-        }
-    };
-    if let Plan::Delta { prev_out, .. } = plan {
-        ctx.stats.delta_hits += 1;
-        ctx.stats.delta_skipped += va.cardinality(prev_out).unwrap_or(0) as u64;
-    }
-    ctx.observe_vid(va, output)?;
-    caches.delta.insert(
-        eid,
-        DeltaEntry {
-            input,
-            output,
-            cost: 0,
-        },
-    );
-    Ok(Some(output))
-}
-
-/// The fused rule for projection-equality predicates
-/// `=_N ∘ ⟨π-chain, π-chain⟩` — the coordinate comparison at the heart
-/// of every Prop 2.1 join condition (`eq_coords`). Both coordinates are
-/// read by direct arena walks and compared, under a single borrow —
-/// one derivation node instead of the ~8-node compose/tuple/projection
-/// spread, with the same boolean. Returns `Ok(None)` when the shape
-/// does not match or the input does not fit it (fall back to the
-/// ordinary derivation and its stuck reporting).
-fn eval_projeq_fused(
-    eid: EId,
-    input: VId,
-    ctx: &mut Ctx,
-    exprs: &ExprArena,
-    caches: &mut MemoState,
-    va: &mut ValueArena,
-) -> Result<Option<VId>, EvalError> {
-    let recognised = caches.projeqs.entry(eid).or_insert_with(|| {
-        let ENode::Compose(_, f) = *exprs.node_ref(eid) else {
-            return None;
-        };
-        let ENode::Tuple(p1, p2) = *exprs.node_ref(f) else {
-            return None;
-        };
-        let (mut a, mut b) = (ProjPath::new(), ProjPath::new());
-        proj_path(p1, exprs, &mut a)?;
-        proj_path(p2, exprs, &mut b)?;
-        Some((a, b))
-    });
-    let Some((p1, p2)) = recognised else {
-        return Ok(None);
-    };
-    let output = (|| {
-        let x = apply_proj(va, input, p1)?;
-        let y = apply_proj(va, input, p2)?;
-        match (va.as_nat(x), va.as_nat(y)) {
-            (Some(m), Some(n)) => Some(m == n),
-            _ => None,
-        }
-    })();
-    let Some(output) = output else {
-        return Ok(None);
-    };
-    let output = va.bool_(output);
-    ctx.node(ENode::Compose(eid, eid).head_index())?;
-    ctx.observe_vid(va, input)?;
-    ctx.observe_vid(va, output)?;
-    Ok(Some(output))
-}
-
-/// The fused rule for projection tupling `⟨π-chain, π-chain⟩` — the
-/// re-assembly step of every Prop 2.1 join (`tuple(coord_a, coord_d)`).
-/// One derivation node and one arena borrow instead of the
-/// compose/projection spread; the pair is bit-identical. `Ok(None)`
-/// falls back as in [`eval_projeq_fused`].
-fn eval_projpair_fused(
-    eid: EId,
-    input: VId,
-    ctx: &mut Ctx,
-    exprs: &ExprArena,
-    caches: &mut MemoState,
-    va: &mut ValueArena,
-) -> Result<Option<VId>, EvalError> {
-    let recognised = caches.projpairs.entry(eid).or_insert_with(|| {
-        let ENode::Tuple(p1, p2) = *exprs.node_ref(eid) else {
-            return None;
-        };
-        let (mut a, mut b) = (ProjPath::new(), ProjPath::new());
-        proj_path(p1, exprs, &mut a)?;
-        proj_path(p2, exprs, &mut b)?;
-        // plain ⟨id, id⟩ (dup) gains nothing from fusion
-        (!(a.is_empty() && b.is_empty())).then_some((a, b))
-    });
-    let Some((p1, p2)) = recognised else {
-        return Ok(None);
-    };
-    let output = (|| {
-        let x = apply_proj(va, input, p1)?;
-        let y = apply_proj(va, input, p2)?;
-        Some((x, y))
-    })();
-    let Some((x, y)) = output else {
-        return Ok(None);
-    };
-    let output = va.pair(x, y);
-    ctx.node(ENode::Tuple(eid, eid).head_index())?;
-    ctx.observe_vid(va, input)?;
-    ctx.observe_vid(va, output)?;
-    Ok(Some(output))
-}
-
-/// The fused rule for the Prop 2.1 selection
-/// `σ_p = μ ∘ map(if p then η else ∅ˢ ∘ !)`: evaluate the predicate
-/// per element (a full, memo-shared §3 sub-derivation — selection
-/// semantics stay honest) but keep the kept elements directly instead
-/// of deriving the singleton/empty wrapping and the `μ` merge over
-/// `|S|` singletons. Combined with the delta cache, a grown input
-/// evaluates `p` on the frontier only and merges the newly selected
-/// elements into the previous result — bit-for-bit the derived output,
-/// with the §3 counters only ever shrinking. Returns `Ok(None)` when
-/// the input is not a set (the caller falls back to the ordinary
-/// derivation and its stuck reporting).
-fn eval_select_fused(
-    eid: EId,
-    pred: EId,
-    input: VId,
-    ctx: &mut Ctx,
-    exprs: &ExprArena,
-    caches: &mut MemoState,
-    va: &mut ValueArena,
-) -> Result<Option<VId>, EvalError> {
-    let Some(items) = va.as_set(input) else {
-        return Ok(None);
-    };
-    // one derivation node for the fused judgment + boundary observations
-    ctx.node(ENode::Compose(eid, eid).head_index())?;
-    ctx.observe_vid(va, input)?;
-    let probed = delta_probe(eid, input, &caches.delta, va);
-    let (prev_out, prev_cost, fresh_items) = match probed {
-        Some((prev_out, prev_cost, fresh)) => {
-            let fresh_items = va.as_set(fresh).expect("frontier is a set");
-            ctx.stats.delta_hits += 1;
-            ctx.stats.delta_skipped += (items.len() - fresh_items.len()) as u64;
-            (Some(prev_out), prev_cost, fresh_items)
-        }
-        None => (None, 0, items),
-    };
-    let cost_start = ctx.charged_nodes;
-    ctx.charge(prev_cost)?;
-    let mut selected = Vec::new();
-    for &item in fresh_items.iter() {
-        let verdict = eval_eid(pred, item, ctx, exprs, caches, va)?;
-        match va.as_bool(verdict) {
-            Some(true) => selected.push(item),
-            Some(false) => {}
-            None => return Err(stuck("if", "condition is not boolean")),
-        }
-    }
-    // `selected` preserves the canonical element order, so this is a
-    // sort of an already-sorted vector plus one merge
-    let sel = va.set_from_vec(selected);
-    let output = match prev_out {
-        Some(prev) => va
-            .set_merge_frontier(prev, &[sel])
-            .expect("selections are sets"),
-        None => sel,
-    };
-    ctx.observe_vid(va, output)?;
-    let cost = ctx.charged_nodes - cost_start;
-    caches.delta.insert(
-        eid,
-        DeltaEntry {
-            input,
-            output,
-            cost,
-        },
-    );
-    Ok(Some(output))
-}
-
-/// The `μ` (flatten) rule of [`eval_eid`] under semi-naive iteration:
-/// `μ` distributes over union of its input's *elements*, so a grown
-/// input only needs its fresh inner sets folded into the previous
-/// output — the n-ary frontier merge, never a re-sort. Falls back to
-/// the one-shot [`eval_leaf_rule`] when the node has no usable
-/// previous application.
-fn eval_flatten_delta(
-    eid: EId,
-    input: VId,
-    ctx: &mut Ctx,
-    caches: &mut MemoState,
-    va: &mut ValueArena,
-) -> Result<VId, EvalError> {
-    let probed = delta_probe(eid, input, &caches.delta, va);
-    let output = match probed {
-        Some((prev_out, _, fresh)) => {
-            let fresh_sets = va.as_set(fresh).expect("frontier is a set");
-            ctx.stats.delta_hits += 1;
-            ctx.stats.delta_skipped +=
-                (va.cardinality(input).unwrap_or(0) - fresh_sets.len()) as u64;
-            ctx.observe_vid(va, input)?;
-            let output = va
-                .set_merge_frontier(prev_out, &fresh_sets)
-                .ok_or_else(|| stuck("flatten", "element is not a set"))?;
-            ctx.observe_vid(va, output)?;
-            output
-        }
-        None => eval_leaf_rule(&Expr::Flatten, input, ctx, va)?,
-    };
-    caches.delta.insert(
-        eid,
-        DeltaEntry {
-            input,
-            output,
-            cost: 0,
-        },
-    );
-    Ok(output)
-}
-
-/// The fused delta rule for the Prop 2.1 `unnest = μ ∘ map(ρ₂)` term
-/// (monomorphic, hence recognised by handle equality like `cartprod`):
-/// `unnest({(x₁,S₁),…})` is constructed directly in the arena as
-/// `⋃ᵢ {xᵢ} × Sᵢ` instead of deriving the map/ρ₂/μ spread — and since
-/// unnest distributes over union of its input's *elements*, a grown
-/// input (the steady state inside an inflationary `while`) only
-/// processes its fresh `(x, S)` pairs and folds the previous output in
-/// by a sorted merge. Bit-for-bit the derived result; the §3
-/// observations (the judgment's own boundary objects) are a subset of
-/// the spread's. Returns `Ok(None)` when the input does not fit the
-/// shape (the ordinary derivation then reports the proper stuck state).
-fn eval_unnest_fused(
-    eid: EId,
-    input: VId,
-    ctx: &mut Ctx,
-    caches: &mut MemoState,
-    va: &mut ValueArena,
-) -> Result<Option<VId>, EvalError> {
-    let Some(items) = va.as_set(input) else {
-        return Ok(None);
-    };
-    let probed = delta_probe(eid, input, &caches.delta, va);
-    let (prev_out, work_items) = match &probed {
-        Some((prev_out, _, fresh)) => (Some(*prev_out), va.as_set(*fresh).expect("frontier")),
-        None => (None, items.clone()),
-    };
-    let mut pairs = Vec::new();
-    for &item in work_items.iter() {
-        let Some((x, s)) = va.as_pair(item) else {
-            return Ok(None);
-        };
-        let Some(ys) = va.as_set(s) else {
-            return Ok(None);
-        };
-        for &y in ys.iter() {
-            pairs.push(va.pair(x, y));
-        }
-    }
-    ctx.node(ENode::Compose(eid, eid).head_index())?;
-    ctx.observe_vid(va, input)?;
-    let fresh_pairs = va.set_from_vec(pairs);
-    let output = match prev_out {
-        Some(prev) => {
-            ctx.stats.delta_hits += 1;
-            ctx.stats.delta_skipped += (items.len() - work_items.len()) as u64;
-            va.set_merge_frontier(prev, &[fresh_pairs])
-                .expect("unnest outputs are sets")
-        }
-        None => fresh_pairs,
-    };
-    ctx.observe_vid(va, output)?;
-    caches.delta.insert(
-        eid,
-        DeltaEntry {
-            input,
-            output,
-            cost: 0,
-        },
-    );
-    Ok(Some(output))
-}
-
-/// The fused rule for the Prop 2.1 membership predicate
-/// `∈ = ¬empty ∘ σ_{=ₜ} ∘ ρ₂` (recognised structurally at any element
-/// type — see [`crate::shapes`]): handle equality *is* structural
-/// equality within one arena, so `x ∈ S` is a binary search over `S`'s
-/// canonical element slice instead of spreading `{x} × S` and deriving
-/// `=ₜ` per element. One derivation node, the same boolean. `Ok(None)`
-/// on shape mismatch — or when the input does not *conform* to the
-/// witnessed type `t`: the derived `=ₜ` is only total-and-structural on
-/// conforming values (it gets stuck on shape mismatches, and `=_unit`
-/// is constantly true on anything), so ill-typed inputs fall back to
-/// the ordinary derivation and keep its exact behaviour.
-fn eval_member_fused(
-    eid: EId,
-    input: VId,
-    ctx: &mut Ctx,
-    exprs: &ExprArena,
-    caches: &mut MemoState,
-    va: &mut ValueArena,
-) -> Result<Option<VId>, EvalError> {
-    let Some(t) = crate::shapes::member_elem_type(eid, exprs, &mut caches.shapes) else {
-        return Ok(None);
-    };
-    let Some((x, s)) = va.as_pair(input) else {
-        return Ok(None);
-    };
-    let Some(found) = va.set_contains(s, x) else {
-        return Ok(None);
-    };
-    let items = va.as_set(s).expect("checked above");
-    if !crate::shapes::conforms_cached(&mut caches.shapes, va, eid, x, &t)
-        || !items
-            .iter()
-            .all(|&y| crate::shapes::conforms_cached(&mut caches.shapes, va, eid, y, &t))
-    {
-        return Ok(None);
-    }
-    ctx.node(ENode::Compose(eid, eid).head_index())?;
-    ctx.observe_vid(va, input)?;
-    let output = va.bool_(found);
-    ctx.observe_vid(va, output)?;
-    Ok(Some(output))
-}
-
-/// The fused rule for the Prop 2.1 inclusion predicate
-/// `⊆ = empty ∘ σ_{∉} ∘ ρ₁` (recognised structurally at any element
-/// type): one merge scan over the two canonical element slices instead
-/// of the ρ₁ spread with a per-element membership sub-derivation.
-/// `Ok(None)` on shape mismatch or when either set's elements do not
-/// conform to the witnessed type (same soundness gate as
-/// [`eval_member_fused`]).
-fn eval_subset_fused(
-    eid: EId,
-    input: VId,
-    ctx: &mut Ctx,
-    exprs: &ExprArena,
-    caches: &mut MemoState,
-    va: &mut ValueArena,
-) -> Result<Option<VId>, EvalError> {
-    let Some(t) = crate::shapes::subset_elem_type(eid, exprs, &mut caches.shapes) else {
-        return Ok(None);
-    };
-    let Some((a, b)) = va.as_pair(input) else {
-        return Ok(None);
-    };
-    let Some(holds) = va.is_subset(a, b) else {
-        return Ok(None);
-    };
-    for set in [a, b] {
-        let items = va.as_set(set).expect("checked above");
-        if !items
-            .iter()
-            .all(|&y| crate::shapes::conforms_cached(&mut caches.shapes, va, eid, y, &t))
-        {
-            return Ok(None);
-        }
-    }
-    ctx.node(ENode::Compose(eid, eid).head_index())?;
-    ctx.observe_vid(va, input)?;
-    let output = va.bool_(holds);
-    ctx.observe_vid(va, output)?;
-    Ok(Some(output))
-}
-
-/// The fused rule for the Prop 2.1 grouping operator
-/// `nest(R) = {(x, {y | (x,y) ∈ R}) | x ∈ π₁(R)}` (recognised
-/// structurally at any key/value type): one grouping pass over `R`'s
-/// canonical elements instead of the π₁-image/ρ₁/σ spread whose
-/// intermediate product is quadratic in `|R|`.
-///
-/// Unlike `map`/`μ`/`unnest`, nest does **not** distribute over union —
-/// a grown input *replaces* group values rather than adding elements —
-/// so there is no frontier rule: the fused rule recomputes the grouping
-/// from the full input (linear, versus the derived spread's quadratic
-/// re-derivation). `Ok(None)` on shape mismatch, on non-pair elements,
-/// or when a key does not conform to the witnessed key type `s` (the
-/// derived `=ₛ` comparing keys is only structural on conforming values
-/// — same soundness gate as [`eval_member_fused`]).
-fn eval_nest_fused(
-    eid: EId,
-    input: VId,
-    ctx: &mut Ctx,
-    exprs: &ExprArena,
-    caches: &mut MemoState,
-    va: &mut ValueArena,
-) -> Result<Option<VId>, EvalError> {
-    let Some(key_type) = crate::shapes::nest_key_type(eid, exprs, &mut caches.shapes) else {
-        return Ok(None);
-    };
-    let Some(items) = va.as_set(input) else {
-        return Ok(None);
-    };
-    // group in canonical element order: keys first occur in that order,
-    // and each group's values arrive ascending (pairs sharing a first
-    // component sort by their second within the canonical slice)
-    let mut keys: Vec<VId> = Vec::new();
-    let mut groups: HashMap<VId, Vec<VId>, FxBuildHasher> = HashMap::default();
-    for &item in items.iter() {
-        let Some((x, y)) = va.as_pair(item) else {
-            return Ok(None);
-        };
-        if !crate::shapes::conforms_cached(&mut caches.shapes, va, eid, x, &key_type) {
-            return Ok(None);
-        }
-        groups
-            .entry(x)
-            .or_insert_with(|| {
-                keys.push(x);
-                Vec::new()
-            })
-            .push(y);
-    }
-    ctx.node(ENode::Compose(eid, eid).head_index())?;
-    ctx.observe_vid(va, input)?;
-    let mut out = Vec::with_capacity(keys.len());
-    for x in keys {
-        let ys = groups.remove(&x).expect("key recorded with its group");
-        let group = va.set_from_vec(ys);
-        out.push(va.pair(x, group));
-    }
-    let output = va.set_from_vec(out);
-    ctx.observe_vid(va, output)?;
-    Ok(Some(output))
 }
 
 /// The fused hash self-join for the Prop 2.1 shape
@@ -1391,7 +676,7 @@ fn eval_join_fused(
     caches: &mut MemoState,
     va: &mut ValueArena,
 ) -> Result<Option<VId>, EvalError> {
-    let Some(shape) = crate::shapes::join_shape(eid, caches.cartprod, exprs, &mut caches.shapes)
+    let Some(shape) = crate::shapes::join_shape(eid, caches.cartprod, exprs, &mut caches.joins)
     else {
         return Ok(None);
     };
@@ -1450,14 +735,7 @@ fn eval_join_fused(
         None => va.set_from_vec(pairs),
     };
     ctx.observe_vid(va, output)?;
-    caches.delta.insert(
-        eid,
-        DeltaEntry {
-            input,
-            output,
-            cost: 0,
-        },
-    );
+    caches.delta.insert(eid, DeltaEntry { input, output });
     Ok(Some(output))
 }
 

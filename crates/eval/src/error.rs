@@ -34,22 +34,22 @@ pub struct EvalConfig {
     /// exhaustion is strategy-independent.) Keep this off (the default)
     /// when the statistics must be the exact eager measure.
     pub memo: bool,
-    /// Enable **semi-naive (delta-driven) iteration**: `while` threads a
-    /// `(total, delta)` pair through its iterates, and the pointwise set
-    /// rules — `map` and `μ` (flatten) — evaluate only on the frontier
-    /// (the elements their input gained since the same rule last fired),
-    /// folding new facts into the previous result via the arena's
-    /// one-pass merge algebra
-    /// ([`set_merge_delta`](nra_core::value::intern::ValueArena::set_merge_delta),
-    /// [`set_merge_frontier`](nra_core::value::intern::ValueArena::set_merge_frontier)).
-    /// Because `map` and `μ` distribute over union element-by-element,
-    /// the results are **bit-for-bit** the naive-iteration results for
-    /// *every* body (both differential harnesses enforce this), and
-    /// `while_iterations` stays exact; like a memo hit, a skipped
-    /// sub-derivation is reported in
+    /// Enable **semi-naive (delta-driven) iteration**: the Prop 2.1
+    /// self-join `σ_p ∘ (cartprod ∘ ⟨id, id⟩)` — bare, or under the
+    /// trailing projection of relational composition — runs as one
+    /// fused hash join instead of deriving the product, and when its
+    /// input grew since the same node last fired it builds only the
+    /// joins touching the frontier (`δ ⋈ R ∪ Rₚ ⋈ δ`), folding them into
+    /// the previous answer with
+    /// [`set_merge_frontier`](nra_core::value::intern::ValueArena::set_merge_frontier);
+    /// `while` records each iterate's frontier. Every other node runs
+    /// the exact rule. The results are **bit-for-bit** the exact
+    /// results (both differential harnesses enforce this), and
+    /// `while_iterations` stays exact; the fused join is one derivation
+    /// node observing only its input and its answer, and the answers it
+    /// folds in rather than recomputes are reported in
     /// [`EvalStats::delta_skipped`](crate::stats::EvalStats::delta_skipped)
-    /// instead of inflating the §3 counters, while still charging its
-    /// recorded cost against [`EvalConfig::max_nodes`].
+    /// instead of inflating the §3 counters.
     pub semi_naive: bool,
     /// Route every session query through the **rewrite pass** installed
     /// with [`EvalSession::set_rewriter`](crate::EvalSession::set_rewriter)
@@ -93,9 +93,10 @@ impl EvalConfig {
         }
     }
 
-    /// An unbudgeted config with semi-naive (delta-driven) `while`
-    /// iteration enabled — see [`EvalConfig::semi_naive`]. Results are
-    /// bit-for-bit the naive-iteration results; only the cost changes.
+    /// An unbudgeted config with semi-naive iteration enabled — the
+    /// fused self-join and its delta form, see
+    /// [`EvalConfig::semi_naive`]. Results are bit-for-bit the exact
+    /// results; only the cost changes.
     ///
     /// ```
     /// use nra_core::{queries, Value};
@@ -107,9 +108,9 @@ impl EvalConfig {
     /// // same closure, same fixpoint trajectory…
     /// assert_eq!(naive.result.unwrap(), delta.result.unwrap());
     /// assert_eq!(naive.stats.while_iterations, delta.stats.while_iterations);
-    /// // …but the body ran on the frontier only: elements already mapped
-    /// // in earlier iterates were folded in, not re-derived, so the §3
-    /// // counters only ever shrink
+    /// // …but the body's join ran as one fused node, on the frontier
+    /// // only once its input grew: answers of earlier iterates were
+    /// // folded in, not re-derived, so the §3 counters only ever shrink
     /// assert!(delta.stats.delta_skipped > 0);
     /// assert!(delta.stats.nodes < naive.stats.nodes);
     /// assert!(delta.stats.max_object_size <= naive.stats.max_object_size);
@@ -122,9 +123,9 @@ impl EvalConfig {
     }
 
     /// Everything on: the apply cache **and** semi-naive iteration —
-    /// the configuration the benchmarks call "seminaive" (the delta
-    /// rules skip whole repeated frontiers; the apply cache catches the
-    /// repeats the delta rules cannot see).
+    /// the configuration the benchmarks call "seminaive" (the fused
+    /// join skips the product and its repeated frontiers; the apply
+    /// cache catches repeated judgments everywhere else).
     pub fn optimised() -> Self {
         EvalConfig {
             memo: true,

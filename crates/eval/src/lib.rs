@@ -64,17 +64,16 @@
 //! node budget, so budget exhaustion is strategy-independent.
 //!
 //! Orthogonally, [`EvalConfig::semi_naive`] turns on **semi-naive
-//! (delta-driven) iteration**: `while` threads a `(total, delta)` pair
-//! through its iterates, the pointwise set rules (`map`, `μ`) evaluate
-//! only on the frontier their input gained since they last fired, and
-//! recognisable Prop 2.1 derived shapes (cartesian product, unnest,
-//! selection, projection chains, inclusion, membership, `nest` and the
-//! self-join) run fused rules instead of re-deriving their combinator
-//! spreads. Results and the fixpoint trajectory are
-//! bit-for-bit the naive ones; the §3 counters only ever shrink, with
-//! skipped work reported in [`EvalStats::delta_hits`]/`delta_skipped`
-//! and the per-iterate frontier trace in
-//! [`EvalStats::while_frontiers`]. [`EvalConfig::optimised`] combines
+//! (delta-driven) iteration**, one fused rule: the Prop 2.1 self-join
+//! `σ_p(R × R)` — bare or projected, the join inside relational
+//! composition — runs as a hash join instead of deriving the product,
+//! and on a grown input builds only the joins touching the frontier
+//! (`δ ⋈ R ∪ Rₚ ⋈ δ`); `while` records each iterate's frontier. Every
+//! other node runs the exact rule. Results and the fixpoint trajectory
+//! are bit-for-bit the naive ones; the §3 counters only ever shrink,
+//! with the join's incremental applications reported in
+//! [`EvalStats::delta_hits`]/`delta_skipped` and the per-iterate
+//! frontier trace in [`EvalStats::while_frontiers`]. [`EvalConfig::optimised`] combines
 //! both switches — the configuration the benchmarks call "seminaive" —
 //! and [`EvalConfig::rewritten`] adds the pre-evaluation rewrite pass on
 //! top, the serving default.

@@ -9,7 +9,7 @@
 //! * a [`ValueArena`] and an [`ExprArena`] (the §3 store of complex
 //!   objects and the hash-consed expressions over it);
 //! * a view of an apply table `(EId, VId) → VId` ([`crate::memo`]) and
-//!   the shape-recognition / delta caches of the cached walker;
+//!   the join-recognition and delta caches of the cached walker;
 //! * the [`EvalConfig`] every query of the session runs under.
 //!
 //! Owning the state buys three things:

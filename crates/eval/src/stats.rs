@@ -54,20 +54,18 @@ pub struct EvalStats {
     /// cache across `eval` calls and re-derivations of judgments already
     /// seen by previous queries land here.
     pub warm_hits: u64,
-    /// Number of `map`/`μ` applications served incrementally by the
-    /// semi-naive delta rules (only nonzero under
+    /// Number of fused self-join applications served incrementally
+    /// (only nonzero under
     /// [`EvalConfig::semi_naive`](crate::error::EvalConfig::semi_naive)):
-    /// the rule's input was a superset of its previous input, so the
-    /// body ran on the frontier only and the previous result was folded
-    /// in by a sorted merge.
+    /// the join's input was a superset of its previous input, so only
+    /// the joins touching the frontier were built and the previous
+    /// answer was folded in by a sorted merge.
     pub delta_hits: u64,
-    /// Element sub-derivations skipped by those incremental
-    /// applications. Like `memo_hits`, skips are reported *separately*:
-    /// they contribute nothing to `nodes`/`total_size`/
+    /// Previous answers those incremental applications folded in
+    /// rather than recomputed. Like `memo_hits`, skips are reported
+    /// *separately*: they contribute nothing to `nodes`/`total_size`/
     /// `max_object_size` (every skipped object already occurred, and
-    /// was observed, earlier in the same evaluation), but their
-    /// recorded cost still counts against
-    /// [`EvalConfig::max_nodes`](crate::error::EvalConfig::max_nodes).
+    /// was observed, earlier in the same evaluation).
     pub delta_skipped: u64,
     /// Frontier cardinality per `while` iteration — `|cₖ₊₁ ∖ cₖ|` for
     /// each iterate, in order (the `(total, delta)` pair the semi-naive

@@ -24,12 +24,12 @@ fn edge_ty() -> Type {
     Type::prod(Type::Nat, Type::Nat)
 }
 
-/// Queries exercising the fused derived shapes — `nest`/`unnest`,
+/// Queries over the Prop 2.1 derived shapes — `nest`/`unnest`,
 /// membership and inclusion predicates (via `∩`, `∖`, `⊆`, `=` at set
 /// types), the self-join `σ_p(R × R)` — each of type `{N × N} → t` so
 /// the family graphs feed them directly, and most wrapping a growing
-/// `tc_step` so the semi-naive walker sees the shapes re-fire on grown
-/// inputs.
+/// `tc_step` so the semi-naive walker sees the fused self-join re-fire
+/// on grown inputs inside the exact derivations of the other shapes.
 fn fused_shape_queries() -> Vec<(&'static str, nra_core::Expr)> {
     let rel = Type::set(edge_ty());
     vec![
@@ -269,7 +269,7 @@ fn lazy_agrees_with_eager_on_all_families() {
     );
 }
 
-/// The configuration servers run (memo + semi-naive, fused rules) must
+/// The configuration servers run (memo + semi-naive, fused join) must
 /// agree with the classical closure as an external referee too; the
 /// default eager and lazy runs are refereed in
 /// `lazy_agrees_with_eager_on_all_families`.
@@ -331,7 +331,7 @@ fn seminaive_agrees_with_naive_on_all_families() {
                         );
                         assert!(
                             delta.stats.max_object_size <= naive.stats.max_object_size,
-                            "{family}: {mode} {q} — fused rules observe a subset of the objects"
+                            "{family}: {mode} {q} — the fused join observes a subset of the objects"
                         );
                     }
                     // the default mode never counts delta activity
@@ -404,8 +404,8 @@ fn lazy_space_undercuts_eager_on_chains() {
     }
 }
 
-/// The fused rules for `nest`/`unnest` and the membership/inclusion
-/// predicates must change the cost, never the answer: on every family,
+/// The fused self-join, wherever it sits among the other derived
+/// shapes, must change the cost, never the answer: on every family,
 /// semi-naive evaluation of the shape-bearing queries is bit-for-bit
 /// the naive (and tree-path) result, with the §3 counters only ever
 /// shrinking.
@@ -442,7 +442,7 @@ fn fused_derived_shapes_agree_with_naive_on_all_families() {
                         );
                         assert!(
                             delta.stats.max_object_size <= naive.stats.max_object_size,
-                            "{family}: {mode} {label} — fused rules observe a subset of the objects"
+                            "{family}: {mode} {label} — the fused join observes a subset of the objects"
                         );
                         assert_eq!(
                             naive.stats.while_iterations, delta.stats.while_iterations,
@@ -455,101 +455,14 @@ fn fused_derived_shapes_agree_with_naive_on_all_families() {
     );
 }
 
-/// The fused membership/inclusion/nest rules actually fire: on a
-/// non-trivial input the semi-naive derivation is strictly smaller than
-/// the exact §3 one (the combinator spreads collapse to single fused
-/// judgments), and the delta-driven `unnest` reports frontier skips
-/// inside the fixpoint.
-#[test]
-fn fused_derived_shapes_fire() {
-    let input = Value::chain(5);
-    for (label, q) in fused_shape_queries() {
-        let naive = evaluate(&q, &input, &EvalConfig::default());
-        let delta = evaluate(&q, &input, &EvalConfig::semi_naive());
-        assert_eq!(
-            naive.result.as_ref().unwrap(),
-            delta.result.as_ref().unwrap(),
-            "{label}"
-        );
-        assert!(
-            delta.stats.nodes < naive.stats.nodes,
-            "{label}: expected fused rules to shrink {} nodes, got {}",
-            naive.stats.nodes,
-            delta.stats.nodes
-        );
-    }
-    // the round-trip fixpoint re-fires unnest on grown groupings:
-    // the delta rule must serve it incrementally
-    let (label, roundtrip) = &fused_shape_queries()[0];
-    let delta = evaluate(roundtrip, &input, &EvalConfig::semi_naive());
-    assert!(
-        delta.stats.delta_hits > 0,
-        "{label}: expected delta hits, stats {:?}",
-        delta.stats
-    );
-}
-
-/// Every fused rule of the semi-naive walker, pinned by its exact §3
-/// node count on a fixed small input. A fused rule that stops firing
-/// leaves every result bit-for-bit unchanged — only the derivation
-/// grows back to the combinator spread — so these counts are what
-/// notices it. One entry per rule, each shape in its smallest form.
+/// The fused rule of the semi-naive walker, pinned by its exact §3 node
+/// count on a fixed small input. A fused rule that stops firing leaves
+/// every result bit-for-bit unchanged — only the derivation grows back
+/// to the combinator spread — so these counts are what notices it. One
+/// entry per form of the self-join: bare and projected.
 #[test]
 fn every_fused_rule_is_pinned() {
-    let nat = Type::Nat;
-    let nats = |xs: &[u64]| Value::set(xs.iter().map(|&x| Value::nat(x)));
     let entries: Vec<(&str, nra_core::Expr, Value, u64)> = vec![
-        (
-            "cartprod",
-            derived::cartprod(),
-            Value::pair(nats(&[1, 2, 3]), nats(&[4, 5])),
-            1,
-        ),
-        (
-            "unnest",
-            derived::unnest(),
-            Value::set([
-                Value::pair(Value::nat(1), nats(&[2, 3])),
-                Value::pair(Value::nat(4), nats(&[5])),
-            ]),
-            1,
-        ),
-        (
-            "select",
-            derived::select(derived::nonempty(), Type::set(nat.clone())),
-            Value::set([nats(&[]), nats(&[1]), nats(&[2, 3])]),
-            22,
-        ),
-        (
-            "projeq",
-            compose(eq_nat(), tuple(compose(fst(), fst()), snd())),
-            Value::pair(Value::edge(1, 2), Value::nat(1)),
-            1,
-        ),
-        (
-            "projpair",
-            tuple(snd(), compose(fst(), fst())),
-            Value::pair(Value::edge(1, 2), Value::nat(3)),
-            1,
-        ),
-        (
-            "subset",
-            derived::subset(&nat),
-            Value::pair(nats(&[1, 2]), nats(&[1, 2, 3])),
-            1,
-        ),
-        (
-            "member",
-            derived::member(&nat),
-            Value::pair(Value::nat(2), nats(&[1, 2, 3])),
-            1,
-        ),
-        (
-            "nest",
-            derived::nest(&nat, &nat),
-            Value::set([Value::edge(1, 2), Value::edge(1, 3), Value::edge(2, 4)]),
-            1,
-        ),
         ("join", bare_compose_join(), Value::chain(4), 1),
         ("project-join", queries::compose_rel(), Value::chain(4), 1),
     ];
@@ -561,6 +474,79 @@ fn every_fused_rule_is_pinned() {
             fused.stats.nodes, nodes,
             "{rule}: fused node count drifted (the exact derivation has {})",
             exact.stats.nodes
+        );
+    }
+}
+
+/// The self-join is the only fused shape: the other Prop 2.1 derived
+/// shapes run their exact derivation under semi-naive too, so each one
+/// reports the same result, node count, §3 peak and per-rule counts as
+/// under the default config.
+#[test]
+fn only_the_join_is_fused() {
+    let nat = Type::Nat;
+    let nats = |xs: &[u64]| Value::set(xs.iter().map(|&x| Value::nat(x)));
+    let entries: Vec<(&str, nra_core::Expr, Value)> = vec![
+        (
+            "cartprod",
+            derived::cartprod(),
+            Value::pair(nats(&[1, 2, 3]), nats(&[4, 5])),
+        ),
+        (
+            "unnest",
+            derived::unnest(),
+            Value::set([
+                Value::pair(Value::nat(1), nats(&[2, 3])),
+                Value::pair(Value::nat(4), nats(&[5])),
+            ]),
+        ),
+        (
+            "select",
+            derived::select(derived::nonempty(), Type::set(nat.clone())),
+            Value::set([nats(&[]), nats(&[1]), nats(&[2, 3])]),
+        ),
+        (
+            "projeq",
+            compose(eq_nat(), tuple(compose(fst(), fst()), snd())),
+            Value::pair(Value::edge(1, 2), Value::nat(1)),
+        ),
+        (
+            "projpair",
+            tuple(snd(), compose(fst(), fst())),
+            Value::pair(Value::edge(1, 2), Value::nat(3)),
+        ),
+        (
+            "subset",
+            derived::subset(&nat),
+            Value::pair(nats(&[1, 2]), nats(&[1, 2, 3])),
+        ),
+        (
+            "member",
+            derived::member(&nat),
+            Value::pair(Value::nat(2), nats(&[1, 2, 3])),
+        ),
+        (
+            "nest",
+            derived::nest(&nat, &nat),
+            Value::set([Value::edge(1, 2), Value::edge(1, 3), Value::edge(2, 4)]),
+        ),
+    ];
+    for (shape, q, input) in entries {
+        let exact = evaluate(&q, &input, &EvalConfig::default());
+        let semi = evaluate(&q, &input, &EvalConfig::semi_naive());
+        assert_eq!(exact.result, semi.result, "{shape}");
+        assert_eq!(
+            (
+                semi.stats.nodes,
+                semi.stats.max_object_size,
+                &semi.stats.rule_counts
+            ),
+            (
+                exact.stats.nodes,
+                exact.stats.max_object_size,
+                &exact.stats.rule_counts
+            ),
+            "{shape}: semi-naive must run the exact derivation"
         );
     }
 }
@@ -650,11 +636,11 @@ fn lazy_bounded_witness_tc_agrees_on_all_families() {
     );
 }
 
-/// The conformance gate of the fused predicate rules: on *ill-typed*
-/// inputs the derived terms have observable behaviour of their own
-/// (stuck states; `=_unit` constantly true), and the fused rules must
-/// fall back rather than answer from handle comparisons — semi-naive
-/// stays bit-for-bit the exact derivation even off the well-typed path.
+/// On *ill-typed* inputs the derived terms have observable behaviour of
+/// their own (stuck states; `=_unit` constantly true): semi-naive stays
+/// bit-for-bit the exact derivation even off the well-typed path, and
+/// the self-join's totality gate falls back to the derivation rather
+/// than answer from handle comparisons.
 #[test]
 fn fused_predicates_preserve_ill_typed_semantics() {
     use nra_eval::EvalError;
@@ -684,7 +670,7 @@ fn fused_predicates_preserve_ill_typed_semantics() {
         assert_eq!(
             ev.result.unwrap(),
             Value::TRUE,
-            "member(unit) ignores element structure — fused must agree"
+            "member(unit) ignores element structure — every config must agree"
         );
     }
     // subset(N) with a boolean hiding in the left set: stuck preserved

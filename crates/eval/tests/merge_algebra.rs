@@ -1,7 +1,7 @@
 //! Differential tests for the arena-native set algebra: the sorted-merge
-//! operations on `ValueArena` (`set_union` / `set_intersection` /
-//! `set_difference` / `is_subset` / `set_contains` /
-//! `set_from_sorted_merge`) must agree with the *tree-side* semantics —
+//! operations on `ValueArena` (`set_union` / `set_difference` /
+//! `is_subset` / `set_delta_cardinality` / `set_from_sorted_merge` /
+//! `set_merge_frontier`) must agree with the *tree-side* semantics —
 //! the Prop 2.1 `derived` terms run through the evaluator, and the
 //! `BTreeSet` algebra on resolved values — on randomized relations.
 
@@ -45,11 +45,14 @@ fn merge_union_agrees_with_the_primitive_and_btreeset() {
     });
 }
 
+/// `a ∩ b` by two merge differences, `a ∖ (a ∖ b)`, against the
+/// derived `∩` (a selection on `∈`) through the evaluator.
 #[test]
 fn merge_intersection_agrees_with_derived() {
     check("merge_intersection_agrees", CASES, |_, rng| {
         let (a, b, ia, ib) = random_pair(rng);
-        let merged = intern::set_intersection(ia, ib).expect("sets");
+        let a_only = intern::set_difference(ia, ib).expect("sets");
+        let merged = intern::set_difference(ia, a_only).expect("sets");
         let via_derived = eval(
             &derived::intersect(&edge_ty()),
             &Value::pair(a.clone(), b.clone()),
@@ -85,9 +88,11 @@ fn merge_subset_and_membership_agree_with_derived() {
         .unwrap();
         assert_eq!(Value::Bool(subset), via_derived, "{a} ⊆ {b}");
 
-        // membership of each element of a ∪ b, against ∈ at the edge type
+        // membership of each element of a ∪ b as the inclusion of its
+        // singleton, against ∈ at the edge type
         for edge in a.as_set().unwrap().iter().chain(b.as_set().unwrap()) {
-            let contains = intern::set_contains(ib, intern::intern(edge)).expect("set");
+            let singleton = intern::intern(&Value::set([edge.clone()]));
+            let contains = intern::is_subset(singleton, ib).expect("sets");
             let via_member = eval(
                 &derived::member(&edge_ty()),
                 &Value::pair(edge.clone(), b.clone()),
@@ -114,24 +119,26 @@ fn nary_merge_agrees_with_flatten() {
     });
 }
 
+/// The frontier algebra the fused join's delta form and the `while`
+/// frontier trace read: `b ∖ a` by merge against the derived `∖`, its
+/// count-only cardinality, and the superset test `a ⊆ b ⇔ a ∪ b = b`.
 #[test]
-fn merge_delta_is_union_plus_difference_on_random_sets() {
-    check("merge_delta_is_union_plus_difference", CASES, |_, rng| {
+fn frontier_algebra_agrees_with_derived_on_random_sets() {
+    check("frontier_algebra_agrees_with_derived", CASES, |_, rng| {
         let (a, b, ia, ib) = random_pair(rng);
-        let (union, fresh) = intern::set_merge_delta(ia, ib).expect("sets");
-        // the one-pass result against the two separate merge ops…
-        assert_eq!(union, intern::set_union(ia, ib).unwrap(), "{a} ∪ {b}");
-        assert_eq!(fresh, intern::set_difference(ib, ia).unwrap(), "{b} ∖ {a}");
-        // …against the Prop 2.1 derived terms through the evaluator…
-        let via_union = eval(&builder::union(), &Value::pair(a.clone(), b.clone())).unwrap();
+        let fresh = intern::set_difference(ib, ia).expect("sets");
         let via_diff = eval(
             &derived::difference(&edge_ty()),
             &Value::pair(b.clone(), a.clone()),
         )
         .unwrap();
-        assert_eq!(intern::resolve(union), via_union);
-        assert_eq!(intern::resolve(fresh), via_diff);
-        // …and the semi-naive superset test: old ⊆ new ⇔ union == new
+        assert_eq!(intern::resolve(fresh), via_diff, "{b} ∖ {a}");
+        assert_eq!(
+            intern::set_delta_cardinality(ia, ib),
+            intern::cardinality(fresh).map(|n| n as u64),
+            "|{b} ∖ {a}|"
+        );
+        let union = intern::set_union(ia, ib).unwrap();
         assert_eq!(union == ib, intern::is_subset(ia, ib).unwrap(), "{a} ⊆ {b}");
     });
 }
@@ -167,13 +174,11 @@ fn merge_ops_refuse_non_sets() {
     let n = intern::nat(3);
     let s = intern::chain(2);
     assert_eq!(intern::set_union(n, s), None);
-    assert_eq!(intern::set_intersection(s, n), None);
     assert_eq!(intern::set_difference(n, n), None);
     assert_eq!(intern::is_subset(n, s), None);
-    assert_eq!(intern::set_contains(n, s), None);
     assert_eq!(intern::set_from_sorted_merge(&[s, n]), None);
-    assert_eq!(intern::set_merge_delta(n, s), None);
-    assert_eq!(intern::set_merge_delta(s, n), None);
+    assert_eq!(intern::set_delta_cardinality(n, s), None);
+    assert_eq!(intern::set_delta_cardinality(s, n), None);
     assert_eq!(intern::set_merge_frontier(n, &[s]), None);
     assert_eq!(intern::set_merge_frontier(s, &[n]), None);
 }

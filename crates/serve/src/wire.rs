@@ -320,7 +320,11 @@ impl LineSender {
 pub struct LineReceiver {
     rx: Receiver<Vec<u8>>,
     buf: Vec<u8>,
-    /// Leading bytes of `buf` already searched for a newline.
+    /// Leading bytes of `buf` already handed out as lines; dropped once
+    /// per received chunk, so a chunk of k lines costs O(k) to split.
+    consumed: usize,
+    /// Bytes of the pending line (after `consumed`) already searched
+    /// for a newline.
     scanned: usize,
     /// The line cap, if any ([`LineReceiver::set_max_line`]).
     max_line: Option<usize>,
@@ -333,6 +337,7 @@ impl LineReceiver {
         LineReceiver {
             rx,
             buf: Vec::new(),
+            consumed: 0,
             scanned: 0,
             max_line: None,
             discarding: None,
@@ -350,29 +355,39 @@ impl LineReceiver {
 
     /// The next complete line in the buffer, searching only the bytes
     /// that arrived since the last search. A line that is the whole
-    /// buffer takes the buffer; its bytes become the `String` in place
+    /// buffer takes the buffer; any other line is copied out and the
+    /// consumed prefix grows past it. Its bytes become the `String`
     /// unless they are not UTF-8, when each invalid sequence is replaced
     /// by U+FFFD.
     fn pop_line(&mut self) -> Option<Result<String, WireError>> {
-        let Some(at) = find_newline(&self.buf[self.scanned..]) else {
-            self.scanned = self.buf.len();
-            if self.discarding.is_none() && self.max_line.is_some_and(|max| self.buf.len() > max) {
-                self.discarding = Some(line_head(&self.buf));
+        let pending = &self.buf[self.consumed..];
+        let Some(at) = find_newline(&pending[self.scanned..]) else {
+            self.scanned = pending.len();
+            if self.discarding.is_none() && self.max_line.is_some_and(|max| pending.len() > max) {
+                self.discarding = Some(line_head(pending));
             }
             if self.discarding.is_some() {
                 self.buf.clear();
+                self.consumed = 0;
                 self.scanned = 0;
             }
             return None;
         };
-        let nl = self.scanned + at;
+        let nl = self.consumed + self.scanned + at;
         self.scanned = 0;
-        let mut line = if nl + 1 == self.buf.len() {
-            std::mem::take(&mut self.buf)
+        let line = if self.consumed == 0 && nl + 1 == self.buf.len() {
+            let mut line = std::mem::take(&mut self.buf);
+            line.pop();
+            line
         } else {
-            self.buf.drain(..=nl).collect()
+            let line = self.buf[self.consumed..nl].to_vec();
+            self.consumed = nl + 1;
+            if self.consumed == self.buf.len() {
+                self.buf.clear();
+                self.consumed = 0;
+            }
+            line
         };
-        line.pop();
         let head = match self.discarding.take() {
             Some(head) => head,
             None if self.max_line.is_some_and(|max| line.len() > max) => line_head(&line),
@@ -389,11 +404,14 @@ impl LineReceiver {
     }
 
     /// Append a received chunk to the buffer, or make it the buffer when
-    /// nothing is pending.
+    /// nothing is pending; either way the consumed prefix is dropped
+    /// first, once per chunk.
     fn push_chunk(&mut self, chunk: Vec<u8>) {
         if self.buf.is_empty() {
             self.buf = chunk;
         } else {
+            self.buf.drain(..self.consumed);
+            self.consumed = 0;
             self.buf.extend_from_slice(&chunk);
         }
     }
@@ -608,6 +626,23 @@ mod tests {
         assert_eq!(server.rx.recv_line(), Some(Ok("i;9;id".into())));
         drop(client);
         assert_eq!(server.rx.try_recv_line(), Err(WireError::Closed));
+    }
+
+    #[test]
+    fn one_chunk_of_many_frames_yields_every_line_in_order() {
+        let (client, mut server) = socketpair();
+        let lines: Vec<String> = (0..1000).map(|i| format!("t;{i};id;{i}")).collect();
+        // one chunk of many lines and a partial one, continued by a
+        // chunk that lands on the part-consumed buffer
+        let mut chunk = lines.join("\n").into_bytes();
+        chunk.extend_from_slice(b"\nlast;1");
+        client.tx.send_bytes(chunk).unwrap();
+        client.tx.send_bytes(b"000;id;0\n".to_vec()).unwrap();
+        for line in &lines {
+            assert_eq!(server.rx.recv_line(), Some(Ok(line.clone())));
+        }
+        assert_eq!(server.rx.recv_line(), Some(Ok("last;1000;id;0".into())));
+        assert_eq!(server.rx.try_recv_line(), Ok(None));
     }
 
     #[test]

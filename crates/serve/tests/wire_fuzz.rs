@@ -338,6 +338,31 @@ fn a_large_frame_in_one_byte_chunks_is_answered_promptly() {
     handle.join().expect("server thread must not die");
 }
 
+/// Frame splitting is linear in the frames of a chunk: 64,000 frames
+/// of 32 bytes sent as one chunk are read back, in order, promptly.
+/// Handing out each line by shifting every byte behind it to the front
+/// of the buffer made this chunk cost time quadratic in its line count,
+/// about 2 s in a release build.
+#[test]
+fn one_chunk_of_many_frames_is_split_promptly() {
+    use std::time::{Duration, Instant};
+    let frames: Vec<String> = (0..64_000)
+        .map(|i| format!("acme;{i:06};id;{{(0, 1), (1, 2)}}"))
+        .collect();
+    assert_eq!(frames[0].len() + 1, 32);
+    let mut chunk = frames.join("\n").into_bytes();
+    chunk.push(b'\n');
+    let (client, mut server) = socketpair();
+    client.tx.send_bytes(chunk).unwrap();
+    let start = Instant::now();
+    let lines: Vec<String> = (0..frames.len())
+        .map(|_| server.rx.recv_line().expect("peer alive").unwrap())
+        .collect();
+    let elapsed = start.elapsed();
+    assert_eq!(lines, frames);
+    assert!(elapsed < Duration::from_millis(200), "took {elapsed:?}");
+}
+
 /// The inbound frame cap: a line of exactly [`MAX_FRAME_BYTES`] is read
 /// (and fails to parse), one byte more is discarded through its newline
 /// and answered `failed` under its salvaged tenant and id, and the next
