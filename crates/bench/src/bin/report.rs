@@ -15,7 +15,7 @@
 use nra_bench::{chain_series, fmt_duration, log2_slope, loglog_slope, median_time};
 use nra_circuits::relalg::{self, compile, compile_bool, BoolQuery, FlatQuery};
 use nra_core::{builder, derived, queries, Type, Value};
-use nra_eval::{evaluate, evaluate_lazy, EvalConfig, EvalError};
+use nra_eval::{evaluate, evaluate_lazy, EvalConfig, EvalError, EvalSession};
 use nra_graph::{graph_to_value, DiGraph};
 use nra_symbolic::{
     aexpr::grid_aexpr, affine::AffineSpace, apply, chain_aexpr, chain_tc_impossibility, ramsey,
@@ -422,7 +422,6 @@ fn e17_store_probe() {
     use nra_core::expr::intern::EId;
     use nra_core::value::intern::{VId, ValueArena};
     use nra_eval::memo::ApplyView;
-    use nra_eval::EvalSession;
     use nra_testkit::graphs::{power_law, road_grid, two_community, FamilyGraph};
     use nra_testkit::Rng;
     use std::time::Duration;
@@ -448,9 +447,9 @@ fn e17_store_probe() {
     println!("not seen before and stores each judgment. The served joins are the nine");
     println!("512-node family × join requests `join512` serves, each evaluated on a fresh");
     println!("`rewritten()` session (median of 9, evaluation only), then E15's `tc_while`");
-    println!("rows on fresh `optimised()` sessions (median of 3), then the facade's");
-    println!("memoised and semi-naive rungs of three `BENCH_eval.json` rows (median of");
-    println!("{samples}):");
+    println!("rows on fresh `optimised()` sessions (median of 3), then the one-shot");
+    println!("memoised and semi-naive rungs of three `BENCH_eval.json` rows, each call");
+    println!("`evaluate` on a session built for it (median of {samples}):");
     println!();
     let nats_of = |va: &mut ValueArena| -> Vec<VId> { (0..256).map(|i| va.nat(i)).collect() };
     let pairs_of = |va: &mut ValueArena, nats: &[VId]| -> Vec<VId> {
@@ -492,7 +491,7 @@ fn e17_store_probe() {
         } else {
             ApplyView::new()
         };
-        view.open(true);
+        view.open();
         for (e, v) in judgments(1) {
             view.store(e, v, v, 1);
         }
@@ -567,7 +566,7 @@ fn e17_store_probe() {
     let spine = (1..24).fold(tc_step.clone(), |acc, _| {
         builder::compose(tc_step.clone(), acc)
     });
-    let facade_rows = [
+    let one_shot_rows = [
         (
             "chain(16) `tc_while`",
             queries::tc_while(),
@@ -584,13 +583,13 @@ fn e17_store_probe() {
             Value::chain(8),
         ),
     ];
-    for (name, query, input) in &facade_rows {
+    for (name, query, input) in &one_shot_rows {
         for (rung, config) in [
             ("memoised", EvalConfig::memoised()),
             ("semi-naive", EvalConfig::optimised()),
         ] {
             let t = median_time(samples, || evaluate(query, input, &config));
-            println!("| facade {rung}, {name} | {} |", fmt_duration(t));
+            println!("| one-shot {rung}, {name} | {} |", fmt_duration(t));
         }
     }
     println!();
@@ -1248,8 +1247,15 @@ fn e12_apply_cache() {
     println!("differential harnesses enforce this); hits are reported *separately* from");
     println!("the §3 counters, which the default (memo-off) mode keeps exact.");
     println!();
-    println!("| workload | n | memo hits | misses | hit rate | derivation nodes saved |");
-    println!("|--|--:|--:|--:|--:|--:|");
+    println!("Each memoised row runs on a session of its own, so the occupancy columns");
+    println!("are that row's arenas: value nodes, their approximate resident bytes, and");
+    println!("expression nodes.");
+    println!();
+    println!(
+        "| workload | n | memo hits | misses | hit rate | derivation nodes saved \
+         | value nodes | values resident | expression nodes |"
+    );
+    println!("|--|--:|--:|--:|--:|--:|--:|--:|--:|");
     let cfg = EvalConfig::default();
     let memo_cfg = EvalConfig::memoised();
     let tc_while = queries::tc_while();
@@ -1266,37 +1272,27 @@ fn e12_apply_cache() {
     ];
     for (label, n, input) in &workloads {
         let plain = evaluate(&tc_while, input, &cfg);
-        let memo = evaluate(&tc_while, input, &memo_cfg);
+        let mut session = EvalSession::new(memo_cfg.clone());
+        let memo = session.eval(&tc_while, input);
         assert_eq!(
             plain.result.unwrap(),
             memo.result.unwrap(),
             "memoised path disagrees on {label} n={n}"
         );
+        let values = session.values().stats();
         println!(
-            "| {} | {} | {} | {} | {:.1}% | {} |",
+            "| {} | {} | {} | {} | {:.1}% | {} | {} | {:.1} MiB | {} |",
             label,
             n,
             memo.stats.memo_hits,
             memo.stats.memo_misses,
             100.0 * memo.stats.memo_hit_rate(),
             plain.stats.nodes - memo.stats.nodes,
+            values.nodes,
+            values.approx_bytes as f64 / (1024.0 * 1024.0),
+            session.exprs().node_count(),
         );
     }
-    println!();
-    println!("Arena occupancy after the sweep (thread-local, monotone within a run):");
-    println!();
-    let vstats = nra_core::value::intern::arena_stats();
-    println!("| arena | nodes | approx resident |");
-    println!("|--|--:|--:|");
-    println!(
-        "| values (`ValueArena`) | {} | {:.1} MiB |",
-        vstats.nodes,
-        vstats.approx_bytes as f64 / (1024.0 * 1024.0)
-    );
-    println!(
-        "| expressions (`ExprArena`) | {} | — |",
-        nra_core::expr::intern::node_count()
-    );
     println!();
     println!("High hit rates on the while route are the point: each iterate re-applies");
     println!("the body to a set sharing most elements with the previous one, so the");

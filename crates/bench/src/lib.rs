@@ -128,6 +128,13 @@ pub fn bench_samples() -> usize {
 /// plus the semi-naive path re-run on the **rewrite-optimised** query
 /// ([`nra_opt::optimise_expr`]), isolating the `nra-opt` pass's win
 /// over the semi-naive rung.
+///
+/// Each interned, memoised, seminaive and optimised sample is one
+/// [`nra_eval::evaluate`] call, which runs on a one-shot session: it
+/// builds fresh arenas and a fresh apply table, evaluates, and frees
+/// them — the same cold start every [`EvalComparison::batch_seq`] job
+/// pays. Reuse across calls is what a held session buys, and
+/// [`EvalComparison::warm`] measures it.
 #[derive(Debug, Clone)]
 pub struct EvalComparison {
     /// Workload label, e.g. `"chain/tc_while"`.
@@ -136,7 +143,8 @@ pub struct EvalComparison {
     pub n: u64,
     /// Median wall-clock of [`nra_eval::evaluate_tree`].
     pub tree: Duration,
-    /// Median wall-clock of [`nra_eval::evaluate`] (the interned path).
+    /// Median wall-clock of [`nra_eval::evaluate`] (the interned path,
+    /// one one-shot session per sample).
     pub interned: Duration,
     /// Median wall-clock of [`nra_eval::evaluate`] under
     /// [`nra_eval::EvalConfig::memoised`] (interned + apply cache).

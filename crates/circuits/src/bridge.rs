@@ -9,7 +9,7 @@
 
 use crate::relalg::{compile, CompiledQuery, FlatQuery};
 use nra_core::expr::Expr;
-use nra_core::value::intern;
+use nra_eval::{EvalConfig, EvalSession};
 use std::collections::BTreeSet;
 
 /// An edge set over `u64` node ids.
@@ -42,14 +42,19 @@ pub fn tc_step_bridge() -> BridgedQuery {
 /// Evaluate both sides on the same relation (nodes must be `< d`) and
 /// return `(nra_result, circuit_result)`.
 pub fn run_both(bridged: &BridgedQuery, edges: &EdgeSet, d: u64) -> (EdgeSet, EdgeSet) {
-    // NRA side, on the interned hot path: the relation is hash-consed
-    // straight into the arena and the result decoded from its handle —
-    // no tree Value is ever materialised.
-    let input = intern::relation(edges.iter().copied());
-    let nra_out = nra_eval::evaluate_vid(&bridged.nra, input, &nra_eval::EvalConfig::default())
+    // NRA side, on the interned hot path of a one-shot session: the
+    // relation is hash-consed straight into its arena and the result
+    // decoded from its handle — no tree Value is ever materialised.
+    let mut session = EvalSession::new(EvalConfig::default());
+    let query = session.intern_expr(&bridged.nra);
+    let input = session.values_mut().relation(edges.iter().copied());
+    let nra_out = session
+        .eval_vid(query, input)
         .result
         .expect("NRA evaluation");
-    let nra_edges: EdgeSet = intern::to_edges(nra_out)
+    let nra_edges: EdgeSet = session
+        .values()
+        .to_edges(nra_out)
         .expect("relation out")
         .into_iter()
         .collect();

@@ -20,40 +20,36 @@
 //!   without a lock, so an evaluator walks the interned expression
 //!   through the arena itself, with no copy of it.
 //!
-//! Like the value arena, this module keeps a thread-local arena behind
-//! its free functions ([`intern`], [`resolve`], [`node`], …) as the
-//! *compatibility facade*; the engine layer (`nra-eval`'s
-//! `EvalSession`) owns an [`ExprArena`] outright and threads it
+//! Like a value arena, an [`ExprArena`] has one owner: the engine
+//! layer (`nra-eval`'s `EvalSession`) owns one outright and threads it
 //! explicitly. [`EId`] is a plain `Send` index, meaningful only in the
 //! arena that issued it. Arenas grow monotonically and can be reset at
-//! quiescent points with [`reset_thread_arena`] / [`ExprArena::clear`].
+//! quiescent points with [`ExprArena::clear`].
 //!
 //! # Examples
 //!
 //! ```
-//! use nra_core::expr::intern;
+//! use nra_core::expr::intern::ExprArena;
 //! use nra_core::queries;
 //!
-//! let a = intern::intern(&queries::tc_while());
-//! let b = intern::intern(&queries::tc_while());
+//! let mut arena = ExprArena::new();
+//! let a = arena.intern(&queries::tc_while());
+//! let b = arena.intern(&queries::tc_while());
 //! assert_eq!(a, b); // equal expressions ⇒ equal handles
-//! assert_eq!(intern::ops(a), queries::tc_while().size() as u64); // cached
-//! assert_eq!(intern::resolve(a), queries::tc_while()); // round-trips
+//! assert_eq!(arena.ops(a), queries::tc_while().size() as u64); // cached
+//! assert_eq!(arena.resolve(a), queries::tc_while()); // round-trips
 //! ```
 
 use super::{Expr, ExprRef};
 use crate::store::{Keyed, View};
 use crate::value::intern::FxBuildHasher;
-use std::cell::RefCell;
 use std::hash::BuildHasher;
 
 /// A handle to an interned expression in an [`ExprArena`].
 ///
 /// Within one arena, two handles are equal **iff** the expressions they
 /// denote are structurally equal. Handles are only meaningful in the
-/// arena that issued them — for this module's free functions, the
-/// calling thread's arena; for an owned arena (an `EvalSession`), that
-/// arena. Like the value arena's `VId`, `EId` is a plain `Send` index:
+/// arena that issued them (for a session, its own arena). Like the value arena's `VId`, `EId` is a plain `Send` index:
 /// handle and arena must travel together, by the holder's discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EId(u32);
@@ -164,17 +160,11 @@ struct Meta {
 /// ```
 pub struct ExprArena {
     store: View<ENode, Meta>,
-    /// Bumped by [`ExprArena::clear`], so holders of state keyed on
-    /// handles can detect that their handles went stale.
-    generation: u64,
 }
 
 impl Default for ExprArena {
     fn default() -> Self {
-        ExprArena {
-            store: View::new(),
-            generation: 0,
-        }
+        ExprArena { store: View::new() }
     }
 }
 
@@ -182,7 +172,6 @@ impl std::fmt::Debug for ExprArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExprArena")
             .field("nodes", &self.len())
-            .field("generation", &self.generation)
             .finish()
     }
 }
@@ -215,7 +204,6 @@ impl ExprArena {
     pub fn shared_clone(&self) -> ExprArena {
         ExprArena {
             store: self.store.share(),
-            generation: self.generation,
         }
     }
 
@@ -234,16 +222,6 @@ impl ExprArena {
     /// a fresh store; pre-existing clones keep the old one).
     pub fn clear(&mut self) {
         self.store = View::new();
-        self.generation += 1;
-    }
-
-    /// A counter that changes exactly when previously issued handles are
-    /// invalidated ([`ExprArena::clear`]) — consumers holding handles
-    /// across calls (the facade's evaluation state, which keeps the
-    /// handles of the derived terms it recognises) compare it to decide
-    /// whether theirs are still valid.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     fn meta_for(&self, node: &ENode) -> Meta {
@@ -356,54 +334,6 @@ impl ExprArena {
     pub fn height(&self, e: EId) -> u32 {
         self.meta(e).height
     }
-}
-
-thread_local! {
-    static ARENA: RefCell<ExprArena> = RefCell::new(ExprArena::new());
-}
-
-/// Run `f` with exclusive access to the calling thread's expression
-/// arena. Do not call this module's free functions from inside `f` (the
-/// `RefCell` borrow would panic).
-pub fn with_arena<R>(f: impl FnOnce(&mut ExprArena) -> R) -> R {
-    ARENA.with(|a| f(&mut a.borrow_mut()))
-}
-
-/// Intern an expression into the thread-local arena.
-pub fn intern(e: &Expr) -> EId {
-    with_arena(|a| a.intern(e))
-}
-
-/// Materialise the tree form of a thread-locally interned expression.
-pub fn resolve(e: EId) -> Expr {
-    with_arena(|a| a.resolve(e))
-}
-
-/// The interned node behind a handle (`O(1)` clone).
-pub fn node(e: EId) -> ENode {
-    with_arena(|a| a.node(e))
-}
-
-/// Cached AST node count — `O(1)`, saturating.
-pub fn ops(e: EId) -> u64 {
-    with_arena(|a| a.ops(e))
-}
-
-/// Cached tree height — `O(1)`, saturating.
-pub fn height(e: EId) -> u32 {
-    with_arena(|a| a.height(e))
-}
-
-/// Number of distinct nodes in the thread-local expression arena.
-pub fn node_count() -> usize {
-    with_arena(|a| a.node_count())
-}
-
-/// Discard every node of the calling thread's expression arena — all
-/// previously issued `EId`s on this thread become invalid (same
-/// contract as [`crate::value::intern::reset_thread_arena`]).
-pub fn reset_thread_arena() {
-    with_arena(|a| a.clear())
 }
 
 #[cfg(test)]
@@ -545,28 +475,14 @@ mod tests {
     }
 
     #[test]
-    fn shared_clear_detaches_and_bumps_generation() {
+    fn shared_clear_detaches_from_the_old_store() {
         let mut a = ExprArena::new();
         let q = a.intern(&queries::tc_step());
         let b = a.shared_clone();
-        let generation = a.generation();
         a.clear();
         assert!(a.is_empty());
-        assert_eq!(a.generation(), generation + 1);
         assert_eq!(b.resolve(q), queries::tc_step(), "old store unaffected");
         let fresh = a.intern(&id());
         assert_eq!(a.resolve(fresh), id());
-    }
-
-    #[test]
-    fn thread_local_facade_round_trips() {
-        let e = queries::tc_step();
-        let i = intern(&e);
-        assert_eq!(resolve(i), e);
-        assert_eq!(intern(&e), i);
-        assert_eq!(ops(i), e.size() as u64);
-        assert!(height(i) >= 2);
-        assert!(node_count() >= 4);
-        assert_eq!(node(i).head_name(), "compose");
     }
 }

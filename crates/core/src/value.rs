@@ -19,8 +19,8 @@
 //! display and the parser, but `O(size)` for `clone`/`==`/`size`. The
 //! [`intern`] submodule provides the hash-consed arena representation
 //! ([`intern::VId`] handles with cached metadata) that the evaluators use
-//! on their hot paths; the two convert freely via [`intern::intern`] and
-//! [`intern::resolve`].
+//! on their hot paths; the two convert freely via
+//! [`intern::ValueArena::intern`] and [`intern::ValueArena::resolve`].
 
 pub mod dense;
 pub mod intern;

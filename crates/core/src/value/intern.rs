@@ -21,38 +21,38 @@
 //! structural identities hold by construction, exactly as they do for the
 //! [`BTreeSet`]-backed [`Value`].
 //!
-//! The free functions of this module ([`intern`], [`resolve`], [`pair`],
-//! [`set`], [`size`], …) operate on a thread-local arena — the
-//! *compatibility facade* for code that does not thread an arena
-//! explicitly. The engine layer (`nra-eval`'s `EvalSession`) instead
-//! **owns** a `ValueArena` and threads it by `&mut` through every rule,
-//! which is what makes sessions movable across threads and lets several
-//! evaluation streams run in parallel, each against its own arena.
-//! [`VId`] is a plain copyable index and is `Send`: a handle is only
-//! meaningful in the arena that issued it, and keeping handle and arena
-//! together is the holder's contract (exactly as with `usize` indices
-//! into a `Vec`).
+//! Every handle has an owner: the engine layer (`nra-eval`'s
+//! `EvalSession`) **owns** a `ValueArena` and threads it by `&mut`
+//! through every rule, and code outside a session holds an arena of its
+//! own. That is what makes sessions movable across threads, lets
+//! several evaluation streams run in parallel, each against its own
+//! arena, and makes what an arena holds a function of what its owner
+//! interned. [`VId`] is a plain copyable index and is `Send`: a handle
+//! is only meaningful in the arena that issued it, and keeping handle
+//! and arena together is the holder's contract (exactly as with `usize`
+//! indices into a `Vec`).
 //!
 //! Hash-consing trades reclamation for sharing: the arena grows
 //! monotonically and never frees individual nodes, so a long-running
 //! process interning unboundedly many *distinct* values retains them all
 //! (up to the 2³² handle-space limit). At quiescent points — when no
-//! handles are retained — [`reset_thread_arena`] (or
-//! [`ValueArena::clear`]) discards everything and starts fresh.
+//! handles are retained — [`ValueArena::clear`] discards everything and
+//! starts fresh, and dropping the arena frees it.
 //!
 //! # Examples
 //!
 //! Interning is canonical and metadata reads are `O(1)`:
 //!
 //! ```
-//! use nra_core::value::intern;
+//! use nra_core::value::intern::ValueArena;
 //! use nra_core::Value;
 //!
-//! let a = intern::intern(&Value::chain(3));
-//! let b = intern::chain(3); // built handle-by-handle, never as a tree
+//! let mut arena = ValueArena::new();
+//! let a = arena.intern(&Value::chain(3));
+//! let b = arena.chain(3); // built handle-by-handle, never as a tree
 //! assert_eq!(a, b); // equal trees ⇒ equal handles
-//! assert_eq!(intern::size(a), Value::chain(3).size()); // cached, O(1)
-//! assert_eq!(intern::resolve(a), Value::chain(3)); // round-trips
+//! assert_eq!(arena.size(a), Value::chain(3).size()); // cached, O(1)
+//! assert_eq!(arena.resolve(a), Value::chain(3)); // round-trips
 //! ```
 //!
 //! Structural sharing makes objects representable whose tree form could
@@ -60,20 +60,20 @@
 //! overflowing:
 //!
 //! ```
-//! use nra_core::value::intern;
+//! use nra_core::value::intern::ValueArena;
 //!
 //! // vₖ₊₁ = (vₖ, vₖ): size doubles per level, the arena stores one node per level
-//! let mut v = intern::nat(0);
+//! let mut arena = ValueArena::new();
+//! let mut v = arena.nat(0);
 //! for _ in 0..70 {
-//!     v = intern::pair(v, v);
+//!     v = arena.pair(v, v);
 //! }
-//! assert_eq!(intern::size(v), u64::MAX); // 2⁷¹ − 1 in the §3 measure, saturated
-//! assert_eq!(intern::depth(v), 70);
+//! assert_eq!(arena.size(v), u64::MAX); // 2⁷¹ − 1 in the §3 measure, saturated
+//! assert_eq!(arena.depth(v), 70);
 //! ```
 
 use super::Value;
 use crate::store::{Keyed, View};
-use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
@@ -146,20 +146,20 @@ impl Hasher for FxHasher {
 /// The derived `Ord` is the arena's insertion order — a valid canonical
 /// order for deduplication, but *not* the [`Value`] ordering.
 ///
-/// Handles are only meaningful in the arena that issued them — for the
-/// free functions of this module, the calling thread's arena; for an
-/// owned arena (an `EvalSession`), that arena. `VId` is a plain `Send`
-/// index so that a session owning its arena can move between threads
-/// (handles travel *with* their arena); mixing handles across arenas is
-/// a logic error the type system does not catch, same as indexing one
-/// `Vec` with another's indices.
+/// Handles are only meaningful in the arena that issued them (for a
+/// session, its own arena). `VId` is a plain `Send` index so that a
+/// session owning its arena can move between threads (handles travel
+/// *with* their arena); mixing handles across arenas is a logic error
+/// the type system does not catch, same as indexing one `Vec` with
+/// another's indices.
 ///
 /// ```
-/// use nra_core::value::intern;
+/// use nra_core::value::intern::ValueArena;
 ///
-/// let e = intern::edge(1, 2);
-/// assert_eq!(e, intern::edge(1, 2)); // O(1) equality
-/// assert_eq!(intern::size(e), 3); // O(1) size: 1 + size(1) + size(2)
+/// let mut arena = ValueArena::new();
+/// let e = arena.edge(1, 2);
+/// assert_eq!(e, arena.edge(1, 2)); // O(1) equality
+/// assert_eq!(arena.size(e), 3); // O(1) size: 1 + size(1) + size(2)
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VId(u32);
@@ -240,9 +240,8 @@ const SPINE_OVERHEAD: usize = 40;
 
 /// A hash-consing arena for complex objects.
 ///
-/// Most callers use the thread-local arena through this module's free
-/// functions; owning a `ValueArena` directly gives an isolated handle
-/// space (handles from different arenas must never be mixed).
+/// Each arena is an isolated handle space: handles from different
+/// arenas must never be mixed.
 ///
 /// Every arena is shareable from birth: [`ValueArena::shared_clone`]
 /// hands out another arena over the *same* store, handles are
@@ -265,18 +264,11 @@ const SPINE_OVERHEAD: usize = 40;
 /// ```
 pub struct ValueArena {
     store: View<Node, Meta>,
-    /// Bumped by [`ValueArena::clear`], mirroring the expression
-    /// arena's counter, so holders of handles can detect that they went
-    /// stale.
-    generation: u64,
 }
 
 impl Default for ValueArena {
     fn default() -> Self {
-        ValueArena {
-            store: View::new(),
-            generation: 0,
-        }
+        ValueArena { store: View::new() }
     }
 }
 
@@ -284,7 +276,6 @@ impl std::fmt::Debug for ValueArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ValueArena")
             .field("nodes", &self.len())
-            .field("generation", &self.generation)
             .finish()
     }
 }
@@ -319,15 +310,13 @@ impl ValueArena {
     }
 
     /// Another arena over the **same** store. Handles are
-    /// interchangeable between all clones, and the clone carries the
-    /// same generation. Interning through any clone is canonical for all
-    /// of them (equal objects receive equal handles *across threads*),
-    /// which is what lets batch workers share a parent session's store
-    /// instead of re-interning results.
+    /// interchangeable between all clones. Interning through any clone
+    /// is canonical for all of them (equal objects receive equal handles
+    /// *across threads*), which is what lets batch workers share a
+    /// parent session's store instead of re-interning results.
     pub fn shared_clone(&self) -> ValueArena {
         ValueArena {
             store: self.store.share(),
-            generation: self.generation,
         }
     }
 
@@ -351,15 +340,6 @@ impl ValueArena {
     /// monotone growth.
     pub fn clear(&mut self) {
         self.store = View::new();
-        self.generation += 1;
-    }
-
-    /// A counter that changes exactly when previously issued handles are
-    /// invalidated ([`ValueArena::clear`]) — the staleness signal for
-    /// holders of [`VId`]s, mirroring
-    /// [`ExprArena::generation`](crate::expr::intern::ExprArena::generation).
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Number of distinct nodes interned so far — the occupancy figure
@@ -681,36 +661,6 @@ impl ValueArena {
             }
         }
         Some(fresh)
-    }
-
-    /// N-ary **frontier merge**: fold the element slices of the
-    /// `frontiers` (each a *set* handle) into `base` without ever
-    /// re-sorting — the semi-naive counterpart of
-    /// [`ValueArena::set_from_sorted_merge`], used to fold the fresh
-    /// answers of a delta-evaluated join back into its previous answer.
-    /// Equivalent to iterated binary [`ValueArena::set_union`], in one
-    /// balanced merge. `None` if `base` or any frontier is not a set.
-    ///
-    /// ```
-    /// use nra_core::value::intern::ValueArena;
-    ///
-    /// let mut a = ValueArena::new();
-    /// let base = a.relation([(0, 1)]);
-    /// let parts: Vec<_> = (1..3).map(|i| a.relation([(i, i + 1)])).collect();
-    /// let merged = a.set_merge_frontier(base, &parts).unwrap();
-    /// assert_eq!(merged, a.chain(3));
-    /// assert_eq!(a.set_merge_frontier(base, &[]), Some(base));
-    /// ```
-    pub fn set_merge_frontier(&mut self, base: VId, frontiers: &[VId]) -> Option<VId> {
-        if frontiers.is_empty() {
-            return self.cardinality(base).map(|_| base);
-        }
-        // the merge validates every operand up front, so a non-set
-        // frontier refuses the whole merge instead of silently dropping
-        let mut sets = Vec::with_capacity(frontiers.len() + 1);
-        sets.push(base);
-        sets.extend_from_slice(frontiers);
-        self.set_from_sorted_merge(&sets)
     }
 
     /// Intern a binary relation `{(a, b), …}`.
@@ -1157,172 +1107,6 @@ fn merge_sorted(xs: &[VId], ys: &[VId]) -> Vec<VId> {
     out
 }
 
-thread_local! {
-    static ARENA: RefCell<ValueArena> = RefCell::new(ValueArena::new());
-}
-
-/// Run `f` with exclusive access to the calling thread's arena.
-///
-/// The free functions of this module each take this borrow for the
-/// duration of one operation; do not call them (or [`Value`] conversions
-/// that do) from inside `f`, or the `RefCell` borrow will panic.
-pub fn with_arena<R>(f: impl FnOnce(&mut ValueArena) -> R) -> R {
-    ARENA.with(|a| f(&mut a.borrow_mut()))
-}
-
-/// Intern a tree-represented [`Value`] into the thread-local arena.
-pub fn intern(v: &Value) -> VId {
-    with_arena(|a| a.intern(v))
-}
-
-/// Materialise the tree form of a thread-locally interned value.
-pub fn resolve(v: VId) -> Value {
-    with_arena(|a| a.resolve(v))
-}
-
-/// Intern `()`.
-pub fn unit() -> VId {
-    with_arena(|a| a.unit())
-}
-
-/// Intern a boolean.
-pub fn bool_(b: bool) -> VId {
-    with_arena(|a| a.bool_(b))
-}
-
-/// Intern a natural number.
-pub fn nat(n: u64) -> VId {
-    with_arena(|a| a.nat(n))
-}
-
-/// Intern the pair `(a, b)`.
-pub fn pair(a: VId, b: VId) -> VId {
-    with_arena(|ar| ar.pair(a, b))
-}
-
-/// Intern the edge `(a, b)` of two naturals.
-pub fn edge(a: u64, b: u64) -> VId {
-    with_arena(|ar| ar.edge(a, b))
-}
-
-/// Intern a set from element handles (the iterator is drained *before*
-/// the arena is borrowed, so it may itself intern values).
-pub fn set<I: IntoIterator<Item = VId>>(items: I) -> VId {
-    let items: Vec<VId> = items.into_iter().collect();
-    with_arena(|a| a.set_from_vec(items))
-}
-
-/// Intern the empty set.
-pub fn empty_set() -> VId {
-    with_arena(|a| a.empty_set())
-}
-
-/// Intern a binary relation `{(a, b), …}`.
-pub fn relation<I: IntoIterator<Item = (u64, u64)>>(edges: I) -> VId {
-    let edges: Vec<(u64, u64)> = edges.into_iter().collect();
-    with_arena(|a| a.relation(edges))
-}
-
-/// Intern the paper's chain `rₙ` (§4).
-pub fn chain(n: u64) -> VId {
-    with_arena(|a| a.chain(n))
-}
-
-/// Intern `tc(rₙ)` (§4).
-pub fn chain_tc(n: u64) -> VId {
-    with_arena(|a| a.chain_tc(n))
-}
-
-/// The §3 size measure, cached — `O(1)`, saturating.
-pub fn size(v: VId) -> u64 {
-    with_arena(|a| a.size(v))
-}
-
-/// Structural nesting depth, cached — `O(1)`.
-pub fn depth(v: VId) -> u32 {
-    with_arena(|a| a.depth(v))
-}
-
-/// Precomputed structural hash — `O(1)`.
-pub fn structural_hash(v: VId) -> u64 {
-    with_arena(|a| a.structural_hash(v))
-}
-
-/// Number of elements if `v` is a set — `O(1)`.
-pub fn cardinality(v: VId) -> Option<usize> {
-    with_arena(|a| a.cardinality(v))
-}
-
-/// The component handles if `v` is a pair.
-pub fn as_pair(v: VId) -> Option<(VId, VId)> {
-    with_arena(|a| a.as_pair(v))
-}
-
-/// The canonically ordered element handles if `v` is a set.
-pub fn as_set(v: VId) -> Option<Arc<[VId]>> {
-    with_arena(|a| a.as_set(v))
-}
-
-/// The natural number if `v` is one.
-pub fn as_nat(v: VId) -> Option<u64> {
-    with_arena(|a| a.as_nat(v))
-}
-
-/// The boolean if `v` is one.
-pub fn as_bool(v: VId) -> Option<bool> {
-    with_arena(|a| a.as_bool(v))
-}
-
-/// Decode a value of type `{N × N}` into a sorted edge list.
-pub fn to_edges(v: VId) -> Option<Vec<(u64, u64)>> {
-    with_arena(|a| a.to_edges(v))
-}
-
-/// Merge-based union of two interned sets — see [`ValueArena::set_union`].
-pub fn set_union(a: VId, b: VId) -> Option<VId> {
-    with_arena(|ar| ar.set_union(a, b))
-}
-
-/// Merge-based difference `a ∖ b` — see [`ValueArena::set_difference`].
-pub fn set_difference(a: VId, b: VId) -> Option<VId> {
-    with_arena(|ar| ar.set_difference(a, b))
-}
-
-/// Merge-scan subset test `a ⊆ b` — see [`ValueArena::is_subset`].
-pub fn is_subset(a: VId, b: VId) -> Option<bool> {
-    with_arena(|ar| ar.is_subset(a, b))
-}
-
-/// N-ary sorted merge of set handles — see
-/// [`ValueArena::set_from_sorted_merge`].
-pub fn set_from_sorted_merge(sets: &[VId]) -> Option<VId> {
-    with_arena(|a| a.set_from_sorted_merge(sets))
-}
-
-/// Count-only frontier scan — see
-/// [`ValueArena::set_delta_cardinality`].
-pub fn set_delta_cardinality(old: VId, new: VId) -> Option<u64> {
-    with_arena(|a| a.set_delta_cardinality(old, new))
-}
-
-/// N-ary frontier merge — see [`ValueArena::set_merge_frontier`].
-pub fn set_merge_frontier(base: VId, frontiers: &[VId]) -> Option<VId> {
-    with_arena(|a| a.set_merge_frontier(base, frontiers))
-}
-
-/// Statistics of the thread-local arena.
-pub fn arena_stats() -> ArenaStats {
-    with_arena(|a| a.stats())
-}
-
-/// Discard every node of the calling thread's arena — see
-/// [`ValueArena::clear`] for the (sharp) invalidation contract. Intended
-/// for quiescent points in long-running processes; all `VId`s previously
-/// issued on this thread become invalid.
-pub fn reset_thread_arena() {
-    with_arena(|a| a.clear())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1421,17 +1205,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_local_facade_round_trips() {
-        let v = Value::set([Value::edge(0, 1), Value::Unit]);
-        let id = intern(&v);
-        assert_eq!(resolve(id), v);
-        assert_eq!(size(id), v.size());
-        assert_eq!(intern(&v), id, "re-interning hits the same node");
-        let stats = arena_stats();
-        assert!(stats.nodes >= 5);
-    }
-
-    #[test]
     fn merge_ops_match_btreeset_semantics() {
         let mut a = ValueArena::new();
         let x = a.relation([(0, 1), (1, 2), (3, 4)]);
@@ -1517,29 +1290,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_merge_is_iterated_union() {
-        let mut a = ValueArena::new();
-        let base = a.relation([(0, 1), (5, 6)]);
-        let parts: Vec<VId> = vec![
-            a.relation([(1, 2)]),
-            a.empty_set(),
-            a.relation([(0, 1), (2, 3)]),
-        ];
-        let merged = a.set_merge_frontier(base, &parts).unwrap();
-        let mut expect = base;
-        for &p in &parts {
-            expect = a.set_union(expect, p).unwrap();
-        }
-        assert_eq!(merged, expect);
-        // no frontiers: the base comes back untouched
-        assert_eq!(a.set_merge_frontier(base, &[]), Some(base));
-        // a non-set anywhere refuses the whole merge
-        let n = a.nat(3);
-        assert_eq!(a.set_merge_frontier(n, &parts), None);
-        assert_eq!(a.set_merge_frontier(base, &[parts[0], n]), None);
-    }
-
-    #[test]
     fn occupancy_introspection() {
         let mut a = ValueArena::new();
         assert_eq!(a.node_count(), 0);
@@ -1568,7 +1318,6 @@ mod tests {
         let (size, depth, hash) = (a.size(before), a.depth(before), a.structural_hash(before));
         let mut b = a.shared_clone();
         let mut c = a.shared_clone();
-        assert_eq!(b.generation(), a.generation());
         // handles, metadata and accounting are the store's, not a clone's
         assert_eq!(b.resolve(before), Value::chain_tc(3));
         assert_eq!(
@@ -1596,10 +1345,8 @@ mod tests {
         let mut a = ValueArena::new();
         let v = a.chain(3);
         let b = a.shared_clone();
-        let gen = a.generation();
         a.clear();
         assert!(a.is_empty());
-        assert_eq!(a.generation(), gen + 1);
         // the clone still points at the old store, untouched
         assert_eq!(b.resolve(v), Value::chain(3));
         // the cleared arena is fully usable on its fresh store

@@ -5,7 +5,7 @@
 //! only equal expressions), and the cached metadata must match the
 //! recursive measures.
 
-use nra_core::expr::intern::{self, ExprArena};
+use nra_core::expr::intern::ExprArena;
 use nra_core::generate::{random_expr, GenConfig, Rng as GenRng};
 use nra_core::{Expr, Type};
 use nra_testkit::{check, Rng};
@@ -37,17 +37,19 @@ fn recursive_height(e: &Expr) -> u32 {
 #[test]
 fn intern_round_trips() {
     check("expr_intern_round_trips", 200, |_, rng| {
+        let mut arena = ExprArena::new();
         let e = random_expression(rng);
-        let id = intern::intern(&e);
-        assert_eq!(intern::resolve(id), e, "resolve ∘ intern = id on {e}");
+        let id = arena.intern(&e);
+        assert_eq!(arena.resolve(id), e, "resolve ∘ intern = id on {e}");
     });
 }
 
 #[test]
 fn equal_expressions_get_equal_handles() {
     check("equal_expressions_get_equal_handles", 200, |_, rng| {
+        let mut arena = ExprArena::new();
         let e = random_expression(rng);
-        assert_eq!(intern::intern(&e), intern::intern(&e.clone()), "{e}");
+        assert_eq!(arena.intern(&e), arena.intern(&e.clone()), "{e}");
     });
 }
 
@@ -57,13 +59,10 @@ fn distinct_expressions_get_distinct_handles() {
         "distinct_expressions_get_distinct_handles",
         150,
         |_, rng| {
+            let mut arena = ExprArena::new();
             let a = random_expression(rng);
             let b = random_expression(rng);
-            assert_eq!(
-                a == b,
-                intern::intern(&a) == intern::intern(&b),
-                "{a} vs {b}"
-            );
+            assert_eq!(a == b, arena.intern(&a) == arena.intern(&b), "{a} vs {b}");
         },
     );
 }
@@ -71,10 +70,11 @@ fn distinct_expressions_get_distinct_handles() {
 #[test]
 fn cached_metadata_matches_the_recursive_measures() {
     check("expr_cached_metadata_matches", 200, |_, rng| {
+        let mut arena = ExprArena::new();
         let e = random_expression(rng);
-        let id = intern::intern(&e);
-        assert_eq!(intern::ops(id), e.size() as u64, "ops of {e}");
-        assert_eq!(intern::height(id), recursive_height(&e), "height of {e}");
+        let id = arena.intern(&e);
+        assert_eq!(arena.ops(id), e.size() as u64, "ops of {e}");
+        assert_eq!(arena.height(id), recursive_height(&e), "height of {e}");
     });
 }
 

@@ -4,7 +4,7 @@
 //! trees), and the cached metadata must match the recursive paper
 //! measures.
 
-use nra_core::value::intern::{self, VId, ValueArena};
+use nra_core::value::intern::{VId, ValueArena};
 use nra_core::Value;
 use nra_testkit::{check, Rng};
 
@@ -31,18 +31,20 @@ fn random_value(rng: &mut Rng, depth: u32) -> Value {
 #[test]
 fn intern_round_trips() {
     check("intern_round_trips", 200, |_, rng| {
+        let mut arena = ValueArena::new();
         let v = random_value(rng, 4);
-        let id = intern::intern(&v);
-        assert_eq!(intern::resolve(id), v, "resolve ∘ intern = id on {v}");
+        let id = arena.intern(&v);
+        assert_eq!(arena.resolve(id), v, "resolve ∘ intern = id on {v}");
     });
 }
 
 #[test]
 fn equal_trees_get_equal_handles() {
     check("equal_trees_get_equal_handles", 200, |_, rng| {
+        let mut arena = ValueArena::new();
         let v = random_value(rng, 4);
         // a structurally equal clone interns to the same handle
-        assert_eq!(intern::intern(&v), intern::intern(&v.clone()), "{v}");
+        assert_eq!(arena.intern(&v), arena.intern(&v.clone()), "{v}");
         // and inserting set elements in a different order changes nothing:
         // rebuild every set from a reversed element iteration
         fn rebuild_reversed(v: &Value) -> Value {
@@ -52,28 +54,26 @@ fn equal_trees_get_equal_handles() {
                 other => other.clone(),
             }
         }
-        assert_eq!(intern::intern(&v), intern::intern(&rebuild_reversed(&v)));
+        assert_eq!(arena.intern(&v), arena.intern(&rebuild_reversed(&v)));
     });
 }
 
 #[test]
 fn distinct_trees_get_distinct_handles() {
     check("distinct_trees_get_distinct_handles", 100, |_, rng| {
+        let mut arena = ValueArena::new();
         let a = random_value(rng, 3);
         let b = random_value(rng, 3);
-        assert_eq!(
-            a == b,
-            intern::intern(&a) == intern::intern(&b),
-            "{a} vs {b}"
-        );
+        assert_eq!(a == b, arena.intern(&a) == arena.intern(&b), "{a} vs {b}");
     });
 }
 
 #[test]
 fn cached_size_matches_the_recursive_paper_measure() {
     check("cached_size_matches_recursive_measure", 200, |_, rng| {
+        let mut arena = ValueArena::new();
         let v = random_value(rng, 4);
-        let id = intern::intern(&v);
+        let id = arena.intern(&v);
         // the §3 measure, recomputed recursively on the tree
         fn paper_size(v: &Value) -> u64 {
             match v {
@@ -82,13 +82,9 @@ fn cached_size_matches_the_recursive_paper_measure() {
                 Value::Set(items) => 1 + items.iter().map(paper_size).sum::<u64>(),
             }
         }
-        assert_eq!(intern::size(id), paper_size(&v), "size of {v}");
-        assert_eq!(intern::depth(id) as usize, v.depth(), "depth of {v}");
-        assert_eq!(
-            intern::cardinality(id),
-            v.cardinality(),
-            "cardinality of {v}"
-        );
+        assert_eq!(arena.size(id), paper_size(&v), "size of {v}");
+        assert_eq!(arena.depth(id) as usize, v.depth(), "depth of {v}");
+        assert_eq!(arena.cardinality(id), v.cardinality(), "cardinality of {v}");
     });
 }
 
@@ -98,17 +94,14 @@ fn structural_hash_is_stable_across_arenas() {
         "structural_hash_is_stable_across_arenas",
         100,
         |seed, rng| {
+            let mut arena = ValueArena::new();
             let v = random_value(rng, 3);
             // a fresh arena whose handle space is skewed by unrelated noise
             let mut other = ValueArena::new();
             other.chain(seed % 7);
-            let id = intern::intern(&v);
+            let id = arena.intern(&v);
             let oid = other.intern(&v);
-            assert_eq!(
-                intern::structural_hash(id),
-                other.structural_hash(oid),
-                "{v}"
-            );
+            assert_eq!(arena.structural_hash(id), other.structural_hash(oid), "{v}");
         },
     );
 }
@@ -116,17 +109,18 @@ fn structural_hash_is_stable_across_arenas() {
 #[test]
 fn set_construction_from_handles_matches_tree_sets() {
     check("set_construction_from_handles", 200, |_, rng| {
+        let mut arena = ValueArena::new();
         let len = rng.usize_below(6);
         let elems: Vec<Value> = (0..len).map(|_| random_value(rng, 2)).collect();
         // build the set both ways: as a tree, and handle-by-handle with
         // duplicates appended
         let tree = Value::set(elems.iter().cloned());
-        let mut handles: Vec<_> = elems.iter().map(intern::intern).collect();
+        let mut handles: Vec<_> = elems.iter().map(|x| arena.intern(x)).collect();
         let dupes = handles.to_vec();
         handles.extend(dupes);
-        let built = intern::set(handles);
-        assert_eq!(built, intern::intern(&tree));
-        assert_eq!(intern::resolve(built), tree);
+        let built = arena.set(handles);
+        assert_eq!(built, arena.intern(&tree));
+        assert_eq!(arena.resolve(built), tree);
     });
 }
 

@@ -12,12 +12,13 @@
 //! [`nra_core::value::intern`]: objects are [`VId`] handles whose size is
 //! cached metadata, so each observation is `O(1)` instead of a full
 //! traversal, `clone` is a handle copy, and the `while` fixpoint test is a
-//! `u32` comparison. [`evaluate`] interns its input, runs interned, and
-//! resolves the result — the [`Value`] API is a conversion layer.
-//! [`evaluate_vid`] exposes the interned path end-to-end for callers that
-//! already hold handles; [`evaluate_tree`] keeps the original
-//! tree-walking implementation as a differential baseline (same rules,
-//! same statistics, `O(size)` bookkeeping).
+//! `u32` comparison. [`evaluate`] runs one query on a one-shot
+//! [`EvalSession`]: it interns its input, runs interned, resolves the
+//! result and frees the session — the [`Value`] API is a conversion
+//! layer. Callers that already hold handles evaluate through their own
+//! session ([`EvalSession::eval_vid`]); [`evaluate_tree`] keeps the
+//! original tree-walking implementation as a differential baseline
+//! (same rules, same statistics, `O(size)` bookkeeping).
 //!
 //! `powerset` is special-cased: its output size is computed
 //! **combinatorially before materialisation** (`1 + 2^k + 2^{k-1}·Σᵢ
@@ -30,8 +31,8 @@
 //! [`ExprArena::node_ref`]), never changing a result:
 //!
 //! * [`EvalConfig::memo`] — the BDD-style apply cache `(EId, VId) →
-//!   VId` ([`crate::memo`]): one table that every session, batch worker
-//!   and facade call probes through its own view, with each slot
+//!   VId` ([`crate::memo`]): one table that a session and its batch
+//!   workers probe, each through its own view, with each slot
 //!   carrying the subtree's as-if-uncached cost so hits charge the node
 //!   budget exactly;
 //! * [`EvalConfig::semi_naive`] — one fused rule: the Prop 2.1
@@ -46,11 +47,12 @@
 
 use crate::error::{EvalConfig, EvalError};
 use crate::memo::ApplyView;
+use crate::session::EvalSession;
 use crate::shapes::{apply_proj, JoinCache, JoinShape};
 use crate::stats::EvalStats;
-use nra_core::expr::intern::{self as expr_intern, EId, ENode, ExprArena};
+use nra_core::expr::intern::{EId, ENode, ExprArena};
 use nra_core::expr::Expr;
-use nra_core::value::intern::{self, FxBuildHasher, VId, ValueArena};
+use nra_core::value::intern::{FxBuildHasher, VId, ValueArena};
 use nra_core::value::Value;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -75,7 +77,8 @@ impl Evaluation {
 }
 
 /// The outcome of an evaluation on the interned path: a [`VId`] handle
-/// into the thread-local arena (or a budget error) plus §3 statistics.
+/// into the evaluating session's arena (or a budget error) plus §3
+/// statistics.
 #[derive(Debug, Clone)]
 pub struct VidEvaluation {
     /// The handle of the result `C'` with `f(C) ⇓ C'`, or the error.
@@ -150,7 +153,7 @@ impl<'a> Ctx<'a> {
 
     /// Observe an interned object against the supplied arena — the size
     /// and cardinality are cached arena metadata, so the observation is
-    /// `O(1)` and touches no thread-local state.
+    /// `O(1)`.
     pub(crate) fn observe_vid(&mut self, a: &ValueArena, value: VId) -> Result<(), EvalError> {
         let size = a.size(value);
         self.stats.observe_object(size, a.cardinality(value));
@@ -183,15 +186,11 @@ fn stuck(rule: &'static str, detail: impl Into<String>) -> EvalError {
 }
 
 /// Evaluate `expr` on `input` under `config`, returning both the result and
-/// the §3 statistics. Runs on the interned (hash-consed) path; the input
-/// is interned once and the result resolved once at the boundary.
-///
-/// Interned intermediates are retained by the calling thread's arena
-/// *across* calls — repeated evaluations over shared data get cache hits,
-/// at the price of monotone memory growth. Long-running processes that
-/// evaluate unboundedly many distinct inputs should call
-/// [`nra_core::value::intern::reset_thread_arena`] at quiescent points
-/// (no live `VId`s); see the arena docs for the trade-off.
+/// the §3 statistics. Runs on a one-shot [`EvalSession`]: the input is
+/// interned once, the result resolved once, and the session's arenas
+/// and apply table are freed on return. Every call starts cold, so the
+/// statistics are a function of the arguments alone; a caller that
+/// wants warm starts across queries holds an [`EvalSession`].
 ///
 /// ```
 /// use nra_core::{builder, Value};
@@ -203,53 +202,7 @@ fn stuck(rule: &'static str, detail: impl Into<String>) -> EvalError {
 /// assert_eq!(ev.stats.max_object_size, 45);
 /// ```
 pub fn evaluate(expr: &Expr, input: &Value, config: &EvalConfig) -> Evaluation {
-    let iv = intern::intern(input);
-    let ev = evaluate_vid(expr, iv, config);
-    Evaluation {
-        result: ev.result.map(intern::resolve),
-        stats: ev.stats,
-    }
-}
-
-/// Evaluate entirely on interned handles: the input is a [`VId`] into the
-/// calling thread's arena and so is the result — no tree conversion at
-/// either end. This is the hot entry point used by the benchmarks, the
-/// graph/circuit bridges and the symbolic Lemma checks.
-///
-/// ```
-/// use nra_core::{queries, value::intern};
-/// use nra_eval::{evaluate_vid, EvalConfig};
-///
-/// let input = intern::chain(4);
-/// let ev = evaluate_vid(&queries::tc_while(), input, &EvalConfig::default());
-/// let out = ev.result.unwrap();
-/// assert_eq!(out, intern::chain_tc(4)); // O(1) equality on handles
-/// assert_eq!(intern::to_edges(out).unwrap().len(), 10);
-/// ```
-pub fn evaluate_vid(expr: &Expr, input: VId, config: &EvalConfig) -> VidEvaluation {
-    let (result, stats) = if config.memo || config.semi_naive {
-        // the cached routes walk the interned expression, so the
-        // (EId, VId) pair is available as the apply-cache key — and the
-        // EId as the join's delta-cache key — at every recursion step. The
-        // facade borrows both thread-local arenas once, for the whole
-        // evaluation: the walker itself never touches a thread-local.
-        expr_intern::with_arena(|ea| {
-            let eid = ea.intern(expr);
-            // the thread's pooled state opens a cold query
-            let mut state = MEMO_POOL.take().unwrap_or_else(|| MemoState::new(ea));
-            state.begin_query(ea, false);
-            let ev = intern::with_arena(|va| {
-                run(config, va, |ctx, va| {
-                    eval_eid(eid, input, ctx, ea, &mut state, va)
-                })
-            });
-            MEMO_POOL.set(Some(state));
-            ev
-        })
-    } else {
-        intern::with_arena(|va| run(config, va, |ctx, va| eval_vid(expr, input, ctx, va)))
-    };
-    VidEvaluation { result, stats }
+    EvalSession::new(config.clone()).eval(expr, input)
 }
 
 /// Run one walk under a fresh [`Ctx`] against `va` and complete its
@@ -381,13 +334,6 @@ fn eval_leaf_rule(
     }
 }
 
-thread_local! {
-    /// The pooled [`MemoState`], so consecutive memoised evaluations
-    /// through [`evaluate_vid`] reuse its table and caches. Sessions own
-    /// their state instead.
-    static MEMO_POOL: std::cell::Cell<Option<MemoState>> = const { std::cell::Cell::new(None) };
-}
-
 /// One entry of the **delta cache**: the last `(input, output)` pair a
 /// fused self-join node produced. When the same node next fires on a
 /// *superset* of `input` — the steady state of the join inside an
@@ -411,11 +357,8 @@ type DeltaMap = HashMap<EId, DeltaEntry, FxBuildHasher>;
 /// [`EvalConfig::memo`]), the delta cache and the join-recognition
 /// cache (active under [`EvalConfig::semi_naive`]). The walker reads
 /// expression structure from the [`ExprArena`] itself, so the state
-/// holds no copy of it. A session owns one state for its lifetime, and
-/// [`evaluate_vid`] pools one per thread.
+/// holds no copy of it. A session owns one state per generation.
 pub(crate) struct MemoState {
-    /// The expression-arena generation `cartprod` was interned in.
-    generation: u64,
     memo: ApplyView,
     delta: DeltaMap,
     /// The interned handle of the Prop 2.1 derived term
@@ -433,20 +376,18 @@ impl MemoState {
     /// expression arena (interns the derived product).
     pub(crate) fn new(ea: &mut ExprArena) -> Self {
         let cartprod = ea.intern(&nra_core::derived::cartprod());
-        MemoState::around(ea.generation(), ApplyView::new(), cartprod)
+        MemoState::around(ApplyView::new(), cartprod)
     }
 
-    /// A batch worker's state: a view of this state's apply table at
-    /// this state's floor, the same `cartprod` handle (the worker's
-    /// expression arena is a clone of this one's store), and empty
-    /// delta and recognition caches.
+    /// A batch worker's state: a view of this state's apply table, the
+    /// same `cartprod` handle (the worker's expression arena is a clone
+    /// of this one's store), and empty delta and recognition caches.
     pub(crate) fn worker(&mut self) -> Self {
-        MemoState::around(self.generation, self.memo.share(), self.cartprod)
+        MemoState::around(self.memo.share(), self.cartprod)
     }
 
-    fn around(generation: u64, memo: ApplyView, cartprod: EId) -> Self {
+    fn around(memo: ApplyView, cartprod: EId) -> Self {
         MemoState {
-            generation,
             memo,
             delta: DeltaMap::default(),
             cartprod,
@@ -454,33 +395,12 @@ impl MemoState {
         }
     }
 
-    /// Open the next query against this state.
-    ///
-    /// * `warm = false` ([`evaluate_vid`]'s per-call semantics): a cold
-    ///   open — the apply-table view raises its floor, so every earlier
-    ///   entry is hidden in `O(1)` — and a cleared recognition cache.
-    /// * `warm = true` (the session semantics): apply-table entries
-    ///   **survive across queries**, and later hits on them are counted
-    ///   as warm. Falls back to a cold open when the expression arena
-    ///   was cleared in between (every cached `EId` went stale).
-    ///
-    /// The delta cache is cleared either way: its entries are handles
-    /// of this evaluation's values.
-    pub(crate) fn begin_query(&mut self, ea: &mut ExprArena, warm: bool) {
-        let cleared = ea.generation() != self.generation;
-        if cleared {
-            // interning is canonical, so the handle only moves when the
-            // arena was cleared; re-intern it then
-            self.generation = ea.generation();
-            self.cartprod = ea.intern(&nra_core::derived::cartprod());
-        }
-        let warm = warm && !cleared;
-        self.memo.open(warm);
-        if !warm {
-            // the recognition cache keys on EIds, which a cold open
-            // treats as untrusted: the facade's arenas may have been reset
-            self.joins.clear();
-        }
+    /// Open the next query against this state: apply-table entries
+    /// **survive across queries**, and later hits on them are counted as
+    /// warm. The delta cache is cleared: its entries are handles of the
+    /// previous evaluation's values.
+    pub(crate) fn begin_query(&mut self) {
+        self.memo.open();
         self.delta.clear();
     }
 
@@ -729,7 +649,7 @@ fn eval_join_fused(
             ctx.stats.delta_hits += 1;
             ctx.stats.delta_skipped += va.cardinality(e.output).unwrap_or(0) as u64;
             let fresh_pairs = va.set_from_vec(pairs);
-            va.set_merge_frontier(e.output, &[fresh_pairs])
+            va.set_union(e.output, fresh_pairs)
                 .expect("join outputs are sets")
         }
         None => va.set_from_vec(pairs),
@@ -1500,18 +1420,6 @@ mod tests {
         let ev = evaluate(&nra_core::queries::tc_while(), &Value::chain(6), &memo_cfg);
         assert!(ev.stats.memo_hits > 0);
         assert!(ev.stats.memo_hit_rate() > 0.0 && ev.stats.memo_hit_rate() < 1.0);
-    }
-
-    #[test]
-    fn evaluate_vid_stays_on_handles() {
-        use nra_core::value::intern;
-        let input = intern::chain(5);
-        let ev = evaluate_vid(
-            &nra_core::queries::tc_while(),
-            input,
-            &EvalConfig::default(),
-        );
-        assert_eq!(ev.result.unwrap(), intern::chain_tc(5));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub struct EvalConfig {
     /// input grew since the same node last fired it builds only the
     /// joins touching the frontier (`δ ⋈ R ∪ Rₚ ⋈ δ`), folding them into
     /// the previous answer with
-    /// [`set_merge_frontier`](nra_core::value::intern::ValueArena::set_merge_frontier);
+    /// [`set_union`](nra_core::value::intern::ValueArena::set_union);
     /// `while` records each iterate's frontier. Every other node runs
     /// the exact rule. The results are **bit-for-bit** the exact
     /// results (both differential harnesses enforce this), and

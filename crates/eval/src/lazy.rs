@@ -17,8 +17,8 @@
 //! `2^{Θ(n)}`). Experiment E11 tabulates both.
 //!
 //! Like [`crate::eager`], the recursion runs on interned handles against
-//! an explicitly threaded [`ValueArena`] (the facade passes the
-//! thread-local one), so the §3 resident-size accounting reads cached
+//! an explicitly threaded [`ValueArena`] ([`evaluate_lazy`] builds a
+//! local one per call), so the §3 resident-size accounting reads cached
 //! arena metadata. The streamed subsets themselves are built as
 //! transient tree values and evaluated on the tree path — interning 2ᵏ
 //! throwaway subsets would retain them all in the arena and quietly void
@@ -35,7 +35,7 @@ use crate::eager::{self, Ctx};
 use crate::error::{EvalConfig, EvalError};
 use crate::stats::EvalStats;
 use nra_core::expr::Expr;
-use nra_core::value::intern::{self, VId, ValueArena};
+use nra_core::value::intern::{VId, ValueArena};
 use nra_core::value::Value;
 use std::collections::BTreeSet;
 
@@ -91,8 +91,8 @@ enum Lv {
 struct LazyCtx<'a> {
     config: &'a EvalConfig,
     stats: LazyStats,
-    /// The value arena every rule runs against — the thread-local one,
-    /// borrowed for the whole evaluation.
+    /// The value arena every rule runs against, borrowed from the
+    /// caller for the whole evaluation.
     va: &'a mut ValueArena,
 }
 
@@ -151,32 +151,36 @@ impl<'a> LazyCtx<'a> {
     }
 }
 
-/// Evaluate under the streaming strategy.
+/// Evaluate under the streaming strategy, on a local arena freed on
+/// return.
 pub fn evaluate_lazy(expr: &Expr, input: &Value, config: &EvalConfig) -> LazyEvaluation {
-    let iv = intern::intern(input);
-    let ev = evaluate_lazy_vid(expr, iv, config);
+    let mut va = ValueArena::new();
+    let iv = va.intern(input);
+    let ev = evaluate_lazy_vid(expr, iv, config, &mut va);
     LazyEvaluation {
-        result: ev.result.map(intern::resolve),
+        result: ev.result.map(|out| va.resolve(out)),
         stats: ev.stats,
     }
 }
 
 /// Evaluate under the streaming strategy, entirely on interned handles
-/// in the calling thread's arena.
-pub fn evaluate_lazy_vid(expr: &Expr, input: VId, config: &EvalConfig) -> LazyVidEvaluation {
-    intern::with_arena(|va| {
-        let mut ctx = LazyCtx {
-            config,
-            stats: LazyStats::default(),
-            va,
-        };
-        let result =
-            lazy_in(expr, Lv::Concrete(input), &mut ctx).and_then(|lv| force(lv, &mut ctx));
-        LazyVidEvaluation {
-            result,
-            stats: ctx.stats,
-        }
-    })
+/// in `va`, the arena that issued `input`.
+pub fn evaluate_lazy_vid(
+    expr: &Expr,
+    input: VId,
+    config: &EvalConfig,
+    va: &mut ValueArena,
+) -> LazyVidEvaluation {
+    let mut ctx = LazyCtx {
+        config,
+        stats: LazyStats::default(),
+        va,
+    };
+    let result = lazy_in(expr, Lv::Concrete(input), &mut ctx).and_then(|lv| force(lv, &mut ctx));
+    LazyVidEvaluation {
+        result,
+        stats: ctx.stats,
+    }
 }
 
 /// Materialise a symbolic value (falls back to the eager powerset rules).
@@ -478,12 +482,13 @@ mod tests {
         // (only the base, the images actually live in the accumulator, and
         // boundary conversions)
         let n = 10u64;
-        let input = intern::chain(n);
-        let before = intern::arena_stats().nodes;
-        let ev = evaluate_lazy_vid(&queries::tc_paths(), input, &EvalConfig::default());
-        assert_eq!(ev.result.unwrap(), intern::chain_tc(n));
+        let mut va = ValueArena::new();
+        let input = va.chain(n);
+        let before = va.node_count();
+        let ev = evaluate_lazy_vid(&queries::tc_paths(), input, &EvalConfig::default(), &mut va);
+        assert_eq!(ev.result.unwrap(), va.chain_tc(n));
         assert_eq!(ev.stats.streamed_subsets, 1 << n);
-        let delta = intern::arena_stats().nodes - before;
+        let delta = va.node_count() - before;
         assert!(
             delta < (1 << n) / 2,
             "arena grew by {delta} nodes for 2^{n} streamed subsets — \
@@ -493,8 +498,9 @@ mod tests {
 
     #[test]
     fn lazy_vid_stays_on_handles() {
-        let input = intern::chain(6);
-        let ev = evaluate_lazy_vid(&queries::tc_paths(), input, &EvalConfig::default());
-        assert_eq!(ev.result.unwrap(), intern::chain_tc(6));
+        let mut va = ValueArena::new();
+        let input = va.chain(6);
+        let ev = evaluate_lazy_vid(&queries::tc_paths(), input, &EvalConfig::default(), &mut va);
+        assert_eq!(ev.result.unwrap(), va.chain_tc(6));
     }
 }

@@ -17,8 +17,8 @@
 //! [`nra_core::value::intern`]: objects are `VId` handles, so the §3 size
 //! observation performed at every rule application is an `O(1)` metadata
 //! read, `clone` is a handle copy, and (de)duplication compares `u32`s.
-//! The arenas are threaded **explicitly** through every rule; who owns
-//! them is the caller's choice:
+//! The arenas are threaded **explicitly** through every rule, and every
+//! handle has one owner:
 //!
 //! * an [`EvalSession`] ([`session`]) owns its arenas, a view of an
 //!   apply table and its config outright — queries **warm-start**
@@ -29,19 +29,16 @@
 //!   sessions on scoped threads that intern into one **shared
 //!   concurrent store** and probe one apply table
 //!   ([`EvalSession::split`]);
-//! * the free functions ([`evaluate`], [`evaluate_vid`],
-//!   [`evaluate_lazy`], [`evaluate_traced`]) remain as a thin
-//!   thread-local-backed compatibility facade with the historical
-//!   per-call semantics (each call opens the thread's apply table cold,
-//!   hiding every earlier entry; the thread's arenas retain interned
-//!   nodes — see `intern::reset_thread_arena` for reclamation at
-//!   quiescent points). The traced and streaming strategies exist only
-//!   there: they build the exact §3 derivation and hold no cache state
-//!   a session could own.
+//! * [`evaluate`] runs each call on a one-shot session, cold by
+//!   construction and freed on return, so its statistics are a function
+//!   of its arguments; [`evaluate_traced`] and [`evaluate_lazy`] run on
+//!   a local value arena. The traced and streaming strategies build the
+//!   exact §3 derivation and hold no cache state a session could own.
 //!
 //! The [`nra_core::Value`] tree API remains the public surface —
-//! [`evaluate`] converts at the boundary — while [`evaluate_vid`] and
-//! [`evaluate_lazy_vid`] expose the interned path end-to-end. The original
+//! [`evaluate`] converts at the boundary — while
+//! [`EvalSession::eval_vid`] and [`evaluate_lazy_vid`] (on a caller's
+//! arena) expose the interned path end-to-end. The original
 //! tree-walking implementation survives as [`evaluate_tree`], the
 //! differential baseline the interned path is tested and benchmarked
 //! against.
@@ -50,7 +47,7 @@
 //! strategy onto the **apply cache**: expressions are hash-consed too
 //! ([`nra_core::expr::intern`]), and each judgment `f(C) ⇓ C'` is keyed
 //! `(EId, VId) → VId` in a BDD-style direct-mapped table ([`memo`], the
-//! one table design every session, worker and facade call uses), so a
+//! one table design every session and worker uses), so a
 //! judgment already derived returns its cached handle in `O(1)` — which
 //! collapses the repeated body applications inside `while` iterates and
 //! `map` over recurring elements. The traced and streaming strategies
@@ -96,7 +93,7 @@ pub mod stats;
 pub mod trace;
 
 pub use batch::{eval_batch, eval_batch_assigned, partition, BatchJob};
-pub use eager::{eval, evaluate, evaluate_tree, evaluate_vid, Evaluation, VidEvaluation};
+pub use eager::{eval, evaluate, evaluate_tree, Evaluation, VidEvaluation};
 pub use error::{EvalConfig, EvalError};
 pub use lazy::{evaluate_lazy, evaluate_lazy_vid, LazyEvaluation, LazyStats, LazyVidEvaluation};
 pub use session::{EvalSession, RewritePass, SessionStats};

@@ -2,8 +2,8 @@
 //! evaluation.
 //!
 //! §3's judgments `f(C) ⇓ C'` are pure, so one table of them serves
-//! every caller: a session, each of its batch workers and the facade's
-//! per-thread state each hold an [`ApplyView`], and views
+//! every caller: a session and each of its batch workers hold an
+//! [`ApplyView`], and views
 //! [shared](ApplyView::share) off one another probe and fill the same
 //! slots, so one worker's derivation is every worker's hit. The table is
 //! the classic BDD apply cache: 2¹⁶ direct-mapped, lossy slots, each
@@ -16,16 +16,15 @@
 //! per-node §3 bookkeeping (rule counting and two size observations),
 //! which costs more than the probe.
 //!
-//! * **Stamps and floors.** Every [`ApplyView::open`] draws a fresh
-//!   stamp from the table's counter, and a hit on an entry another
-//!   stamp wrote (an earlier query, or another view) is *warm*. A view
-//!   sees only the entries stamped at or above its *floor*. A cold open,
-//!   the facade's per-call semantics, raises the floor to the new stamp,
-//!   which hides everything stored before it in `O(1)`; a worker view
-//!   starts at its parent's floor. A view whose counter is about to
-//!   leave the 32 bits a slot keeps of a stamp moves onto a fresh table
-//!   instead: a wrapped floor could expose entries from before a cold
-//!   open, whose handles may point into an arena reset since.
+//! * **Stamps.** Every [`ApplyView::open`] draws a fresh stamp from
+//!   the table's counter, and a hit on an entry another stamp wrote (an
+//!   earlier query, or another view) is *warm*. A view sees every entry
+//!   of its table: a table lives exactly as long as the arenas its
+//!   handles point into, because a session that clears its arenas moves
+//!   onto a fresh table in the same call. A slot keeps the low 32 bits
+//!   of its writer's stamp, so stamps compare modulo 2³²: after 2³²
+//!   queries on one table a hit can be classified warm or not wrongly,
+//!   which moves a hit counter and never the entry returned.
 //! * **No lock.** A slot is four atomic words, the first a sequence
 //!   word: even while the slot is stable, odd while a writer fills it. A
 //!   probe reads the sequence word, the payload and the sequence word
@@ -57,10 +56,6 @@ const STRIPES: usize = 1 << (SLOT_BITS - STRIPE_BITS);
 /// The key of a never-written slot: no judgment packs to it while both
 /// arenas hold fewer than 2³² nodes (they panic before that).
 const EMPTY: u64 = u64::MAX;
-
-/// A slot keeps 32 bits of its writer's stamp: a view that draws this
-/// stamp moves onto a fresh table instead.
-const STAMP_LIMIT: u64 = u32::MAX as u64;
 
 /// One slot: the sequence word, the packed key, the writer's stamp over
 /// the result's index, and the recorded cost.
@@ -107,13 +102,11 @@ fn slot_of(key: u64) -> (usize, usize) {
     (slot >> STRIPE_BITS, slot & (STRIPE - 1))
 }
 
-/// One holder's view of an apply table: the table, the stamp of the
-/// query this view has open, and its floor — see the
-/// [module docs](self).
+/// One holder's view of an apply table: the table and the stamp of the
+/// query this view has open — see the [module docs](self).
 pub struct ApplyView {
     table: Arc<Table>,
     stamp: u32,
-    floor: u32,
     /// Whether the table had no other holder when the query opened.
     exclusive: bool,
 }
@@ -133,28 +126,25 @@ impl ApplyView {
                 next_stamp: AtomicU64::new(0),
             }),
             stamp: 0,
-            floor: 0,
             exclusive: false,
         }
     }
 
-    /// A worker view of the same table: it starts at this view's floor
-    /// and draws its own stamp at its first [`ApplyView::open`].
+    /// A worker view of the same table: it draws its own stamp at its
+    /// first [`ApplyView::open`].
     pub fn share(&mut self) -> ApplyView {
         // this view now has a reader to race until its next open
         self.exclusive = false;
         ApplyView {
             table: Arc::clone(&self.table),
             stamp: self.stamp,
-            floor: self.floor,
             exclusive: false,
         }
     }
 
-    /// Open the next query under a fresh stamp. A warm open keeps every
-    /// entry this view saw; a cold one (`warm == false`) raises the floor
-    /// to the new stamp, hiding every entry stored before it.
-    pub fn open(&mut self, warm: bool) {
+    /// Open the next query under a fresh stamp. Every entry stored
+    /// before it stays visible, and a hit on one is warm.
+    pub fn open(&mut self) {
         let (stamp, exclusive) = match Arc::get_mut(&mut self.table) {
             Some(table) => {
                 let next = table.next_stamp.get_mut();
@@ -163,18 +153,11 @@ impl ApplyView {
             }
             None => (self.table.next_stamp.fetch_add(1, Ordering::Relaxed), false),
         };
-        if stamp >= STAMP_LIMIT {
-            *self = ApplyView::new();
-            return self.open(warm);
-        }
         self.stamp = stamp as u32;
         self.exclusive = exclusive;
-        if !warm {
-            self.floor = self.stamp;
-        }
     }
 
-    /// The cached judgment `eid(input)`, if this view sees one: its
+    /// The cached judgment `eid(input)`, if the table holds one: its
     /// result, the recorded as-if-uncached cost of its derivation, and
     /// whether it is warm (another stamp wrote it). Takes no lock.
     #[inline]
@@ -197,13 +180,11 @@ impl ApplyView {
             return None;
         }
         let stamp = (out >> 32) as u32;
-        (stamp >= self.floor).then(|| {
-            (
-                VId::from_index(out as u32 as usize),
-                cost,
-                stamp != self.stamp,
-            )
-        })
+        Some((
+            VId::from_index(out as u32 as usize),
+            cost,
+            stamp != self.stamp,
+        ))
     }
 
     /// Record `eid(input) ⇓ out` at the cost of `cost` derivation nodes,
@@ -265,59 +246,45 @@ mod tests {
     }
 
     #[test]
-    fn a_cold_open_never_returns_an_entry_stored_before_it() {
-        let mut view = ApplyView::new();
-        view.open(true);
-        for i in 0..64 {
-            view.store(e(1), v(i), v(i + 1), i);
-        }
-        view.open(true);
-        assert_eq!(view.probe(e(1), v(3)), Some((v(4), 3, true)), "warm open");
-        view.open(false);
-        assert!((0..64).all(|i| view.probe(e(1), v(i)).is_none()));
-        view.store(e(1), v(3), v(9), 1);
-        assert_eq!(view.probe(e(1), v(3)), Some((v(9), 1, false)), "own query");
-    }
-
-    #[test]
-    fn a_worker_view_sees_its_parents_entries_from_the_last_cold_open_on() {
+    fn a_worker_view_shares_its_parents_entries() {
         let mut parent = ApplyView::new();
-        parent.open(true);
+        parent.open();
         parent.store(e(1), v(1), v(10), 0);
-        parent.open(false);
-        parent.store(e(1), v(2), v(20), 0);
-        let mut worker = parent.share();
-        worker.open(true);
         assert_eq!(
-            worker.probe(e(1), v(1)),
-            None,
-            "stored before the cold open"
+            parent.probe(e(1), v(1)),
+            Some((v(10), 0, false)),
+            "own query"
         );
-        assert_eq!(worker.probe(e(1), v(2)), Some((v(20), 0, true)));
+        let mut worker = parent.share();
+        worker.open();
+        assert_eq!(worker.probe(e(1), v(1)), Some((v(10), 0, true)));
         // and what the worker stores is warm for the parent's next query
         worker.store(e(2), v(2), v(30), 5);
-        parent.open(true);
+        parent.open();
         assert_eq!(parent.probe(e(2), v(2)), Some((v(30), 5, true)));
+        assert_eq!(parent.probe(e(1), v(1)), Some((v(10), 0, true)));
     }
 
     #[test]
-    fn a_counter_about_to_wrap_replaces_the_table() {
+    fn a_wrapped_stamp_still_returns_the_stored_entry() {
         let mut view = ApplyView::new();
-        view.open(true);
-        view.store(e(1), v(1), v(2), 0);
-        let sibling = view.share();
+        view.open();
+        view.store(e(1), v(1), v(2), 7);
+        // the next stamp leaves the 32 bits a slot keeps and wraps to 0,
+        // the stamp the entry above was written under
         view.table
             .next_stamp
-            .store(STAMP_LIMIT - 1, Ordering::Relaxed);
-        view.open(true);
-        assert_eq!(u64::from(view.stamp), STAMP_LIMIT - 1, "the last stamp");
-        assert_eq!(view.probe(e(1), v(1)), Some((v(2), 0, true)));
-        view.store(e(1), v(3), v(4), 0);
-        view.open(true);
-        assert!(!Arc::ptr_eq(&view.table, &sibling.table), "a fresh table");
-        assert_eq!(view.probe(e(1), v(1)), None);
-        assert_eq!(view.probe(e(1), v(3)), None);
-        assert_eq!(sibling.probe(e(1), v(3)), Some((v(4), 0, true)));
+            .store(u64::from(u32::MAX) + 1, Ordering::Relaxed);
+        view.open();
+        assert_eq!(view.stamp, 0);
+        assert_eq!(
+            view.probe(e(1), v(1)),
+            Some((v(2), 7, false)),
+            "the entry returns, only its warmth is misread"
+        );
+        view.store(e(1), v(3), v(4), 1);
+        view.open();
+        assert_eq!(view.probe(e(1), v(3)), Some((v(4), 1, true)));
     }
 
     /// Racing views and rounds per view and case.
@@ -349,7 +316,7 @@ mod tests {
                         let start = &start;
                         scope.spawn(move || {
                             let mut rng = Rng::new(thread_seed);
-                            view.open(true);
+                            view.open();
                             start.wait();
                             let mut hits = 0;
                             for _ in 0..ROUNDS {

@@ -1,10 +1,8 @@
 //! Explicit evaluation sessions: the owned engine layer over the
 //! evaluators.
 //!
-//! The free functions of [`crate::eager`] run against *thread-local*
-//! arenas — convenient, but one evaluation stream per thread, and every
-//! call opens the BDD-style apply cache cold. An [`EvalSession`] lifts
-//! all of that state into one owned value:
+//! Every cached evaluation runs in an [`EvalSession`], which owns all of
+//! its state in one value:
 //!
 //! * a [`ValueArena`] and an [`ExprArena`] (the §3 store of complex
 //!   objects and the hash-consed expressions over it);
@@ -32,12 +30,12 @@
 //!    their arena), so sessions can move across threads, and
 //!    [`crate::batch`] fans a batch of queries across N worker sessions.
 //!
-//! The free functions remain as a thin thread-local-backed compatibility
-//! facade; nothing on the evaluator hot path touches a thread-local when
-//! a session is supplied. The traced and streaming strategies
+//! The free function [`crate::evaluate`] runs each call on a one-shot
+//! session, built cold and freed on return, so what it reports is a
+//! function of its arguments. The traced and streaming strategies
 //! ([`crate::evaluate_traced`], [`crate::evaluate_lazy`]) build the
-//! exact §3 derivation and need no cache state, so they have no session
-//! counterpart.
+//! exact §3 derivation and need no cache state, so they run on a local
+//! [`ValueArena`] and have no session counterpart.
 //!
 //! ```
 //! use nra_core::{queries, Value};
@@ -302,7 +300,7 @@ impl EvalSession {
         // rewrite before the query opens: the (possibly new) root is what
         // the apply cache keys on
         let eid = self.optimise_eid(eid);
-        self.memo.begin_query(&mut self.exprs, true);
+        self.memo.begin_query();
         let (result, stats) = eager::run(&self.config, &mut self.values, |ctx, va| {
             eager::eval_eid(eid, input, ctx, &self.exprs, &mut self.memo, va)
         });
@@ -403,17 +401,24 @@ mod tests {
             EvalConfig::semi_naive(),
             EvalConfig::optimised(),
         ] {
+            // one session reused over every input and query, against a
+            // one-shot session per call
             let mut session = EvalSession::new(config.clone());
             for n in 0..6u64 {
                 let input = Value::chain(n);
                 for q in [queries::tc_while(), queries::tc_step(), queries::tc_paths()] {
-                    let facade = crate::evaluate(&q, &input, &config);
+                    let one_shot = crate::evaluate(&q, &input, &config);
                     let owned = session.eval(&q, &input);
                     assert_eq!(
-                        facade.result.unwrap(),
+                        one_shot.result.unwrap(),
                         owned.result.unwrap(),
-                        "{q} n={n} (session vs facade)"
+                        "{q} n={n} (session vs one-shot)"
                     );
+                    // a completed exact derivation does not depend on
+                    // the handles earlier queries left in the arenas
+                    if config == EvalConfig::default() {
+                        assert_eq!(one_shot.stats, owned.stats, "{q} n={n}");
+                    }
                 }
             }
         }
@@ -435,9 +440,12 @@ mod tests {
 
     #[test]
     fn facade_never_reports_warm_hits() {
+        // each call runs on a one-shot session, so a query repeated on
+        // one thread finds no entry an earlier call stored
         let input = Value::chain(6);
         for _ in 0..3 {
             let ev = crate::evaluate(&queries::tc_while(), &input, &EvalConfig::optimised());
+            assert!(ev.stats.memo_misses > 0, "{:?}", ev.stats);
             assert_eq!(ev.stats.warm_hits, 0);
         }
     }

@@ -49,10 +49,10 @@ pub struct EvalStats {
     /// The subset of `memo_hits` served by entries another query wrote:
     /// an **earlier query of the same session** (cross-query warm
     /// starts), or a batch worker sharing its apply table. Always 0
-    /// through the free-function facade, which opens its apply table
-    /// cold on every call; a `session::EvalSession` keeps its apply
-    /// cache across `eval` calls and re-derivations of judgments already
-    /// seen by previous queries land here.
+    /// through [`crate::evaluate`], whose one-shot session has no
+    /// earlier query; a `session::EvalSession` keeps its apply cache
+    /// across `eval` calls and re-derivations of judgments already seen
+    /// by previous queries land here.
     pub warm_hits: u64,
     /// Number of fused self-join applications served incrementally
     /// (only nonzero under

@@ -22,7 +22,7 @@ use crate::eager::{self, apply_leaf_vid, Ctx};
 use crate::error::{EvalConfig, EvalError};
 use crate::stats::EvalStats;
 use nra_core::expr::Expr;
-use nra_core::value::intern::{self, VId, ValueArena};
+use nra_core::value::intern::{VId, ValueArena};
 use nra_core::value::Value;
 use std::fmt::Write as _;
 
@@ -120,27 +120,27 @@ pub struct TracedEvaluation {
     pub stats: EvalStats,
 }
 
-/// Evaluate while materialising the full derivation tree. Use only on
-/// small inputs — the tree holds every intermediate object in resolved
-/// (tree) form. Budgets from `config` apply exactly as in
-/// [`crate::eager::evaluate`]; the memo and semi-naive switches do not
-/// apply (see the module docs).
+/// Evaluate while materialising the full derivation tree, on a local
+/// arena freed on return. Use only on small inputs — the tree holds
+/// every intermediate object in resolved (tree) form. Budgets from
+/// `config` apply exactly as in [`crate::eager::evaluate`]; the memo
+/// and semi-naive switches do not apply (see the module docs).
 pub fn evaluate_traced(expr: &Expr, input: &Value, config: &EvalConfig) -> TracedEvaluation {
-    intern::with_arena(|va| {
-        let (result, stats) = eager::run(config, va, |ctx, va| {
-            let iv = va.intern(input);
-            trace_vid(expr, iv, ctx, va)
-        });
-        TracedEvaluation {
-            result: result.map(|(node, _)| node),
-            stats,
-        }
-    })
+    let mut va = ValueArena::new();
+    let (result, stats) = eager::run(config, &mut va, |ctx, va| {
+        let iv = va.intern(input);
+        trace_vid(expr, iv, ctx, va)
+    });
+    TracedEvaluation {
+        result: result.map(|(node, _)| node),
+        stats,
+    }
 }
 
-/// One derivation node: the rules of [`crate::eager::evaluate_vid`]'s
-/// exact walker, returning the materialised node plus the interned
-/// handle of its output (so parents keep evaluating on handles).
+/// One derivation node: the rules of the exact walker
+/// ([`crate::eager::evaluate`] under the default configuration),
+/// returning the materialised node plus the interned handle of its
+/// output (so parents keep evaluating on handles).
 fn trace_vid(
     expr: &Expr,
     input: VId,

@@ -6,9 +6,9 @@
 //! with the BFS referee on the three large ones (road-grid, power-law,
 //! two-community).
 
-use nra_core::value::intern::{self, ValueArena};
-use nra_core::{queries, Value};
-use nra_eval::EvalConfig;
+use nra_core::queries;
+use nra_core::value::intern::ValueArena;
+use nra_eval::{EvalConfig, EvalSession};
 use nra_graph::{tc, tc_arena, DiGraph};
 use nra_testkit::graphs::{family_graphs, large_family_graphs};
 use nra_testkit::{check, Rng};
@@ -24,16 +24,15 @@ fn tc_arena_agrees_with_evaluator_on_small_families() {
         |_, rng| {
             for g in family_graphs(rng) {
                 let family = g.family;
-                let input = Value::relation(g.edges.iter().copied());
-                let iv = intern::intern(&input);
-                let ev = nra_eval::evaluate_vid(&queries::tc_while(), iv, &EvalConfig::default());
-                let expect = ev.result.unwrap();
-                intern::with_arena(|va| {
-                    let sorted = tc_arena(va, iv, false).unwrap();
-                    let dense = tc_arena(va, iv, true).unwrap();
-                    assert_eq!(sorted, expect, "{family}: sorted tc_arena vs evaluator");
-                    assert_eq!(dense, expect, "{family}: dense tc_arena vs evaluator");
-                });
+                let mut session = EvalSession::new(EvalConfig::default());
+                let q = session.intern_expr(&queries::tc_while());
+                let iv = session.values_mut().relation(g.edges.iter().copied());
+                let expect = session.eval_vid(q, iv).result.unwrap();
+                let va = session.values_mut();
+                let sorted = tc_arena(va, iv, false).unwrap();
+                let dense = tc_arena(va, iv, true).unwrap();
+                assert_eq!(sorted, expect, "{family}: sorted tc_arena vs evaluator");
+                assert_eq!(dense, expect, "{family}: dense tc_arena vs evaluator");
             }
         },
     );

@@ -13,8 +13,8 @@
 use nra_core::builder::*;
 use nra_core::types::Type;
 use nra_core::{derived, queries, Value};
-use nra_eval::{evaluate, evaluate_lazy, evaluate_traced, evaluate_tree, EvalConfig};
-use nra_graph::{graph_to_value, graph_to_vid, tc, DiGraph};
+use nra_eval::{evaluate, evaluate_lazy, evaluate_traced, evaluate_tree, EvalConfig, EvalSession};
+use nra_graph::{graph_to_value, tc, DiGraph};
 use nra_testkit::{check, Rng};
 
 const CASES: u64 = 24;
@@ -157,15 +157,18 @@ fn interned_path_agrees_with_tree_evaluator_on_all_families() {
                     );
                     assert_eq!(tree.stats, interned.stats, "{family}: {q}");
                 }
-                // the handle-to-handle entry point and the graph_to_vid
-                // encoding boundary, on the cheap query only — evaluate()
-                // already delegates to evaluate_vid, so this checks the
-                // boundary, not the (identical) evaluation
+                // the handle-to-handle entry point and the arena's
+                // relation encoding of the graph, on the cheap query only
+                // — evaluate() runs the same session path, so this
+                // checks the boundary, not the (identical) evaluation
                 let q = queries::tc_step();
                 let interned = evaluate(&q, &input, &cfg);
-                let vid_ev = nra_eval::evaluate_vid(&q, graph_to_vid(&g), &cfg);
+                let mut session = EvalSession::new(cfg.clone());
+                let eid = session.intern_expr(&q);
+                let iv = session.values_mut().relation(g.edges());
+                let vid_ev = session.eval_vid(eid, iv);
                 assert_eq!(
-                    nra_core::value::intern::resolve(vid_ev.result.unwrap()),
+                    session.resolve(vid_ev.result.unwrap()),
                     interned.result.unwrap(),
                     "{family}: {q} (vid path)"
                 );

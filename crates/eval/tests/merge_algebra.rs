@@ -1,11 +1,11 @@
 //! Differential tests for the arena-native set algebra: the sorted-merge
 //! operations on `ValueArena` (`set_union` / `set_difference` /
-//! `is_subset` / `set_delta_cardinality` / `set_from_sorted_merge` /
-//! `set_merge_frontier`) must agree with the *tree-side* semantics —
-//! the Prop 2.1 `derived` terms run through the evaluator, and the
-//! `BTreeSet` algebra on resolved values — on randomized relations.
+//! `is_subset` / `set_delta_cardinality` / `set_from_sorted_merge`)
+//! must agree with the *tree-side* semantics — the Prop 2.1 `derived`
+//! terms run through the evaluator, and the `BTreeSet` algebra on
+//! resolved values — on randomized relations.
 
-use nra_core::value::intern;
+use nra_core::value::intern::{VId, ValueArena};
 use nra_core::{builder, derived, Type, Value};
 use nra_eval::eval;
 use nra_testkit::{check, Rng};
@@ -17,22 +17,23 @@ fn edge_ty() -> Type {
     Type::prod(Type::Nat, Type::Nat)
 }
 
-/// Two random relations as tree values plus their interned handles.
-fn random_pair(rng: &mut Rng) -> (Value, Value, intern::VId, intern::VId) {
+/// Two random relations as tree values plus their handles in `arena`.
+fn random_pair(arena: &mut ValueArena, rng: &mut Rng) -> (Value, Value, VId, VId) {
     let a = Value::relation(rng.relation(6, 7));
     let b = Value::relation(rng.relation(6, 7));
-    let (ia, ib) = (intern::intern(&a), intern::intern(&b));
+    let (ia, ib) = (arena.intern(&a), arena.intern(&b));
     (a, b, ia, ib)
 }
 
 #[test]
 fn merge_union_agrees_with_the_primitive_and_btreeset() {
     check("merge_union_agrees", CASES, |_, rng| {
-        let (a, b, ia, ib) = random_pair(rng);
-        let merged = intern::set_union(ia, ib).expect("sets");
+        let mut arena = ValueArena::new();
+        let (a, b, ia, ib) = random_pair(&mut arena, rng);
+        let merged = arena.set_union(ia, ib).expect("sets");
         // the ∪ primitive through the evaluator…
         let via_eval = eval(&builder::union(), &Value::pair(a.clone(), b.clone())).unwrap();
-        assert_eq!(intern::resolve(merged), via_eval, "{a} ∪ {b}");
+        assert_eq!(arena.resolve(merged), via_eval, "{a} ∪ {b}");
         // …and the BTreeSet union on the tree side
         let tree: BTreeSet<Value> = a
             .as_set()
@@ -41,7 +42,7 @@ fn merge_union_agrees_with_the_primitive_and_btreeset() {
             .chain(b.as_set().unwrap().iter())
             .cloned()
             .collect();
-        assert_eq!(intern::resolve(merged), Value::Set(tree));
+        assert_eq!(arena.resolve(merged), Value::Set(tree));
     });
 }
 
@@ -50,37 +51,40 @@ fn merge_union_agrees_with_the_primitive_and_btreeset() {
 #[test]
 fn merge_intersection_agrees_with_derived() {
     check("merge_intersection_agrees", CASES, |_, rng| {
-        let (a, b, ia, ib) = random_pair(rng);
-        let a_only = intern::set_difference(ia, ib).expect("sets");
-        let merged = intern::set_difference(ia, a_only).expect("sets");
+        let mut arena = ValueArena::new();
+        let (a, b, ia, ib) = random_pair(&mut arena, rng);
+        let a_only = arena.set_difference(ia, ib).expect("sets");
+        let merged = arena.set_difference(ia, a_only).expect("sets");
         let via_derived = eval(
             &derived::intersect(&edge_ty()),
             &Value::pair(a.clone(), b.clone()),
         )
         .unwrap();
-        assert_eq!(intern::resolve(merged), via_derived, "{a} ∩ {b}");
+        assert_eq!(arena.resolve(merged), via_derived, "{a} ∩ {b}");
     });
 }
 
 #[test]
 fn merge_difference_agrees_with_derived() {
     check("merge_difference_agrees", CASES, |_, rng| {
-        let (a, b, ia, ib) = random_pair(rng);
-        let merged = intern::set_difference(ia, ib).expect("sets");
+        let mut arena = ValueArena::new();
+        let (a, b, ia, ib) = random_pair(&mut arena, rng);
+        let merged = arena.set_difference(ia, ib).expect("sets");
         let via_derived = eval(
             &derived::difference(&edge_ty()),
             &Value::pair(a.clone(), b.clone()),
         )
         .unwrap();
-        assert_eq!(intern::resolve(merged), via_derived, "{a} ∖ {b}");
+        assert_eq!(arena.resolve(merged), via_derived, "{a} ∖ {b}");
     });
 }
 
 #[test]
 fn merge_subset_and_membership_agree_with_derived() {
     check("merge_subset_membership_agree", CASES, |_, rng| {
-        let (a, b, ia, ib) = random_pair(rng);
-        let subset = intern::is_subset(ia, ib).expect("sets");
+        let mut arena = ValueArena::new();
+        let (a, b, ia, ib) = random_pair(&mut arena, rng);
+        let subset = arena.is_subset(ia, ib).expect("sets");
         let via_derived = eval(
             &derived::subset(&edge_ty()),
             &Value::pair(a.clone(), b.clone()),
@@ -91,8 +95,8 @@ fn merge_subset_and_membership_agree_with_derived() {
         // membership of each element of a ∪ b as the inclusion of its
         // singleton, against ∈ at the edge type
         for edge in a.as_set().unwrap().iter().chain(b.as_set().unwrap()) {
-            let singleton = intern::intern(&Value::set([edge.clone()]));
-            let contains = intern::is_subset(singleton, ib).expect("sets");
+            let singleton = arena.intern(&Value::set([edge.clone()]));
+            let contains = arena.is_subset(singleton, ib).expect("sets");
             let via_member = eval(
                 &derived::member(&edge_ty()),
                 &Value::pair(edge.clone(), b.clone()),
@@ -112,10 +116,11 @@ fn nary_merge_agrees_with_flatten() {
         let parts: Vec<Value> = (0..k)
             .map(|_| Value::relation(rng.relation(5, 5)))
             .collect();
-        let handles: Vec<_> = parts.iter().map(intern::intern).collect();
-        let merged = intern::set_from_sorted_merge(&handles).expect("sets");
+        let mut arena = ValueArena::new();
+        let handles: Vec<_> = parts.iter().map(|p| arena.intern(p)).collect();
+        let merged = arena.set_from_sorted_merge(&handles).expect("sets");
         let via_flatten = eval(&builder::flatten(), &Value::set(parts.clone())).unwrap();
-        assert_eq!(intern::resolve(merged), via_flatten, "μ over {k} parts");
+        assert_eq!(arena.resolve(merged), via_flatten, "μ over {k} parts");
     });
 }
 
@@ -125,60 +130,34 @@ fn nary_merge_agrees_with_flatten() {
 #[test]
 fn frontier_algebra_agrees_with_derived_on_random_sets() {
     check("frontier_algebra_agrees_with_derived", CASES, |_, rng| {
-        let (a, b, ia, ib) = random_pair(rng);
-        let fresh = intern::set_difference(ib, ia).expect("sets");
+        let mut arena = ValueArena::new();
+        let (a, b, ia, ib) = random_pair(&mut arena, rng);
+        let fresh = arena.set_difference(ib, ia).expect("sets");
         let via_diff = eval(
             &derived::difference(&edge_ty()),
             &Value::pair(b.clone(), a.clone()),
         )
         .unwrap();
-        assert_eq!(intern::resolve(fresh), via_diff, "{b} ∖ {a}");
+        assert_eq!(arena.resolve(fresh), via_diff, "{b} ∖ {a}");
         assert_eq!(
-            intern::set_delta_cardinality(ia, ib),
-            intern::cardinality(fresh).map(|n| n as u64),
+            arena.set_delta_cardinality(ia, ib),
+            arena.cardinality(fresh).map(|n| n as u64),
             "|{b} ∖ {a}|"
         );
-        let union = intern::set_union(ia, ib).unwrap();
-        assert_eq!(union == ib, intern::is_subset(ia, ib).unwrap(), "{a} ⊆ {b}");
-    });
-}
-
-#[test]
-fn frontier_merge_agrees_with_iterated_binary_union() {
-    check("frontier_merge_agrees_with_union", CASES, |_, rng| {
-        let k = rng.usize_below(5);
-        let base = Value::relation(rng.relation(6, 7));
-        let ibase = intern::intern(&base);
-        let parts: Vec<Value> = (0..k)
-            .map(|_| Value::relation(rng.relation(5, 5)))
-            .collect();
-        let handles: Vec<_> = parts.iter().map(intern::intern).collect();
-        let merged = intern::set_merge_frontier(ibase, &handles).expect("sets");
-        // iterated binary union over the same handles…
-        let mut expect = ibase;
-        for &h in &handles {
-            expect = intern::set_union(expect, h).unwrap();
-        }
-        assert_eq!(merged, expect, "μ-fold over {k} frontiers");
-        // …and the ∪ primitive through the evaluator, folded left
-        let mut tree = base;
-        for p in &parts {
-            tree = eval(&builder::union(), &Value::pair(tree, p.clone())).unwrap();
-        }
-        assert_eq!(intern::resolve(merged), tree);
+        let union = arena.set_union(ia, ib).unwrap();
+        assert_eq!(union == ib, arena.is_subset(ia, ib).unwrap(), "{a} ⊆ {b}");
     });
 }
 
 #[test]
 fn merge_ops_refuse_non_sets() {
-    let n = intern::nat(3);
-    let s = intern::chain(2);
-    assert_eq!(intern::set_union(n, s), None);
-    assert_eq!(intern::set_difference(n, n), None);
-    assert_eq!(intern::is_subset(n, s), None);
-    assert_eq!(intern::set_from_sorted_merge(&[s, n]), None);
-    assert_eq!(intern::set_delta_cardinality(n, s), None);
-    assert_eq!(intern::set_delta_cardinality(s, n), None);
-    assert_eq!(intern::set_merge_frontier(n, &[s]), None);
-    assert_eq!(intern::set_merge_frontier(s, &[n]), None);
+    let mut arena = ValueArena::new();
+    let n = arena.nat(3);
+    let s = arena.chain(2);
+    assert_eq!(arena.set_union(n, s), None);
+    assert_eq!(arena.set_difference(n, n), None);
+    assert_eq!(arena.is_subset(n, s), None);
+    assert_eq!(arena.set_from_sorted_merge(&[s, n]), None);
+    assert_eq!(arena.set_delta_cardinality(n, s), None);
+    assert_eq!(arena.set_delta_cardinality(s, n), None);
 }

@@ -7,7 +7,9 @@
 //! * `approx_resident_bytes` is monotone over queries *within* one
 //!   generation, and drops at an eviction;
 //! * warm starts report `memo_hits > 0` (and `warm_hits > 0`) on
-//!   re-evaluation, and never survive an eviction.
+//!   re-evaluation, and never survive an eviction;
+//! * `evaluate`, which runs on a one-shot session, reports statistics
+//!   that depend only on its arguments.
 
 use nra_core::{queries, Value};
 use nra_eval::{evaluate, EvalConfig, EvalSession};
@@ -24,7 +26,7 @@ fn family_inputs(rng: &mut Rng) -> Vec<(&'static str, Value)> {
 
 /// Generation-based eviction must be invisible in the results: a
 /// session evicting after every query (1-byte budget), a never-evicting
-/// session, and the thread-local facade all produce bit-for-bit the
+/// session, and one-shot `evaluate` all produce bit-for-bit the
 /// same values on every family and route — only `memo_hits`/`warm_hits`
 /// differ.
 #[test]
@@ -263,4 +265,47 @@ fn reinterning_after_eviction_recovers() {
         Value::chain_tc(5)
     );
     assert_eq!(before.stats, after.stats, "cold restart, same measure");
+}
+
+/// `evaluate` is a function of its arguments: the statistics it reports
+/// for a query do not depend on what the calling thread evaluated
+/// before. Each case runs once on a fresh thread and once on a thread
+/// that first evaluated twenty unrelated queries; earlier handles in a
+/// shared arena would reorder sets and move apply-table collisions.
+#[test]
+fn evaluate_stats_depend_only_on_the_arguments() {
+    let budgeted = EvalConfig {
+        max_nodes: Some(50),
+        ..EvalConfig::default()
+    };
+    let cases = [
+        (
+            queries::tc_while(),
+            Value::chain(12),
+            EvalConfig::memoised(),
+        ),
+        (queries::tc_paths(), Value::chain(1), budgeted),
+    ];
+    for (q, input, config) in cases {
+        let on_a_thread = |warm_up: bool| {
+            let (q, input, config) = (q.clone(), input.clone(), config.clone());
+            std::thread::spawn(move || {
+                if warm_up {
+                    let default = EvalConfig::default();
+                    for n in 0..10u64 {
+                        evaluate(&queries::tc_paths(), &Value::chain(n % 6), &default);
+                        evaluate(&queries::tc_step(), &Value::chain(n + 20), &default);
+                    }
+                }
+                evaluate(&q, &input, &config).stats
+            })
+            .join()
+            .expect("evaluation thread panicked")
+        };
+        assert_eq!(
+            on_a_thread(false),
+            on_a_thread(true),
+            "{q} under {config:?}"
+        );
+    }
 }

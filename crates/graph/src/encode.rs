@@ -1,13 +1,12 @@
 //! Conversions between [`DiGraph`] and complex objects of type `{N × N}`.
 //!
-//! Two parallel encodings are provided: the tree representation
-//! ([`graph_to_value`] / [`value_to_graph`]) for display and the parser
-//! surface, and the hash-consed representation ([`graph_to_vid`] /
-//! [`vid_to_graph`]) that feeds graphs straight into the interned
-//! evaluation hot path of `nra-eval` without ever building a tree.
+//! This is the tree representation ([`graph_to_value`] /
+//! [`value_to_graph`]), for display and the parser surface. A graph
+//! enters the interned evaluation hot path of `nra-eval` without a tree
+//! through one arena call each way: `arena.relation(g.edges())`, and
+//! `DiGraph::from_edges(arena.to_edges(v)?)` back.
 
 use crate::digraph::DiGraph;
-use nra_core::value::intern::{self, VId};
 use nra_core::value::Value;
 
 /// Encode a graph as the complex object `{(a, b), …}` of type `{N × N}`.
@@ -21,23 +20,11 @@ pub fn value_to_graph(v: &Value) -> Option<DiGraph> {
     Some(DiGraph::from_edges(v.to_edges()?))
 }
 
-/// Encode a graph directly into the thread-local interning arena as a
-/// handle of type `{N × N}` — the zero-copy entry to the interned
-/// evaluators (`nra_eval::evaluate_vid`).
-pub fn graph_to_vid(g: &DiGraph) -> VId {
-    intern::relation(g.edges())
-}
-
-/// Decode an interned `{N × N}` handle back into a graph. Returns `None`
-/// if the handle is not a binary relation over naturals.
-pub fn vid_to_graph(v: VId) -> Option<DiGraph> {
-    Some(DiGraph::from_edges(intern::to_edges(v)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nra_core::types::Type;
+    use nra_core::value::intern::ValueArena;
 
     #[test]
     fn round_trip() {
@@ -72,18 +59,22 @@ mod tests {
             DiGraph::cycle(3),
             DiGraph::random(8, 0.3, 1),
         ] {
-            let vid = graph_to_vid(&g);
+            let mut arena = ValueArena::new();
+            let vid = arena.relation(g.edges());
             // the two encodings intern to the same handle…
-            assert_eq!(vid, intern::intern(&graph_to_value(&g)));
+            assert_eq!(vid, arena.intern(&graph_to_value(&g)));
             // …and decode to the same graph
-            assert_eq!(vid_to_graph(vid).unwrap(), g);
+            assert_eq!(DiGraph::from_edges(arena.to_edges(vid).unwrap()), g);
         }
     }
 
     #[test]
     fn interned_non_relations_decode_to_none() {
-        assert_eq!(vid_to_graph(intern::nat(3)), None);
-        let s = intern::set([intern::nat(1)]);
-        assert_eq!(vid_to_graph(s), None);
+        let mut arena = ValueArena::new();
+        let n = arena.nat(3);
+        assert_eq!(arena.to_edges(n), None);
+        let one = arena.nat(1);
+        let s = arena.set([one]);
+        assert_eq!(arena.to_edges(s), None);
     }
 }

@@ -22,5 +22,5 @@ pub use nra_core::value::dense;
 
 pub use bitset::BitSet;
 pub use digraph::DiGraph;
-pub use encode::{graph_to_value, graph_to_vid, value_to_graph, vid_to_graph};
+pub use encode::{graph_to_value, value_to_graph};
 pub use tc::{bfs_per_source, semi_naive, tc, tc_arena, warshall};

@@ -21,7 +21,7 @@ use crate::condition::Condition;
 use crate::simple::SimpleExpr;
 use crate::vars::{Env, VarGen, VarId};
 use nra_core::types::Type;
-use nra_core::value::intern::{self, VId};
+use nra_core::value::intern::{VId, ValueArena};
 use nra_core::value::Value;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -146,33 +146,34 @@ impl AExpr {
         }
     }
 
-    /// The denotation `[A]ρ` as a hash-consed handle in the thread-local
-    /// arena — the hot-path twin of [`AExpr::eval`], used by the Lemma 5.1
+    /// The denotation `[A]ρ` as a hash-consed handle in `va` — the
+    /// hot-path twin of [`AExpr::eval`], used by the Lemma 5.1
     /// verification loops ([`crate::evalem::lemma_holds_at`]) where the
     /// same denotations are built and compared for many `n` and `ρ`:
     /// repeated subterms intern to the same node, and the final equality
     /// check against the evaluator's output is `O(1)`.
-    pub fn eval_interned(&self, n: u64, env: &Env) -> Option<VId> {
+    pub fn eval_interned(&self, n: u64, env: &Env, va: &mut ValueArena) -> Option<VId> {
         match self {
-            AExpr::Unit => Some(intern::unit()),
-            AExpr::Bool(b) => Some(intern::bool_(*b)),
-            AExpr::Num(e) => e.eval(n, env).map(intern::nat),
-            AExpr::Pair(a, b) => Some(intern::pair(
-                a.eval_interned(n, env)?,
-                b.eval_interned(n, env)?,
-            )),
+            AExpr::Unit => Some(va.unit()),
+            AExpr::Bool(b) => Some(va.bool_(*b)),
+            AExpr::Num(e) => e.eval(n, env).map(|k| va.nat(k)),
+            AExpr::Pair(a, b) => {
+                let a = a.eval_interned(n, env, va)?;
+                let b = b.eval_interned(n, env, va)?;
+                Some(va.pair(a, b))
+            }
             AExpr::Set(blocks) => {
                 let mut out = Vec::new();
                 for block in blocks {
                     let mut env = env.clone();
-                    eval_block_interned(block, n, &mut env, &mut out);
+                    eval_block_interned(block, n, &mut env, va, &mut out);
                 }
-                Some(intern::set(out))
+                Some(va.set(out))
             }
             AExpr::Guarded(arms) => {
                 for (arm, cond) in arms {
                     if cond.eval(n, env)? {
-                        return arm.eval_interned(n, env);
+                        return arm.eval_interned(n, env, va);
                     }
                 }
                 None
@@ -424,9 +425,15 @@ fn eval_block(block: &Block, n: u64, env: &mut Env, out: &mut BTreeSet<Value>) {
     });
 }
 
-fn eval_block_interned(block: &Block, n: u64, env: &mut Env, out: &mut Vec<VId>) {
+fn eval_block_interned(
+    block: &Block,
+    n: u64,
+    env: &mut Env,
+    va: &mut ValueArena,
+    out: &mut Vec<VId>,
+) {
     for_each_block_assignment(block, n, env, 0, &mut |env| {
-        if let Some(v) = block.body.eval_interned(n, env) {
+        if let Some(v) = block.body.eval_interned(n, env, va) {
             out.push(v);
         }
     });
@@ -652,18 +659,15 @@ mod tests {
             AExpr::comprehension(vec![x], AExpr::Num(SimpleExpr::Var(x, -2))),
             AExpr::Guarded(vec![(AExpr::num(0), Condition::fls())]),
         ];
+        let mut va = ValueArena::new();
         for a in &suite {
             for n in 0..5u64 {
                 let tree = a.eval(n, &Env::new());
-                let interned = a.eval_interned(n, &Env::new());
-                assert_eq!(
-                    tree,
-                    interned.map(nra_core::value::intern::resolve),
-                    "A={a}, n={n}"
-                );
+                let interned = a.eval_interned(n, &Env::new(), &mut va);
+                assert_eq!(tree, interned.map(|i| va.resolve(i)), "A={a}, n={n}");
                 // and the handles match a direct interning of the tree
                 if let (Some(t), Some(i)) = (&tree, interned) {
-                    assert_eq!(nra_core::value::intern::intern(t), i, "A={a}, n={n}");
+                    assert_eq!(va.intern(t), i, "A={a}, n={n}");
                 }
             }
         }

@@ -447,12 +447,11 @@ fn apply_powerset_in(
 /// interned hot path: does `f([A]ρ) ⇓ [A']ρ` hold at this `n` and `ρ`?
 ///
 /// Both denotations are built as hash-consed handles
-/// ([`AExpr::eval_interned`]), the concrete evaluation runs end-to-end on
-/// handles ([`nra_eval::evaluate_vid`]), and the final comparison is an
-/// `O(1)` handle equality — across a verification sweep over many `n` the
-/// shared subterms of the denotations are interned once. Returns `None`
-/// when either denotation is undefined at `(n, ρ)` or the concrete
-/// evaluation fails.
+/// ([`AExpr::eval_interned`]) in the arena of a one-shot
+/// [`nra_eval::EvalSession`], the concrete evaluation runs end-to-end on
+/// handles ([`nra_eval::EvalSession::eval_vid`]), and the final
+/// comparison is an `O(1)` handle equality. Returns `None` when either
+/// denotation is undefined at `(n, ρ)` or the concrete evaluation fails.
 ///
 /// ```
 /// use nra_core::builder;
@@ -474,11 +473,11 @@ pub fn lemma_holds_at(
     n: u64,
     env: &crate::vars::Env,
 ) -> Option<bool> {
-    let input = a.eval_interned(n, env)?;
-    let concrete = nra_eval::evaluate_vid(f, input, &nra_eval::EvalConfig::default())
-        .result
-        .ok()?;
-    let symbolic = a2.eval_interned(n, env)?;
+    let mut session = nra_eval::EvalSession::new(nra_eval::EvalConfig::default());
+    let input = a.eval_interned(n, env, session.values_mut())?;
+    let f = session.intern_expr(f);
+    let concrete = session.eval_vid(f, input).result.ok()?;
+    let symbolic = a2.eval_interned(n, env, session.values_mut())?;
     Some(concrete == symbolic)
 }
 

@@ -1,8 +1,8 @@
 //! Sessions, warm starts, and batch evaluation: the owned engine layer.
 //!
-//! The free functions (`evaluate`, …) run against thread-local arenas
-//! and open their apply table cold on every call. An `EvalSession` owns
-//! the arenas, a view of an `(EId, VId)` apply table, and the config — so
+//! The free function `evaluate` runs each call on a one-shot session,
+//! cold by construction. An `EvalSession` held across calls owns the
+//! arenas, a view of an `(EId, VId)` apply table, and the config — so
 //! repeated queries **warm-start**, residency can be bounded with
 //! generation-based eviction, and batches fan out across worker
 //! sessions on scoped threads.

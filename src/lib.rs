@@ -65,18 +65,21 @@
 //! The evaluators run on the hash-consed arena of
 //! [`core::value::intern`]: every §3 size observation is an `O(1)`
 //! cached-metadata read, and equality — including the `while` fixpoint
-//! test — is a handle comparison. Stay on handles end-to-end with
-//! [`eval::evaluate_vid`]:
+//! test — is a handle comparison. Every handle belongs to the session
+//! that issued it; stay on handles end-to-end with
+//! [`eval::EvalSession::eval_vid`]:
 //!
 //! ```
-//! use powerset_tc::core::{queries, value::intern};
-//! use powerset_tc::eval::{evaluate_vid, EvalConfig};
+//! use powerset_tc::core::queries;
+//! use powerset_tc::eval::{EvalConfig, EvalSession};
 //!
-//! let input = intern::chain(6); // r₆, interned — never built as a tree
-//! let ev = evaluate_vid(&queries::tc_while(), input, &EvalConfig::default());
-//! let out = ev.result.unwrap();
-//! assert_eq!(out, intern::chain_tc(6)); // O(1) equality on handles
-//! assert_eq!(intern::size(out), 1 + 3 * 21); // O(1) §3 size: 21 closure edges
+//! let mut session = EvalSession::new(EvalConfig::default());
+//! let query = session.intern_expr(&queries::tc_while());
+//! let input = session.values_mut().chain(6); // r₆, interned — never built as a tree
+//! let out = session.eval_vid(query, input).result.unwrap();
+//! let values = session.values_mut();
+//! assert_eq!(out, values.chain_tc(6)); // O(1) equality on handles
+//! assert_eq!(values.size(out), 1 + 3 * 21); // O(1) §3 size: 21 closure edges
 //! ```
 //!
 //! ## The apply cache
