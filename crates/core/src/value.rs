@@ -194,6 +194,10 @@ impl Value {
     /// The empty set is polymorphic; we report it at the requested element
     /// type only through [`Value::has_type`], and return `None` here when an
     /// empty set makes the type ambiguous.
+    ///
+    /// A set's element type is inferred from its first element once; every
+    /// other element is checked against it in place, so typing a relation
+    /// builds one element type, not one per pair.
     pub fn infer_type(&self) -> Option<Type> {
         match self {
             Value::Unit => Some(Type::Unit),
@@ -201,17 +205,27 @@ impl Value {
             Value::Nat(_) => Some(Type::Nat),
             Value::Pair(a, b) => Some(Type::prod(a.infer_type()?, b.infer_type()?)),
             Value::Set(items) => {
-                let mut elem: Option<Type> = None;
-                for item in items {
-                    let t = item.infer_type()?;
-                    match &elem {
-                        None => elem = Some(t),
-                        Some(prev) if *prev == t => {}
-                        Some(_) => return None,
-                    }
-                }
-                elem.map(Type::set)
+                let mut items = items.iter();
+                let elem = items.next()?.infer_type()?;
+                items
+                    .all(|item| item.infers_as(&elem))
+                    .then(|| Type::set(elem))
             }
+        }
+    }
+
+    /// Whether [`Value::infer_type`] gives exactly `ty`: [`Value::has_type`]
+    /// with every set non-empty, decided without building a type.
+    fn infers_as(&self, ty: &Type) -> bool {
+        match (self, ty) {
+            (Value::Unit, Type::Unit)
+            | (Value::Bool(_), Type::Bool)
+            | (Value::Nat(_), Type::Nat) => true,
+            (Value::Pair(a, b), Type::Prod(s, t)) => a.infers_as(s) && b.infers_as(t),
+            (Value::Set(items), Type::Set(t)) => {
+                !items.is_empty() && items.iter().all(|v| v.infers_as(t))
+            }
+            _ => false,
         }
     }
 }
@@ -291,6 +305,12 @@ mod tests {
         // heterogeneous sets are ill-typed
         let h = Value::set([Value::nat(1), Value::TRUE]);
         assert_eq!(h.infer_type(), None);
+        // an empty set past a set's first element is ambiguous too
+        let later = Value::set([
+            Value::pair(Value::nat(0), Value::set([Value::nat(1)])),
+            Value::pair(Value::nat(1), Value::empty_set()),
+        ]);
+        assert_eq!(later.infer_type(), None);
     }
 
     #[test]

@@ -110,3 +110,60 @@ fn value_syntax_roundtrips() {
         assert_eq!(back, v, "`{text}`");
     });
 }
+
+/// `Value::infer_type` as it was defined before it checked a set's other
+/// elements in place: every element's type built, then compared.
+fn infer_type_by_building(v: &Value) -> Option<Type> {
+    match v {
+        Value::Unit => Some(Type::Unit),
+        Value::Bool(_) => Some(Type::Bool),
+        Value::Nat(_) => Some(Type::Nat),
+        Value::Pair(a, b) => Some(Type::prod(
+            infer_type_by_building(a)?,
+            infer_type_by_building(b)?,
+        )),
+        Value::Set(items) => {
+            let mut elem: Option<Type> = None;
+            for item in items {
+                let t = infer_type_by_building(item)?;
+                match &elem {
+                    None => elem = Some(t),
+                    Some(prev) if *prev == t => {}
+                    Some(_) => return None,
+                }
+            }
+            elem.map(Type::set)
+        }
+    }
+}
+
+/// A random inhabitant of `ty`, whose sets hold zero to three elements.
+fn random_value_of(rng: &mut Rng, ty: &Type) -> Value {
+    match ty {
+        Type::Unit => Value::Unit,
+        Type::Bool => Value::Bool(rng.bool()),
+        Type::Nat => Value::nat(rng.below(4)),
+        Type::Prod(s, t) => Value::pair(random_value_of(rng, s), random_value_of(rng, t)),
+        Type::Set(t) => {
+            let len = rng.usize_below(4);
+            Value::set((0..len).map(|_| random_value_of(rng, t)))
+        }
+    }
+}
+
+#[test]
+fn infer_type_agrees_with_building_every_element_type() {
+    check("infer_type_agrees_with_building", 1000, |_, rng| {
+        // well-typed, empty sets included: typed or ambiguous; a set of
+        // inhabitants can type its first element and hold an empty set
+        // further on
+        let ty = random_type(rng, 3);
+        let v = Value::set((0..3).map(|_| random_value_of(rng, &ty)));
+        let inferred = v.infer_type();
+        assert_eq!(inferred, infer_type_by_building(&v), "{v} of {{{ty}}}");
+        assert!(inferred.is_none_or(|t| t == Type::set(ty.clone())), "{v}");
+        // mixed: mismatched elements, empty sets, any shape
+        let v = random_value(rng, 4);
+        assert_eq!(v.infer_type(), infer_type_by_building(&v), "{v}");
+    });
+}

@@ -14,20 +14,26 @@
 //!    all of them (and in the parent);
 //! 2. workers claim the queries their **assignment** names and evaluate
 //!    them on handles directly. [`partition`] is the one placement
-//!    rule — [`eval_batch`] and the serving layer both pass its
-//!    assignment to [`eval_batch_assigned`] — and it places jobs by
-//!    cost alone, heaviest first on the least-loaded worker. Because
-//!    the apply table is shared, a judgment derived by one worker is an
-//!    `O(1)` warm hit for every other worker (and for later queries of
-//!    the parent) — one worker's derivation is the whole batch's warm
+//!    rule — [`eval_batch`] passes its assignment to
+//!    [`eval_batch_assigned`], the serving layer to
+//!    [`eval_batch_streamed`] — and it places jobs by cost alone,
+//!    heaviest first on the least-loaded worker. Because the apply
+//!    table is shared, a judgment derived by one worker is an `O(1)`
+//!    warm hit for every other worker (and for later queries of the
+//!    parent) — one worker's derivation is the whole batch's warm
 //!    start;
-//! 3. results are returned in input order as handles into the shared
-//!    store. Interning is canonical, so the handles (and the §3
-//!    statistics, which are a pure function of `(query, input,
-//!    config)`) are **bit-for-bit identical** to a sequential
-//!    evaluation of the same batch, regardless of thread scheduling.
-//!    The differential harness holds this across all seven graph
-//!    families.
+//! 3. results are handles into the shared store, handed out in one of
+//!    two orders over one evaluation path. [`eval_batch_streamed`]
+//!    hands each job to a callback on the calling thread **as soon as
+//!    it completes** (fanned-out workers send finished jobs over a
+//!    channel), so a server can answer a small job while a large one
+//!    still runs; [`eval_batch_assigned`] collects the same jobs and
+//!    returns them in input order. Interning is canonical, so the
+//!    handles (and the §3 statistics, which are a pure function of
+//!    `(query, input, config)`) are **bit-for-bit identical** to a
+//!    sequential evaluation of the same batch, regardless of thread
+//!    scheduling. The differential harness holds this across all seven
+//!    graph families.
 //!
 //! Evaluation is pure, so correctness never depends on the partition;
 //! the partition only decides wall-clock time and the interleaving of
@@ -39,8 +45,8 @@
 //! batch — the `dag/tc_while n=8` workload used to *lose* 8% against
 //! sequential evaluation. [`partition`] therefore prices the batch up
 //! front (an `O(1)`-per-job metadata read) and keeps batches under
-//! [`SMALL_BATCH_COST`] in one partition, which [`eval_batch_assigned`]
-//! runs inline on the calling thread, still through a single split
+//! [`SMALL_BATCH_COST`] in one partition, which the batch runs inline
+//! on the calling thread, still through a single split
 //! worker session — so the shared apply table, panic containment,
 //! statistics and budget accounting are identical on both paths, and
 //! the results stay bit-for-bit the same (a regression test pins both
@@ -53,9 +59,11 @@
 //!   as a sequential [`EvalSession::eval_vid`] loop would;
 //! * the parent's resident budget is enforced at the batch boundary:
 //!   if the shared store ends the batch over budget, the parent
-//!   resolves the results, [evicts](EvalSession::evict), and re-interns
-//!   them into the fresh generation (the returned handles are valid in
-//!   the post-batch generation either way);
+//!   [evicts](EvalSession::evict). [`eval_batch_assigned`] resolves
+//!   its results first and re-interns them into the fresh generation
+//!   (the returned handles are valid in the post-batch generation
+//!   either way); [`eval_batch_streamed`] has handed every result out
+//!   already, so its handles are valid only until it returns;
 //! * a worker panic (e.g. a stale fabricated handle) is contained to
 //!   its job and surfaced as
 //!   [`EvalError::WorkerPanicked`]
@@ -84,6 +92,7 @@ use nra_core::expr::intern::EId;
 use nra_core::value::intern::VId;
 use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
 
 /// Batches whose summed [`partition`] cost falls below this run inline
 /// on the calling thread instead of spawning workers. Calibrated so the
@@ -211,8 +220,10 @@ pub fn eval_batch(
 /// scoped threads. Results come back in job order either way, with the
 /// same statistics folding, panic containment and parent-budget
 /// enforcement as [`eval_batch`] — which is this function with the
-/// [`partition`] assignment. The serving layer calls it with that
-/// assignment too, adding each job's declared budget.
+/// [`partition`] assignment. It collects what [`eval_batch_streamed`]
+/// hands out, so both run one evaluation path; only the tail differs,
+/// because the collected handles outlive the batch: an eviction
+/// resolves them first and re-interns them into the new generation.
 pub fn eval_batch_assigned(
     session: &mut EvalSession,
     jobs: &[BatchJob],
@@ -221,6 +232,70 @@ pub fn eval_batch_assigned(
     if jobs.is_empty() {
         return Vec::new();
     }
+    let mut gathered: Vec<Option<VidEvaluation>> = (0..jobs.len()).map(|_| None).collect();
+    stream(session, jobs, assignment, |_, i, ev| gathered[i] = Some(ev));
+    let mut results: Vec<VidEvaluation> = gathered
+        .into_iter()
+        .map(|ev| ev.expect("every job was claimed by exactly one worker"))
+        .collect();
+    // the resident budget is enforced at the batch boundary. An
+    // eviction invalidates the gathered handles, so resolve-evict-
+    // re-intern keeps the returned handles valid in the new generation.
+    if session.over_budget() {
+        let resolved: Vec<_> = results
+            .iter()
+            .map(|ev| ev.result.as_ref().ok().map(|&out| session.resolve(out)))
+            .collect();
+        session.evict();
+        for (ev, value) in results.iter_mut().zip(&resolved) {
+            if let Some(value) = value {
+                ev.result = Ok(session.intern_value(value));
+            }
+        }
+    }
+    results
+}
+
+/// [`eval_batch_assigned`] in completion order: hand each job's
+/// evaluation to `on_done(session, job index, evaluation)` on the
+/// calling thread as soon as the job completes, instead of returning
+/// them all in job order once the batch is done. Inline partitions call
+/// back between jobs; fanned-out workers send each finished job to the
+/// calling thread over a channel. Before every call the parent session
+/// has absorbed the job's statistics and caught up with the chunks the
+/// workers allocated, so the answer reads as fast through it as through
+/// the worker that interned it. Every job reaches `on_done` exactly
+/// once, a panicking one as [`EvalError::WorkerPanicked`].
+///
+/// A result handle is valid in `session` until the call returns: if the
+/// batch ends over the parent's resident budget, the tail evicts, and
+/// no handle is re-interned.
+pub fn eval_batch_streamed(
+    session: &mut EvalSession,
+    jobs: &[BatchJob],
+    assignment: &[Vec<usize>],
+    on_done: impl FnMut(&EvalSession, usize, VidEvaluation),
+) {
+    if jobs.is_empty() {
+        return;
+    }
+    stream(session, jobs, assignment, on_done);
+    if session.over_budget() {
+        session.evict();
+    }
+}
+
+/// The one evaluation path under [`eval_batch_assigned`] and
+/// [`eval_batch_streamed`]: split, run each partition inline or on its
+/// own scoped thread, and deliver each finished job — its statistics
+/// folded into the parent's books as a sequential
+/// [`EvalSession::eval_vid`] loop would fold them — to `on_done`.
+fn stream(
+    session: &mut EvalSession,
+    jobs: &[BatchJob],
+    assignment: &[Vec<usize>],
+    mut on_done: impl FnMut(&EvalSession, usize, VidEvaluation),
+) {
     let assigned: usize = assignment.iter().map(Vec::len).sum();
     debug_assert!(
         assigned == jobs.len() && {
@@ -238,78 +313,71 @@ pub fn eval_batch_assigned(
         .map(Vec::as_slice)
         .filter(|part| !part.is_empty())
         .collect();
+    let mut deliver = |session: &mut EvalSession, i: usize, ev: VidEvaluation| {
+        session.catch_up();
+        session.absorb(&ev.stats);
+        on_done(session, i, ev);
+    };
     let mut worker_sessions = session.split(parts.len().max(1));
-    let mut gathered: Vec<Option<VidEvaluation>> = (0..jobs.len()).map(|_| None).collect();
     if parts.len() <= 1 {
-        // inline: same worker-session semantics, no spawn
-        let worker = &mut worker_sessions[0];
-        for &i in parts.iter().copied().flatten() {
-            gathered[i] = Some(run_job(worker, jobs[i]));
+        // inline: same worker-session semantics, no spawn. The worker's
+        // views are released before the last job is handed out, so only
+        // the budget check follows the last hand-off.
+        let mut worker = worker_sessions.pop().expect("one worker session");
+        let mine = parts.first().copied().unwrap_or_default();
+        if let Some((&last, rest)) = mine.split_last() {
+            for &i in rest {
+                let ev = run_job(&mut worker, jobs[i]);
+                deliver(session, i, ev);
+            }
+            let ev = run_job(&mut worker, jobs[last]);
+            drop(worker);
+            deliver(session, last, ev);
         }
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = worker_sessions
-                .into_iter()
-                .zip(&parts)
-                .map(|(mut worker, &mine)| {
-                    scope.spawn(move || {
-                        mine.iter()
-                            .map(|&i| (i, run_job(&mut worker, jobs[i])))
-                            .collect::<Vec<_>>()
-                    })
+        return;
+    }
+    let (done, finished) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = worker_sessions
+            .into_iter()
+            .zip(&parts)
+            .map(|(mut worker, &mine)| {
+                let done = done.clone();
+                scope.spawn(move || {
+                    for &i in mine {
+                        // the receiver is gone only if the calling
+                        // thread is unwinding: stop early
+                        if done.send((i, run_job(&mut worker, jobs[i]))).is_err() {
+                            break;
+                        }
+                    }
                 })
-                .collect();
-            for (handle, &mine) in handles.into_iter().zip(&parts) {
-                match handle.join() {
-                    Ok(list) => {
-                        for (i, ev) in list {
-                            gathered[i] = Some(ev);
-                        }
-                    }
-                    // a panic that escaped the per-job guard (should not
-                    // happen): fail that worker's share, keep the rest
-                    Err(payload) => {
-                        let detail = panic_detail(&payload);
-                        for &i in mine {
-                            gathered[i].get_or_insert_with(|| VidEvaluation {
-                                result: Err(EvalError::WorkerPanicked {
-                                    detail: detail.clone(),
-                                }),
-                                stats: crate::stats::EvalStats::default(),
-                            });
-                        }
-                    }
+            })
+            .collect();
+        drop(done);
+        // ends once every worker has finished and dropped its sender
+        let mut delivered = vec![false; jobs.len()];
+        for (i, ev) in finished {
+            delivered[i] = true;
+            deliver(session, i, ev);
+        }
+        for (handle, &mine) in handles.into_iter().zip(&parts) {
+            // a panic that escaped the per-job guard (should not
+            // happen): fail that worker's undelivered share
+            if let Err(payload) = handle.join() {
+                let detail = panic_detail(&payload);
+                for &i in mine.iter().filter(|&&i| !delivered[i]) {
+                    let ev = VidEvaluation {
+                        result: Err(EvalError::WorkerPanicked {
+                            detail: detail.clone(),
+                        }),
+                        stats: crate::stats::EvalStats::default(),
+                    };
+                    deliver(session, i, ev);
                 }
             }
-        });
-    }
-    let mut results: Vec<VidEvaluation> = gathered
-        .into_iter()
-        .map(|ev| ev.expect("every job was claimed by exactly one worker"))
-        .collect();
-    session.catch_up();
-
-    // the batch counts against the parent's books like a sequential
-    // loop would: per-query stats fold into SessionStats…
-    for ev in &results {
-        session.absorb(&ev.stats);
-    }
-    // …and the resident budget is enforced at the batch boundary. An
-    // eviction invalidates the gathered handles, so resolve-evict-
-    // re-intern keeps the returned handles valid in the new generation.
-    if session.over_budget() {
-        let resolved: Vec<_> = results
-            .iter()
-            .map(|ev| ev.result.as_ref().ok().map(|&out| session.resolve(out)))
-            .collect();
-        session.evict();
-        for (ev, value) in results.iter_mut().zip(&resolved) {
-            if let Some(value) = value {
-                ev.result = Ok(session.intern_value(value));
-            }
         }
-    }
-    results
+    });
 }
 
 /// One job on one worker session, with the panic guard: a panicking job
@@ -592,6 +660,98 @@ mod tests {
         for (i, (a, b)) in inline.iter().zip(&threaded).enumerate() {
             assert_eq!(a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
             assert_eq!(a.stats, b.stats, "job {i}: inline vs threaded stats");
+        }
+    }
+
+    /// The streaming entry point against the collector and a sequential
+    /// loop. Over inline (one partition, also between two empty ones)
+    /// and fanned-out assignments, with a job on a fabricated handle
+    /// and one under an undersized declared budget, every job reaches
+    /// the callback exactly once, on the calling thread, its answer
+    /// reads back through the
+    /// session the callback is handed, and its result and statistics
+    /// equal `eval_batch_assigned`'s and a sequential
+    /// `eval_vid_budgeted` loop's bit for bit (the panicking job fails
+    /// in the loop, and as the same `WorkerPanicked` in both batches).
+    #[test]
+    fn streamed_batches_match_the_collector_and_a_sequential_loop() {
+        // the exact (memo-off) accounting: a job's statistics do not
+        // depend on which worker warmed what
+        let mut session = EvalSession::new(EvalConfig::default());
+        let q_while = session.intern_expr(&queries::tc_while());
+        let q_step = session.intern_expr(&queries::tc_step());
+        let mut jobs: Vec<BatchJob> = (2..9u64)
+            .map(|n| {
+                let query = if n % 2 == 0 { q_while } else { q_step };
+                BatchJob::from((query, session.values_mut().chain(n)))
+            })
+            .collect();
+        jobs[3].max_object_size = Some(1);
+        let poison = VId::from_index(usize::from(u16::MAX) << 8);
+        jobs.insert(2, BatchJob::from((q_while, poison)));
+        let sequential: Vec<Option<VidEvaluation>> = jobs
+            .iter()
+            .map(|j| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    session.eval_vid_budgeted(j.query, j.input, j.max_object_size)
+                }))
+                .ok()
+            })
+            .collect();
+        assert!(sequential[2].is_none(), "the fabricated handle panics");
+        assert!(matches!(
+            sequential[4].as_ref().unwrap().result,
+            Err(EvalError::SpaceBudgetExceeded { .. })
+        ));
+        let answers: Vec<Option<Value>> = sequential
+            .iter()
+            .map(|ev| {
+                let out = ev.as_ref()?.result.as_ref().ok()?;
+                Some(session.resolve(*out))
+            })
+            .collect();
+
+        let all: Vec<usize> = (0..jobs.len()).collect();
+        let dealt = |workers: usize| -> Vec<Vec<usize>> {
+            (0..workers)
+                .map(|w| (w..jobs.len()).step_by(workers).collect())
+                .collect()
+        };
+        for assignment in [
+            vec![all.clone()],
+            vec![vec![], all.clone(), vec![]],
+            dealt(2),
+            dealt(3),
+            vec![vec![2], vec![0, 1, 3, 4, 5, 6, 7]],
+        ] {
+            let mut calls = vec![0; jobs.len()];
+            let mut streamed: Vec<Option<VidEvaluation>> = vec![None; jobs.len()];
+            let caller = std::thread::current().id();
+            eval_batch_streamed(&mut session, &jobs, &assignment, |view, i, ev| {
+                assert_eq!(std::thread::current().id(), caller);
+                calls[i] += 1;
+                if let Ok(out) = ev.result {
+                    assert_eq!(Some(view.resolve(out)), answers[i], "job {i}");
+                }
+                streamed[i] = Some(ev);
+            });
+            assert_eq!(calls, vec![1; jobs.len()], "{assignment:?}");
+            let collected = eval_batch_assigned(&mut session, &jobs, &assignment);
+            for (i, (streamed, collected)) in streamed.iter().zip(&collected).enumerate() {
+                let streamed = format!("{:?}", streamed.as_ref().unwrap());
+                assert_eq!(
+                    streamed,
+                    format!("{collected:?}"),
+                    "job {i}: {assignment:?}"
+                );
+                match &sequential[i] {
+                    Some(ev) => assert_eq!(streamed, format!("{ev:?}"), "job {i}"),
+                    None => assert!(
+                        matches!(collected.result, Err(EvalError::WorkerPanicked { .. })),
+                        "job {i}: {collected:?}"
+                    ),
+                }
+            }
         }
     }
 

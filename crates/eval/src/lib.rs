@@ -92,7 +92,7 @@ mod shapes;
 pub mod stats;
 pub mod trace;
 
-pub use batch::{eval_batch, eval_batch_assigned, partition, BatchJob};
+pub use batch::{eval_batch, eval_batch_assigned, eval_batch_streamed, partition, BatchJob};
 pub use eager::{eval, evaluate, evaluate_tree, Evaluation, VidEvaluation};
 pub use error::{EvalConfig, EvalError};
 pub use lazy::{evaluate_lazy, evaluate_lazy_vid, LazyEvaluation, LazyStats, LazyVidEvaluation};

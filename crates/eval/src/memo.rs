@@ -77,6 +77,17 @@ impl Slot {
     }
 }
 
+/// A fresh stripe, its blank slots written straight into the heap
+/// allocation (`Box::new` of an array value builds the 16 KiB on the
+/// stack first and copies it).
+fn blank_stripe() -> Box<[Slot; STRIPE]> {
+    let slots: Box<[Slot]> = std::iter::repeat_with(Slot::blank).take(STRIPE).collect();
+    match slots.try_into() {
+        Ok(stripe) => stripe,
+        Err(_) => unreachable!("a stripe is STRIPE slots"),
+    }
+}
+
 /// The slots every view of one table shares, and its stamp counter.
 struct Table {
     stripes: [OnceLock<Box<[Slot; STRIPE]>>; STRIPES],
@@ -194,8 +205,7 @@ impl ApplyView {
         let key = pack(eid, input);
         let word = (u64::from(self.stamp) << 32) | out.index() as u64;
         let (stripe, at) = slot_of(key);
-        let slot = &self.table.stripes[stripe]
-            .get_or_init(|| Box::new(std::array::from_fn(|_| Slot::blank())))[at];
+        let slot = &self.table.stripes[stripe].get_or_init(blank_stripe)[at];
         if self.exclusive {
             // no other holder since this query opened: `Arc::get_mut`
             // acquired every earlier holder's release of its `Arc`, and

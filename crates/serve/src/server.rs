@@ -9,29 +9,35 @@
 //! [`partition`] — the engine's one placement rule, so a large join
 //! gets a worker of its own next to the small jobs of its batch —
 //! evaluates them on scoped worker threads via
-//! [`nra_eval::eval_batch_assigned`] — each
-//! under its **declared budget** — and answers every frame exactly
-//! once. A worker panic is contained by the batch layer and surfaces
-//! as a `failed` response; the loop, the session, and the other jobs
-//! of the batch are unaffected. Once an answer has passed the wire's
-//! nesting-cap check and been charged to its tenant, the loop writes its
-//! `ok` frame straight from the result handle in the session arena
-//! ([`ValueArena::write_text`]) into the frame's one buffer: the byte
-//! form of [`encode_response`] on the resolved answer, with no tree
-//! built on the way out.
+//! [`nra_eval::eval_batch_streamed`] — each under its **declared
+//! budget** — and answers every frame exactly once, **as soon as its
+//! answer is decided**: a rejection when staging turns it away, before
+//! the batch evaluates, and an admitted request when its job completes,
+//! so answers leave in completion order, not frame order (clients
+//! match them by tenant and id). A worker panic is contained by the
+//! batch layer and surfaces as a `failed` response; the loop, the
+//! session, and the other jobs of the batch are unaffected. Once an
+//! answer has passed the wire's nesting-cap check and been counted for
+//! its tenant, the loop writes its `ok` frame straight from the result
+//! handle in the session arena ([`ValueArena::write_text`]) into the
+//! frame's one buffer: the byte form of [`encode_response`] on the
+//! resolved answer, with no tree built on the way out.
 //!
 //! **Per-tenant byte budgets** ride the engine's generational
 //! eviction: every completed job charges its tenant the approximate
-//! bytes of its result; a tenant over budget is rejected at staging
-//! (`rejected` outcome, before any evaluation); and when the session's
-//! resident-byte budget triggers an eviction — bumping
-//! [`EvalSession::generation`] — the per-generation charges reset,
-//! because the objects the tenants were paying residency for are gone.
+//! bytes of its result once its batch is done; a tenant over budget is
+//! rejected at staging (`rejected` outcome, before any evaluation); and
+//! when the session's resident-byte budget triggers an eviction at a
+//! batch's tail — bumping [`EvalSession::generation`] — the
+//! per-generation charges reset, because the objects the tenants were
+//! paying residency for are gone. No answer handle outlives its batch,
+//! so that eviction has nothing to resolve or re-intern.
 //!
 //! Embedders that want the loop without the wire (tests, benches, the
 //! in-process front) call [`Server::process_batch`] /
 //! [`Server::run_staged`] directly; those resolve each `ok` answer to a
-//! tree [`Value`] on return.
+//! tree [`Value`] as its job completes and return the responses in
+//! request order.
 
 use crate::admission::{admit, AdmissionDecision, AdmissionPolicy};
 use crate::wire::{
@@ -43,7 +49,7 @@ use nra_core::parser::MAX_NESTING;
 use nra_core::typecheck::output_type;
 use nra_core::value::intern::{VId, ValueArena};
 use nra_core::{Expr, Value};
-use nra_eval::{eval_batch_assigned, partition, BatchJob, EvalConfig, EvalSession, SessionStats};
+use nra_eval::{eval_batch_streamed, partition, BatchJob, EvalConfig, EvalSession, SessionStats};
 use nra_symbolic::SpaceVerdict;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
@@ -191,7 +197,7 @@ fn nests_past_cap(va: &ValueArena, v: VId) -> bool {
 /// One request's answer inside the server: an `ok` answer is still a
 /// handle into the session arena, resolved or written out only where it
 /// leaves the server.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Answer {
     /// Evaluated within its declared budget.
     Ok { declared_budget: u64, value: VId },
@@ -288,7 +294,7 @@ impl Server {
     /// Admit one request: byte-budget check, typecheck, symbolic +
     /// concrete admission. Returns either a staged job or the
     /// rejection. An answer too deep for the wire is refused after
-    /// evaluation, by [`Server::answer_staged`].
+    /// evaluation, by [`Server::evaluate_staged`].
     fn stage(&mut self, request: &Request) -> Result<StagedJob, Outcome> {
         let reject = |reason: String| Outcome::Rejected { reason };
         // an eviction since the last batch voids the old generation's
@@ -369,20 +375,28 @@ impl Server {
     /// under per-job budgets, tenant charging, generation roll.
     /// One response per job, in job order.
     pub fn run_staged(&mut self, staged: &[StagedJob]) -> Vec<Response> {
-        let answers = self.answer_staged(staged);
-        staged
-            .iter()
-            .zip(answers)
-            .map(|(job, answer)| self.respond(&job.tenant, job.id, answer))
-            .collect()
+        let mut responses: Vec<Option<Response>> = vec![None; staged.len()];
+        self.evaluate_staged(staged, |values, i, answer| {
+            let job = &staged[i];
+            responses[i] = Some(respond(values, &job.tenant, job.id, answer));
+        });
+        in_order(responses)
     }
 
-    /// [`Server::run_staged`] with each `ok` answer left in the session
-    /// arena, where it stays valid until the next batch is evaluated
-    /// (only a batch's tail evicts).
-    fn answer_staged(&mut self, staged: &[StagedJob]) -> Vec<Answer> {
+    /// Evaluate one staged batch, handing each job's answer to
+    /// `deliver(arena, job index, answer)` as soon as its job completes,
+    /// once the answer has passed the wire's nesting-cap check and been
+    /// counted for its tenant. An `ok` answer is a handle into the
+    /// arena it is delivered with, valid until `deliver` returns: the
+    /// batch's tail may evict. The tenants' byte charges land after the
+    /// tail, in the generation the batch leaves behind.
+    fn evaluate_staged(
+        &mut self,
+        staged: &[StagedJob],
+        mut deliver: impl FnMut(&ValueArena, usize, Answer),
+    ) {
         if staged.is_empty() {
-            return Vec::new();
+            return;
         }
         let pairs: Vec<(EId, VId)> = staged.iter().map(|j| (j.query, j.input)).collect();
         let assignment = partition(&self.session, &pairs, self.config.workers);
@@ -394,87 +408,80 @@ impl Server {
                 max_object_size: Some(j.budget),
             })
             .collect();
-        let evals = eval_batch_assigned(&mut self.session, &jobs, &assignment);
-        self.report.batches += 1;
-        // the batch tail may have evicted (and re-interned the results) —
-        // roll the tenant ledgers before charging this batch
-        self.roll_generation();
-        staged
-            .iter()
-            .zip(evals)
-            .map(|(job, ev)| {
-                let tenant = self.report.tenants.entry(job.tenant.clone()).or_default();
-                tenant.warm_hits += ev.stats.warm_hits;
-                match ev.result {
-                    // the one nesting check: the answer itself is
-                    // measured before it goes on the wire
-                    Ok(out) if nests_past_cap(self.session.values(), out) => {
-                        tenant.errors += 1;
-                        self.report.errors += 1;
-                        Answer::Done(Outcome::Failed {
-                            detail: format!(
-                                "the answer nests past the wire's nesting cap of \
-                                 {MAX_NESTING} levels, so the client could not decode it"
-                            ),
-                        })
-                    }
-                    Ok(out) => {
-                        let bytes = self.session.values().size(out).saturating_mul(8);
-                        tenant.bytes_charged = tenant.bytes_charged.saturating_add(bytes);
-                        tenant.total_bytes = tenant.total_bytes.saturating_add(bytes);
-                        tenant.completed += 1;
-                        self.report.completed += 1;
-                        Answer::Ok {
-                            declared_budget: job.budget,
-                            value: out,
-                        }
-                    }
-                    Err(e) => {
-                        tenant.errors += 1;
-                        self.report.errors += 1;
-                        Answer::Done(Outcome::Failed {
-                            detail: e.to_string(),
-                        })
+        let report = &mut self.report;
+        let mut charges = Vec::new();
+        eval_batch_streamed(&mut self.session, &jobs, &assignment, |session, i, ev| {
+            let job = &staged[i];
+            let tenant = report.tenants.entry(job.tenant.clone()).or_default();
+            tenant.warm_hits += ev.stats.warm_hits;
+            let answer = match ev.result {
+                // the one nesting check: the answer itself is measured
+                // before it goes on the wire
+                Ok(out) if nests_past_cap(session.values(), out) => {
+                    tenant.errors += 1;
+                    report.errors += 1;
+                    Answer::Done(Outcome::Failed {
+                        detail: format!(
+                            "the answer nests past the wire's nesting cap of \
+                             {MAX_NESTING} levels, so the client could not decode it"
+                        ),
+                    })
+                }
+                Ok(out) => {
+                    charges.push((i, session.values().size(out).saturating_mul(8)));
+                    tenant.completed += 1;
+                    report.completed += 1;
+                    Answer::Ok {
+                        declared_budget: job.budget,
+                        value: out,
                     }
                 }
-            })
-            .collect()
-    }
-
-    /// The response to one answer, its `ok` value resolved to a tree.
-    fn respond(&self, tenant: &str, id: u64, answer: Answer) -> Response {
-        let outcome = match answer {
-            Answer::Ok {
-                declared_budget,
-                value,
-            } => Outcome::Ok {
-                declared_budget,
-                value: self.session.resolve(value),
-            },
-            Answer::Done(outcome) => outcome,
-        };
-        Response {
-            tenant: tenant.to_string(),
-            id,
-            outcome,
+                Err(e) => {
+                    tenant.errors += 1;
+                    report.errors += 1;
+                    Answer::Done(Outcome::Failed {
+                        detail: e.to_string(),
+                    })
+                }
+            };
+            deliver(session.values(), i, answer);
+        });
+        self.report.batches += 1;
+        // the batch tail may have evicted — roll the tenant ledgers
+        // before charging this batch
+        self.roll_generation();
+        for (i, bytes) in charges {
+            let tenant = self
+                .report
+                .tenants
+                .get_mut(&staged[i].tenant)
+                .expect("a completed job's tenant is on the ledger");
+            tenant.bytes_charged = tenant.bytes_charged.saturating_add(bytes);
+            tenant.total_bytes = tenant.total_bytes.saturating_add(bytes);
         }
     }
 
     /// Admit and evaluate one batch of parsed requests. One response
     /// per request, in request order.
     pub fn process_batch(&mut self, requests: &[Request]) -> Vec<Response> {
-        let answers = self.answer_batch(requests);
-        requests
-            .iter()
-            .zip(answers)
-            .map(|(request, answer)| self.respond(&request.tenant, request.id, answer))
-            .collect()
+        let mut responses: Vec<Option<Response>> = vec![None; requests.len()];
+        self.serve_batch(requests, |values, i, answer| {
+            let request = &requests[i];
+            responses[i] = Some(respond(values, &request.tenant, request.id, answer));
+        });
+        in_order(responses)
     }
 
-    /// [`Server::process_batch`] with each `ok` answer left in the
-    /// session arena, as [`Server::answer_staged`] leaves it.
-    fn answer_batch(&mut self, requests: &[Request]) -> Vec<Answer> {
-        let mut slots: Vec<Option<Answer>> = vec![None; requests.len()];
+    /// Stage every request of one batch, then evaluate the admitted
+    /// ones, handing each request's answer to `deliver(arena, request
+    /// index, answer)` as soon as it is decided: a rejection when
+    /// staging turns it away, an admitted request when its job
+    /// completes ([`Server::evaluate_staged`]).
+    fn serve_batch(
+        &mut self,
+        requests: &[Request],
+        mut deliver: impl FnMut(&ValueArena, usize, Answer),
+    ) {
         let mut staged = Vec::new();
         let mut staged_slots = Vec::new();
         for (i, request) in requests.iter().enumerate() {
@@ -484,16 +491,12 @@ impl Server {
                     staged.push(job);
                     staged_slots.push(i);
                 }
-                Err(rejection) => slots[i] = Some(Answer::Done(rejection)),
+                Err(rejection) => deliver(self.session.values(), i, Answer::Done(rejection)),
             }
         }
-        for (slot, answer) in staged_slots.into_iter().zip(self.answer_staged(&staged)) {
-            slots[slot] = Some(answer);
-        }
-        slots
-            .into_iter()
-            .map(|a| a.expect("every request answered exactly once"))
-            .collect()
+        self.evaluate_staged(&staged, |values, j, answer| {
+            deliver(values, staged_slots[j], answer)
+        });
     }
 
     /// The serving loop: block for a frame, drain the window, process,
@@ -542,21 +545,24 @@ impl Server {
                             let failed = Answer::Done(Outcome::Failed {
                                 detail: format!("wire: {e}"),
                             });
-                            if self.send(&transport, tenant, id, failed).is_err() {
+                            if send(&transport, self.session.values(), tenant, id, failed).is_err()
+                            {
                                 break 'serve;
                             }
                         }
                     }
                 }
             }
-            let answers = self.answer_batch(&requests);
-            for (request, answer) in requests.iter().zip(answers) {
-                if self
-                    .send(&transport, &request.tenant, request.id, answer)
-                    .is_err()
-                {
-                    break 'serve;
-                }
+            // each answer leaves as soon as it is decided; once a send
+            // fails the peer is gone, and the batch finishes unsent
+            let mut hung_up = false;
+            self.serve_batch(&requests, |values, i, answer| {
+                let request = &requests[i];
+                hung_up = hung_up
+                    || send(&transport, values, &request.tenant, request.id, answer).is_err();
+            });
+            if hung_up {
+                break 'serve;
             }
             if shutdown {
                 break;
@@ -564,36 +570,63 @@ impl Server {
         }
         self.report()
     }
+}
 
-    /// Send one answer as one frame. An `ok` answer is written straight
-    /// from the session arena into the frame's only buffer, after the
-    /// tenant check [`encode_response`] makes, so its bytes are
-    /// `encode_response`'s on the resolved answer; any other answer goes
-    /// through `encode_response` itself.
-    fn send(
-        &self,
-        transport: &Endpoint,
-        tenant: &str,
-        id: u64,
-        answer: Answer,
-    ) -> Result<(), WireError> {
-        match answer {
-            Answer::Ok {
-                declared_budget,
-                value,
-            } => {
-                validate_tenant(tenant)?;
-                let mut line = format!("{tenant};{id};ok;{declared_budget};");
-                self.session.values().write_text(value, &mut line);
-                line.push('\n');
-                transport.tx.send_bytes(line.into_bytes())
-            }
-            Answer::Done(outcome) => transport.tx.send_line(&encode_response(&Response {
-                tenant: tenant.to_string(),
-                id,
-                outcome,
-            })?),
+/// Every slot of a batch's responses, filled once each, in order.
+fn in_order(responses: Vec<Option<Response>>) -> Vec<Response> {
+    responses
+        .into_iter()
+        .map(|r| r.expect("every request answered exactly once"))
+        .collect()
+}
+
+/// The response to one answer, its `ok` value resolved to a tree.
+fn respond(values: &ValueArena, tenant: &str, id: u64, answer: Answer) -> Response {
+    let outcome = match answer {
+        Answer::Ok {
+            declared_budget,
+            value,
+        } => Outcome::Ok {
+            declared_budget,
+            value: values.resolve(value),
+        },
+        Answer::Done(outcome) => outcome,
+    };
+    Response {
+        tenant: tenant.to_string(),
+        id,
+        outcome,
+    }
+}
+
+/// Send one answer as one frame. An `ok` answer is written straight
+/// from the arena that holds it into the frame's only buffer, after the
+/// tenant check [`encode_response`] makes, so its bytes are
+/// `encode_response`'s on the resolved answer; any other answer goes
+/// through `encode_response` itself.
+fn send(
+    transport: &Endpoint,
+    values: &ValueArena,
+    tenant: &str,
+    id: u64,
+    answer: Answer,
+) -> Result<(), WireError> {
+    match answer {
+        Answer::Ok {
+            declared_budget,
+            value,
+        } => {
+            validate_tenant(tenant)?;
+            let mut line = format!("{tenant};{id};ok;{declared_budget};");
+            values.write_text(value, &mut line);
+            line.push('\n');
+            transport.tx.send_bytes(line.into_bytes())
         }
+        Answer::Done(outcome) => transport.tx.send_line(&encode_response(&Response {
+            tenant: tenant.to_string(),
+            id,
+            outcome,
+        })?),
     }
 }
 

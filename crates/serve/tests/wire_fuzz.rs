@@ -414,14 +414,18 @@ fn a_frame_over_the_byte_cap_fails_and_the_next_is_served() {
 /// Send each group of `requests` to a spawned server as one transport
 /// chunk (one batch), and require every raw line it answers with to
 /// equal [`encode_response`] of the response a second server's
-/// `process_batch` gives the same group. The spawned loop writes `ok`
-/// answers from its arena; `process_batch` resolves them to trees.
-/// Returns the reference server's responses, in request order, and its
-/// closing report, so callers can check the outcomes themselves.
+/// `process_batch` gives the same request, byte for byte. The spawned
+/// loop answers in completion order, so each line is matched to its
+/// request by (tenant, id), and every request of a group must be
+/// answered exactly once. The spawned loop writes `ok` answers from its
+/// arena; `process_batch` resolves them to trees. Returns the reference
+/// server's responses, in request order, and its closing report, so
+/// callers can check the outcomes themselves.
 fn assert_served_frames_are_encoded_responses(
     groups: &[Vec<Request>],
 ) -> (Vec<Response>, nra_serve::ServeReport) {
     use nra_serve::{spawn, ServeConfig, Server};
+    use std::collections::BTreeMap;
     let (mut client, handle) = spawn(ServeConfig::default());
     let mut reference = Server::new(ServeConfig::default());
     let mut responses = Vec::new();
@@ -432,9 +436,23 @@ fn assert_served_frames_are_encoded_responses(
             chunk.push(b'\n');
         }
         client.tx.send_bytes(chunk).unwrap();
-        for response in reference.process_batch(group) {
-            let expect = encode_response(&response).unwrap();
+        let expected = reference.process_batch(group);
+        let mut unanswered: BTreeMap<(String, u64), String> = expected
+            .iter()
+            .map(|r| ((r.tenant.clone(), r.id), encode_response(r).unwrap()))
+            .collect();
+        assert_eq!(unanswered.len(), group.len(), "(tenant, id) is unique");
+        for _ in group {
             let line = client.rx.recv_line().expect("server alive").unwrap();
+            let mut fields = line.splitn(3, ';');
+            let tenant = fields.next().unwrap_or_default().to_string();
+            let id: u64 = fields
+                .next()
+                .and_then(|id| id.parse().ok())
+                .unwrap_or_else(|| panic!("served frame without an id: {line}"));
+            let expect = unanswered
+                .remove(&(tenant.clone(), id))
+                .unwrap_or_else(|| panic!("{tenant} {id}: answered twice or never asked"));
             if line != expect {
                 let at = line
                     .bytes()
@@ -446,22 +464,63 @@ fn assert_served_frames_are_encoded_responses(
                     String::from_utf8_lossy(&bytes[..bytes.len().min(80)]).into_owned()
                 };
                 panic!(
-                    "{} {}: the served frame ({} bytes) departs from encode_response \
+                    "{tenant} {id}: the served frame ({} bytes) departs from encode_response \
                      ({} bytes) at byte {at}:\n  served: …{}…\n  encoded: …{}…",
-                    response.tenant,
-                    response.id,
                     line.len(),
                     expect.len(),
                     near(&line),
                     near(&expect),
                 );
             }
-            responses.push(response);
         }
+        responses.extend(expected);
     }
     client.shutdown().unwrap();
     handle.join().expect("server thread must not die");
+    assert!(
+        client.rx.recv_line().is_none(),
+        "a frame answered more than once"
+    );
     (responses, reference.report())
+}
+
+/// A rejection leaves at staging: in one chunk, a bare `powerset` that
+/// Theorem 4.1 turns away, sent after an admitted `tc_while`, is
+/// answered first, and the admitted frame after it.
+#[test]
+fn a_rejection_sent_after_an_admitted_frame_is_answered_first() {
+    use nra_core::{builder, queries};
+    use nra_serve::{spawn, ServeConfig};
+    let requests = [
+        (1, queries::tc_while(), Value::chain(9)),
+        (2, builder::powerset(), Value::chain(20)),
+    ];
+    let mut chunk = Vec::new();
+    for (id, query, input) in requests {
+        let request = Request {
+            tenant: "acme".into(),
+            id,
+            query,
+            input,
+        };
+        chunk.extend_from_slice(encode_request(&request).unwrap().as_bytes());
+        chunk.push(b'\n');
+    }
+    let (mut client, handle) = spawn(ServeConfig::default());
+    client.tx.send_bytes(chunk).unwrap();
+    let first = client.recv().expect("server alive").unwrap();
+    assert_eq!(first.id, 2, "{first:?}");
+    assert!(cites_theorem_4_1(&first.outcome), "{first:?}");
+    let second = client.recv().expect("server alive").unwrap();
+    assert_eq!(second.id, 1);
+    match second.outcome {
+        Outcome::Ok { value, .. } => assert_eq!(value, Value::chain_tc(9)),
+        other => panic!("the admitted frame: {other:?}"),
+    }
+    client.shutdown().unwrap();
+    let report = handle.join().expect("server thread must not die");
+    assert_eq!((report.batches, report.completed), (1, 1));
+    assert_eq!(report.rejected_exponential, 1);
 }
 
 /// Is `outcome` a rejection citing the Theorem 4.1 bound?

@@ -15,6 +15,10 @@
 //!   it is **rejected before evaluation** with a reason citing the
 //!   Theorem 4.1 lower bound.
 //!
+//! Responses arrive in completion order: a rejection leaves as soon as
+//! admission decides it, ahead of the answers still being evaluated,
+//! so the client matches each response to its request by id.
+//!
 //! Run with `cargo run --release --example serve_demo`.
 
 use powerset_tc::core::{builder, queries, Value};
