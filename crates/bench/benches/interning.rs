@@ -29,8 +29,8 @@ fn main() {
     // (object sizes Θ(n⁴) at the self-product), plus the powerset route
     // on a small chain — see nra_bench::standard_eval_comparisons
     let comparisons = standard_eval_comparisons(samples);
-    // the serving-scale dense-vs-sorted closure table (tc_arena's two
-    // representation routes on the 512-node graph families)
+    // the serving-scale closure table (tc_arena on the 512-node graph
+    // families)
     let dense = standard_dense_comparisons(samples);
 
     println!(
@@ -118,26 +118,20 @@ fn main() {
     println!("minimum shared-warm speedup across workloads: {min_shared_warm:.2}x");
 
     println!();
-    println!("dense vs sorted transitive closure (tc_arena) on the serving-scale families:");
+    println!("transitive closure (tc_arena) on the serving-scale families:");
     println!(
-        "{:<22} {:>4} {:>7} {:>10} {:>10} {:>8}",
-        "workload", "n", "edges", "sorted", "dense", "dense×"
+        "{:<22} {:>4} {:>7} {:>10}",
+        "workload", "n", "edges", "tc_arena"
     );
     for d in &dense {
         println!(
-            "{:<22} {:>4} {:>7} {:>10} {:>10} {:>7.2}x",
+            "{:<22} {:>4} {:>7} {:>10}",
             d.workload,
             d.n,
             d.edges,
-            fmt_duration(d.sorted),
-            fmt_duration(d.dense),
-            d.dense_speedup()
+            fmt_duration(d.dense)
         );
     }
-    let geomean_dense = (dense.iter().map(|d| d.dense_speedup().ln()).sum::<f64>()
-        / dense.len().max(1) as f64)
-        .exp();
-    println!("geomean dense speedup: {geomean_dense:.2}x");
 
     let path = write_bench_eval_json(&comparisons, &dense, samples).expect("write BENCH_eval.json");
     println!("wrote {}", path.display());

@@ -262,7 +262,7 @@ fn e15_while_at_scale() {
         let closure = ev.result.expect("tc_while completes");
         let mut va = ValueArena::new();
         let rel = va.intern(&input);
-        let arena_closure = nra_graph::tc_arena(&mut va, rel, true).expect("tc_arena closes");
+        let arena_closure = nra_graph::tc_arena(&mut va, rel).expect("tc_arena closes");
         assert_eq!(
             va.resolve(arena_closure),
             closure,
@@ -272,7 +272,7 @@ fn e15_while_at_scale() {
         let t_arena = median_time(samples, || {
             let mut va = ValueArena::new();
             let rel = va.intern(&input);
-            nra_graph::tc_arena(&mut va, rel, true)
+            nra_graph::tc_arena(&mut va, rel)
         });
         println!(
             "| {} | {} | {} | {} | {} | {} | {} | {:.1}× |",

@@ -248,12 +248,9 @@ impl EvalComparison {
     }
 }
 
-/// One timed dense-vs-sorted comparison of the arena-native transitive
-/// closure ([`nra_graph::tc_arena`]) on a serving-scale graph: the same
-/// relation closed twice, once on the sorted route (per-round frontier
-/// interning and sorted `set_union` merges) and once on the dense route
-/// (bitmap Warshall over packed words, one final intern). Both routes produce the identical
-/// closure handle — [`compare_dense`] asserts it before timing.
+/// One timed arena-native transitive closure ([`nra_graph::tc_arena`])
+/// on a serving-scale graph: the bitmap Warshall kernel plus the one
+/// final intern of its answer.
 #[derive(Debug, Clone)]
 pub struct DenseComparison {
     /// Workload label, e.g. `"road_grid/tc_arena"`.
@@ -262,26 +259,13 @@ pub struct DenseComparison {
     pub n: u64,
     /// Edges in the input relation.
     pub edges: u64,
-    /// Median wall-clock of the sorted-merge route.
-    pub sorted: Duration,
-    /// Median wall-clock of the dense route.
+    /// Median wall-clock of one closure, on a fresh arena.
     pub dense: Duration,
 }
 
-impl DenseComparison {
-    /// How many times faster the dense representation closes the
-    /// relation (sorted / dense). Recorded per workload and as
-    /// `geomean_dense_speedup` in `BENCH_eval.json`; the CI gate fails
-    /// if the geomean drops below 1.
-    pub fn dense_speedup(&self) -> f64 {
-        self.sorted.as_secs_f64() / self.dense.as_secs_f64().max(1e-12)
-    }
-}
-
-/// Time [`nra_graph::tc_arena`]'s two routes on one edge list, first
-/// asserting they intern the identical closure handle. Every timed run
-/// builds a fresh arena, so neither route is served the other's
-/// interned intermediates.
+/// Time one [`nra_graph::tc_arena`] closure of an edge list. Every timed
+/// run builds a fresh arena, so no run is served an earlier run's
+/// interned answer.
 pub fn compare_dense(
     workload: &str,
     n: u64,
@@ -289,46 +273,25 @@ pub fn compare_dense(
     samples: usize,
 ) -> DenseComparison {
     use nra_core::value::intern::ValueArena;
-    {
+    let dense = median_time(samples, || {
         let mut va = ValueArena::new();
         let r = va.relation(edges.iter().copied());
-        let sorted_out = nra_graph::tc_arena(&mut va, r, false).expect("sorted closure");
-        let dense_out = nra_graph::tc_arena(&mut va, r, true).expect("dense closure");
-        assert_eq!(
-            sorted_out, dense_out,
-            "tc_arena routes disagree on {workload} n={n}"
-        );
-    }
-    let [sorted, dense] = interleaved_medians(
-        samples,
-        &mut [
-            &mut || {
-                let mut va = ValueArena::new();
-                let r = va.relation(edges.iter().copied());
-                std::hint::black_box(nra_graph::tc_arena(&mut va, r, false));
-            },
-            &mut || {
-                let mut va = ValueArena::new();
-                let r = va.relation(edges.iter().copied());
-                std::hint::black_box(nra_graph::tc_arena(&mut va, r, true));
-            },
-        ],
-    );
+        nra_graph::tc_arena(&mut va, r).expect("a relation closes")
+    });
     DenseComparison {
         workload: workload.to_string(),
         n,
         edges: edges.len() as u64,
-        sorted,
         dense,
     }
 }
 
-/// The serving-scale dense-vs-sorted TC workloads feeding the
-/// `dense_workloads` table of `BENCH_eval.json`: the three large-graph
-/// families (road grid, preferential-attachment power law, two thinly
-/// bridged communities) at n = 512 through [`nra_graph::tc_arena`]'s
-/// two routes. Shared by `benches/interning.rs` and the `report`
-/// binary, like [`standard_eval_comparisons`].
+/// The serving-scale closure workloads feeding the `dense_workloads`
+/// table of `BENCH_eval.json`: the three large-graph families (road
+/// grid, preferential-attachment power law, two thinly bridged
+/// communities) at n = 512 through [`nra_graph::tc_arena`]. Shared by
+/// `benches/interning.rs` and the `report` binary, like
+/// [`standard_eval_comparisons`].
 pub fn standard_dense_comparisons(samples: usize) -> Vec<DenseComparison> {
     let mut rng = nra_testkit::Rng::new(0xD3A5E);
     nra_testkit::graphs::large_family_graphs(&mut rng, 512)
@@ -712,30 +675,21 @@ pub fn write_bench_eval_json_to(
         / comparisons.len().max(1) as f64)
         .exp();
     out.push_str("  ],\n");
-    // the dense-vs-sorted closure table lives in its own array: its
-    // rows time `tc_arena`'s two representation routes, not the
-    // evaluator rungs, so the per-workload key set is different
+    // the closure table lives in its own array: its rows time
+    // `tc_arena`, not the evaluator rungs, so the per-workload key set
+    // is different
     out.push_str("  \"dense_workloads\": [\n");
     for (i, d) in dense.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"n\": {}, \"edges\": {}, \"sorted_ns\": {}, \"dense_ns\": {}, \"dense_speedup\": {:.3}}}{}\n",
+            "    {{\"workload\": \"{}\", \"n\": {}, \"edges\": {}, \"dense_ns\": {}}}{}\n",
             d.workload,
             d.n,
             d.edges,
-            d.sorted.as_nanos(),
             d.dense.as_nanos(),
-            d.dense_speedup(),
             if i + 1 == dense.len() { "" } else { "," }
         ));
     }
-    let geomean_dense = (dense.iter().map(|d| d.dense_speedup().ln()).sum::<f64>()
-        / dense.len().max(1) as f64)
-        .exp();
     out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"geomean_dense_speedup\": {:.3},\n",
-        geomean_dense
-    ));
     out.push_str(&format!(
         "  \"batch_jobs\": {BATCH_JOBS},\n  \"batch_workers\": {BATCH_WORKERS},\n"
     ));
@@ -886,15 +840,13 @@ mod tests {
                 workload: "road_grid/tc_arena".into(),
                 n: 512,
                 edges: 950,
-                sorted: Duration::from_micros(400),
                 dense: Duration::from_micros(100),
             },
             DenseComparison {
                 workload: "power_law/tc_arena".into(),
                 n: 512,
                 edges: 980,
-                sorted: Duration::from_micros(900),
-                dense: Duration::from_micros(100),
+                dense: Duration::from_micros(300),
             },
         ];
         // write to a scratch path — the repo-root BENCH_eval.json is a
@@ -932,11 +884,8 @@ mod tests {
         assert!(text.contains("\"dense_workloads\""));
         assert!(text.contains("\"workload\": \"road_grid/tc_arena\""));
         assert!(text.contains("\"edges\": 950"));
-        assert!(text.contains("\"sorted_ns\": 400000"));
         assert!(text.contains("\"dense_ns\": 100000"));
-        assert!(text.contains("\"dense_speedup\": 4.000"));
-        assert!(text.contains("\"dense_speedup\": 9.000"));
-        assert!(text.contains("\"geomean_dense_speedup\": 6.000"));
+        assert!(text.contains("\"dense_ns\": 300000"));
         assert!(text.contains("\"batch_jobs\": 12"));
         assert!(text.contains("\"batch_workers\": 4"));
         assert!(text.contains("\"min_speedup\": 2.000"));

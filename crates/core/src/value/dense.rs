@@ -1,17 +1,14 @@
 //! Word-parallel primitives for dense bitmap sets.
 //!
-//! One vocabulary of packed-`u64` operations shared by every layer that
-//! manipulates dense relations: the graph crate's `BitSet` rows and the
-//! arena-native transitive-closure backend (`nra_graph::tc_arena`). All
-//! functions operate on plain word slices — no representation
-//! assumptions beyond "bit `i` of word `i / 64` is element `i`" — so
-//! callers can layer whatever domain encoding they need on top.
+//! The vocabulary of the one bitmap closure kernel behind
+//! `nra_graph::warshall` and `nra_graph::tc_arena`: its rows are plain
+//! `u64` word slices, and bit `i` of word `i / 64` is element `i` — no
+//! other representation assumption, so callers layer whatever domain
+//! encoding they need on top.
 //!
-//! Length mismatches are handled by the *growing* convention: a shorter
-//! operand is treated as zero-padded, and in-place destinations grow to
-//! cover the longer operand where bits could be set. This is the
-//! contract `BitSet::union_with` adopts (growing instead of panicking)
-//! so the two layers agree on edge cases.
+//! Length mismatches follow the *growing* convention: a shorter operand
+//! reads as zero-padded, and in-place destinations grow to cover the
+//! longer operand where bits could be set.
 //!
 //! ```
 //! use nra_core::value::dense;
@@ -20,7 +17,7 @@
 //! let grew = dense::union_into(&mut acc, &[0b0101, 0b1]);
 //! assert!(grew);
 //! assert_eq!(acc, vec![0b1111, 0b1]);
-//! assert_eq!(dense::popcount(&acc), 5);
+//! assert_eq!(dense::iter_ones(&acc).collect::<Vec<_>>(), vec![0, 1, 2, 3, 64]);
 //! ```
 
 /// Bits per packed word.
@@ -69,50 +66,6 @@ pub fn union_into(dst: &mut Vec<u64>, src: &[u64]) -> bool {
     changed
 }
 
-/// `dst &= src` — bits of `dst` beyond `src`'s length are cleared (a
-/// missing word is zero).
-pub fn intersect_into(dst: &mut [u64], src: &[u64]) {
-    for (i, d) in dst.iter_mut().enumerate() {
-        *d &= src.get(i).copied().unwrap_or(0);
-    }
-}
-
-/// `dst &= !src` — words of `src` beyond `dst`'s length are irrelevant.
-pub fn difference_into(dst: &mut [u64], src: &[u64]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d &= !s;
-    }
-}
-
-/// Whether every set bit of `a` is also set in `b` (zero-padded
-/// comparison, so lengths need not match).
-pub fn is_subset_words(a: &[u64], b: &[u64]) -> bool {
-    a.iter()
-        .enumerate()
-        .all(|(i, &w)| w & !b.get(i).copied().unwrap_or(0) == 0)
-}
-
-/// Zero-padded word equality: the same bit set, regardless of trailing
-/// zero words.
-pub fn words_equal(a: &[u64], b: &[u64]) -> bool {
-    let n = a.len().min(b.len());
-    a[..n] == b[..n] && a[n..].iter().all(|&w| w == 0) && b[n..].iter().all(|&w| w == 0)
-}
-
-/// Total number of set bits.
-pub fn popcount(words: &[u64]) -> u64 {
-    words.iter().map(|w| w.count_ones() as u64).sum()
-}
-
-/// Number of bits set in `new` but not in `old` — the frontier count
-/// `|new ∖ old|`, zero-padded.
-pub fn delta_count(old: &[u64], new: &[u64]) -> u64 {
-    new.iter()
-        .enumerate()
-        .map(|(i, &w)| (w & !old.get(i).copied().unwrap_or(0)).count_ones() as u64)
-        .sum()
-}
-
 /// Iterate the indices of set bits in ascending order.
 pub fn iter_ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(i, &w)| {
@@ -139,26 +92,6 @@ mod tests {
         assert_eq!(a, vec![1, 0b10]);
         // idempotent second pass: no change
         assert!(!union_into(&mut a, &[1, 0b10]));
-    }
-
-    #[test]
-    fn intersect_and_difference_respect_zero_padding() {
-        let mut a = vec![0b111u64, u64::MAX];
-        intersect_into(&mut a, &[0b101]);
-        assert_eq!(a, vec![0b101, 0]);
-        let mut b = vec![0b111u64];
-        difference_into(&mut b, &[0b010, u64::MAX]);
-        assert_eq!(b, vec![0b101]);
-    }
-
-    #[test]
-    fn subset_equality_and_counts() {
-        assert!(is_subset_words(&[0b101], &[0b111, 0]));
-        assert!(!is_subset_words(&[0b101, 1], &[0b111]));
-        assert!(words_equal(&[0b11, 0], &[0b11]));
-        assert!(!words_equal(&[0b11, 1], &[0b11]));
-        assert_eq!(popcount(&[u64::MAX, 1]), 65);
-        assert_eq!(delta_count(&[0b01], &[0b11, 0b1]), 2);
     }
 
     #[test]

@@ -599,6 +599,29 @@ mod tests {
         ));
     }
 
+    /// Regression: a panicking job's declared budget stayed on its
+    /// worker, so the next job of the same partition ran under it and
+    /// failed `SpaceBudgetExceeded { required: 16, budget: 1 }`.
+    #[test]
+    fn a_panicking_jobs_budget_does_not_reach_the_next_job() {
+        let mut session = EvalSession::new(EvalConfig::optimised());
+        let q = session.intern_expr(&queries::tc_while());
+        let good = session.values_mut().chain(5);
+        let poison = BatchJob {
+            query: q,
+            input: VId::from_index(usize::from(u16::MAX) << 8),
+            max_object_size: Some(1),
+        };
+        let jobs = [poison, BatchJob::from((q, good))];
+        let out = eval_batch_assigned(&mut session, &jobs, &[vec![0, 1]]);
+        assert!(matches!(
+            out[0].result,
+            Err(EvalError::WorkerPanicked { .. })
+        ));
+        let expect = session.values_mut().chain_tc(5);
+        assert_eq!(out[1].result, Ok(expect), "the unbudgeted neighbour");
+    }
+
     /// The small-batch fallback is invisible in the results: on both
     /// 12-job shapes `effective_workers_floors_small_batches` places
     /// (inline at chain n=8, fanned out at n=12), the inline and the

@@ -242,80 +242,11 @@ pub fn evaluate_tree(expr: &Expr, input: &Value, config: &EvalConfig) -> Evaluat
     }
 }
 
-/// The interned §3 rule set: one call = one derivation node — the exact
-/// walker, whatever the memo and semi-naive switches say. Shared with
-/// [`crate::lazy`] (which re-uses it for per-subset sub-evaluations); the
-/// traced builder in [`crate::trace`] mirrors it rule for rule. The
-/// arena is an explicit parameter.
-pub(crate) fn eval_vid(
-    expr: &Expr,
-    input: VId,
-    ctx: &mut Ctx,
-    va: &mut ValueArena,
-) -> Result<VId, EvalError> {
-    ctx.node(expr.head_index())?;
-    if !matches!(
-        expr,
-        Expr::Tuple(..) | Expr::Map(_) | Expr::Cond(..) | Expr::Compose(..) | Expr::While(_)
-    ) {
-        return eval_leaf_rule(expr, input, ctx, va);
-    }
-    ctx.observe_vid(va, input)?;
-    let output = match expr {
-        Expr::Tuple(f, g) => {
-            let a = eval_vid(f, input, ctx, va)?;
-            let b = eval_vid(g, input, ctx, va)?;
-            va.pair(a, b)
-        }
-        Expr::Map(f) => {
-            let items = va
-                .as_set(input)
-                .ok_or_else(|| stuck("map", "input is not a set"))?;
-            let mut out = Vec::with_capacity(items.len());
-            for &item in items.iter() {
-                out.push(eval_vid(f, item, ctx, va)?);
-            }
-            va.set_from_vec(out)
-        }
-        Expr::Cond(c, then, els) => {
-            let cv = eval_vid(c, input, ctx, va)?;
-            match va.as_bool(cv) {
-                Some(true) => eval_vid(then, input, ctx, va)?,
-                Some(false) => eval_vid(els, input, ctx, va)?,
-                None => return Err(stuck("if", "condition is not boolean")),
-            }
-        }
-        Expr::Compose(g, f) => {
-            let mid = eval_vid(f, input, ctx, va)?;
-            eval_vid(g, mid, ctx, va)?
-        }
-        Expr::While(f) => {
-            let mut current = input;
-            let mut iterations: u64 = 0;
-            loop {
-                let next = eval_vid(f, current, ctx, va)?;
-                iterations += 1;
-                ctx.stats.while_iterations += 1;
-                // hash-consing makes the fixpoint test O(1)
-                if next == current {
-                    break current;
-                }
-                if iterations >= ctx.config.max_while_iters {
-                    return Err(EvalError::WhileDiverged { iterations });
-                }
-                current = next;
-            }
-        }
-        leaf => unreachable!("leaf {} handled above", leaf.head_name()),
-    };
-    ctx.observe_vid(va, output)?;
-    Ok(output)
-}
-
 /// One full leaf rule — both §3 observations plus the primitive itself —
-/// shared by [`eval_vid`] and the memoised [`eval_eid`]. The caller has
-/// already counted the derivation node.
-fn eval_leaf_rule(
+/// shared by the interned walker [`eval_eid`] and the lazy strategy's
+/// leaf sub-evaluations ([`crate::lazy`]). The caller has already
+/// counted the derivation node.
+pub(crate) fn eval_leaf_rule(
     expr: &Expr,
     input: VId,
     ctx: &mut Ctx,
@@ -413,9 +344,9 @@ impl MemoState {
 }
 
 /// The cached §3 rule set over the *interned* expression: identical
-/// semantics to [`eval_vid`] (the differential harnesses hold the two
-/// bit-for-bit equal), but every recursion step carries an [`EId`],
-/// which keys both caches:
+/// semantics to the tree walker [`eval_in`] (the differential harnesses
+/// hold the two bit-for-bit equal), but every recursion step carries an
+/// [`EId`], which keys both caches:
 ///
 /// * under [`EvalConfig::memo`], each judgment `f(C) ⇓ C'` is first
 ///   looked up in the apply cache `(EId, VId) → VId` and recorded there

@@ -118,14 +118,17 @@ impl<'a> LazyCtx<'a> {
         }
     }
 
-    /// Run a sub-evaluation eagerly on interned handles, folding its
-    /// statistics into ours. Its own peak is *transient* memory and
-    /// contributes to `peak_resident` together with whatever `extra_live`
-    /// is currently held.
-    fn eager_sub(&mut self, expr: &Expr, input: VId, extra_live: u64) -> Result<VId, EvalError> {
+    /// Run one leaf rule eagerly on interned handles — [`lazy_in`] hands
+    /// over only leaves: the powersets [`force`] materialises and the
+    /// non-recursive primitives — folding its one derivation node's
+    /// statistics into ours. Its peak is *transient* memory and counts
+    /// toward `peak_resident`.
+    fn eager_sub(&mut self, leaf: &Expr, input: VId) -> Result<VId, EvalError> {
         let mut sub = Ctx::new(self.config);
-        let out = eager::eval_vid(expr, input, &mut sub, self.va);
-        self.merge_sub(&sub.stats, extra_live)?;
+        let out = sub
+            .node(leaf.head_index())
+            .and_then(|()| eager::eval_leaf_rule(leaf, input, &mut sub, self.va));
+        self.merge_sub(&sub.stats, 0)?;
         out
     }
 
@@ -195,7 +198,7 @@ fn force(lv: Lv, ctx: &mut LazyCtx) -> Result<VId, EvalError> {
                 None => Expr::Powerset,
                 Some(m) => Expr::PowersetM(m),
             };
-            ctx.eager_sub(&expr, base, 0)
+            ctx.eager_sub(&expr, base)
         }
     }
 }
@@ -268,12 +271,12 @@ fn lazy_in(expr: &Expr, input: Lv, ctx: &mut LazyCtx) -> Result<Lv, EvalError> {
                 Some(0) => Ok(Lv::Concrete(ctx.va.empty_set())),
                 _ => Ok(Lv::Concrete(base)),
             },
-            Lv::Concrete(v) => Ok(Lv::Concrete(ctx.eager_sub(&Expr::Flatten, v, 0)?)),
+            Lv::Concrete(v) => Ok(Lv::Concrete(ctx.eager_sub(&Expr::Flatten, v)?)),
         },
         Expr::IsEmpty => match input {
             // powerset(ₘ)(x) always contains ∅, hence is never empty.
             Lv::Subsets { .. } => Ok(Lv::Concrete(ctx.va.bool_(false))),
-            Lv::Concrete(v) => Ok(Lv::Concrete(ctx.eager_sub(&Expr::IsEmpty, v, 0)?)),
+            Lv::Concrete(v) => Ok(Lv::Concrete(ctx.eager_sub(&Expr::IsEmpty, v)?)),
         },
         Expr::Map(f) => match input {
             Lv::Subsets { base, bound } => stream_map(f, base, bound, ctx),
@@ -326,7 +329,7 @@ fn lazy_in(expr: &Expr, input: Lv, ctx: &mut LazyCtx) -> Result<Lv, EvalError> {
         }
         leaf => {
             let v = force(input, ctx)?;
-            Ok(Lv::Concrete(ctx.eager_sub(leaf, v, 0)?))
+            Ok(Lv::Concrete(ctx.eager_sub(leaf, v)?))
         }
     }
 }

@@ -286,31 +286,14 @@ impl EvalSession {
     /// eviction happens inside this call — the returned handle is valid
     /// until the next tree-boundary query triggers one.
     pub fn eval_vid(&mut self, eid: EId, input: VId) -> VidEvaluation {
-        debug_assert!(
-            eid.index() < self.exprs.node_count() && input.index() < self.values.len(),
-            "stale handle: eval_vid called with EId {} / VId {} but this session's arenas hold \
-             only {} expressions / {} values — the handle predates an eviction (generation is \
-             now {}); re-intern through the current arenas",
-            eid.index(),
-            input.index(),
-            self.exprs.node_count(),
-            self.values.len(),
-            self.generation,
-        );
-        // rewrite before the query opens: the (possibly new) root is what
-        // the apply cache keys on
-        let eid = self.optimise_eid(eid);
-        self.memo.begin_query();
-        let (result, stats) = eager::run(&self.config, &mut self.values, |ctx, va| {
-            eager::eval_eid(eid, input, ctx, &self.exprs, &mut self.memo, va)
-        });
-        self.absorb(&stats);
-        VidEvaluation { result, stats }
+        self.eval_vid_budgeted(eid, input, None)
     }
 
     /// [`EvalSession::eval_vid`] under a per-call space budget: the
     /// effective `max_object_size` is the minimum of `max_object_size`
-    /// and the session's configured one, restored afterwards. `None`
+    /// and the session's configured one. The call evaluates under a
+    /// config built for it and never writes the session's, so a budget
+    /// cannot outlive its call, not even one a panic cut short. `None`
     /// is exactly `eval_vid`. This is how a batch job's *declared
     /// budget* ([`crate::batch::BatchJob`]) is enforced by the engine
     /// rather than audited after the fact — an overrun surfaces as
@@ -323,14 +306,30 @@ impl EvalSession {
         input: VId,
         max_object_size: Option<u64>,
     ) -> VidEvaluation {
-        let Some(budget) = max_object_size else {
-            return self.eval_vid(eid, input);
-        };
-        let saved = self.config.max_object_size;
-        self.config.max_object_size = Some(saved.map_or(budget, |s| s.min(budget)));
-        let ev = self.eval_vid(eid, input);
-        self.config.max_object_size = saved;
-        ev
+        debug_assert!(
+            eid.index() < self.exprs.node_count() && input.index() < self.values.len(),
+            "stale handle: eval_vid called with EId {} / VId {} but this session's arenas hold \
+             only {} expressions / {} values — the handle predates an eviction (generation is \
+             now {}); re-intern through the current arenas",
+            eid.index(),
+            input.index(),
+            self.exprs.node_count(),
+            self.values.len(),
+            self.generation,
+        );
+        let mut config = self.config.clone();
+        if let Some(budget) = max_object_size {
+            config.max_object_size = Some(config.max_object_size.map_or(budget, |s| s.min(budget)));
+        }
+        // rewrite before the query opens: the (possibly new) root is what
+        // the apply cache keys on
+        let eid = self.optimise_eid(eid);
+        self.memo.begin_query();
+        let (result, stats) = eager::run(&config, &mut self.values, |ctx, va| {
+            eager::eval_eid(eid, input, ctx, &self.exprs, &mut self.memo, va)
+        });
+        self.absorb(&stats);
+        VidEvaluation { result, stats }
     }
 
     /// Force an eviction now: clear both arenas and the cache state,
@@ -500,5 +499,25 @@ mod tests {
         let ev = session.eval_vid(eid, input);
         let expect = session.values_mut().chain_tc(5);
         assert_eq!(ev.result.unwrap(), expect, "O(1) handle equality");
+    }
+
+    /// Regression: a budgeted call installed its budget on the session
+    /// and restored the old one only after evaluating, so a panic in
+    /// between (here: a fabricated handle) left the budget behind for
+    /// every later query of a caller that caught the unwind.
+    #[test]
+    fn a_panicking_budgeted_call_leaves_no_budget_behind() {
+        let mut session = EvalSession::new(EvalConfig::default());
+        let q = session.intern_expr(&queries::tc_while());
+        let poison = VId::from_index(usize::from(u16::MAX) << 8);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            session.eval_vid_budgeted(q, poison, Some(1))
+        }));
+        assert!(caught.is_err(), "the fabricated handle panics");
+        assert_eq!(session.config().max_object_size, None);
+        let input = session.values_mut().chain(5);
+        let ev = session.eval_vid(q, input);
+        let expect = session.values_mut().chain_tc(5);
+        assert_eq!(ev.result, Ok(expect), "the next query runs unbudgeted");
     }
 }

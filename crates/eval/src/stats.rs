@@ -14,14 +14,7 @@
 use std::collections::BTreeMap;
 
 /// Statistics of one eager evaluation, in the sense of §3.
-///
-/// Equality deliberately ignores the `dense_ops` counter (see the
-/// manual [`PartialEq`] impl): how many packed-word operations a kernel
-/// ran is a representation detail, not a fact of the derivation, and
-/// the differential suites assert stats equality across backends that
-/// do and don't have an arena at all. Everything a §3 derivation determines — sizes, node counts,
-/// rule counters, frontiers — still compares exactly.
-#[derive(Debug, Clone, Default, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// The paper's complexity: the size of the largest complex object
     /// occurring anywhere in the derivation tree.
@@ -73,29 +66,10 @@ pub struct EvalStats {
     /// Recorded only under `EvalConfig::semi_naive`, and only for
     /// set-valued iterates.
     pub while_frontiers: Vec<u64>,
-    /// Packed-word operations run during this evaluation. No kernel
-    /// runs on packed words yet, so this reads 0; servebench reports it
-    /// as `eval.dense_ops`. Excluded from equality: a representation
-    /// counter, not a derivation fact.
+    /// Packed-word operations run during this evaluation. No evaluator
+    /// rule runs on packed words, so this reads 0; servebench reports
+    /// it as `eval.dense_ops`.
     pub dense_ops: u64,
-}
-
-impl PartialEq for EvalStats {
-    fn eq(&self, other: &Self) -> bool {
-        // every field except dense_ops
-        self.max_object_size == other.max_object_size
-            && self.nodes == other.nodes
-            && self.total_size == other.total_size
-            && self.max_set_cardinality == other.max_set_cardinality
-            && self.rule_counts == other.rule_counts
-            && self.while_iterations == other.while_iterations
-            && self.memo_hits == other.memo_hits
-            && self.memo_misses == other.memo_misses
-            && self.warm_hits == other.warm_hits
-            && self.delta_hits == other.delta_hits
-            && self.delta_skipped == other.delta_skipped
-            && self.while_frontiers == other.while_frontiers
-    }
 }
 
 impl EvalStats {
@@ -140,18 +114,6 @@ mod tests {
         assert_eq!(s.max_object_size, 5);
         assert_eq!(s.total_size, 12);
         assert_eq!(s.max_set_cardinality, 7);
-    }
-
-    #[test]
-    fn equality_ignores_dense_counters() {
-        let mut a = EvalStats::default();
-        let b = EvalStats {
-            dense_ops: 17,
-            ..EvalStats::default()
-        };
-        assert_eq!(a, b, "dense_ops is representation, not derivation");
-        a.nodes = 1;
-        assert_ne!(a, b, "derivation fields still compare");
     }
 
     #[test]

@@ -3,50 +3,33 @@
 //! baselines of experiment E3.
 //!
 //! Four algorithms with different complexity profiles:
-//! * [`warshall`] — dense bitset Warshall, `O(V³/64)`;
+//! * [`warshall`] — bitmap Warshall, `O(V³/64)`;
 //! * [`semi_naive`] — delta-driven datalog-style iteration, the classical
 //!   implementation of the paper's `while` query;
 //! * [`bfs_per_source`] — `O(V·(V+E))` adjacency-list search;
-//! * [`tc_arena`] — closure of an *interned* relation on the route its
-//!   `dense` parameter picks: word-parallel bitmap Warshall over the
-//!   shared [`dense`] primitives, or sorted
-//!   arena merges when off — identical closure `VId` either way.
+//! * [`tc_arena`] — closure of an *interned* relation, answer interned
+//!   once.
 //!
-//! All agree (property-tested); `tc` picks the BFS variant.
+//! [`warshall`] and [`tc_arena`] run one kernel: bitmap Warshall over
+//! compacted node ids, on the shared [`dense`] word primitives. All
+//! agree (property-tested); `tc` picks the BFS variant.
 
-use crate::bitset::BitSet;
 use crate::digraph::DiGraph;
 use nra_core::value::dense;
 use nra_core::value::intern::{VId, ValueArena};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Transitive closure via per-source BFS (the default).
 pub fn tc(g: &DiGraph) -> DiGraph {
     bfs_per_source(g)
 }
 
-/// Warshall's algorithm over dense bitsets. Nodes are compacted first, so
-/// sparse id spaces cost only `O(V)` extra.
+/// Warshall's algorithm over packed bitmap rows (the kernel
+/// [`tc_arena`] runs). Nodes are compacted first, so sparse id spaces
+/// cost only `O(V)` extra.
 pub fn warshall(g: &DiGraph) -> DiGraph {
-    let nodes: Vec<u64> = g.nodes().into_iter().collect();
-    let index: BTreeMap<u64, usize> = nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let n = nodes.len();
-    let mut rows: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-    for (a, b) in g.edges() {
-        rows[index[&a]].insert(index[&b]);
-    }
-    for k in 0..n {
-        let row_k = rows[k].clone();
-        for row in rows.iter_mut() {
-            if row.contains(k) {
-                row.union_with(&row_k);
-            }
-        }
-    }
-    DiGraph::from_edges(rows.iter().enumerate().flat_map(|(i, row)| {
-        let nodes = &nodes;
-        row.iter().map(move |j| (nodes[i], nodes[j]))
-    }))
+    let edges: Vec<(u64, u64)> = g.edges().collect();
+    DiGraph::from_edges(dense_closure(&edges))
 }
 
 /// Semi-naive evaluation: iterate `Δ ← (Δ ∘ r) ∖ acc` to a fixpoint. This
@@ -99,19 +82,13 @@ pub fn bfs_per_source(g: &DiGraph) -> DiGraph {
     DiGraph::from_edges(out)
 }
 
-/// Transitive closure of an interned relation `{N × N}`, computed on the
-/// route `dense` picks and returned as the canonical interned closure
-/// handle. `None` if `rel` is not a relation of nat pairs.
+/// Transitive closure of an interned relation `{N × N}`, returned as the
+/// canonical interned closure handle. `None` if `rel` is not a relation
+/// of nat pairs.
 ///
-/// With `dense` the closure runs as word-parallel bitmap Warshall (`O(V³/64)` over the shared
-/// [`dense`] primitives, node ids compacted
-/// first) and the result set is interned **once** at the end — no
-/// per-round interning at all. Without it runs the classical
-/// semi-naive iteration, interning each frontier and folding it in by
-/// the arena's sorted-spine merges — the sorted rung the dense route is
-/// benchmarked against. Canonical dedup guarantees both routes return
-/// the *same* `VId` for the same input, which the differential suites
-/// assert across all graph families.
+/// The closure runs as [`warshall`] does — bitmap Warshall over
+/// compacted node ids, `O(V³/64)` word operations — and the result set
+/// is interned **once** at the end, with no per-round interning.
 ///
 /// ```
 /// use nra_core::value::intern::ValueArena;
@@ -119,25 +96,21 @@ pub fn bfs_per_source(g: &DiGraph) -> DiGraph {
 ///
 /// let mut va = ValueArena::new();
 /// let r = va.chain(100);
-/// let closure = tc_arena(&mut va, r, true).unwrap();
+/// let closure = tc_arena(&mut va, r).unwrap();
 /// assert_eq!(closure, va.chain_tc(100));
-/// assert_eq!(tc_arena(&mut va, r, false), Some(closure));
 /// ```
-pub fn tc_arena(va: &mut ValueArena, rel: VId, dense: bool) -> Option<VId> {
+pub fn tc_arena(va: &mut ValueArena, rel: VId) -> Option<VId> {
     let edges = va.to_edges(rel)?;
     if edges.is_empty() {
         return Some(rel); // the closure of the empty relation is itself
     }
-    if dense {
-        Some(va.relation(dense_closure(&edges)))
-    } else {
-        sorted_closure_arena(va, rel, &edges)
-    }
+    Some(va.relation(dense_closure(&edges)))
 }
 
-/// Bitmap Warshall over compacted node indices: bit `j` of row `i` means
-/// an `i → j` path. Pure word arithmetic — the per-element costs (decode
-/// and the one final intern) live in [`tc_arena`].
+/// The closure kernel of [`warshall`] and [`tc_arena`]: bitmap Warshall
+/// over compacted node indices, where bit `j` of row `i` means an
+/// `i → j` path. Pure word arithmetic — decoding the input and
+/// building the answer are the callers'.
 fn dense_closure(edges: &[(u64, u64)]) -> Vec<(u64, u64)> {
     let mut nodes: Vec<u64> = edges.iter().flat_map(|&(a, b)| [a, b]).collect();
     nodes.sort_unstable();
@@ -150,7 +123,7 @@ fn dense_closure(edges: &[(u64, u64)]) -> Vec<(u64, u64)> {
     }
     for k in 0..n {
         // a clone of row k is enough: within iteration k the row only
-        // ever absorbs itself (a no-op), exactly as in [`warshall`]
+        // ever absorbs itself, a no-op
         let row_k = rows[k].clone();
         for row in rows.iter_mut() {
             if dense::get_bit(row, k) {
@@ -163,39 +136,6 @@ fn dense_closure(edges: &[(u64, u64)]) -> Vec<(u64, u64)> {
         out.extend(dense::iter_ones(row).map(|j| (nodes[i], nodes[j])));
     }
     out
-}
-
-/// Semi-naive closure on sorted arena spines: each round's new pairs are
-/// interned as a frontier relation and folded into the accumulator with
-/// [`ValueArena::set_union`] — per-element interning plus an `O(|acc|)`
-/// sorted merge per round, the honest cost profile of the sorted
-/// representation.
-fn sorted_closure_arena(va: &mut ValueArena, rel: VId, edges: &[(u64, u64)]) -> Option<VId> {
-    let mut succ: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for &(a, b) in edges {
-        succ.entry(a).or_default().push(b);
-    }
-    let mut seen: BTreeSet<(u64, u64)> = edges.iter().copied().collect();
-    let mut acc = rel;
-    let mut delta: Vec<(u64, u64)> = edges.to_vec();
-    while !delta.is_empty() {
-        let mut next: Vec<(u64, u64)> = Vec::new();
-        for &(a, b) in &delta {
-            if let Some(outs) = succ.get(&b) {
-                for &c in outs {
-                    if seen.insert((a, c)) {
-                        next.push((a, c));
-                    }
-                }
-            }
-        }
-        if !next.is_empty() {
-            let frontier = va.relation(next.iter().copied());
-            acc = va.set_union(acc, frontier)?;
-        }
-        delta = next;
-    }
-    Some(acc)
 }
 
 /// Number of semi-naive rounds needed (the `while` iteration count is
@@ -290,19 +230,11 @@ mod tests {
     fn tc_arena_routes_agree_with_the_classical_algorithms() {
         for seed in 0..10 {
             let g = DiGraph::random(12, 0.15, seed);
-            let expect = tc(&g);
-            // one arena, both routes: canonical dedup must hand the two
-            // closures the *same* interned handle
             let mut va = ValueArena::new();
             let rel = va.relation(g.edges());
-            let c_sorted = tc_arena(&mut va, rel, false).unwrap();
-            let c_dense = tc_arena(&mut va, rel, true).unwrap();
-            assert_eq!(
-                c_dense, c_sorted,
-                "seed {seed}: dense and sorted routes split"
-            );
-            let got = DiGraph::from_edges(va.to_edges(c_dense).unwrap());
-            assert_eq!(got, expect, "seed {seed}: tc_arena vs BFS closure");
+            let closure = tc_arena(&mut va, rel).unwrap();
+            let got = DiGraph::from_edges(va.to_edges(closure).unwrap());
+            assert_eq!(got, tc(&g), "seed {seed}: tc_arena vs BFS closure");
         }
     }
 
@@ -310,15 +242,15 @@ mod tests {
     fn tc_arena_edge_cases() {
         let mut va = ValueArena::new();
         let empty = va.relation([]);
-        assert_eq!(tc_arena(&mut va, empty, true), Some(empty));
+        assert_eq!(tc_arena(&mut va, empty), Some(empty));
         let nat = va.nat(3);
-        assert_eq!(tc_arena(&mut va, nat, true), None, "not a relation");
+        assert_eq!(tc_arena(&mut va, nat), None, "not a relation");
         let loops = va.relation([(3, 3)]);
-        assert_eq!(tc_arena(&mut va, loops, true), Some(loops));
+        assert_eq!(tc_arena(&mut va, loops), Some(loops));
         // ids beyond the dense coordinate bound still close correctly
         // (the Warshall rows index *compacted* ids, not raw labels)
         let wide = va.relation([(1_000_000, 2_000_000), (2_000_000, 3_000_000)]);
-        let c = tc_arena(&mut va, wide, true).unwrap();
+        let c = tc_arena(&mut va, wide).unwrap();
         let got: BTreeSet<(u64, u64)> = va.to_edges(c).unwrap().into_iter().collect();
         let expect: BTreeSet<(u64, u64)> = [
             (1_000_000, 2_000_000),

@@ -1,74 +1,27 @@
-//! Edge-case unit tests for `graph::bitset` and `graph::tc`: empty
-//! structures, n = 0/1, self-loops, word-size boundaries, and inputs that
-//! are already transitively closed.
+//! Edge-case unit tests for `graph::tc`, run through every closure
+//! algorithm — `tc_arena` included, through a `ValueArena` round trip:
+//! empty structures, n = 0/1, self-loops, relabelled nodes, and inputs
+//! that are already transitively closed.
 
-use nra_graph::{bfs_per_source, semi_naive, tc, warshall, BitSet, DiGraph};
+use nra_core::value::intern::ValueArena;
+use nra_graph::{bfs_per_source, semi_naive, tc, tc_arena, warshall, DiGraph};
 
-fn all_algorithms(g: &DiGraph) -> [DiGraph; 3] {
-    [warshall(g), semi_naive(g), bfs_per_source(g)]
+/// [`tc_arena`] on `g`'s edges, read back as a graph.
+fn arena_closure(g: &DiGraph) -> DiGraph {
+    let mut va = ValueArena::new();
+    let rel = va.relation(g.edges());
+    let closure = tc_arena(&mut va, rel).expect("a relation closes");
+    DiGraph::from_edges(va.to_edges(closure).expect("the closure is a relation"))
 }
 
-// -- bitset ---------------------------------------------------------------
-
-#[test]
-fn bitset_zero_capacity() {
-    let s = BitSet::new(0);
-    assert_eq!(s.capacity(), 0);
-    assert!(s.is_empty());
-    assert_eq!(s.len(), 0);
-    assert_eq!(s.iter().count(), 0);
-    assert!(!s.contains(0));
+fn all_algorithms(g: &DiGraph) -> [DiGraph; 4] {
+    [
+        warshall(g),
+        semi_naive(g),
+        bfs_per_source(g),
+        arena_closure(g),
+    ]
 }
-
-#[test]
-fn bitset_word_boundaries() {
-    // bits 63/64/65 straddle the u64 word boundary; 127/128 the second
-    let mut s = BitSet::new(129);
-    for i in [0usize, 63, 64, 65, 127, 128] {
-        assert!(s.insert(i), "bit {i} should be fresh");
-        assert!(s.contains(i), "bit {i} should be set");
-    }
-    assert_eq!(s.len(), 6);
-    assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 65, 127, 128]);
-    for i in [63usize, 128] {
-        assert!(s.remove(i));
-        assert!(!s.contains(i));
-    }
-    assert_eq!(s.len(), 4);
-}
-
-#[test]
-fn bitset_insert_is_idempotent() {
-    let mut s = BitSet::new(10);
-    assert!(s.insert(3));
-    assert!(!s.insert(3), "second insert reports not-fresh");
-    assert_eq!(s.len(), 1);
-    assert!(s.remove(3));
-    assert!(!s.remove(3), "second remove reports absent");
-    assert!(s.is_empty());
-}
-
-#[test]
-fn bitset_union_with_empty_is_noop() {
-    let mut a = BitSet::new(70);
-    a.insert(5);
-    a.insert(69);
-    let empty = BitSet::new(70);
-    assert!(!a.union_with(&empty), "∪ ∅ must not change the set");
-    assert_eq!(a.len(), 2);
-    let mut b = BitSet::new(70);
-    assert!(b.union_with(&a), "∅ ∪ a must change the empty set");
-    assert_eq!(b.iter().collect::<Vec<_>>(), vec![5, 69]);
-}
-
-#[test]
-fn bitset_contains_beyond_capacity_is_false() {
-    let s = BitSet::new(10);
-    assert!(!s.contains(10));
-    assert!(!s.contains(usize::MAX));
-}
-
-// -- transitive closure ---------------------------------------------------
 
 #[test]
 fn tc_of_empty_graph_is_empty() {
@@ -145,5 +98,23 @@ fn tc_ignores_node_labels() {
     ]);
     for got in all_algorithms(&g) {
         assert_eq!(got, expect);
+    }
+}
+
+#[test]
+fn tc_rows_cross_word_boundaries() {
+    // 63/64/65 nodes straddle the first u64 word boundary of a Warshall
+    // row, 128/129 the second
+    for n in [62u64, 63, 64, 127, 128] {
+        let chain = DiGraph::chain(n);
+        let expect = DiGraph::from_edges((0..=n).flat_map(|x| (x + 1..=n).map(move |y| (x, y))));
+        for (i, got) in all_algorithms(&chain).into_iter().enumerate() {
+            assert_eq!(got, expect, "algorithm {i}, chain({n})");
+        }
+        let cycle = DiGraph::cycle(n + 1);
+        let complete = DiGraph::from_edges((0..=n).flat_map(|a| (0..=n).map(move |b| (a, b))));
+        for (i, got) in all_algorithms(&cycle).into_iter().enumerate() {
+            assert_eq!(got, complete, "algorithm {i}, cycle({})", n + 1);
+        }
     }
 }

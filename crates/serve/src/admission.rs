@@ -30,7 +30,7 @@
 //! that is the point of the dichotomy: `NRA` without `powerset` cannot
 //! express the exponential blow-up, and §4's upper bound for the while
 //! route is a small polynomial. Their declared budget is the structural
-//! envelope, clamped to [`AdmissionPolicy::poly_budget_degree`] because
+//! envelope, clamped to degree 6 (`POLY_BUDGET_DEGREE`) because
 //! the structural degree of a `while` body is capped pessimistically
 //! (iterating a degree-`d` body has no finite structural degree — the
 //! clamp is where §4's semantic bound takes over from syntax).
@@ -59,6 +59,10 @@ pub const DEFAULT_POWERSET_CEILING: u64 = 1 << 24;
 /// every graph family.
 pub const PROBE_HEADROOM: u64 = 64;
 
+/// Degree clamp for the declared budget of Polynomial-class queries
+/// whose structural envelope saturated (deep `while` bodies).
+const POLY_BUDGET_DEGREE: u32 = 6;
+
 /// How admission decides and what it charges.
 #[derive(Debug, Clone)]
 pub struct AdmissionPolicy {
@@ -66,10 +70,6 @@ pub struct AdmissionPolicy {
     /// (symbolic lower bound ∨ concrete probe) exceeds this many §3
     /// units.
     pub powerset_ceiling: u64,
-    /// Degree clamp for the declared budget of Polynomial-class
-    /// queries whose structural envelope saturated (deep `while`
-    /// bodies).
-    pub poly_budget_degree: u32,
     /// Admit queries the symbolic layer cannot analyze (`powerset`
     /// under `while`), with the ceiling itself as the declared budget.
     /// Off by default: unanalyzable means uncertifiable.
@@ -80,7 +80,6 @@ impl Default for AdmissionPolicy {
     fn default() -> Self {
         AdmissionPolicy {
             powerset_ceiling: DEFAULT_POWERSET_CEILING,
-            poly_budget_degree: 6,
             admit_unanalyzed: false,
         }
     }
@@ -228,7 +227,7 @@ pub fn admit(
             // envelope, clamped where the while rule saturated
             let mut clamp = size
                 .max(2)
-                .saturating_pow((*degree).min(policy.poly_budget_degree))
+                .saturating_pow((*degree).min(POLY_BUDGET_DEGREE))
                 .saturating_mul(64)
                 .saturating_add(4096);
             // Inputs living in a bounded packed domain (sets of

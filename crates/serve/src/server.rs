@@ -3,8 +3,8 @@
 //!
 //! One [`Server`] owns one [`EvalSession`] (the shared concurrent
 //! store every batch's workers intern into) and a tenant ledger. Its
-//! [`run`](Server::run) loop blocks on the transport, drains up to
-//! [`ServeConfig::batch_window`] frames, admits each request
+//! [`run`](Server::run) loop blocks on the transport, drains up to 16
+//! frames (`BATCH_WINDOW`), admits each request
 //! ([`crate::admission`]), places the admitted jobs with
 //! [`partition`] — the engine's one placement rule, so a large join
 //! gets a worker of its own next to the small jobs of its batch —
@@ -55,6 +55,9 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
 use std::thread::JoinHandle;
 
+/// Maximum frames [`Server::run`] drains into one batch.
+const BATCH_WINDOW: usize = 16;
+
 /// Serving configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -64,13 +67,8 @@ pub struct ServeConfig {
     /// microseconds, which a config whose count is set explicitly should
     /// not pay.
     pub workers: usize,
-    /// Maximum frames drained into one batch.
-    pub batch_window: usize,
-    /// Admission policy (ceilings, clamps, waivers).
+    /// Admission policy (ceiling and waiver).
     pub policy: AdmissionPolicy,
-    /// Default per-tenant byte budget per eviction generation
-    /// (override per tenant with [`Server::set_tenant_budget`]).
-    pub tenant_budget_bytes: u64,
     /// Resident-byte ceiling for the session (eviction trigger); `None`
     /// disables eviction.
     pub resident_budget_bytes: Option<usize>,
@@ -82,9 +80,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 0,
-            batch_window: 16,
             policy: AdmissionPolicy::default(),
-            tenant_budget_bytes: u64::MAX,
             resident_budget_bytes: None,
             // the serving front runs the full stack: the rewrite
             // optimiser in front of the memoised semi-naive walker,
@@ -119,8 +115,8 @@ pub struct TenantStats {
     pub bytes_charged: u64,
     /// Lifetime bytes charged (never reset).
     pub total_bytes: u64,
-    /// Per-tenant budget override; `None` uses
-    /// [`ServeConfig::tenant_budget_bytes`].
+    /// Per-tenant byte budget per eviction generation, set with
+    /// [`Server::set_tenant_budget`]; `None` is unlimited.
     pub budget_override: Option<u64>,
 }
 
@@ -265,7 +261,8 @@ impl Server {
         report
     }
 
-    /// Override one tenant's per-generation byte budget.
+    /// Set one tenant's per-generation byte budget (tenants are
+    /// unlimited until set).
     pub fn set_tenant_budget(&mut self, tenant: &str, bytes: u64) {
         self.report
             .tenants
@@ -303,10 +300,9 @@ impl Server {
         self.tenant(&request.tenant).submitted += 1;
 
         // 1. tenant byte budget (per eviction generation)
-        let default_budget = self.config.tenant_budget_bytes;
         let generation = self.charge_generation;
         let tenant = self.tenant(&request.tenant);
-        let allowance = tenant.budget_override.unwrap_or(default_budget);
+        let allowance = tenant.budget_override.unwrap_or(u64::MAX);
         if tenant.bytes_charged >= allowance {
             tenant.rejected += 1;
             let charged = tenant.bytes_charged;
@@ -508,7 +504,7 @@ impl Server {
         // exits when the peer hangs up or a shutdown frame arrives
         'serve: while let Some(first) = transport.rx.recv_line() {
             let mut lines = vec![first];
-            while lines.len() < self.config.batch_window.max(1) {
+            while lines.len() < BATCH_WINDOW {
                 match transport.rx.try_recv_line() {
                     Ok(Some(line)) => lines.push(Ok(line)),
                     Err(e @ WireError::FrameTooLong { .. }) => lines.push(Err(e)),

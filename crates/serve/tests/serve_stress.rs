@@ -234,29 +234,32 @@ fn tenant_byte_budgets_bind_their_tenant_and_nobody_else() {
 #[test]
 fn a_panicking_job_is_contained_without_poisoning_the_loop() {
     let mut server = Server::new(ServeConfig::default());
-    let (good_q, good_v) = {
+    let (good_q, good_v, next_v) = {
         let session = server.session();
         let q = session.intern_expr(&queries::tc_while());
         let v = session.intern_value(&Value::chain(5));
-        (q, v)
+        let w = session.intern_value(&Value::chain(4));
+        (q, v, w)
     };
-    // a fabricated stale handle: panics inside the per-job guard
+    // a fabricated stale handle: panics inside the per-job guard, under
+    // a budget its unbudgeted neighbours must never inherit (the job
+    // after it closes a fresh input, so no cached answer hides a leak)
     let poison = VId::from_index((u16::MAX as usize) << 8);
-    let job = |tenant: &str, id: u64, input: VId| StagedJob {
+    let job = |tenant: &str, id: u64, input: VId, budget: u64| StagedJob {
         tenant: tenant.to_string(),
         id,
         query: good_q,
         input,
-        budget: u64::MAX,
+        budget,
     };
     let responses = server.run_staged(&[
-        job("steady", 0, good_v),
-        job("chaos", 1, poison),
-        job("steady", 2, good_v),
+        job("steady", 0, good_v, u64::MAX),
+        job("chaos", 1, poison, 1),
+        job("steady", 2, next_v, u64::MAX),
     ]);
-    for id in [0usize, 2] {
+    for (id, n) in [(0usize, 5), (2, 4)] {
         match &responses[id].outcome {
-            Outcome::Ok { value, .. } => assert_eq!(*value, Value::chain_tc(5)),
+            Outcome::Ok { value, .. } => assert_eq!(*value, Value::chain_tc(n)),
             other => panic!("neighbour job {id} of the panicking one: {other:?}"),
         }
     }

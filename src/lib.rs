@@ -15,13 +15,13 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`core`] (`nra-core`) | the language: types, complex objects (tree + hash-consed arena, [`core::value::intern`], with merge-based set algebra), hash-consed expressions ([`core::expr::intern`]), the §2 primitives, the Prop 2.1 derived algebra, the TC queries, `powersetₘ` |
-//! | [`eval`] (`nra-eval`) | the §3 eager evaluator with the paper's complexity measure, budgets, derivation trees, a streaming (lazy) strategy, an optional BDD-style apply cache (`EvalConfig::memoised`) and semi-naive iteration with fused Prop 2.1 rules (`EvalConfig::optimised`) — one interpreter, running on interned handles, owned per `EvalSession` |
-//! | [`graph`] (`nra-graph`) | input generators (chains, cycles, deterministic graphs) and classical polynomial TC baselines |
+//! | [`eval`] (`nra-eval`) | the §3 eager evaluator with the paper's complexity measure, budgets, derivation trees, a streaming (lazy) strategy, an optional BDD-style apply cache (`EvalConfig::memoised`) and semi-naive iteration with the one fused Prop 2.1 join (`EvalConfig::optimised`) — one interpreter, running on interned handles, owned per `EvalSession` |
+//! | [`graph`] (`nra-graph`) | input generators (chains, cycles, deterministic graphs) and classical polynomial TC baselines, with one bitmap Warshall kernel behind `warshall` and the arena-native `tc_arena` |
 //! | [`symbolic`] (`nra-symbolic`) | the §5 proof machinery: abstract expressions, the Lemma 5.1 evaluator, affine spaces, quantifier elimination, the Lemma 5.8 dichotomy, the Lemma 5.7 Ramsey bound, Corollary 5.3 |
 //! | [`circuits`] (`nra-circuits`) | Prop 4.3's `AC⁰`/`TC⁰` substrate: threshold circuits and a flat-algebra compiler |
 //! | [`opt`] (`nra-opt`) | the pre-evaluation rescue pass over the hash-consed DAG: the powerset-route transitive closure and siblings idioms rewritten to their polynomial routes, each pair gated by the space classifier — the separation theorem run backwards as an optimisation |
-//! | [`serve`] (`nra-serve`) | an offline query-serving front: newline-delimited wire format, **cost-based admission control** (Theorem 4.1 as a safety rail — certified-exponential queries are rejected with their bound; rescuable ones are rewritten and admitted), cache-aware batch scheduling, per-tenant byte budgets riding the eviction generations |
-//! | `nra-bench` | measurement helpers (complexity series, slope fits) and the E1–E16 experiment suite (`report`), on a self-contained harness |
+//! | [`serve`] (`nra-serve`) | an offline query-serving front: newline-delimited wire format, **cost-based admission control** (Theorem 4.1 as a safety rail — certified-exponential queries are rejected with their bound; rescuable ones are rewritten and admitted), cost-balanced batch placement, per-tenant byte budgets riding the eviction generations |
+//! | `nra-bench` | measurement helpers (complexity series, slope fits) and the E1–E17 experiment suite (`report`), on a self-contained harness |
 //! | `nra-testkit` | seeded RNG + property-check runner used by every randomized test suite |
 //!
 //! ## Building & testing
@@ -30,10 +30,10 @@
 //! toolchain builds it offline:
 //!
 //! ```text
-//! cargo build --release   # all seven crates + examples
+//! cargo build --release   # all nine crates + examples
 //! cargo test -q           # unit, property, differential and doc tests
-//! cargo bench             # E1–E11 timings (NRA_BENCH_SAMPLES=2 for a smoke run)
-//! cargo run --release --example quickstart   # and five more walkthroughs
+//! cargo bench             # E1–E9 + E11 timings, BENCH_eval.json (NRA_BENCH_SAMPLES=2: smoke run)
+//! cargo run --release --example quickstart   # and eight more walkthroughs
 //! ```
 //!
 //! The differential harness (`tests/differential.rs`) is the heart of the
